@@ -81,6 +81,8 @@ def _fmt(v: float) -> str:
 
 
 def _mc_config(model, args) -> McConfig:
+    if args.reps < 1:
+        raise _fail(f"--reps must be >= 1, got {args.reps}", 2)
     if args.b_esc is not None:
         horizon = EscapeLevel(args.b_esc)
     else:

@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrik
 
 from .errors import DomainError
 
@@ -190,8 +189,7 @@ class TransitionDensity:
     """Law of X_r started at 0: an optional atom plus an absolutely continuous part.
 
     ``density`` is vectorized over numpy arrays.  ``lower``/``upper`` bound the
-    effective support of the a.c. part; ``tilted_upper(theta)`` bounds the region
-    where e^{theta z} * density(z) is non-negligible.
+    effective support of the a.c. part.
     """
 
     atom_location: Optional[float]
@@ -199,12 +197,6 @@ class TransitionDensity:
     density: Callable[[np.ndarray], np.ndarray]
     lower: float
     upper: float
-    _tilt_scale: float  # extra upper slack per unit of exponential tilt
-
-    def tilted_upper(self, theta: float) -> float:
-        if self._tilt_scale == 0.0:
-            return self.upper  # hard support (Cramer-Lundberg: z <= c*r)
-        return self.upper + theta * self._tilt_scale
 
 
 def transition(model: LevyModel, r: float) -> TransitionDensity:
@@ -234,13 +226,12 @@ def transition(model: LevyModel, r: float) -> TransitionDensity:
             density=density,
             lower=m - 14.0 * s,
             upper=m + 14.0 * s,
-            _tilt_scale=model.sigma ** 2 * r,
         )
 
     c, eta, alpha = model.c, model.eta, model.alpha
     cr = c * r
     mu_pois = eta * r
-    kmax = int(poisson.isf(_SERIES_TAIL, mu_pois)) + 1
+    kmax = math.ceil(pdtrik(1.0 - _SERIES_TAIL, mu_pois)) + 1
     ks = np.arange(1, kmax + 1, dtype=float)
     log_pmf = -mu_pois + ks * math.log(mu_pois) - gammaln(ks + 1.0)
 
@@ -268,5 +259,4 @@ def transition(model: LevyModel, r: float) -> TransitionDensity:
         density=density,
         lower=cr - spread,
         upper=cr,
-        _tilt_scale=0.0,
     )

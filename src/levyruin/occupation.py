@@ -11,14 +11,34 @@ This module provides
 
 Numerical note: Gamma_lam(r) grows like psi'(Phi_lam) e^{lam r} (its Laplace
 transform 1/(Phi_p - Phi_lam) has a pole at p = lam), so the textbook density
-formula is a catastrophic cancellation at large r.  The density here is evaluated
+formula is a catastrophic cancellation at large r.  The density is evaluated
 through the compensated kernel
 
     G(r) = Gamma_lam(r) - psi'(Phi_lam) e^{lam r} = (1/r) E[X_r^- e^{Phi_lam X_r}] >= 0
 
 (split E[X_r e^{Phi_lam X_r}] = r psi'(Phi_lam) e^{lam r} over the two half-lines),
-a stable integral over the negative half-line, combined with the Laplace identity
+combined with the Laplace identity
 int_0^inf e^{-lam s} Lambda'(x, s) ds = (Phi_lam/lam) Z(x, Phi_lam) - W(x).
+
+Every kernel is a partial first moment of X_r under an exponential tilt, in
+closed form and vectorized over r, so a density point costs one kernel call per
+quadrature level of its convolution and tail integrals:
+
+* Brownian: the tilted law is Gaussian.  G uses erfcx with e^{lam r} cancelled
+  analytically, G(r) = e^{-r mu^2/2 sigma^2} (sigma/sqrt r) [1/sqrt(2 pi)
+  + d erfcx(-d/sqrt 2)/2] with d = -psi'(Phi_lam) sqrt(r)/sigma; Gamma_lam and
+  Lambda' use log_ndtr with their prefactors folded into the exponent.
+* Cramer-Lundberg: the tilted law is again compound Poisson with exponential
+  claims, and each moment reduces to the upper tail of the difference of two
+  independent Poisson counts (Skellam).  Where the tilted drift is negative (G,
+  and Lambda' on positive-drift models) that tail is a rare event: its
+  probabilities e^{-(sqrt b - sqrt a)^2} rho^d ive(d, 2 sqrt(ab)) are summed with
+  the prefactor (e^{lam r} for G, e^{-zeta_0 x} for Lambda') folded into the
+  exponent, so the kernels stay finite and nonzero out to r ~ 1000 on thinly
+  loaded models and for x far below 0.  Gamma_lam, a bulk moment, uses
+  P(N >= K + m) = chndtr(2y, 2m, 2u) for N ~ Poisson(y), K ~ Poisson(u).
+
+Lambda' needs no e^{r psi} prefactor: the exponents of W' are roots of psi.
 """
 
 from __future__ import annotations
@@ -29,13 +49,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import chndtr, erfcx, ive, log_ndtr
 
 from .errors import DomainError
-from .models import BROWNIAN, LevyModel, _psi_prime_any, phi, transition
+from .models import BROWNIAN, LevyModel, _psi_prime_any, phi
 from .quadrature import gl_adaptive, gl_fixed
-from .scale import ScaleContext, scale_context, z, z_tilde, _w_prime_vec
+from .scale import ScaleContext, scale_context, z, z_tilde
 from .util import clamp_unit
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NEG_DENSITY_CLAMP = 1e-9
 _CONV_TOL = 1e-7  # adaptive tolerance of the density convolution
 
@@ -72,80 +94,128 @@ def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float
     return clamp_unit(val, "lt_occupation_inf")
 
 
-def _kernel_windows(model: LevyModel, r: float, phi_lam: float):
-    # window for integrals over the negative half-line: the transition density's
-    # own support bound when it reaches below 0, else (large r, support shifted
-    # right) the exponentially damped far-tail region the tilt can still see
-    td = transition(model, r)
-    if td.lower < -1e-6:
-        neg_lo = td.lower
+def _skellam_tail(a: np.ndarray, b: np.ndarray):
+    """Upper tail of A - B for independent A ~ Poisson(a), B ~ Poisson(b), a < b.
+
+    Returns (log_scale, p, e) with P(A >= B) = e^{log_scale} p and
+    E[(A - B)^+] = e^{log_scale} e, so that callers fold their own exponential
+    prefactor into log_scale.  P(A - B = d) = e^{-(sqrt b - sqrt a)^2} rho^d ive(d, z)
+    with rho = sqrt(a/b) and z = 2 sqrt(ab).  The Bessel ratios h_d = I_d / I_{d-1}
+    come from the stable downward recurrence h_d = z / (2d + z h_{d+1}), started at
+    the exact ratio one order above the last term kept.  Term d of the mean is at
+    most d rho^{d-1} prod_{2<=i<=d} h_i times term 1.  Terms are cut where this
+    drops below e^{-40}, bounding h_i by 1 and z/2i (at most z + 62 terms), or by
+    Amos's h_i <= z / (i - 1/2 + sqrt((i - 1/2)^2 + z^2)) where that cuts earlier.
+    """
+    z = 2.0 * np.sqrt(a * b)
+    rho = np.sqrt(a / b)
+    z_max, rho_max = float(z.max()), float(rho.max())
+    orders = np.arange(1.0, int(min(40.0 / -math.log(rho_max), z_max + 60.0)) + 3)
+    log_h = np.log(z_max / (orders - 0.5 + np.sqrt((orders - 0.5) ** 2 + z_max * z_max)))
+    log_bound = np.log(orders) + (orders - 1.0) * math.log(rho_max) + np.cumsum(log_h) - log_h[0]
+    below = log_bound < -40.0
+    n = int(orders[np.argmax(below)]) if below.any() else len(orders)
+    i_n = ive(n, z)
+    g = rho * np.divide(ive(n + 1, z), i_n, out=np.zeros_like(z), where=i_n > 0.0)
+    rho_z, z_rho = rho * z, z / rho
+    p = np.zeros_like(z)
+    e = np.zeros_like(z)
+    for d in range(n, 0, -1):
+        g = rho_z / (2.0 * d + z_rho * g)  # g = rho h_d
+        # Horner forms of sum_d prod_{i<=d} rho h_i and sum_d d prod_{i<=d} rho h_i
+        p = g * (1.0 + p)
+        e = g * (d + e)
+    i_0 = ive(0, z)
+    return -(np.sqrt(b) - np.sqrt(a)) ** 2, i_0 * (1.0 + p), i_0 * e
+
+
+def _partial_moment(model: LevyModel, theta: float, log_pre: float, a: float,
+                    r: np.ndarray) -> np.ndarray:
+    """e^{log_pre} E[X_r e^{theta X_r}; X_r > a] e^{-r psi(theta)} for a 1-d array of r > 0.
+
+    The partial first moment of X_r under the law tilted by e^{theta X_r}, the
+    Cramer-Lundberg atom at c*r included.  The prefactor e^{log_pre} is folded into
+    the exponent of the moment, so that neither overflows or underflows on its own.
+    """
+    if model.kind == BROWNIAN:
+        # the tilted law is Gaussian(psi'(theta) r, sigma^2 r)
+        m = _psi_prime_any(model, theta) * r
+        s = model.sigma * np.sqrt(r)
+        d = (a - m) / s
+        return (m * np.exp(log_pre + log_ndtr(-d))
+                + s * np.exp(log_pre - 0.5 * d * d) / _SQRT_2PI)
+    # Under the tilt K ~ Poisson(u) claims arrive by r with Exp(beta) sizes.  With
+    # N ~ Poisson(y), y = beta (c r - a): P(X_r > a) = P(N >= K) and
+    # E[(X_r - a)^+] = E[(N - K)^+] / beta.
+    beta = model.alpha + theta
+    out = np.zeros_like(r)
+    pos = model.c * r > a
+    if not pos.any():
+        return out
+    u = model.eta * model.alpha * r[pos] / beta
+    y = beta * (model.c * r[pos] - a)
+    if _psi_prime_any(model, theta) < 0.0:
+        # negative tilted drift, so y < u and {X_r > a} is a Skellam tail
+        log_scale, p_ge, excess = _skellam_tail(y, u)
     else:
-        neg_lo = -(45.0 / max(phi_lam, 1e-2) + 1.0)
-    return td, neg_lo
+        # P(N >= K + m) = chndtr(2y, 2m, 2u) for m >= 1
+        log_scale = 0.0
+        p_tie = np.exp(-(np.sqrt(y) - np.sqrt(u)) ** 2) * ive(0, 2.0 * np.sqrt(u * y))
+        p_ge = p_tie + chndtr(2.0 * y, 2.0, 2.0 * u)
+        excess = y * p_ge - u * chndtr(2.0 * y, 4.0, 2.0 * u)
+    out[pos] = np.exp(log_pre + log_scale) * (a * p_ge + excess / beta)
+    return out
 
 
 def gamma_lambda(model: LevyModel, lam: float, r: float) -> float:
     """Kernel Gamma_lam(r) = int_0^inf e^{Phi_lam z} (z/r) P(X_r in dz).
 
-    Quadrature against the transition law, including the Cramer-Lundberg atom at
-    c*r.  Grows like psi'(Phi_lam) e^{lam r}; intended for moderate r.
+    The positive-half-line partial moment under the e^{Phi_lam z} tilt, including
+    the Cramer-Lundberg atom at c*r.  Grows like psi'(Phi_lam) e^{lam r}; intended
+    for moderate r.
     """
     if r <= 0.0:
         raise DomainError("gamma_lambda requires r > 0")
     if lam <= 0.0:
         raise DomainError("gamma_lambda requires lam > 0")
     ph = phi(model, lam)
-    td = transition(model, r)
-    total = 0.0
-    if td.atom_location is not None and td.atom_location > 0.0:
-        total += td.atom_mass * math.exp(ph * td.atom_location) * td.atom_location / r
-
-    def f(zz):
-        return np.exp(ph * zz) * (zz / r) * td.density(zz)
-
-    hi = td.tilted_upper(ph)
-    if hi > 0.0:
-        total += gl_adaptive(f, 0.0, hi, tol_abs=1e-12, tol_rel=1e-10)
-    return total
+    return float(_partial_moment(model, ph, lam * r, 0.0, np.array([r]))[0] / r)
 
 
-def _gamma_comp(model: LevyModel, lam: float, phi_lam: float, r: float) -> float:
-    # G(r) = (1/r) E[X_r^- e^{Phi_lam X_r}] = Gamma_lam(r) - psi'(Phi_lam) e^{lam r}
-    td, lo = _kernel_windows(model, r, phi_lam)
+def _gamma_comp(model: LevyModel, lam: float, phi_lam: float, r) -> np.ndarray:
+    # G(r) = (1/r) E[X_r^- e^{Phi_lam X_r}] = Gamma_lam(r) - psi'(Phi_lam) e^{lam r},
+    # vectorized over r, with e^{lam r} cancelled against the tilted tail
+    r = np.asarray(r, dtype=float)
+    if model.kind == BROWNIAN:
+        sig = model.sigma
+        d = -_psi_prime_any(model, phi_lam) * np.sqrt(r) / sig
+        bracket = 1.0 / _SQRT_2PI + 0.5 * d * erfcx(-d / math.sqrt(2.0))
+        return np.exp(-r * model.mu ** 2 / (2.0 * sig * sig)) * (sig / np.sqrt(r)) * bracket
+    # under the tilt X_r^- = (S_r - c r)^+ and E[(S_r - c r)^+] = E[(K - N)^+] / beta
+    # with K ~ Poisson(u) tilted claims and N ~ Poisson(beta c r)
+    beta = model.alpha + phi_lam
+    u = model.eta * model.alpha * r / beta
+    log_scale, _, excess = _skellam_tail(u, beta * model.c * r)
+    return np.exp(lam * r + log_scale) * excess / (beta * r)
 
-    def f(zz):
-        return np.exp(phi_lam * zz) * (-zz / r) * td.density(zz)
 
-    return gl_fixed(f, lo, 0.0, 256)
-
-
-def _lambda_prime_point(model: LevyModel, ctx0: ScaleContext, x: float, r: float) -> float:
-    td = transition(model, r)
-    lo = max(0.0, -x)
-    total = 0.0
-    if td.atom_location is not None:
-        loc = td.atom_location
-        if loc > lo and x + loc > 0.0:
-            total += td.atom_mass * _w_prime_vec(ctx0, np.array([x + loc]))[0] * loc / r
-    if ctx0.phi_q == 0.0 and ctx0.zeta_q > 0.0:
-        hi = min(td.upper, lo + 90.0 / ctx0.zeta_q)
-    else:
-        hi = td.tilted_upper(ctx0.phi_q)
-    if hi <= lo:
-        return total
-
-    def f(zz):
-        return _w_prime_vec(ctx0, x + zz) * (zz / r) * td.density(zz)
-
-    return total + gl_fixed(f, lo, hi, 256)
+def _lambda_prime(model: LevyModel, ctx0: ScaleContext, x: float, r: np.ndarray) -> np.ndarray:
+    # W'(y) = A Phi_0 e^{Phi_0 y} - B zeta_0 e^{-zeta_0 y}; both exponents are roots of
+    # psi, so each term is a tilted partial moment with e^{r psi} = 1
+    a = max(0.0, -x)
+    total = np.zeros_like(r)
+    for coef, theta in ((ctx0.coeff_a * ctx0.phi_q, ctx0.phi_q),
+                        (-ctx0.coeff_b * ctx0.zeta_q, -ctx0.zeta_q)):
+        if coef != 0.0:
+            total += coef * _partial_moment(model, theta, theta * x, a, r)
+    return total / r
 
 
 def lambda_prime(model: LevyModel, x: float, r: float) -> float:
     """Kernel Lambda'(x, r) = int W'(x+z) (z/r) P(X_r in dz) over z > max(0, -x)."""
     if r <= 0.0:
         raise DomainError("lambda_prime requires r > 0")
-    ctx0 = scale_context(model, 0.0)
-    return _lambda_prime_point(model, ctx0, x, r)
+    return float(_lambda_prime(model, scale_context(model, 0.0), x, np.array([r]))[0])
 
 
 @dataclass
@@ -188,17 +258,11 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     atom = mean * (ph / lam) * z(ctx0, x, ph)
     atom = clamp_unit(atom, "occupation atom")
 
-    def lam_prime_vec(s_arr: np.ndarray) -> np.ndarray:
-        return np.array([_lambda_prime_point(model, ctx0, x, float(s)) for s in s_arr])
-
-    def gamma_comp_vec(u_arr: np.ndarray) -> np.ndarray:
-        return np.array([_gamma_comp(model, lam, ph, float(u)) for u in u_arr])
-
     def density(r: float) -> float:
         r = float(r)
         if r <= 0.0:
             raise DomainError("occupation density is defined for r > 0")
-        g_r = _gamma_comp(model, lam, ph, r)
+        g_r = float(_gamma_comp(model, lam, ph, r))
 
         # int_0^r (e^{-lam s} G(r) - G(r-s)) Lambda'(x, s) ds with the
         # sin^2 substitution absorbing the 1/sqrt endpoints of both factors
@@ -206,8 +270,8 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
             sn = np.sin(w_arr)
             cs = np.cos(w_arr)
             s = r * sn * sn
-            lp = lam_prime_vec(s)
-            gc = gamma_comp_vec(r * cs * cs)
+            lp = _lambda_prime(model, ctx0, x, s)
+            gc = _gamma_comp(model, lam, ph, r * cs * cs)
             return (np.exp(-lam * s) * g_r - gc) * lp * (2.0 * r * sn * cs)
 
         conv = gl_adaptive(conv_f, 0.0, 0.5 * math.pi, tol_abs=_CONV_TOL,
@@ -216,7 +280,7 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
         # tail integral T~(r) = int_0^inf e^{-lam v} Lambda'(x, r+v) dv via v = -ln(1-t)/lam
         def tail_f(t_arr):
             v = -np.log1p(-t_arr) / lam
-            return lam_prime_vec(r + v) / lam
+            return _lambda_prime(model, ctx0, x, r + v) / lam
 
         tail = gl_fixed(tail_f, 0.0, 1.0, 96)
 

@@ -25,13 +25,21 @@ def gl_fixed(f, lo: float, hi: float, n: int) -> float:
 
 def gl_adaptive(f, lo: float, hi: float, tol_abs: float, tol_rel: float,
                 n0: int = 64, nmax: int = 1024) -> float:
-    """Node-doubling Gauss-Legendre integration with a convergence check."""
+    """Node-doubling Gauss-Legendre integration with a convergence check.
+
+    Raises RuntimeError when two successive levels up to ``nmax`` nodes still
+    differ by more than the tolerance.
+    """
     prev = gl_fixed(f, lo, hi, n0)
     n = 2 * n0
-    while n <= nmax:
+    while True:
         cur = gl_fixed(f, lo, hi, n)
         if abs(cur - prev) <= max(tol_abs, tol_rel * abs(cur)):
             return cur
+        if 2 * n > nmax:
+            raise RuntimeError(
+                f"Gauss-Legendre integral over [{lo:g}, {hi:g}] did not converge by {n} "
+                f"nodes: last two iterates {prev!r} and {cur!r}"
+            )
         prev = cur
         n *= 2
-    return prev

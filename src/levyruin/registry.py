@@ -7,6 +7,7 @@ Monte Carlo functional for validation campaigns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -258,12 +259,12 @@ def _coerce_params(ident: Identity, params: dict) -> dict:
         raise UsageError(f"missing parameters for {ident.name}: {sorted(missing)}")
     out = {}
     for p in ident.params:
-        raw = params[p.name]
+        val = float(params[p.name])
+        if not math.isfinite(val):
+            raise UsageError(f"parameter {p.name} must be finite, got {val!r}")
         if p.kind == "int":
-            val = int(raw)
-            if val != float(raw):
+            if val != int(val):
                 raise UsageError(f"parameter {p.name} must be an integer")
-            out[p.name] = val
-        else:
-            out[p.name] = float(raw)
+            val = int(val)
+        out[p.name] = val
     return out

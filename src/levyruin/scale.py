@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
@@ -118,12 +117,6 @@ def w(ctx: ScaleContext, x: float) -> float:
     return ctx.coeff_a * math.exp(ctx.phi_q * x) + ctx.coeff_b * math.exp(-ctx.zeta_q * x)
 
 
-def _w_vec(ctx: ScaleContext, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = ctx.coeff_a * np.exp(ctx.phi_q * x) + ctx.coeff_b * np.exp(-ctx.zeta_q * x)
-    return np.where(x < 0.0, 0.0, out)
-
-
 def w_prime(ctx: ScaleContext, x: float) -> float:
     """Derivative of W_q on (0, inf); W_q may be non-differentiable at 0."""
     if x <= 0.0:
@@ -131,13 +124,6 @@ def w_prime(ctx: ScaleContext, x: float) -> float:
     return (
         ctx.coeff_a * ctx.phi_q * math.exp(ctx.phi_q * x)
         - ctx.coeff_b * ctx.zeta_q * math.exp(-ctx.zeta_q * x)
-    )
-
-
-def _w_prime_vec(ctx: ScaleContext, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return ctx.coeff_a * ctx.phi_q * np.exp(ctx.phi_q * x) - ctx.coeff_b * ctx.zeta_q * np.exp(
-        -ctx.zeta_q * x
     )
 
 

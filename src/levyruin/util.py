@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import DomainError
-
 _UNIT_SLACK = 1e-9
 
 
@@ -21,13 +19,4 @@ def clamp_unit(value: float, what: str) -> float:
         if value > 1.0 + _UNIT_SLACK:
             raise RuntimeError(f"{what} = {value!r} is significantly above 1")
         return 1.0
-    return value
-
-
-def check_finite(value: float, name: str) -> float:
-    import math
-
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite")
     return value

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_gamma_lambda_brute_force_midpoint(bm):
     lam, r = 2.0, 1.0
     ph = phi(bm, lam)
     td = transition(bm, r)
-    hi = td.tilted_upper(ph)
+    hi = td.upper + ph * bm.sigma**2 * r
     zs = np.arange(0.5e-6, hi, 1e-6)
     brute = float(np.sum(np.exp(ph * zs) * (zs / r) * td.density(zs)) * 1e-6)
     assert gamma_lambda(bm, lam, r) == pytest.approx(brute, abs=1e-5)
@@ -126,6 +127,17 @@ def test_gamma_comp_identity(model):
         lhs = gamma_lambda(model, lam, r)
         rhs = psip * math.exp(lam * r) + _gamma_comp(model, lam, ph, r)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [0.05, 1.0, 20.0, 100.0])
+def test_gamma_comp_brute_force_cl(cl, r):
+    # adaptive quadrature of (1/r) E[X_r^- e^{Phi X_r}] against the transition series
+    lam = 1.0
+    ph = phi(cl, lam)
+    td = transition(cl, r)
+    brute = quad(lambda zz: -zz * math.exp(ph * zz) * float(td.density(zz)) / r,
+                 td.lower, 0.0, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+    assert float(_gamma_comp(cl, lam, ph, r)) == pytest.approx(brute, rel=1e-8)
 
 
 def test_gamma_lambda_rejects_bad_r(model):
@@ -157,6 +169,24 @@ def test_lambda_prime_brute_force_midpoint(bm):
     ) * np.exp(-ctx0.zeta_q * (x + zs))
     brute = float(np.sum(wprime * (zs / r) * td.density(zs)) * 1e-6)
     assert lambda_prime(bm, x, r) == pytest.approx(brute, abs=1e-5)
+
+
+@pytest.mark.parametrize("r", [0.05, 1.0, 20.0, 100.0])
+def test_lambda_prime_brute_force_cl(cl, r):
+    # atom at c*r plus adaptive quadrature against the transition series
+    x = 0.5
+    ctx0 = scale_context(cl, 0.0)
+    td = transition(cl, r)
+
+    def wprime(y):
+        return ctx0.coeff_a * ctx0.phi_q * math.exp(ctx0.phi_q * y) - ctx0.coeff_b * (
+            ctx0.zeta_q
+        ) * math.exp(-ctx0.zeta_q * y)
+
+    brute = td.atom_mass * wprime(x + td.atom_location) * td.atom_location / r
+    brute += quad(lambda zz: wprime(x + zz) * (zz / r) * float(td.density(zz)), 0.0, td.upper,
+                  limit=400, epsabs=0.0, epsrel=1e-12)[0]
+    assert lambda_prime(cl, x, r) == pytest.approx(brute, rel=1e-8)
 
 
 def test_lambda_prime_rejects_bad_r(model):
@@ -193,9 +223,9 @@ def test_occupation_law_normalizes(bm):
     assert law.atom_at_zero + val == pytest.approx(1.0, abs=1e-4)
 
 
-def test_occupation_law_laplace_consistency(bm):
+def _check_laplace_consistency(model, x, lam):
     # transform of the constructed law matches the closed infinite-horizon transform
-    law = occupation_law(bm, 0.0, 2.0)
+    law = occupation_law(model, x, lam)
     rmax = law.suggested_r_max(2e-6)
     u_nodes, u_w = np.polynomial.legendre.leggauss(440)
     umax = math.sqrt(rmax)
@@ -204,10 +234,38 @@ def test_occupation_law_laplace_consistency(bm):
     for p in (0.5, 1.0, 2.0):
         integral = 0.5 * umax * float(np.dot(u_w, np.exp(-p * uu * uu) * dens * 2.0 * uu))
         total = law.atom_at_zero + integral
-        assert total == pytest.approx(lt_occupation_inf(bm, 0.0, p, 2.0), abs=1e-4)
+        assert total == pytest.approx(lt_occupation_inf(model, x, p, lam), abs=1e-4)
+
+
+def test_occupation_law_laplace_consistency(bm):
+    _check_laplace_consistency(bm, 0.0, 2.0)
+
+
+def test_occupation_law_laplace_consistency_cl(cl):
+    _check_laplace_consistency(cl, 0.5, 1.0)
 
 
 def test_occupation_law_nonnegative_density(cl):
     law = occupation_law(cl, 0.3, 1.0)
     for r in (0.05, 0.3, 1.0, 3.0, 8.0):
         assert law.density(r) >= 0.0
+
+
+def _check_density_finite(law, rs):
+    # no overflow, no clamp warning: every value finite and >= 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in rs:
+            val = law.density(r)
+            assert math.isfinite(val) and val >= 0.0
+
+
+def test_occupation_law_large_r_thin_model():
+    # r_max of this thinly loaded model is about 1000, where e^{lam r} overflows
+    thin = LevyModel.cramer_lundberg(1.5, 2.0, 1.6)
+    _check_density_finite(occupation_law(thin, 0.5, 1.0), (0.1, 10.0, 300.0, 900.0))
+
+
+def test_occupation_density_far_below_zero(model):
+    # e^{-zeta_0 x} overflows on its own at x = -750; folded into the kernels it does not
+    _check_density_finite(occupation_law(model, -750.0, 2.0), (1.0, 760.0, 1600.0))

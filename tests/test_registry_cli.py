@@ -122,6 +122,12 @@ def test_cli_exit_codes(model_files, capsys):
     # bad model file: 2
     assert main(["eval", "ruin_prob_erlang2", "--model", "/nonexistent.json", "--x=0",
                  "--lam=2"]) == 2
+    # non-finite parameter: 2
+    assert main(["eval", "lt_occupation_inf", "--model", bm_path, "--x=nan", "--p=2",
+                 "--lam=2"]) == 2
+    # no replications: 2
+    assert main(["validate", "ruin_prob_sum_exp", "--model", cl_path, "--x=0.5", "--p=1",
+                 "--lam=1", "--reps", "0"]) == 2
 
 
 def test_cli_eval_value(model_files, capsys):
