@@ -2,7 +2,7 @@
 risk processes: closed-form identities cross-validated against an independent
 Monte Carlo oracle."""
 
-from .errors import DomainError, UnsupportedFunctional, UsageError
+from .errors import DomainError, NumericalError, UnsupportedFunctional, UsageError
 from .models import LevyModel, TransitionDensity, model_from_dict, phi, psi, psi_prime, transition
 from .occupation import (
     OccupationLaw,

@@ -2,7 +2,8 @@
 emit occupation-law density grids.
 
 Exit codes: 0 success / validation pass, 1 validation fail, 2 usage error,
-3 domain or precondition error.
+3 domain or precondition error, 4 numerical failure (a tripped numeric guard or
+an overflow).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import re
 import sys
 
-from .errors import DomainError, UnsupportedFunctional, UsageError
+from .errors import DomainError, NumericalError, UnsupportedFunctional, UsageError
 from .mc import EscapeLevel, McConfig, default_escape_level
 from .models import model_from_dict
 from .occupation import occupation_law
@@ -80,6 +81,11 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _hybrid(name: str, params: dict) -> bool:
+    # the Erlang(n) recursion is hybrid, and needs a Monte Carlo config, for n >= 4
+    return IDENTITIES[name].needs_mc and params.get("n", 0) >= 4
+
+
 def _mc_config(model, args) -> McConfig:
     if args.reps < 1:
         raise _fail(f"--reps must be >= 1, got {args.reps}", 2)
@@ -101,11 +107,7 @@ def cmd_eval(args) -> int:
     model = _load_model(args.model)
     _require_identity(args.identity)
     params = _parse_kv(args.params)
-    mc_config = None
-    if args.identity in ("ruin_prob_erlang_n", "fixed_delay_approx"):
-        n = params.get("n")
-        if n is not None and n >= 4:
-            mc_config = _mc_config(model, args)
+    mc_config = _mc_config(model, args) if _hybrid(args.identity, params) else None
     value, extras = evaluate_identity(
         args.identity, model, params, mc_config=mc_config, workers=args.workers
     )
@@ -227,9 +229,7 @@ def cmd_sweep(args) -> int:
     for combo in itertools.product(*(grids[k] for k in keys)):
         params = dict(fixed)
         params.update(dict(zip(keys, combo)))
-        mc_config = None
-        if args.identity in ("ruin_prob_erlang_n", "fixed_delay_approx") and params.get("n", 0) >= 4:
-            mc_config = _mc_config(model, args)
+        mc_config = _mc_config(model, args) if _hybrid(args.identity, params) else None
         value, _ = evaluate_identity(args.identity, model, params, mc_config=mc_config,
                                      workers=args.workers)
         lines.append(",".join(_fmt(v) for v in combo) + "," + _fmt(value))
@@ -350,6 +350,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except (NumericalError, ArithmeticError) as exc:
+        print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

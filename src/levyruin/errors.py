@@ -15,5 +15,13 @@ class UsageError(ValueError):
     """
 
 
+class NumericalError(RuntimeError):
+    """A numeric guard tripped: no convergence, a failed self-check, or a value
+    significantly outside its documented range.
+
+    The CLI maps this, and ``ArithmeticError`` (overflow), to exit code 4.
+    """
+
+
 class UnsupportedFunctional(ValueError):
     """The requested Monte Carlo functional is not exactly simulable for this model."""

@@ -2,7 +2,8 @@
 
 Replications are grouped into fixed-size blocks; each replication's stream is
 keyed by (seed, replication index) only, and block partial sums are reduced in
-block order, so results are bitwise identical for any worker count.
+block order, so results are bitwise identical for any worker count.  A block
+runner makes one stream and re-keys it for every replication.
 """
 
 from __future__ import annotations
@@ -30,60 +31,67 @@ def build_simulator(model: LevyModel, fn: PathFunctional, config: McConfig, dt=N
 
 
 def _run_blocks(model, fn, config, block_lo, block_hi, seed, dt):
+    """Replication values of blocks [block_lo, block_hi): (block, values, escapes).
+
+    Replication ``idx`` draws from stream (seed, idx); in antithetic campaigns
+    replications 2k and 2k + 1 are the plain and flipped members of pair k.
+    """
     sim = build_simulator(model, fn, config, dt=dt)
-    reps = config.replications
+    stream = Stream(seed, 0)
+    reset = stream.reset
     anti = config.antithetic
     out = []
     for blk in range(block_lo, block_hi):
         lo = blk * _BLOCK
-        hi = min(lo + _BLOCK, reps)
-        s = 0.0
-        s2 = 0.0
-        nv = 0
+        hi = min(lo + _BLOCK, config.replications)
+        vals = []
         nesc = 0
-        if anti:
-            for idx in range(lo, hi, 2):
-                pair = idx // 2
-                v1, e1 = sim(Stream(seed, pair, False))
-                v2, e2 = sim(Stream(seed, pair, True))
-                v = 0.5 * (v1 + v2)
-                s += v
-                s2 += v * v
-                nv += 1
-                nesc += e1 + e2
-        else:
-            for idx in range(lo, hi):
-                v, e = sim(Stream(seed, idx))
-                s += v
-                s2 += v * v
-                nv += 1
-                nesc += e
-        out.append((blk, s, s2, nv, nesc))
+        for idx in range(lo, hi):
+            if anti:
+                reset(seed, idx >> 1, idx & 1 == 1)
+            else:
+                reset(seed, idx)
+            v, e = sim(stream)
+            vals.append(v)
+            nesc += e
+        out.append((blk, vals, nesc))
     return out
 
 
-def _collect(model, fn, config, workers, seed, dt=None):
+def _blocks(model, fn, config, workers, seed, dt=None):
+    """Every block of a campaign, in block order, run on up to ``workers`` processes."""
     n_blocks = (config.replications + _BLOCK - 1) // _BLOCK
     if workers <= 1 or n_blocks == 1:
-        parts = _run_blocks(model, fn, config, 0, n_blocks, seed, dt)
-    else:
-        bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_run_blocks, model, fn, config, int(lo), int(hi), seed, dt)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            parts = [item for f in futs for item in f.result()]
+        return _run_blocks(model, fn, config, 0, n_blocks, seed, dt)
+    bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futs = [
+            pool.submit(_run_blocks, model, fn, config, int(lo), int(hi), seed, dt)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        parts = [item for f in futs for item in f.result()]
     parts.sort(key=lambda item: item[0])
+    return parts
+
+
+def _collect(model, fn, config, workers, seed, dt=None):
+    # an antithetic pair is one observation, the mean of its two members
     s = 0.0
     s2 = 0.0
     nv = 0
     nesc = 0
-    for _, bs, bs2, bnv, bne in parts:
+    for _, vals, bne in _blocks(model, fn, config, workers, seed, dt):
+        if config.antithetic:
+            vals = [0.5 * (v1 + v2) for v1, v2 in zip(vals[::2], vals[1::2])]
+        bs = 0.0
+        bs2 = 0.0
+        for v in vals:
+            bs += v
+            bs2 += v * v
         s += bs
         s2 += bs2
-        nv += bnv
+        nv += len(vals)
         nesc += bne
     return s, s2, nv, nesc
 
@@ -141,35 +149,9 @@ def estimate(model: LevyModel, config: McConfig, fn: PathFunctional,
 
 def sample(model: LevyModel, config: McConfig, fn: PathFunctional,
            workers: int = 1) -> np.ndarray:
-    """Per-replication functional values (for histogram tests); deterministic."""
-    sim = build_simulator(model, fn, config)
-    if workers <= 1:
-        out = np.empty(config.replications)
-        for idx in range(config.replications):
-            out[idx], _ = sim(Stream(config.seed, idx))
-        return out
+    """Per-replication functional values (for histogram tests); deterministic.
 
-    n_blocks = (config.replications + _BLOCK - 1) // _BLOCK
-    bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(_sample_blocks, model, fn, config, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        chunks = [c for f in futs for c in f.result()]
-    chunks.sort(key=lambda item: item[0])
-    return np.concatenate([c[1] for c in chunks])
-
-
-def _sample_blocks(model, fn, config, block_lo, block_hi):
-    sim = build_simulator(model, fn, config)
-    out = []
-    for blk in range(block_lo, block_hi):
-        lo = blk * _BLOCK
-        hi = min(lo + _BLOCK, config.replications)
-        vals = np.empty(hi - lo)
-        for idx in range(lo, hi):
-            vals[idx - lo], _ = sim(Stream(config.seed, idx))
-        out.append((blk, vals))
-    return out
+    In antithetic campaigns values 2k and 2k + 1 are the two members of pair k.
+    """
+    parts = _blocks(model, fn, config, workers, config.seed)
+    return np.array([v for _, vals, _ in parts for v in vals], dtype=float)

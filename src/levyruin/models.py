@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln, pdtrik
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 BROWNIAN = "brownian"
 CRAMER_LUNDBERG = "cramer_lundberg"
@@ -174,7 +174,7 @@ def phi(model: LevyModel, q: float) -> float:
     while f(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e308:  # pragma: no cover - psi is eventually increasing for both models
-            raise RuntimeError("failed to bracket Phi_q")
+            raise NumericalError("failed to bracket Phi_q")
     root = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=200)
     # Newton polish for the 1e-13 relative contract on psi(Phi_q) = q
     for _ in range(2):

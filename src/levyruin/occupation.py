@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import chndtr, erfcx, ive, log_ndtr
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .models import BROWNIAN, LevyModel, _psi_prime_any, phi
 from .quadrature import gl_adaptive, gl_fixed
 from .scale import ScaleContext, scale_context, z, z_tilde
@@ -174,12 +174,18 @@ def gamma_lambda(model: LevyModel, lam: float, r: float) -> float:
     the Cramer-Lundberg atom at c*r.  Grows like psi'(Phi_lam) e^{lam r}; intended
     for moderate r.
     """
-    if r <= 0.0:
-        raise DomainError("gamma_lambda requires r > 0")
-    if lam <= 0.0:
-        raise DomainError("gamma_lambda requires lam > 0")
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"gamma_lambda requires finite r > 0, got {r!r}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"gamma_lambda requires finite lam > 0, got {lam!r}")
     ph = phi(model, lam)
-    return float(_partial_moment(model, ph, lam * r, 0.0, np.array([r]))[0] / r)
+    with np.errstate(over="ignore"):
+        val = float(_partial_moment(model, ph, lam * r, 0.0, np.array([r], dtype=float))[0]) / r
+    if not math.isfinite(val):
+        raise OverflowError(
+            f"gamma_lambda overflows at r={r!r}, lam={lam!r}: it grows like e^(lam r)"
+        )
+    return val
 
 
 def _gamma_comp(model: LevyModel, lam: float, phi_lam: float, r) -> np.ndarray:
@@ -213,9 +219,10 @@ def _lambda_prime(model: LevyModel, ctx0: ScaleContext, x: float, r: np.ndarray)
 
 def lambda_prime(model: LevyModel, x: float, r: float) -> float:
     """Kernel Lambda'(x, r) = int W'(x+z) (z/r) P(X_r in dz) over z > max(0, -x)."""
-    if r <= 0.0:
-        raise DomainError("lambda_prime requires r > 0")
-    return float(_lambda_prime(model, scale_context(model, 0.0), x, np.array([r]))[0])
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError(f"lambda_prime requires finite r > 0, got {r!r}")
+    r_arr = np.array([r], dtype=float)
+    return float(_lambda_prime(model, scale_context(model, 0.0), x, r_arr)[0])
 
 
 @dataclass
@@ -260,8 +267,8 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
 
     def density(r: float) -> float:
         r = float(r)
-        if r <= 0.0:
-            raise DomainError("occupation density is defined for r > 0")
+        if not (math.isfinite(r) and r > 0.0):
+            raise DomainError(f"occupation density is defined for finite r > 0, got {r!r}")
         g_r = float(_gamma_comp(model, lam, ph, r))
 
         # int_0^r (e^{-lam s} G(r) - G(r-s)) Lambda'(x, s) ds with the
@@ -287,7 +294,7 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
         val = mean * ph * (conv + (psip + g_r * math.exp(-lam * r)) * tail)
         if val < 0.0:
             if val < -_NEG_DENSITY_CLAMP:
-                raise RuntimeError(
+                raise NumericalError(
                     f"occupation density significantly negative at r={r:g}: {val!r}"
                 )
             warnings.warn(f"occupation density clamped to 0 at r={r:g} ({val:.3e})")

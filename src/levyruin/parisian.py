@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, phi
 from .occupation import joint_lt_upcross, lt_occupation_inf
 from .scale import (
@@ -37,7 +37,7 @@ def _floor_density(val: float, floor: float, what: str) -> float:
         return 0.0
     if val < 0.0:
         if val < -max(_DENSITY_CLAMP, floor):
-            raise RuntimeError(f"{what} significantly negative: {val!r}")
+            raise NumericalError(f"{what} significantly negative: {val!r}")
         return 0.0
     return val
 
@@ -135,7 +135,7 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
     v1 = 0.5 * (ratio(lam + d) + ratio(lam - d))
     v2 = 0.5 * (ratio(lam + 0.5 * d) + ratio(lam - 0.5 * d))
     if abs(v1 - v2) > 1e-6 * (1.0 + abs(v2)):
-        raise RuntimeError("up_cross_three_barrier failed the Richardson check at p = lam")
+        raise NumericalError("up_cross_three_barrier failed the Richardson check at p = lam")
     return clamp_unit(v2, "up_cross_three_barrier")
 
 
@@ -327,7 +327,7 @@ def _lam_derivative(f, lam: float, label: str, scale: float = 0.0) -> float:
     d1 = (f(lam + h) - f(lam - h)) / (2.0 * h)
     d2 = (f(lam + 0.5 * h) - f(lam - 0.5 * h)) / h
     if abs(d1 - d2) > 1e-6 * (1.0 + abs(d2)) + 1e-9 * scale / h:
-        raise RuntimeError(f"lam-derivative of {label} failed the Richardson check")
+        raise NumericalError(f"lam-derivative of {label} failed the Richardson check")
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -598,5 +598,5 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     v1 = 0.5 * (core(pole + d) + core(pole - d))
     v2 = 0.5 * (core(pole + 0.5 * d) + core(pole - 0.5 * d))
     if abs(v1 - v2) > 1e-6 * (1.0 + abs(v2)):
-        raise RuntimeError("delayed_w_functional failed the Richardson check at p = q + lam")
+        raise NumericalError("delayed_w_functional failed the Richardson check at p = q + lam")
     return v2

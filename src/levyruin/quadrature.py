@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
+
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -27,7 +29,7 @@ def gl_adaptive(f, lo: float, hi: float, tol_abs: float, tol_rel: float,
                 n0: int = 64, nmax: int = 1024) -> float:
     """Node-doubling Gauss-Legendre integration with a convergence check.
 
-    Raises RuntimeError when two successive levels up to ``nmax`` nodes still
+    Raises NumericalError when two successive levels up to ``nmax`` nodes still
     differ by more than the tolerance.
     """
     prev = gl_fixed(f, lo, hi, n0)
@@ -37,7 +39,7 @@ def gl_adaptive(f, lo: float, hi: float, tol_abs: float, tol_rel: float,
         if abs(cur - prev) <= max(tol_abs, tol_rel * abs(cur)):
             return cur
         if 2 * n > nmax:
-            raise RuntimeError(
+            raise NumericalError(
                 f"Gauss-Legendre integral over [{lo:g}, {hi:g}] did not converge by {n} "
                 f"nodes: last two iterates {prev!r} and {cur!r}"
             )

@@ -30,6 +30,9 @@ class Identity:
     evaluate: Callable
     mc_functional: Optional[Callable] = None  # (params dict) -> PathFunctional
     informational: bool = False  # validation verdict is informational by design
+    # evaluate takes mc_config and workers: the hybrid Erlang(n) recursion runs
+    # Monte Carlo campaigns for n >= 4
+    needs_mc: bool = False
 
 
 def _fn(name, keys, success="ruin", q_key=None, theta_key=None, p_key=None, **fixed):
@@ -173,6 +176,7 @@ _register(Identity(
     (_P("x"), _P("lam"), _P("n", "int")),
     _eval_erlang_n,
     _fn("rho_erlang", {"lam": "lam", "n": "n"}, construction="observation"),
+    needs_mc=True,
 ))
 _register(Identity(
     "fixed_delay_approx",
@@ -180,6 +184,7 @@ _register(Identity(
     _eval_fixed_delay,
     _fn("kappa_fixed", {"r": "r"}),
     informational=True,  # Erlang(n, n/r) approximation vs the exact fixed-delay law
+    needs_mc=True,
 ))
 _register(Identity(
     "T0_joint_lt",
@@ -221,7 +226,7 @@ def evaluate_identity(name: str, model: LevyModel, params: dict,
     """Evaluate a registry identity.  Returns (value, extras dict)."""
     ident = _lookup(name)
     prm = _coerce_params(ident, params)
-    if name in ("ruin_prob_erlang_n", "fixed_delay_approx"):
+    if ident.needs_mc:
         return ident.evaluate(model, prm, mc_config=mc_config, workers=workers)
     out = ident.evaluate(model, prm)
     if isinstance(out, tuple):

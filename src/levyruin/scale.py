@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .models import (
     BROWNIAN,
     LevyModel,
@@ -86,7 +86,7 @@ def scale_context(model: LevyModel, q: float) -> ScaleContext:
         lhs = a / (s - p) + b / (s + zeta)
         rhs = 1.0 / (_psi_any(model, s) - q)
         if abs(lhs - rhs) > 1e-9 * (abs(rhs) + 1.0):
-            raise RuntimeError(
+            raise NumericalError(
                 f"scale coefficient derivation failed for {model.describe()} at q={q:g}"
             )
     return ctx

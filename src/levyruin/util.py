@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import NumericalError
+
 _UNIT_SLACK = 1e-9
 
 
@@ -13,10 +15,10 @@ def clamp_unit(value: float, what: str) -> float:
     """
     if value < 0.0:
         if value < -_UNIT_SLACK:
-            raise RuntimeError(f"{what} = {value!r} is significantly below 0")
+            raise NumericalError(f"{what} = {value!r} is significantly below 0")
         return 0.0
     if value > 1.0:
         if value > 1.0 + _UNIT_SLACK:
-            raise RuntimeError(f"{what} = {value!r} is significantly above 1")
+            raise NumericalError(f"{what} = {value!r} is significantly above 1")
         return 1.0
     return value

@@ -194,6 +194,33 @@ def test_lambda_prime_rejects_bad_r(model):
         lambda_prime(model, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_non_finite_r(model, bad):
+    law = occupation_law(model, 0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite r"):
+            gamma_lambda(model, 2.0, bad)
+        with pytest.raises(DomainError, match="finite r"):
+            lambda_prime(model, 0.5, bad)
+        with pytest.raises(DomainError, match="finite r"):
+            law.density(bad)
+
+
+def test_gamma_lambda_overflow_is_typed(model):
+    # Gamma_lam grows like e^{lam r}: past the double range it is an error, not inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(gamma_lambda(model, 2.0, 300.0))
+        with pytest.raises(OverflowError, match=r"r=400\.0, lam=2\.0"):
+            gamma_lambda(model, 2.0, 400.0)
+
+
+def test_kernels_accept_integer_r(model):
+    assert gamma_lambda(model, 2.0, 3) == gamma_lambda(model, 2.0, 3.0)
+    assert lambda_prime(model, 0.5, 2) == lambda_prime(model, 0.5, 2.0)
+
+
 def test_occupation_law_atom(bm):
     law = occupation_law(bm, 0.0, 2.0)
     assert law.atom_at_zero == pytest.approx(0.5, rel=1e-13)

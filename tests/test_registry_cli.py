@@ -130,6 +130,20 @@ def test_cli_exit_codes(model_files, capsys):
                  "--lam=1", "--reps", "0"]) == 2
 
 
+def test_cli_numerical_failure_exit_code(model_files, capsys):
+    _, cl_path = model_files
+    # Z(x)/Z(b) at b = 1e6 overflows: exit 4 with a one-line message, not a traceback
+    assert main(["eval", "gs_lt_two_sided", "--model", cl_path, "--x=0.5", "--b=1e6",
+                 "--q=0.1", "--lam=1", "--p=1", "--theta=0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and len(err.strip().splitlines()) == 1
+
+
+def test_needs_mc_flag():
+    assert {n for n, ident in IDENTITIES.items() if ident.needs_mc} == {
+        "ruin_prob_erlang_n", "fixed_delay_approx"}
+
+
 def test_cli_eval_value(model_files, capsys):
     bm_path, _ = model_files
     assert main(["eval", "ruin_prob_erlang2", "--model", bm_path, "--x=0", "--lam=2"]) == 0
