@@ -3,7 +3,9 @@
 Every identity is closed-form in the scale functions.  Removable singularities
 (p = lam confluences, theta at the drift root Phi_q, theta at Phi_{q+lam}) are
 evaluated through dedicated confluent branches or analytic limits, never by naive
-evaluation next to the pole.
+evaluation next to the pole.  The Erlang(2, lam) identities are the p = lam case
+of their Exp(p) + Exp(lam) parents, whose p = lam confluences take the closed-form
+p-derivatives of the second-generation scale function.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from .errors import DomainError, NumericalError
 from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, phi
 from .occupation import joint_lt_upcross, lt_occupation_inf
 from .scale import (
+    _script_w_dp,
+    _w_dq,
+    _z_d2theta,
     scale_context,
     script_w,
     w,
     w_tilde,
     z,
     z_tilde,
-    _z_d2theta,
 )
 from .util import clamp_unit
 
@@ -120,23 +124,31 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
     """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho ^ tau_{-a}^- ] as a ratio of composite
     scale functions.
 
-    The composite vanishes identically at p = lam, so the ratio is taken through
-    a symmetric-offset limit there (the ratio itself is regular).
+    The composite vanishes identically at p = lam, so the ratio is taken as the
+    ratio of its closed-form p-derivatives there.  At a = 0 the lower barrier is
+    the ruin level and the ratio is W_q(x)/W_q(b) (the composite is 0/0 on
+    Brownian models, where W(0) = 0).
     """
     if not (-a <= x <= b):
         raise DomainError("up_cross_three_barrier requires -a <= x <= b")
-
-    def ratio(p_: float) -> float:
-        return w_tilde(model, q, p_, lam, x, a) / w_tilde(model, q, p_, lam, b, a)
-
+    if a < 0.0 or p <= 0.0 or lam <= 0.0:
+        raise DomainError("up_cross_three_barrier requires a >= 0, p > 0 and lam > 0")
+    ctx = scale_context(model, q)
+    if a == 0.0:
+        return clamp_unit(w(ctx, x) / w(ctx, b), "up_cross_three_barrier")
     if abs(p - lam) > 1e-8 * (1.0 + lam):
-        return clamp_unit(ratio(p), "up_cross_three_barrier")
-    d = 1e-5 * (1.0 + lam)
-    v1 = 0.5 * (ratio(lam + d) + ratio(lam - d))
-    v2 = 0.5 * (ratio(lam + 0.5 * d) + ratio(lam - 0.5 * d))
-    if abs(v1 - v2) > 1e-6 * (1.0 + abs(v2)):
-        raise NumericalError("up_cross_three_barrier failed the Richardson check at p = lam")
-    return clamp_unit(v2, "up_cross_three_barrier")
+        val = w_tilde(model, q, p, lam, x, a) / w_tilde(model, q, p, lam, b, a)
+        return clamp_unit(val, "up_cross_three_barrier")
+    ctx_l = scale_context(model, q + lam)
+    w_l = w(ctx_l, a)
+    w_dp = w_l + lam * _w_dq(ctx_l, a)
+
+    def w_tilde_dp(xi: float) -> float:
+        # d/dp of w_tilde at p = lam
+        sw = script_w(ctx, lam, xi, xi + a)
+        return lam * _script_w_dp(ctx, lam, xi, xi + a) * w_l - sw * w_dp
+
+    return clamp_unit(w_tilde_dp(x) / w_tilde_dp(b), "up_cross_three_barrier")
 
 
 def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -152,39 +164,55 @@ def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: floa
 def gerber_shiu_density(model: LevyModel, x: float, b: float, q: float, p: float,
                         lam: float, y: float) -> float:
     """Density in y <= 0 of e^{-q rho} 1{X_rho in dy, rho < tau_b^+}, p != lam."""
-    if y > 0.0:
-        raise DomainError("gerber_shiu_density requires y <= 0")
-    if x > b:
-        raise DomainError("gerber_shiu_density requires x <= b")
-    if p <= 0.0 or lam <= 0.0 or q < 0.0:
-        raise DomainError("gerber_shiu_density requires p > 0, lam > 0, q >= 0")
     if abs(p - lam) <= 1e-10 * (1.0 + lam):
         raise DomainError(
             "gerber_shiu_density is singular at p = lam; use gs_density_e2 (Erlang(2))"
         )
+    return _gs_density(model, x, b, q, p, lam, y, "gerber_shiu_density")
+
+
+def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: float,
+                y: float, name: str) -> float:
+    # Gerber-Shiu density for the Exp(p)+Exp(lam) delay; p == lam is its confluent
+    # (Erlang(2)) limit, where the difference quotients in p become p-derivatives
+    if y > 0.0:
+        raise DomainError(f"{name} requires y <= 0")
+    if x > b:
+        raise DomainError(f"{name} requires x <= b")
+    if p <= 0.0 or lam <= 0.0 or q < 0.0:
+        raise DomainError(f"{name} requires delay rates > 0 and q >= 0")
     ctx = scale_context(model, q)
     phi_lq = phi(model, q + lam)
     phi_pq = phi(model, q + p)
-    ctx_l = scale_context(model, q + lam)
-    ctx_p = scale_context(model, q + p)
+    w_l = w(scale_context(model, q + lam), -y)
+    confluent = p == lam
+    if confluent:
+        w_dq = lam * _w_dq(scale_context(model, q + lam), -y)
+        bracket, bracket_mag = w_l + w_dq, w_l + abs(w_dq)
+    else:
+        w_p = w(scale_context(model, q + p), -y)
+        bracket = (lam * w_l - p * w_p) / (lam - p)
+        bracket_mag = (lam * w_l + p * w_p) / abs(lam - p)
 
     def e_y(xi: float):
-        wl = script_w(ctx, lam, xi, xi - y)
-        wp = script_w(ctx, p, xi, xi - y)
-        bracket = (lam * w(ctx_l, -y) - p * w(ctx_p, -y)) / (lam - p)
+        # (value, magnitude of the cancelling terms) of the xi-dependent factor
+        if confluent:
+            conv = lam * _script_w_dp(ctx, lam, xi, xi - y)
+            conv_mag = abs(conv)
+        else:
+            wl = script_w(ctx, lam, xi, xi - y)
+            wp = script_w(ctx, p, xi, xi - y)
+            conv = (wl - wp) * lam / (lam - p)
+            conv_mag = (abs(wl) + abs(wp)) * lam / abs(lam - p)
         zv = z(ctx, xi, phi_lq)
-        val = (wl - wp) * lam / (lam - p) - zv * bracket
-        mag = (abs(wl) + abs(wp)) * lam / abs(lam - p) + abs(zv) * (
-            lam * w(ctx_l, -y) + p * w(ctx_p, -y)
-        ) / abs(lam - p)
-        return val, mag
+        return conv - zv * bracket, conv_mag + abs(zv) * bracket_mag
 
     ratio = z_tilde(ctx, x, phi_lq, phi_pq) / z_tilde(ctx, b, phi_lq, phi_pq)
     ex, mx = e_y(x)
     eb, mb = e_y(b)
     val = p * (ex - ratio * eb)
     # the exponentially growing pieces cancel against a decaying true value; below
-    # the quadrature/cancellation floor the sign and size are meaningless
+    # the cancellation floor the sign and size are meaningless
     floor = 1e-11 * p * (mx + abs(ratio) * mb) + 1e-10
     return _floor_density(val, floor, "Gerber-Shiu density")
 
@@ -212,17 +240,9 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
 
 
 def ruin_prob_erlang2(model: LevyModel, x: float, lam: float) -> float:
-    """Probability of Parisian ruin with an Erlang(2, lam) delay per excursion.
-
-    Confluent (p -> lam) limit of :func:`ruin_prob_sum_exp`.
-    """
-    model.require_positive_drift("ruin_prob_erlang2")
-    if lam <= 0.0:
-        raise DomainError("ruin_prob_erlang2 requires lam > 0")
-    ctx0 = scale_context(model, 0.0)
-    ph = phi(model, lam)
-    val = 1.0 - model.mean() * (ph * ph / (lam * lam)) * z_tilde(ctx0, x, ph, ph)
-    return clamp_unit(val, "ruin_prob_erlang2")
+    """Probability of Parisian ruin with an Erlang(2, lam) delay per excursion:
+    :func:`ruin_prob_sum_exp` at p = lam."""
+    return ruin_prob_sum_exp(model, x, lam, lam)
 
 
 def erlang2_ruin_alternative_form(model: LevyModel, x: float, lam: float) -> float:
@@ -251,48 +271,23 @@ def erlang2_ruin_alternative_form(model: LevyModel, x: float, lam: float) -> flo
 
 
 def up_cross_e2(model: LevyModel, x: float, b: float, q: float, lam: float) -> float:
-    """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho^{(2)} ] (Erlang(2, lam) delay)."""
-    if x > b:
-        raise DomainError("up_cross_e2 requires x <= b")
-    if lam <= 0.0 or q < 0.0:
-        raise DomainError("up_cross_e2 requires lam > 0 and q >= 0")
-    ctx = scale_context(model, q)
-    ph = phi(model, q + lam)
-    val = z_tilde(ctx, x, ph, ph) / z_tilde(ctx, b, ph, ph)
-    return clamp_unit(val, "up_cross_e2")
+    """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho^{(2)} ] (Erlang(2, lam) delay):
+    :func:`levyruin.occupation.joint_lt_upcross` at p = lam."""
+    return joint_lt_upcross(model, x, b, q, lam, lam)
 
 
 def gs_lt_two_sided_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
                        theta: float) -> float:
-    """E_x[ e^{-q rho^{(2)} + theta X} ; rho^{(2)} < tau_b^+ ]."""
-    if x > b:
-        raise DomainError("gs_lt_two_sided_e2 requires x <= b")
-    if lam <= 0.0 or q < 0.0 or theta < 0.0:
-        raise DomainError("gs_lt_two_sided_e2 requires lam > 0, q >= 0, theta >= 0")
-    ctx = scale_context(model, q)
-    ph = phi(model, q + lam)
-    _check_pole(theta, ph, "Phi_{q+lam}")
-    ratio = z_tilde(ctx, x, ph, ph) / z_tilde(ctx, b, ph, ph)
-    pref = lam / _psi_q(model, q + lam, theta) ** 2
-    return pref * (
-        _e_script(model, ctx, lam, x, theta) - ratio * _e_script(model, ctx, lam, b, theta)
-    )
+    """E_x[ e^{-q rho^{(2)} + theta X} ; rho^{(2)} < tau_b^+ ]: :func:`gs_lt_two_sided`
+    at p = lam."""
+    return gs_lt_two_sided(model, x, b, q, lam, lam, theta)
 
 
 def gs_lt_infinite_e2(model: LevyModel, x: float, q: float, lam: float,
                       theta: float) -> float:
-    """E_x[ e^{-q rho^{(2)} + theta X} ; rho^{(2)} < inf ]."""
-    if lam <= 0.0 or q < 0.0 or theta < 0.0:
-        raise DomainError("gs_lt_infinite_e2 requires lam > 0, q >= 0, theta >= 0")
-    if q == 0.0:
-        model.require_positive_drift("gs_lt_infinite_e2 with q = 0")
-    ctx = scale_context(model, q)
-    phi_q = ctx.phi_q
-    ph = phi(model, q + lam)
-    _check_pole(theta, ph, "Phi_{q+lam}")
-    coeff = _limit_coeff(model, q, theta, phi_q) * (ph - theta) * (ph - phi_q) / lam
-    pref = lam / _psi_q(model, q + lam, theta) ** 2
-    return pref * (_e_script(model, ctx, lam, x, theta) - coeff * z_tilde(ctx, x, ph, ph))
+    """E_x[ e^{-q rho^{(2)} + theta X} ; rho^{(2)} < inf ]: :func:`gs_lt_infinite`
+    at p = lam."""
+    return gs_lt_infinite(model, x, q, lam, lam, theta)
 
 
 def gs_lt_infinite_e2_confluent(model: LevyModel, x: float, q: float, lam: float) -> float:
@@ -320,55 +315,11 @@ def gs_lt_infinite_e2_confluent(model: LevyModel, x: float, q: float, lam: float
     return lam * bracket2 / (2.0 * psip * psip)
 
 
-def _lam_derivative(f, lam: float, label: str, scale: float = 0.0) -> float:
-    # central difference in lam with an h/2 Richardson agreement check; `scale`
-    # widens the tolerance by the cancellation noise of the differenced values
-    h = min(1e-5 * (1.0 + lam), 0.25 * lam)
-    d1 = (f(lam + h) - f(lam - h)) / (2.0 * h)
-    d2 = (f(lam + 0.5 * h) - f(lam - 0.5 * h)) / h
-    if abs(d1 - d2) > 1e-6 * (1.0 + abs(d2)) + 1e-9 * scale / h:
-        raise NumericalError(f"lam-derivative of {label} failed the Richardson check")
-    return (4.0 * d2 - d1) / 3.0
-
-
 def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
                   y: float) -> float:
-    """Gerber-Shiu density at Erlang(2, lam) Parisian ruin (p -> lam limit of
-    :func:`gerber_shiu_density`).
-
-    The lam-derivatives of the convolution scale function and of W_{q+lam} are
-    computed by validated central differences.
-    """
-    if y > 0.0:
-        raise DomainError("gs_density_e2 requires y <= 0")
-    if x > b:
-        raise DomainError("gs_density_e2 requires x <= b")
-    if lam <= 0.0 or q < 0.0:
-        raise DomainError("gs_density_e2 requires lam > 0 and q >= 0")
-    ctx = scale_context(model, q)
-    ph = phi(model, q + lam)
-    ctx_l = scale_context(model, q + lam)
-
-    def e_y(xi: float):
-        sw = script_w(ctx, lam, xi, xi - y)
-        wv = w(ctx_l, -y)
-        d_conv = _lam_derivative(
-            lambda s: script_w(ctx, s, xi, xi - y), lam, "scriptW", scale=abs(sw)
-        )
-        d_w = _lam_derivative(
-            lambda s: w(scale_context(model, q + s), -y), lam, "W_{q+lam}", scale=wv
-        )
-        zv = z(ctx, xi, ph)
-        val = lam * d_conv - zv * (wv + lam * d_w)
-        mag = lam * abs(d_conv) + abs(zv) * (wv + lam * abs(d_w)) + abs(sw)
-        return val, mag
-
-    ratio = z_tilde(ctx, x, ph, ph) / z_tilde(ctx, b, ph, ph)
-    ex, mx = e_y(x)
-    eb, mb = e_y(b)
-    val = lam * (ex - ratio * eb)
-    floor = 1e-10 * lam * (mx + abs(ratio) * mb) + 1e-10
-    return _floor_density(val, floor, "Erlang(2) Gerber-Shiu density")
+    """Gerber-Shiu density at Erlang(2, lam) Parisian ruin: the p = lam limit of
+    :func:`gerber_shiu_density`, in closed form."""
+    return _gs_density(model, x, b, q, lam, lam, y, "gs_density_e2")
 
 
 _ERLANG2_IDENTITIES = {
@@ -572,9 +523,8 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
                          lam: float, p: float, z_shift: float) -> float:
     """E_x[ e^{-q T_0^-} W_p(X_{T_0^-} + z) ; T_0^- < tau_b^+ ^ tau_{-a}^- ].
 
-    The point p = q + lam is removable; it is evaluated by a symmetric relative
-    offset with a Richardson agreement check (a raw offset of 1e-8 would sit on
-    the convolution quadrature's 1e-11 absolute floor, so the offset is 1e-5).
+    The point p = q + lam is removable: the difference quotients in p become the
+    closed-form p-derivatives of the second-generation scale function there.
     """
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
@@ -584,19 +534,11 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
     ctx = scale_context(model, q)
     ratio = script_w(ctx, lam, x, x + a) / script_w(ctx, lam, b, b + a)
-
-    def core(p_: float) -> float:
-        pref = lam / (p_ - (q + lam))
-        top = script_w(ctx, p_ - q, b, b + z_shift) - script_w(ctx, lam, b, b + z_shift)
-        bot = script_w(ctx, p_ - q, x, x + z_shift) - script_w(ctx, lam, x, x + z_shift)
-        return pref * (ratio * top - bot)
-
     pole = q + lam
-    if abs(p - pole) > 1e-8 * (1.0 + pole):
-        return core(p)
-    d = 1e-5 * (1.0 + pole)
-    v1 = 0.5 * (core(pole + d) + core(pole - d))
-    v2 = 0.5 * (core(pole + 0.5 * d) + core(pole - 0.5 * d))
-    if abs(v1 - v2) > 1e-6 * (1.0 + abs(v2)):
-        raise NumericalError("delayed_w_functional failed the Richardson check at p = q + lam")
-    return v2
+    if abs(p - pole) <= 1e-8 * (1.0 + pole):
+        top = _script_w_dp(ctx, lam, b, b + z_shift)
+        bot = _script_w_dp(ctx, lam, x, x + z_shift)
+        return lam * (ratio * top - bot)
+    top = script_w(ctx, p - q, b, b + z_shift) - script_w(ctx, lam, b, b + z_shift)
+    bot = script_w(ctx, p - q, x, x + z_shift) - script_w(ctx, lam, x, x + z_shift)
+    return lam / (p - pole) * (ratio * top - bot)

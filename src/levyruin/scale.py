@@ -17,6 +17,11 @@ which is the definition e^{theta x}(1 - psi_q(theta) int_0^x e^{-theta y} W_q(y)
 with the integral evaluated in closed form.  This representation is regular at
 theta = Phi_q (where it reduces to e^{Phi_q x}) and stays bounded for large theta,
 which the large-surrogate limit checks rely on.
+
+The second-generation scale function convolves two such two-exponentials, so it
+is a four-term exponential sum, and its derivative in the extra rate follows from
+dr/dq = 1/psi'(r) and d(1/psi'(r))/dq = -psi''(r)/psi'(r)^3 at each root r of
+psi(r) = q.
 """
 
 from __future__ import annotations
@@ -25,19 +30,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import DomainError, NumericalError
 from .models import (
     BROWNIAN,
     LevyModel,
     _psi_any,
     _psi_prime_any,
+    _psi_second_any,
     phi,
 )
-
-_QUAD_ABS = 1e-11  # absolute target for the second-generation convolution
-_QUAD_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def _zeta(model: LevyModel, q: float) -> float:
     return (b + math.sqrt(b * b + 4.0 * c * q * alpha)) / (2.0 * c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def scale_context(model: LevyModel, q: float) -> ScaleContext:
     """Build (and cache) the scale-function context for killing rate ``q``.
 
@@ -195,30 +196,78 @@ def z_tilde(ctx: ScaleContext, x: float, alpha: float, beta: float) -> float:
     return (psi_qa * z(ctx, x, b) - psi_qb * z(ctx, x, a)) / (a - b)
 
 
+def _roots(ctx: ScaleContext) -> tuple:
+    # (root r, residue 1/psi'(r)) pairs of 1/psi_q: W_q(x) = sum of residue * e^{r x}
+    return (ctx.phi_q, ctx.coeff_a), (-ctx.zeta_q, ctx.coeff_b)
+
+
+def _exp_integrals(r: float, s: float, length: float) -> tuple:
+    # int_0^L e^{r(L-u) + s u} du and int_0^L (L-u) e^{r(L-u) + s u} du; near s = r
+    # by the series e^{rL} L^k sum_n t^n/(n+k)!, t = (s-r)L, without cancellation
+    d = s - r
+    t = d * length
+    er = math.exp(r * length)
+    if abs(t) < 0.5:
+        s2, term = 0.0, 0.5
+        for n in range(18):
+            s2 += term
+            term *= t / (n + 3)
+        return er * length * (1.0 + t * s2), er * length * length * s2
+    es = math.exp(s * length)
+    return (es - er) / d, (es - er * (1.0 + t)) / (d * d)
+
+
+def _convolution(ctx: ScaleContext, q2: float, a: float, x: float, dq: bool) -> float:
+    # int_a^x W_{q2}(x - y) W_q(y) dy for 0 <= a < x, or with dq its derivative in q2
+    model = ctx.model
+    total = 0.0
+    for s, bs in _roots(ctx):
+        ws = bs * math.exp(s * a)
+        for r, ar in _roots(scale_context(model, q2)):
+            k1, k2 = _exp_integrals(r, s, x - a)
+            if dq:
+                total += ws * ar * ar * (k2 - _psi_second_any(model, r) * ar * k1)
+            else:
+                total += ws * ar * k1
+    return total
+
+
 def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     """Second-generation scale function: W_q corrected by a convolution from ``a``.
 
         W_q(x) + p_extra * int_a^x W_{q+p_extra}(x - y) W_q(y) dy
 
-    evaluated by adaptive quadrature.  Reduces to W_q(x) for x <= a or p_extra = 0.
-    Since W_q vanishes on the negative axis, a < 0 is equivalent to a = 0.
+    evaluated in closed form as a four-term exponential sum.  Reduces to W_q(x)
+    for x <= a or p_extra = 0.  Since W_q vanishes on the negative axis, a < 0 is
+    equivalent to a = 0, where the sum is W_{q+p_extra}(x).
     """
     p_extra = float(p_extra)
     q2 = ctx.q + p_extra
     if q2 < 0.0:
         raise DomainError("script_w requires q + p_extra >= 0")
+    a = max(a, 0.0)
     if p_extra == 0.0 or x <= a:
         return w(ctx, x)
-    a_eff = max(a, 0.0)
-    if x <= a_eff:
-        return w(ctx, x)
-    ctx2 = scale_context(ctx.model, q2)
+    return w(ctx, x) + p_extra * _convolution(ctx, q2, a, x, False)
 
-    def integrand(y):
-        return w(ctx2, x - y) * w(ctx, y)
 
-    val = quad(integrand, a_eff, x, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=300, full_output=1)[0]
-    return w(ctx, x) + p_extra * val
+def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
+    # derivative of script_w(ctx, p_extra, a, x) in p_extra
+    a = max(a, 0.0)
+    if x <= a:
+        return 0.0
+    q2 = ctx.q + float(p_extra)
+    return _convolution(ctx, q2, a, x, False) + p_extra * _convolution(ctx, q2, a, x, True)
+
+
+def _w_dq(ctx: ScaleContext, x: float) -> float:
+    # derivative of W_q(x) in q
+    if x < 0.0:
+        return 0.0
+    model = ctx.model
+    return sum(
+        ar * ar * (x - _psi_second_any(model, r) * ar) * math.exp(r * x) for r, ar in _roots(ctx)
+    )
 
 
 def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float) -> float:

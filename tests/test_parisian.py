@@ -327,3 +327,57 @@ def test_alternative_erlang2_forms_disagree(bm, cl):
     # confluent identity (and with simulation); keep the gap on record
     assert abs(erlang2_ruin_alternative_form(bm, 0.0, 2.0) - ruin_prob_erlang2(bm, 0.0, 2.0)) > 0.05
     assert abs(erlang2_ruin_alternative_form(cl, 0.0, 1.0) - ruin_prob_erlang2(cl, 0.0, 1.0)) > 0.05
+
+
+def test_up_cross_three_barrier_at_ruin_level(model):
+    # a = 0: the lower barrier is the ruin level, so the ratio is W_q(x)/W_q(b); on
+    # Brownian models the composite is 0/0 there (W(0) = 0)
+    ctx = scale_context(model, 0.1)
+    target = w(ctx, 0.5) / w(ctx, 2.0)
+    for p, lam in ((0.5, 1.0), (0.7, 1.3), (1.0, 1.0)):
+        assert up_cross_three_barrier(model, 0.5, 2.0, 0.0, 0.1, p, lam) == target
+        near = up_cross_three_barrier(model, 0.5, 2.0, 1e-7, 0.1, p, lam)
+        assert near == pytest.approx(target, abs=1e-6)
+
+
+def test_up_cross_three_barrier_confluence_both_models(model):
+    for x, a in ((0.5, 1.0), (-0.4, 0.6)):
+        v0 = up_cross_three_barrier(model, x, 2.0, a, 0.2, 1.3, 1.3)
+        vp = up_cross_three_barrier(model, x, 2.0, a, 0.2, 1.3 * (1.0 + 1e-4), 1.3)
+        vm = up_cross_three_barrier(model, x, 2.0, a, 0.2, 1.3 * (1.0 - 1e-4), 1.3)
+        assert v0 == pytest.approx(0.5 * (vp + vm), rel=1e-8)
+
+
+def test_erlang2_identities_are_the_p_equals_lam_case(model):
+    x, b, q, lam, theta = 0.4, 2.0, 0.3, 1.3, 0.5
+    assert ruin_prob_erlang2(model, x, lam) == ruin_prob_sum_exp(model, x, lam, lam)
+    assert up_cross_e2(model, x, b, q, lam) == joint_lt_upcross(model, x, b, q, lam, lam)
+    assert gs_lt_two_sided_e2(model, x, b, q, lam, theta) == gs_lt_two_sided(
+        model, x, b, q, lam, lam, theta
+    )
+    assert gs_lt_infinite_e2(model, x, q, lam, theta) == gs_lt_infinite(
+        model, x, q, lam, lam, theta
+    )
+
+
+def test_gs_density_e2_is_p_to_lam_limit_both_models(model):
+    x, b, q, lam = 0.5, 2.0, 0.1, 1.3
+    for y in (-0.2, -1.0):
+        v = gs_density_e2(model, x, b, q, lam, y)
+        near = 0.5 * (
+            gerber_shiu_density(model, x, b, q, lam * (1.0 + 1e-4), lam, y)
+            + gerber_shiu_density(model, x, b, q, lam * (1.0 - 1e-4), lam, y)
+        )
+        assert v == pytest.approx(near, rel=1e-7)
+
+
+def test_gs_density_e2_deep_deficit_values(bm, cl):
+    # reference values from a 60-digit evaluation of the Exp(p)+Exp(lam) density at
+    # p = lam + 1e-25 with quadrature convolutions; the cancellation floor must not
+    # zero these
+    assert gs_density_e2(cl, -1.0, 3.0, 0.05, 3.0, -4.0) == pytest.approx(
+        2.58994320846e-3, rel=1e-5
+    )
+    assert gs_density_e2(bm, -1.0, 3.0, 0.05, 3.0, -7.0) == pytest.approx(
+        4.45117623006e-6, rel=1e-5
+    )

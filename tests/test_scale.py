@@ -20,6 +20,7 @@ from levyruin import (
     z_prime_theta,
     z_tilde,
 )
+from levyruin.scale import _convolution, _script_w_dp, _w_dq
 
 
 def w0_closed_brownian(m, x):
@@ -182,7 +183,8 @@ def test_script_w_trivial_reductions(model):
 
 def test_script_w_two_representations(model):
     # first line (convolution from a) vs second line (full convolution minus head)
-    for q, pe, a, x in ((0.0, 1.0, 0.0, 1.0), (0.3, 0.9, 0.5, 2.1), (0.0, 2.0, 1.0, 3.0)):
+    for q, pe, a, x in ((0.0, 1.0, 0.0, 1.0), (0.3, 0.9, 0.5, 2.1), (0.0, 2.0, 1.0, 3.0),
+                        (0.3, 1e-9, 0.5, 2.1)):
         ctx = scale_context(model, q)
         ctx2 = scale_context(model, q + pe)
         line1 = script_w(ctx, pe, a, x)
@@ -248,3 +250,48 @@ def test_w_tilde_large_a_limit(model):
 def test_scale_context_rejects_degenerate():
     with pytest.raises(DomainError):
         scale_context(LevyModel.brownian(0.0, 1.0), 0.0)  # E[X_1] = 0, double root
+
+
+# (q, p_extra): a negative extra rate, the near-confluent series (the roots of
+# psi = q and psi = q + p_extra a distance ~p_extra apart) and ordinary rates
+CLOSED_FORM_RATES = ((0.3, -0.05), (0.06, -0.05), (0.3, 1e-9), (0.0, 0.7), (0.3, 3.0))
+# (a, x): a < 0 <= x (a convolution from 0), an interior start, a short window
+CLOSED_FORM_POINTS = ((-0.5, 1.2), (0.4, 2.5), (1.0, 1.05))
+
+
+@pytest.mark.parametrize("q, pe", CLOSED_FORM_RATES)
+def test_script_w_convolution_against_quadrature(model, q, pe):
+    ctx = scale_context(model, q)
+    ctx2 = scale_context(model, q + pe)
+    for a, x in CLOSED_FORM_POINTS:
+        lo = max(a, 0.0)
+        val, _ = quad(lambda y: w(ctx2, x - y) * w(ctx, y), lo, x, epsabs=1e-14, epsrel=1e-13)
+        assert _convolution(ctx, q + pe, lo, x, False) == pytest.approx(val, rel=1e-11)
+
+
+@pytest.mark.parametrize("q, pe", CLOSED_FORM_RATES)
+def test_script_w_dp_against_central_differences(model, q, pe):
+    ctx = scale_context(model, q)
+    h = 1e-4 * min(1.0, abs(pe) + q)
+    for a, x in CLOSED_FORM_POINTS:
+        fd = (script_w(ctx, pe + h, a, x) - script_w(ctx, pe - h, a, x)) / (2.0 * h)
+        assert _script_w_dp(ctx, pe, a, x) == pytest.approx(fd, rel=1e-6)
+    assert _script_w_dp(ctx, pe, 2.0, 1.5) == 0.0  # x <= a: script_w is W_q(x)
+
+
+def test_w_dq_against_central_differences(model):
+    for q, x in ((0.02, 0.7), (0.05, 2.0), (1.3, 0.2), (3.0, 4.0)):
+        h = 1e-5 * (1.0 + q)
+        fd = (w(scale_context(model, q + h), x) - w(scale_context(model, q - h), x)) / (2.0 * h)
+        assert _w_dq(scale_context(model, q), x) == pytest.approx(fd, rel=1e-6)
+    # W_q(0) is 0 (Brownian) or 1/c (Cramer-Lundberg) for every q, and W_q(x < 0) = 0
+    assert _w_dq(scale_context(model, 0.4), 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert _w_dq(scale_context(model, 0.4), -1.0) == 0.0
+
+
+def test_scale_context_cache_is_bounded(cl):
+    maxsize = scale_context.cache_info().maxsize
+    assert maxsize == 1 << 15
+    for i in range(40_000):
+        scale_context(cl, 0.01 + 1e-4 * i)
+    assert scale_context.cache_info().currsize <= maxsize
