@@ -7,6 +7,21 @@ indicators between skeleton points.  Occupation times, observation deficits,
 consecutive-observation Erlang ruin and budget-clock ruin times are all exact in
 law; the pure fine-grid fallback is kept only for the fixed-delay time kappa_r,
 where the excursion-age clock is not observation-driven.
+
+The Parisian and occupation functionals share one excursion core.  An
+excursion's trigger is the n-th consecutive negative observation with the bridge
+below 0 in between (n is the ``n`` param, default 1); its recovery is the
+inverse-Gaussian first passage to 0 from the trigger's position.  Constructions:
+
+* "observation" (T0_minus and the occupation functionals, which take no
+  construction, and the default of rho_erlang): a ruin functional stops at the
+  trigger; an occupation functional accrues recovery - trigger and runs on;
+* "occupation" (rho_sum_exp, its only construction) and "clock" (rho_erlang):
+  the delay's first Exp(lam) stage is the wait for the first negative
+  observation (n = 1), and its other stages -- Exp(p), or n - 1 Exp(lam) -- are
+  a budget drawn after the recovery and raced against it: ruin comes at
+  trigger + budget when the budget runs out first.  With n = 1 there is no
+  budget and the clock construction is T0_minus.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ import math
 from ..errors import UnsupportedFunctional
 from ..models import LevyModel
 from .config import FixedTime, McConfig
-from .functionals import EV_RUIN, EV_UPCROSS, PathFunctional
+from .functionals import EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, construction
 
 
 def _setup(model: LevyModel, fn: PathFunctional, config: McConfig, needs_escape=True):
@@ -26,12 +41,10 @@ def _setup(model: LevyModel, fn: PathFunctional, config: McConfig, needs_escape=
             "for the Brownian model; use the Cramer-Lundberg simulator"
         )
     if isinstance(config.horizon, FixedTime):
-        besc, tmax = math.inf, config.horizon.t_max
-    else:
-        besc, tmax = config.horizon.b_esc, None
-        if needs_escape:
-            model.require_positive_drift("escape-level Monte Carlo horizon")
-    return besc, tmax
+        return math.inf, config.horizon.t_max
+    if needs_escape:
+        model.require_positive_drift("escape-level Monte Carlo horizon")
+    return config.horizon.b_esc, None
 
 
 def _crossed_above(stream, x1, x2, gap, level, sig2) -> bool:
@@ -46,187 +59,99 @@ def _touched_zero(stream, x1, x2, gap, sig2) -> bool:
     return stream.uniform() < math.exp(-2.0 * x1 * x2 / (sig2 * gap))
 
 
-def make_occupation_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
+def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig, kind):
     mu, sig = model.mu, model.sigma
     sig2 = sig * sig
     prm = fn.params
     lam = float(prm["lam"])
-    n_consec = int(prm.get("n", 1))
+    n = int(prm.get("n", 1))
+    budget = None  # Exp rates of the budget raced against the recovery
+    if fn.name == "rho_sum_exp":
+        n, budget = 1, (float(prm["p"]),)
+    elif kind == "clock" and n > 1:
+        n, budget = 1, (lam,) * (n - 1)
+    accrue = fn.name.startswith("occupation")
     b = prm.get("b")
     b = None if b is None else float(b)
     exp_rate = prm.get("exp_horizon_rate")
-    q = fn.discount_q
-    p = fn.laplace_p
+    exp_rate = None if exp_rate is None else float(exp_rate)
+    q, th, p = fn.discount_q, fn.tilt_theta, fn.laplace_p
     x0 = fn.x0
     if fn.name == "occupation_poisson_literal":
         raise UnsupportedFunctional(
             "the literal overlapping sum needs the in-excursion path after a "
             "sampled recovery; only the Cramer-Lundberg simulator provides it"
         )
-    if b is not None and q != 0.0:
+    if b is not None and q != 0.0 and (accrue or fn.success_event == "upcross"):
         raise UnsupportedFunctional(
-            "tau_b crossing times between Brownian skeleton points are not exactly "
-            "samplable; occupation_at_upcross needs q = 0 for the Brownian model"
+            "discounted tau_b crossing times are not exactly samplable for the "
+            "Brownian model"
+        )
+    if budget is not None and th != 0.0:
+        raise UnsupportedFunctional(
+            "the deficit at a mid-excursion Parisian ruin time is not exactly "
+            "samplable for the Brownian model"
         )
     besc, tmax = _setup(model, fn, config, needs_escape=exp_rate is None)
-    if b is not None and besc <= b:
-        besc = b + 1.0
+    if not accrue and tmax is not None:
+        raise UnsupportedFunctional("ruin-event functionals need an escape-level horizon")
+    if b is not None or exp_rate is not None:
+        besc = math.inf  # the path ends at b or at the horizon instead
+    stop = not accrue and budget is None  # ruin at the trigger itself
+    success = None if accrue else (EV_RUIN if fn.success_event == "ruin" else EV_UPCROSS)
+
+    def value(ev, tm, df, occ):
+        if success is not None and ev != success:
+            return 0.0
+        return math.exp(-q * tm + th * df - p * occ)
 
     def sim(stream):
         t = 0.0
         X = x0
         occ = 0.0
         consec = 0
-        horizon = tmax
-        if exp_rate is not None:
-            horizon = stream.exponential(float(exp_rate))
+        horizon = tmax if exp_rate is None else stream.exponential(exp_rate)
         if b is not None and X >= b:
-            return math.exp(-p * occ), 0
+            return value(EV_UPCROSS, 0.0, 0.0, occ), 0
         while True:
             gap = stream.exponential(lam)
             tn = t + gap
             if horizon is not None and tn >= horizon:
-                return math.exp(-p * occ), 0
+                return value(EV_NONE, 0.0, 0.0, occ), 0
             Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
             if b is not None and _crossed_above(stream, X, Xn, gap, b, sig2):
-                return math.exp(-p * occ), 0
+                return value(EV_UPCROSS, 0.0, 0.0, occ), 0
             if Xn < 0.0:
-                if n_consec > 1:
-                    if X < 0.0 and consec >= 1 and not _touched_zero(stream, X, Xn, gap, sig2):
-                        consec += 1
-                    else:
-                        consec = 1
-                    if consec < n_consec:
-                        t, X = tn, Xn
-                        continue
+                # consec counts a run of negative observations that the bridge
+                # joins below 0 (a run starts anew after X >= 0); its n-th
+                # member is the excursion's trigger
+                if X < 0.0 and consec >= 1 and not _touched_zero(stream, X, Xn, gap, sig2):
+                    consec += 1
+                else:
+                    consec = 1
+                if consec < n:
+                    t, X = tn, Xn
+                    continue
+                if stop:
+                    return value(EV_RUIN, tn, Xn, occ), 0
                 depth = -Xn
                 rec = stream.inverse_gaussian(depth / mu, depth * depth / sig2)
-                if horizon is not None and tn + rec >= horizon:
-                    return math.exp(-p * (occ + horizon - tn)), 0
-                occ += rec
-                t = tn + rec
-                X = 0.0
-                consec = 0
-            else:
-                t, X = tn, Xn
-                consec = 0
-                if horizon is None and b is None and X >= besc:
-                    return math.exp(-p * occ), 1
-
-    return sim
-
-
-def make_rho_occupation_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    """rho_sum_exp through the occupation construction: the Exp(lam) stage is the
-    per-excursion observation delay, the Exp(p) stage a fresh budget against the
-    post-observation duration.  Ruin times are exact; the mid-excursion deficit is
-    not observable here, so exponential tilts are rejected."""
-    mu, sig = model.mu, model.sigma
-    sig2 = sig * sig
-    prm = fn.params
-    p_rate = float(prm["p"])
-    lam = float(prm["lam"])
-    b = prm.get("b")
-    b = None if b is None else float(b)
-    q = fn.discount_q
-    if fn.tilt_theta != 0.0:
-        raise UnsupportedFunctional(
-            "the deficit at a mid-excursion Parisian ruin time is not exactly "
-            "samplable for the Brownian model"
-        )
-    if b is not None and q != 0.0 and fn.success_event == "upcross":
-        raise UnsupportedFunctional(
-            "discounted tau_b crossing times are not exactly samplable for the "
-            "Brownian model"
-        )
-    success = EV_RUIN if fn.success_event == "ruin" else EV_UPCROSS
-    x0 = fn.x0
-    besc, tmax = _setup(model, fn, config)
-    if tmax is not None:
-        raise UnsupportedFunctional("ruin-event functionals need an escape-level horizon")
-    if b is not None and besc <= b:
-        besc = b + 1.0
-
-    def sim(stream):
-        t = 0.0
-        X = x0
-        if b is not None and X >= b:
-            return (1.0 if success == EV_UPCROSS else 0.0), 0
-        while True:
-            gap = stream.exponential(lam)
-            tn = t + gap
-            Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if b is not None and _crossed_above(stream, X, Xn, gap, b, sig2):
-                return (1.0 if success == EV_UPCROSS else 0.0), 0
-            if Xn < 0.0:
-                depth = -Xn
-                rec = stream.inverse_gaussian(depth / mu, depth * depth / sig2)
-                budget = stream.exponential(p_rate)
-                if rec > budget:
-                    if success == EV_RUIN:
-                        return math.exp(-q * (tn + budget)), 0
-                    return 0.0, 0
+                if budget is not None:
+                    spent = 0.0
+                    for rate in budget:
+                        spent += stream.exponential(rate)
+                    if rec > spent:
+                        return value(EV_RUIN, tn + spent, 0.0, occ), 0
+                elif horizon is not None and tn + rec >= horizon:
+                    return value(EV_NONE, 0.0, 0.0, occ + horizon - tn), 0
+                else:
+                    occ += rec
                 t = tn + rec
                 X = 0.0
             else:
                 t, X = tn, Xn
                 if X >= besc:
-                    return 0.0, 1
-
-    return sim
-
-
-def make_erlang_obs_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    """Erlang(n, lam) ruin at the n-th consecutive negative observation with the
-    path below 0 throughout (bridge-checked); covers T0_minus as n = 1."""
-    mu, sig = model.mu, model.sigma
-    sig2 = sig * sig
-    prm = fn.params
-    lam = float(prm["lam"])
-    n = int(prm.get("n", 1))
-    b = prm.get("b")
-    b = None if b is None else float(b)
-    q = fn.discount_q
-    th = fn.tilt_theta
-    if b is not None and q != 0.0 and fn.success_event == "upcross":
-        raise UnsupportedFunctional(
-            "discounted tau_b crossing times are not exactly samplable for the "
-            "Brownian model"
-        )
-    success = EV_RUIN if fn.success_event == "ruin" else EV_UPCROSS
-    x0 = fn.x0
-    besc, tmax = _setup(model, fn, config)
-    if tmax is not None:
-        raise UnsupportedFunctional("ruin-event functionals need an escape-level horizon")
-    if b is not None and besc <= b:
-        besc = b + 1.0
-
-    def sim(stream):
-        t = 0.0
-        X = x0
-        consec = 0
-        if b is not None and X >= b:
-            return (1.0 if success == EV_UPCROSS else 0.0), 0
-        while True:
-            gap = stream.exponential(lam)
-            tn = t + gap
-            Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if b is not None and _crossed_above(stream, X, Xn, gap, b, sig2):
-                return (1.0 if success == EV_UPCROSS else 0.0), 0
-            if Xn < 0.0:
-                if X < 0.0 and consec >= 1 and not _touched_zero(stream, X, Xn, gap, sig2):
-                    consec += 1
-                else:
-                    consec = 1
-                if consec >= n:
-                    if success == EV_RUIN:
-                        return math.exp(-q * tn + th * Xn), 0
-                    return 0.0, 0
-            else:
-                consec = 0
-                if Xn >= besc:
-                    return 0.0, 1
-            t, X = tn, Xn
+                    return value(EV_NONE, 0.0, 0.0, occ), 1
 
     return sim
 
@@ -274,10 +199,9 @@ def make_tau_plus_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
             "Brownian model"
         )
     x0 = fn.x0
-    besc, tmax = _setup(model, fn, config)
+    _, tmax = _setup(model, fn, config)
     if tmax is not None:
         raise UnsupportedFunctional("first-passage indicators need an escape-level horizon")
-    besc = max(besc, b + 1.0)
 
     def sim(stream):
         X = x0
@@ -328,17 +252,13 @@ def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, 
     return sim
 
 
-_BUILDERS = {
-    "occupation_poisson": make_occupation_sim,
-    "occupation_poisson_literal": make_occupation_sim,
-    "occupation_poisson_n": make_occupation_sim,
-    "occupation_at_upcross": make_occupation_sim,
-    "rho_sum_exp": make_rho_occupation_sim,
-    "rho_erlang": make_erlang_obs_sim,
-    "T0_minus": make_erlang_obs_sim,
-    "tau_level_minus": make_tau_minus_sim,
-    "tau_b_plus": make_tau_plus_sim,
-    "kappa_fixed": make_kappa_grid_sim,
+# the functionals this simulator runs, each with the delay constructions it
+# accepts (default first)
+_CONSTRUCTIONS = {
+    "occupation_poisson": (), "occupation_poisson_literal": (), "occupation_poisson_n": (),
+    "occupation_at_upcross": (), "T0_minus": (),
+    "rho_sum_exp": ("occupation",), "rho_erlang": ("observation", "clock"),
+    "tau_level_minus": (), "tau_b_plus": (), "kappa_fixed": (),
 }
 
 
@@ -347,73 +267,15 @@ def needs_grid(fn: PathFunctional) -> bool:
 
 
 def build(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
-    prm = fn.params
-    if fn.name == "rho_erlang" and prm.get("construction", "observation") == "clock":
-        # Brownian realization of the per-excursion Erlang clock: the first stage
-        # is the observation delay, the remaining n-1 stages an explicit budget
-        n = int(prm["n"])
-        if n == 1:
-            inner = PathFunctional(
-                name="T0_minus",
-                params={"lam": prm["lam"], **({"b": prm["b"]} if "b" in prm else {})},
-                x0=fn.x0,
-                success_event=fn.success_event,
-                discount_q=fn.discount_q,
-                tilt_theta=fn.tilt_theta,
-            )
-            return make_erlang_obs_sim(model, inner, config)
-        return _make_erlang_clock_sim(model, fn, config)
-    try:
-        builder = _BUILDERS[fn.name]
-    except KeyError:
+    if fn.name not in _CONSTRUCTIONS:
         raise UnsupportedFunctional(
             f"functional {fn.name!r} is not implemented for the Brownian simulator"
-        ) from None
-    if builder is make_kappa_grid_sim:
-        return builder(model, fn, config, dt=dt)
-    return builder(model, fn, config)
-
-
-def _make_erlang_clock_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    mu, sig = model.mu, model.sigma
-    sig2 = sig * sig
-    prm = fn.params
-    lam = float(prm["lam"])
-    n = int(prm["n"])
-    if prm.get("b") is not None or fn.tilt_theta != 0.0:
-        raise UnsupportedFunctional(
-            "the Brownian Erlang-clock construction supports only the bare ruin "
-            "transform (no barriers or deficit tilts)"
         )
-    q = fn.discount_q
-    success = EV_RUIN if fn.success_event == "ruin" else EV_UPCROSS
-    if success != EV_RUIN:
-        raise UnsupportedFunctional("the Erlang-clock construction reports ruin only")
-    x0 = fn.x0
-    besc, tmax = _setup(model, fn, config)
-    if tmax is not None:
-        raise UnsupportedFunctional("ruin-event functionals need an escape-level horizon")
-
-    def sim(stream):
-        t = 0.0
-        X = x0
-        while True:
-            gap = stream.exponential(lam)
-            tn = t + gap
-            Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if Xn < 0.0:
-                depth = -Xn
-                rec = stream.inverse_gaussian(depth / mu, depth * depth / sig2)
-                budget = 0.0
-                for _ in range(n - 1):
-                    budget += stream.exponential(lam)
-                if rec > budget:
-                    return math.exp(-q * (tn + budget)), 0
-                t = tn + rec
-                X = 0.0
-            else:
-                t, X = tn, Xn
-                if X >= besc:
-                    return 0.0, 1
-
-    return sim
+    kind = construction(fn, _CONSTRUCTIONS[fn.name], "Brownian")
+    if fn.name == "tau_level_minus":
+        return make_tau_minus_sim(model, fn, config)
+    if fn.name == "tau_b_plus":
+        return make_tau_plus_sim(model, fn, config)
+    if fn.name == "kappa_fixed":
+        return make_kappa_grid_sim(model, fn, config, dt=dt)
+    return make_excursion_sim(model, fn, config, kind)

@@ -8,6 +8,14 @@ together with the transform applied to the raw path outcome:
                                             + tilt_theta * deficit
                                             - laplace_p * occupation)
 
+(occupation functionals pay at every terminal event).  Both simulators run the
+Parisian and occupation functionals through one excursion core: each excursion
+below 0 has a *trigger*, the n-th point of a clock started at the excursion's
+start, and a *recovery*, its next up-crossing of 0.  A ruin functional stops at
+the first trigger that comes before its excursion's recovery; an occupation
+functional accrues recovery - trigger and runs on.  This is the link between
+Parisian ruin and Poissonian occupation times that the identities rest on.
+
 Functional names:
 
 * ``occupation_poisson``          total occupation, once-per-excursion accrual
@@ -21,22 +29,32 @@ Functional names:
                                   observation (params: lam, n)
 * ``occupation_at_upcross``       occupation accrued up to tau_b^+ (params: lam, b)
 * ``rho_sum_exp``                 Parisian ruin, delay Exp(p)+Exp(lam) per
-                                  excursion (params: p, lam; optional b, a;
-                                  construction "clock" or "occupation")
+                                  excursion (params: p, lam; optional b, a)
 * ``rho_erlang``                  Parisian ruin, Erlang(n, lam) delay (params:
-                                  n, lam; optional b; construction "clock" or
-                                  "observation")
+                                  n, lam; optional b)
 * ``kappa_fixed``                 Parisian ruin with deterministic delay r
 * ``T0_minus``                    first Poisson observation below 0 (params:
                                   lam; optional b, a)
 * ``T0_w_weight``                 e^{-q T_0^-} W_pw(X + shift) on {T_0^- first}
                                   (params: lam, b, a, pw, shift)
 * ``tau_b_plus`` / ``tau_level_minus``  classical first passages (sanity checks)
+
+Delay constructions (the ``construction`` param; the first listed is the
+default, any other value raises :class:`UnsupportedFunctional`):
+
+* Cramer-Lundberg ``rho_sum_exp`` and ``kappa_fixed``: "clock";
+  ``rho_erlang``: "clock", "observation".
+* Brownian ``rho_sum_exp``: "occupation"; ``rho_erlang``: "observation",
+  "clock".
+
+The other functionals take no construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..errors import UnsupportedFunctional
 
 EV_NONE = 0
 EV_RUIN = 1
@@ -53,6 +71,20 @@ class PathFunctional:
     discount_q: float = 0.0
     tilt_theta: float = 0.0
     laplace_p: float = 0.0
+
+
+def construction(fn: PathFunctional, allowed: tuple, simulator: str):
+    """The delay construction ``fn`` asks for: ``allowed[0]`` by default (None
+    when ``allowed`` is empty), and any value outside ``allowed`` raises."""
+    chosen = fn.params.get("construction")
+    if chosen is None:
+        return allowed[0] if allowed else None
+    if chosen not in allowed:
+        takes = "construction " + " or ".join(map(repr, allowed)) if allowed else "no construction"
+        raise UnsupportedFunctional(
+            f"{fn.name} on the {simulator} simulator takes {takes}, not {chosen!r}"
+        )
+    return chosen
 
 
 def excursion_occupation(obs_times, recovery, mode="union", cap=None, n_consec=1):

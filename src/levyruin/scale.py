@@ -51,6 +51,7 @@ class ScaleContext:
     zeta_q: float
     coeff_a: float
     coeff_b: float
+    w0: float  # W_q(0) = coeff_a + coeff_b, exactly
 
 
 def _zeta(model: LevyModel, q: float) -> float:
@@ -82,7 +83,9 @@ def scale_context(model: LevyModel, q: float) -> ScaleContext:
         )
     a = 1.0 / _psi_prime_any(model, p)
     b = 1.0 / _psi_prime_any(model, -zeta)
-    ctx = ScaleContext(model=model, q=q, phi_q=p, zeta_q=zeta, coeff_a=a, coeff_b=b)
+    # W_q(0) is 0 with a Gaussian part and 1/c for a bounded-variation drift c
+    w0 = 0.0 if model.sigma > 0.0 else 1.0 / model.c
+    ctx = ScaleContext(model=model, q=q, phi_q=p, zeta_q=zeta, coeff_a=a, coeff_b=b, w0=w0)
     for s in (p + 0.7, p + 1.9, p + 5.3):
         lhs = a / (s - p) + b / (s + zeta)
         rhs = 1.0 / (_psi_any(model, s) - q)
@@ -112,10 +115,15 @@ def _rho_second(ctx: ScaleContext, theta: float) -> float:
 
 
 def w(ctx: ScaleContext, x: float) -> float:
-    """q-scale function W_q(x); identically 0 for x < 0."""
+    """q-scale function W_q(x); identically 0 for x < 0.
+
+    Evaluated as A e^{Phi x} (1 - e^{-(Phi + zeta) x}) + W_q(0) e^{-zeta x}, so
+    W_q(0) is exact (0 on Brownian models, where A + B rounds to +-1e-17).
+    """
     if x < 0.0:
         return 0.0
-    return ctx.coeff_a * math.exp(ctx.phi_q * x) + ctx.coeff_b * math.exp(-ctx.zeta_q * x)
+    return (-ctx.coeff_a * math.exp(ctx.phi_q * x) * math.expm1(-(ctx.phi_q + ctx.zeta_q) * x)
+            + ctx.w0 * math.exp(-ctx.zeta_q * x))
 
 
 def w_prime(ctx: ScaleContext, x: float) -> float:

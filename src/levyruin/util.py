@@ -13,7 +13,7 @@ def clamp_unit(value: float, what: str) -> float:
     Violations within 1e-9 of the boundary are rounding noise and are clamped;
     anything larger indicates a formula bug and is a hard error.
     """
-    if value < 0.0:
+    if value <= 0.0:  # -0.0 too
         if value < -_UNIT_SLACK:
             raise NumericalError(f"{what} = {value!r} is significantly below 0")
         return 0.0

@@ -223,6 +223,35 @@ def test_unsupported_brownian_functionals(bm):
                                          tilt_theta=0.5))
 
 
+def test_unknown_constructions_rejected(bm, cl):
+    cfg_cl = McConfig(replications=10, seed=1, horizon=EscapeLevel(12.0))
+    cfg_bm = McConfig(replications=10, seed=1, horizon=EscapeLevel(26.0))
+    bad = (
+        (cl, cfg_cl, "rho_sum_exp", {"p": 1.0}, "bogus", "'clock'"),
+        (cl, cfg_cl, "rho_sum_exp", {"p": 1.0}, "observation", "'clock'"),
+        (cl, cfg_cl, "rho_sum_exp", {"p": 1.0}, "occupation", "'clock'"),
+        (cl, cfg_cl, "rho_erlang", {"n": 2}, "bogus", "'clock' or 'observation'"),
+        (cl, cfg_cl, "T0_minus", {}, "clock", "no construction"),
+        (bm, cfg_bm, "rho_sum_exp", {"p": 1.0}, "clock", "'occupation'"),
+        (bm, cfg_bm, "rho_sum_exp", {"p": 1.0}, "bogus", "'occupation'"),
+        (bm, cfg_bm, "rho_erlang", {"n": 2}, "bogus", "'observation' or 'clock'"),
+        (bm, cfg_bm, "kappa_fixed", {"r": 1.0}, "clock", "no construction"),
+    )
+    for model, cfg, name, params, kind, allowed in bad:
+        fn = PathFunctional(name, {"lam": 1.0, **params, "construction": kind}, x0=0.5)
+        with pytest.raises(UnsupportedFunctional, match=allowed):
+            sample(model, cfg, fn)
+    # the defaults are unchanged: naming them gives the same draws as omitting them
+    for model, cfg, name, kind in ((cl, cfg_cl, "rho_sum_exp", "clock"),
+                                   (cl, cfg_cl, "rho_erlang", "clock"),
+                                   (bm, cfg_bm, "rho_sum_exp", "occupation"),
+                                   (bm, cfg_bm, "rho_erlang", "observation")):
+        params = {"p": 1.0, "n": 2, "lam": 1.0}
+        plain = sample(model, cfg, PathFunctional(name, params, x0=0.5))
+        named = sample(model, cfg, PathFunctional(name, {**params, "construction": kind}, x0=0.5))
+        assert np.array_equal(plain, named)
+
+
 @pytest.mark.filterwarnings("ignore:truncation bound")
 def test_kappa_fixed_grid_bm_reports_halving_bound(bm):
     # classical-limit sanity: tiny delay approaches tau_0^- ruin

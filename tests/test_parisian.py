@@ -108,6 +108,17 @@ def test_up_cross_three_barrier_values(model):
         up_cross_three_barrier(model, -2.0, 2.0, 1.0, 0.05, 0.5, 1.0)
 
 
+def test_barrier_at_zero_exact_on_brownian(bm, cl):
+    # W_q(0) is exactly 0 with a Gaussian part and 1/c without one, so a lower
+    # barrier at the ruin level gives exact zeros from x = 0, not rounding noise
+    assert w(scale_context(bm, 0.1), 0.0) == 0.0
+    assert w(scale_context(cl, 0.1), 0.0) == 1.0
+    assert up_cross_three_barrier(bm, 0.0, 2.0, 0.0, 0.1, 0.7, 1.3) == 0.0
+    assert upcross_before_t0_two_sided(bm, 0.0, 2.0, 0.0, 0.1, 1.0) == 0.0
+    v = up_cross_three_barrier(bm, 1e-300, 2.0, 1e-300, 0.1, 1.3, 1.3)  # was 0/0
+    assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
 def test_up_cross_three_barrier_confluent_p_equals_lam(cl):
     v0 = up_cross_three_barrier(cl, 0.5, 2.0, 1.0, 0.05, 1.0, 1.0)
     vp = up_cross_three_barrier(cl, 0.5, 2.0, 1.0, 0.05, 1.0 + 1e-4, 1.0)
