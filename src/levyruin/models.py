@@ -9,6 +9,7 @@ Two parametric families are supported:
 
 The module provides the Laplace exponent ``psi``, its derivative, the right-inverse
 ``phi`` (the positive root of psi(th)=q) and the transition law of X_r started at 0.
+psi(th) = q clears to a quadratic, so both of its roots are cancellation-free closed forms.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, pdtrik
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 BROWNIAN = "brownian"
 CRAMER_LUNDBERG = "cramer_lundberg"
@@ -142,6 +142,13 @@ def _psi_second_any(model: LevyModel, theta: float) -> float:
     return 2.0 * model.alpha * model.eta / (theta + model.alpha) ** 3
 
 
+def _psi_slope_any(model: LevyModel, a: float, b: float) -> float:
+    # divided difference (psi(a) - psi(b)) / (a - b) in closed form; psi'(a) at a = b
+    if model.kind == BROWNIAN:
+        return model.mu + 0.5 * model.sigma ** 2 * (a + b)
+    return model.c - model.alpha * model.eta / ((a + model.alpha) * (b + model.alpha))
+
+
 def psi(model: LevyModel, theta: float) -> float:
     """Laplace exponent psi(theta) = log E[e^{theta X_1}], theta >= 0."""
     return _psi_any(model, _check_theta(theta))
@@ -152,36 +159,34 @@ def psi_prime(model: LevyModel, theta: float) -> float:
     return _psi_prime_any(model, _check_theta(theta))
 
 
+def _phi_zeta(model: LevyModel, q: float) -> tuple:
+    # (Phi_q, zeta_q): the roots Phi_q >= 0 >= -zeta_q of lead th^2 + lin th - q vieta,
+    # the numerator of psi_q.  The root (|lin| + sqrt(lin^2 + q k)) / (2 lead) adds two
+    # nonnegative terms; the other follows from Phi_q zeta_q = q vieta / lead, so neither
+    # cancels.  hypot, the halved terms and sqrt(q) sqrt(k) once q k overflows keep
+    # every finite q finite.
+    if model.kind == BROWNIAN:
+        lead, lin, k, vieta = 0.5 * model.sigma ** 2, model.mu, 2.0 * model.sigma ** 2, 1.0
+    else:
+        lead, lin = model.c, model.c * model.alpha - model.eta - q
+        k, vieta = 4.0 * model.c * model.alpha, model.alpha
+    qk = q * k
+    half = 0.5 * abs(lin) + 0.5 * math.hypot(
+        lin, math.sqrt(qk) if qk < math.inf else math.sqrt(q) * math.sqrt(k))
+    small = q / half * vieta if half > 0.0 else 0.0
+    return (small, half / lead) if lin >= 0.0 else (half / lead, small)
+
+
 def phi(model: LevyModel, q: float) -> float:
     """Right-inverse of psi: Phi_q = sup{ th >= 0 : psi(th) = q }.
 
-    Generic bracketed root search (the closed forms of the two models are used
-    only as test oracles).  psi(Phi_q) = q to ~1e-13 relative.
+    The nonnegative root of the quadratic numerator of psi_q, in closed form and
+    without cancellation (within a few ulp of the exact root for every q >= 0).
     """
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
         raise DomainError("q must be finite and >= 0")
-    drift = model.mean()
-    if q == 0.0 and drift >= 0.0:
-        return 0.0
-
-    def f(th):
-        return _psi_any(model, th) - q
-
-    # lower bracket endpoint: f < 0 there
-    lo = 0.0 if q > 0.0 else 1e-12
-    hi = 1.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e308:  # pragma: no cover - psi is eventually increasing for both models
-            raise NumericalError("failed to bracket Phi_q")
-    root = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=200)
-    # Newton polish for the 1e-13 relative contract on psi(Phi_q) = q
-    for _ in range(2):
-        d = _psi_prime_any(model, root)
-        if d > 0.0:
-            root -= f(root) / d
-    return float(root)
+    return _phi_zeta(model, q)[0]
 
 
 @dataclass(frozen=True)

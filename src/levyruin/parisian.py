@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from .errors import DomainError, NumericalError
-from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, phi
+from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, _psi_slope_any, phi
 from .occupation import joint_lt_upcross, lt_occupation_inf
 from .scale import (
     _script_w_dp,
@@ -87,32 +87,34 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
     )
 
 
-def _limit_coeff(model: LevyModel, q: float, theta: float, phi_q: float) -> float:
-    # psi_q(theta)/(theta - Phi_q), with the removable point evaluated analytically
-    if abs(theta - phi_q) <= 1e-9 * (1.0 + phi_q):
-        return _psi_prime_any(model, phi_q)
-    return _psi_q(model, q, theta) / (theta - phi_q)
-
-
 def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
                    theta: float) -> float:
     """E_x[ e^{-q rho + theta X_rho} ; rho < inf ] for the Exp(p)+Exp(lam) delay.
 
-    The factor psi_q(theta)/(theta - Phi_q) in the limiting constant is removable at
-    theta = Phi_q and is evaluated as its analytic limit there (this covers the
-    q = 0, theta = 0 case under positive drift).
+    psi_q(theta)/(theta - Phi_q) is the slope of psi between Phi_q and theta, regular
+    at theta = Phi_q (so q = 0, theta = 0 under positive drift).  For x >= 0 the value
+    lies in [0, 1], so the e^{Phi_q x} mode cancels exactly: only the e^{-zeta_q x}
+    mode rho(th) B (th - Phi_q) e^{-zeta_q x} of each Z_q is kept.
     """
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_infinite requires p > 0, lam > 0, q >= 0, theta >= 0")
     if q == 0.0:
         model.require_positive_drift("gs_lt_infinite with q = 0")
     ctx = scale_context(model, q)
-    phi_q = ctx.phi_q
+    phi_q, zeta = ctx.phi_q, ctx.zeta_q
     phi_lq = phi(model, q + lam)
     phi_pq = phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
-    coeff = _limit_coeff(model, q, theta, phi_q) * (phi_lq - theta) * (phi_pq - phi_q) / p
+    slope_q = _psi_slope_any(model, theta, phi_q)
+    if x >= 0.0:
+        # rho(th)(th - Phi_q) = psi_q(th)/(th + zeta_q) turns E and z_tilde into
+        # products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
+        slopes = (_psi_slope_any(model, theta, phi_lq) * _psi_slope_any(model, theta, phi_pq)
+                  * (phi_lq + zeta) * (theta + zeta) * (phi_pq + zeta))
+        return (-ctx.coeff_b * math.exp(-zeta * x) * p * lam * slope_q * (phi_q + zeta)
+                / slopes)
+    coeff = slope_q * (phi_lq - theta) * (phi_pq - phi_q) / p
     pref = p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta))
     return pref * (
         _e_script(model, ctx, lam, x, theta) - coeff * z_tilde(ctx, x, phi_lq, phi_pq)

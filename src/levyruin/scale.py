@@ -1,8 +1,9 @@
 """Scale functions of the two risk models.
 
 For both models and every killing rate q >= 0, 1/psi_q is a rational function whose
-numerator quadratic has one nonnegative root Phi_q and one nonpositive root -zeta_q,
-so the q-scale function is a two-exponential
+numerator quadratic has one nonnegative root Phi_q and one nonpositive root -zeta_q
+(both in closed form, without cancellation: :func:`levyruin.models._phi_zeta`), so
+the q-scale function is a two-exponential
 
     W_q(x) = A e^{Phi_q x} + B e^{-zeta_q x},   x >= 0,
 
@@ -31,14 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, NumericalError
-from .models import (
-    BROWNIAN,
-    LevyModel,
-    _psi_any,
-    _psi_prime_any,
-    _psi_second_any,
-    phi,
-)
+from .models import BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any
+from .models import phi  # noqa: F401 - part of the levyruin.scale namespace
 
 
 @dataclass(frozen=True)
@@ -54,28 +49,19 @@ class ScaleContext:
     w0: float  # W_q(0) = coeff_a + coeff_b, exactly
 
 
-def _zeta(model: LevyModel, q: float) -> float:
-    # magnitude of the nonpositive root of psi(theta) = q, from the quadratic numerator
-    if model.kind == BROWNIAN:
-        s2 = model.sigma ** 2
-        return (model.mu + math.sqrt(model.mu ** 2 + 2.0 * s2 * q)) / s2
-    c, eta, alpha = model.c, model.eta, model.alpha
-    b = c * alpha - eta - q
-    return (b + math.sqrt(b * b + 4.0 * c * q * alpha)) / (2.0 * c)
-
-
 @lru_cache(maxsize=1 << 15)
 def scale_context(model: LevyModel, q: float) -> ScaleContext:
     """Build (and cache) the scale-function context for killing rate ``q``.
 
-    The partial-fraction derivation is verified against the defining transform
-    1/psi_q at construction; a failure indicates a root or residue bug and raises.
+    Both roots come from one closed-form quadratic solve, so ``phi_q`` equals
+    ``phi(model, q)`` bit for bit.  The partial-fraction derivation is verified
+    against the defining transform 1/psi_q at construction; a failure indicates a
+    root or residue bug and raises.
     """
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
         raise DomainError("scale context requires q >= 0")
-    p = phi(model, q)
-    zeta = _zeta(model, q)
+    p, zeta = _phi_zeta(model, q)
     if p + zeta <= 1e-12:
         raise DomainError(
             "degenerate scale function: psi_q has a double root at 0 "

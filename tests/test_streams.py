@@ -230,7 +230,7 @@ _PINS = {
     "bm-tau_level_minus": "0x1.2780000000000p+9",
     "cl-T0_minus-ab-upcross": "0x1.65122866c7dc6p+9",
     "cl-T0_minus-b-tilt": "0x1.990ec8cbc71b8p+6",
-    "cl-T0_w_weight": "0x1.7b0a200a080a4p+7",
+    "cl-T0_w_weight": "0x1.7b0a200a080a3p+7",
     "cl-kappa_fixed": "0x1.0600000000000p+7",
     "cl-kappa_fixed-b-upcross": "0x1.bf29d82e30319p+8",
     "cl-occupation": "0x1.b7150c8150b76p+9",
