@@ -18,8 +18,6 @@ from .parisian import (
     deficit_transform_erlang2,
     deficit_transform_t0,
     delayed_w_functional,
-    erlang2_identity,
-    erlang2_ruin_alternative_form,
     fixed_delay_approx,
     gerber_shiu_density,
     gs_density_e2,
@@ -39,6 +37,6 @@ from .parisian import (
     upcross_before_t0,
     upcross_before_t0_two_sided,
 )
-from .scale import ScaleContext, scale_context, script_w, w, w_prime, w_tilde, z, z_prime_theta, z_tilde
+from .scale import ScaleContext, scale_context, script_w, w, w_prime, w_tilde, z, z_tilde
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ class UsageError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numeric guard tripped: no convergence, a failed self-check, or a value
-    significantly outside its documented range.
+    """A numeric guard tripped: no convergence, or a value significantly outside
+    its documented range.
 
     The CLI maps this, and ``ArithmeticError`` (overflow), to exit code 4.
     """

@@ -31,7 +31,14 @@ import math
 from ..errors import UnsupportedFunctional
 from ..models import LevyModel
 from .config import FixedTime, McConfig
-from .functionals import EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, construction
+from .functionals import (
+    EV_NONE,
+    EV_RUIN,
+    EV_UPCROSS,
+    PathFunctional,
+    _reject_ignored_fields,
+    construction,
+)
 
 
 def _setup(model: LevyModel, fn: PathFunctional, config: McConfig, needs_escape=True):
@@ -272,6 +279,7 @@ def build(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
             f"functional {fn.name!r} is not implemented for the Brownian simulator"
         )
     kind = construction(fn, _CONSTRUCTIONS[fn.name], "Brownian")
+    _reject_ignored_fields(fn, "Brownian")
     if fn.name == "tau_level_minus":
         return make_tau_minus_sim(model, fn, config)
     if fn.name == "tau_b_plus":

@@ -38,6 +38,7 @@ from .functionals import (
     EV_RUIN,
     EV_UPCROSS,
     PathFunctional,
+    _reject_ignored_fields,
     construction,
     excursion_occupation,
 )
@@ -223,6 +224,7 @@ def build(model: LevyModel, fn: PathFunctional, config: McConfig):
             f"functional {fn.name!r} is not implemented for the Cramer-Lundberg simulator"
         )
     kind = construction(fn, _CONSTRUCTIONS[fn.name], "Cramer-Lundberg")
+    _reject_ignored_fields(fn, "Cramer-Lundberg")
     if fn.name in ("tau_b_plus", "tau_level_minus"):
         return make_first_passage_sim(model, fn, config)
     return make_excursion_sim(model, fn, config, kind)

@@ -87,24 +87,36 @@ def construction(fn: PathFunctional, allowed: tuple, simulator: str):
     return chosen
 
 
-def excursion_occupation(obs_times, recovery, mode="union", cap=None, n_consec=1):
+def _reject_ignored_fields(fn: PathFunctional, simulator: str) -> None:
+    """Raise for a nonzero field the path of ``fn`` never reads: ``laplace_p``
+    outside the occupation functionals (no other path accrues occupation), and
+    ``tilt_theta`` or the lower barrier ``a`` on them (they end at no deficit and
+    stop at no lower barrier)."""
+    occupation = fn.name.startswith("occupation")
+    if not occupation and fn.laplace_p != 0.0:
+        ignored = "laplace_p"
+    elif occupation and fn.tilt_theta != 0.0:
+        ignored = "tilt_theta"
+    elif occupation and fn.params.get("a") is not None:
+        ignored = "a"
+    else:
+        return
+    raise UnsupportedFunctional(f"{fn.name} on the {simulator} simulator never reads {ignored}")
+
+
+def excursion_occupation(obs_times, recovery, mode="union", n_consec=1):
     """Occupation contributed by one negative excursion.
 
     ``obs_times``: observation epochs strictly inside the excursion, in order.
-    ``recovery``: the excursion's up-crossing time of 0.
+    ``recovery``: the excursion's up-crossing time of 0, or the horizon when the
+    excursion outlives it.
     ``mode``: "union" accrues from the n_consec-th observation until recovery
     (every observation inside one excursion extends the same run, so the n-th
     observation in the list is the n-th consecutive negative one); "literal" sums
     the full remaining recovery time over every observation, counting overlaps.
-    ``cap``: optional absolute cutoff for finite horizons (union mode only; the
-    literal summation has no capped reading).
     """
     if mode == "literal":
-        if cap is not None:
-            raise ValueError("the literal overlapping sum has no finite-horizon reading")
         return sum(recovery - s for s in obs_times)
     if len(obs_times) < n_consec:
         return 0.0
-    start = obs_times[n_consec - 1]
-    end = recovery if cap is None else min(recovery, cap)
-    return max(end - start, 0.0)
+    return max(recovery - obs_times[n_consec - 1], 0.0)

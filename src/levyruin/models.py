@@ -133,7 +133,13 @@ def _psi_any(model: LevyModel, theta: float) -> float:
 def _psi_prime_any(model: LevyModel, theta: float) -> float:
     if model.kind == BROWNIAN:
         return model.mu + model.sigma ** 2 * theta
-    return model.c - model.alpha * model.eta / (theta + model.alpha) ** 2
+    t = theta + model.alpha
+    try:
+        return model.c - model.alpha * model.eta / t ** 2
+    except OverflowError:
+        # t ** 2 (libm pow) raises past 1e154, where t * t rounds to inf; pow stays
+        # below that because its rounding differs from the product's in the last bit
+        return model.c - model.alpha * model.eta / (t * t)
 
 
 def _psi_second_any(model: LevyModel, theta: float) -> float:

@@ -247,26 +247,6 @@ def ruin_prob_erlang2(model: LevyModel, x: float, lam: float) -> float:
     return ruin_prob_sum_exp(model, x, lam, lam)
 
 
-def erlang2_ruin_alternative_form(model: LevyModel, x: float, lam: float) -> float:
-    """Alternative printed closed forms for the Erlang(2) ruin probability.
-
-    These per-model expressions circulate as the final worked-example formulas for
-    the two models.  They are retained verbatim for the validation report: the
-    Monte Carlo oracle and :func:`ruin_prob_erlang2` disagree with them (see the
-    acceptance suite), so they must not be used for computation.
-    """
-    ph = phi(model, lam)
-    if model.kind == "brownian":
-        mu, s2 = model.mu, model.sigma ** 2
-        pref = (math.sqrt(mu * mu + 2.0 * s2 * lam) - mu) ** 2 / (lam * lam * s2 * s2)
-        return 1.0 - pref * (1.0 / ph - math.exp(-2.0 * mu / s2 * x) / (ph + 2.0 * mu / s2))
-    c, eta, alpha = model.c, model.eta, model.alpha
-    return 1.0 - (1.0 / lam) * (
-        1.0 / ph ** 2
-        - (eta / (c * alpha)) * math.exp((eta / c - alpha) * x) / (ph + alpha - eta / c) ** 2
-    )
-
-
 # ---------------------------------------------------------------------------
 # Erlang(2) fluctuation identities
 # ---------------------------------------------------------------------------
@@ -322,25 +302,6 @@ def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
     """Gerber-Shiu density at Erlang(2, lam) Parisian ruin: the p = lam limit of
     :func:`gerber_shiu_density`, in closed form."""
     return _gs_density(model, x, b, q, lam, lam, y, "gs_density_e2")
-
-
-_ERLANG2_IDENTITIES = {
-    "gs_density_e2": gs_density_e2,
-    "gs_lt_two_sided_e2": gs_lt_two_sided_e2,
-    "gs_lt_infinite_e2": gs_lt_infinite_e2,
-    "up_cross_e2": up_cross_e2,
-}
-
-
-def erlang2_identity(name: str, model: LevyModel, **params) -> float:
-    """Dispatch one of the Erlang(2) identities by its stable name."""
-    try:
-        fn = _ERLANG2_IDENTITIES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown Erlang(2) identity {name!r}; known: {sorted(_ERLANG2_IDENTITIES)}"
-        ) from None
-    return fn(model, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +488,13 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
 
     The point p = q + lam is removable: the difference quotients in p become the
     closed-form p-derivatives of the second-generation scale function there.
+    z > a is rejected: there the formula disagrees with its Monte Carlo
+    counterpart ``T0_w_weight`` and can go negative.
     """
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
-    if z_shift <= 0.0:
-        raise DomainError("delayed_w_functional requires z > 0")
+    if not 0.0 < z_shift <= a:
+        raise DomainError("delayed_w_functional requires 0 < z <= a")
     if a < 0.0 or lam <= 0.0 or q < 0.0 or p < 0.0:
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
     ctx = scale_context(model, q)

@@ -1,8 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from levyruin import LevyModel
+
+# property tests draw the same examples on every run, as the Monte Carlo gates
+# use fixed seeds
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from levyruin import (
-    erlang2_ruin_alternative_form,
     gerber_shiu_density,
     gs_lt_infinite_e2,
     gs_lt_two_sided,
@@ -32,6 +31,7 @@ from levyruin import (
     z,
 )
 from levyruin.mc import EscapeLevel, McConfig, PathFunctional, estimate, sample
+from printed_forms import erlang2_ruin_alternative_form
 
 
 def _ok(n, msg):

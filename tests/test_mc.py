@@ -20,11 +20,13 @@ from levyruin.mc import (
     McConfig,
     PathFunctional,
     Stream,
+    build_simulator,
     classical_ruin_bound,
     estimate,
     excursion_occupation,
     sample,
 )
+from levyruin.registry import IDENTITIES, validatable_names
 
 CL_CFG = McConfig(replications=60_000, seed=424242, horizon=EscapeLevel(13.0))
 BM_CFG = McConfig(replications=60_000, seed=424242, horizon=EscapeLevel(26.0))
@@ -48,10 +50,7 @@ def test_frozen_skeleton_occupation_accrual():
     assert excursion_occupation(obs, 5.0, "literal") == pytest.approx(7.0)  # overlaps summed
     assert excursion_occupation(obs, 5.0, "union") == pytest.approx(4.0)
     assert excursion_occupation(obs, 5.0, "union", n_consec=2) == pytest.approx(3.0)
-    assert excursion_occupation(obs, 5.0, "union", cap=3.0) == pytest.approx(2.0)
     assert excursion_occupation([], 5.0, "union") == 0.0
-    with pytest.raises(ValueError):
-        excursion_occupation(obs, 5.0, "literal", cap=3.0)
 
 
 def test_stream_determinism_and_antithetics():
@@ -250,6 +249,64 @@ def test_unknown_constructions_rejected(bm, cl):
         plain = sample(model, cfg, PathFunctional(name, params, x0=0.5))
         named = sample(model, cfg, PathFunctional(name, {**params, "construction": kind}, x0=0.5))
         assert np.array_equal(plain, named)
+
+
+# functionals whose path never reads a field, per (simulator, field): no
+# functional but the occupation ones accrues occupation, and those end at no
+# deficit and stop at no lower barrier
+_FIRST_PASSAGE = (("tau_b_plus", {"b": 2.0}), ("tau_level_minus", {"level": 0.0}))
+_RUIN = (("rho_sum_exp", {"p": 1.0, "lam": 1.0}), ("rho_erlang", {"n": 2, "lam": 1.0}),
+         ("kappa_fixed", {"r": 1.0}), ("T0_minus", {"lam": 1.0}))
+_OCCUPATION = (("occupation_poisson", {"lam": 1.0}),
+               ("occupation_poisson_n", {"lam": 1.0, "n": 2}),
+               ("occupation_at_upcross", {"lam": 1.0, "b": 2.0}))
+_IGNORED = {
+    ("cl", "laplace_p"): _RUIN + _FIRST_PASSAGE + (
+        ("T0_w_weight", {"lam": 1.0, "b": 2.0, "a": 1.0, "pw": 0.7, "shift": 0.5}),),
+    ("bm", "laplace_p"): _RUIN + _FIRST_PASSAGE,
+    ("cl", "tilt_theta"): _OCCUPATION + (("occupation_poisson_literal", {"lam": 1.0}),),
+    ("bm", "tilt_theta"): _OCCUPATION,
+    ("cl", "a"): _OCCUPATION + (("occupation_poisson_literal", {"lam": 1.0}),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IGNORED), ids="-".join)
+def test_ignored_fields_rejected(case, bm, cl):
+    key, field = case
+    model = {"bm": bm, "cl": cl}[key]
+    cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(26.0))
+    for name, params in _IGNORED[case]:
+        build_simulator(model, PathFunctional(name, params, x0=0.5), cfg)
+        if field == "a":
+            fn = PathFunctional(name, {**params, "a": 1.0}, x0=0.5)
+        else:
+            fn = PathFunctional(name, params, x0=0.5, **{field: 0.5})
+        with pytest.raises(UnsupportedFunctional, match=f"never reads {field}"):
+            build_simulator(model, fn, cfg)
+
+
+def test_registry_functionals_build(bm, cl):
+    # every functional the registry builds from in-domain parameters still builds:
+    # all validatable identities on Cramer-Lundberg, nine on Brownian
+    base = {"x": 0.5, "b": 2.0, "a": 1.0, "q": 0.1, "p": 0.7, "lam": 1.3, "theta": 0.5,
+            "z": 0.5, "r": 1.0, "n": 3}
+    cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(26.0))
+    built_bm = set()
+    for name in validatable_names():
+        ident = IDENTITIES[name]
+        fn = ident.mc_functional({p.name: base[p.name] for p in ident.params})
+        build_simulator(cl, fn, cfg)
+        try:
+            build_simulator(bm, fn, cfg)
+        except UnsupportedFunctional as exc:
+            assert "never reads" not in str(exc), (name, exc)
+        else:
+            built_bm.add(name)
+    assert built_bm == {
+        "T0_joint_lt", "fixed_delay_approx", "gs_lt_infinite_e2", "gs_lt_two_sided_e2",
+        "lt_occupation_exp_horizon", "lt_occupation_inf", "ruin_prob_erlang2",
+        "ruin_prob_erlang_n", "ruin_prob_sum_exp",
+    }
 
 
 @pytest.mark.filterwarnings("ignore:truncation bound")

@@ -11,8 +11,6 @@ from levyruin import (
     deficit_transform_erlang2,
     deficit_transform_t0,
     delayed_w_functional,
-    erlang2_identity,
-    erlang2_ruin_alternative_form,
     fixed_delay_approx,
     gerber_shiu_density,
     gs_density_e2,
@@ -37,6 +35,7 @@ from levyruin import (
     w,
     z,
 )
+from printed_forms import erlang2_ruin_alternative_form
 
 
 def test_ruin_sum_exp_values(bm):
@@ -212,13 +211,6 @@ def test_delay_ordering_chain(model):
         assert p_tau >= p_t0 >= p_rho >= p_e2
 
 
-def test_erlang2_dispatch(cl):
-    v1 = erlang2_identity("up_cross_e2", cl, x=0.5, b=2.0, q=0.1, lam=1.3)
-    assert v1 == up_cross_e2(cl, 0.5, 2.0, 0.1, 1.3)
-    with pytest.raises(DomainError):
-        erlang2_identity("nope", cl, x=0.0)
-
-
 def test_up_cross_e2_trivial(model):
     assert up_cross_e2(model, 2.0, 2.0, 0.1, 1.3) == 1.0
 
@@ -331,6 +323,16 @@ def test_delayed_w_functional_confluence(model):
     assert v0 == pytest.approx(0.5 * (vp + vm), rel=1e-5)
     with pytest.raises(DomainError):
         delayed_w_functional(model, x, b, a, q, lam, 1.0, 0.0)  # z must be positive
+
+
+def test_delayed_w_functional_rejects_z_beyond_lower_barrier(model):
+    # for z > a the formula disagrees with its Monte Carlo counterpart T0_w_weight
+    # (z scores -11.3 at z = 1.5 and -100 at z = 2.6 on cl) and can go negative
+    x, b, a, q, lam, p = 0.5, 2.0, 1.0, 0.1, 1.3, 0.7
+    assert math.isfinite(delayed_w_functional(model, x, b, a, q, lam, p, a))
+    for zs in (math.nextafter(a, 2.0), 1.5, 2.6):
+        with pytest.raises(DomainError, match="z <= a"):
+            delayed_w_functional(model, x, b, a, q, lam, p, zs)
 
 
 def test_alternative_erlang2_forms_disagree(bm, cl):

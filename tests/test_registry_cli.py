@@ -139,6 +139,19 @@ def test_cli_numerical_failure_exit_code(model_files, capsys):
     assert err.startswith("numerical error") and len(err.strip().splitlines()) == 1
 
 
+def test_cli_delayed_w_beyond_lower_barrier(model_files, capsys):
+    # z = a evaluates; z > a is a domain error (exit 3) for eval and validate alike
+    _, cl_path = model_files
+    args = ["--model", cl_path, "--x=0.5", "--b=2", "--a=1", "--q=0.1", "--lam=1.3", "--p=0.7"]
+    assert main(["eval", "delayed_W_functional", *args, "--z=1"]) == 0
+    for zs in ("1.5", "2.6"):
+        assert main(["eval", "delayed_W_functional", *args, f"--z={zs}"]) == 3
+        assert main(["validate", "delayed_W_functional", *args, f"--z={zs}",
+                     "--reps", "100"]) == 3
+    err = capsys.readouterr().err
+    assert "z <= a" in err and "Traceback" not in err
+
+
 def test_needs_mc_flag():
     assert {n for n, ident in IDENTITIES.items() if ident.needs_mc} == {
         "ruin_prob_erlang_n", "fixed_delay_approx"}

@@ -8,6 +8,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from levyruin import LevyModel, phi
@@ -97,6 +99,34 @@ def test_roots_finite_at_huge_q(key, q):
     exact_phi, exact_zeta = mp_roots(model, q)
     assert rel(phi_q, exact_phi) <= 2e-15
     assert rel(zeta_q, exact_zeta) <= 2e-15
+
+
+@pytest.mark.parametrize("key", MODELS)
+@settings(max_examples=50, deadline=None)
+@given(log_q=st.floats(min_value=-12.0, max_value=4.0))
+def test_residues_match_partial_fractions(key, log_q):
+    # 1/psi_q(s) = sum over the roots r of psi = q of (1/psi'(r)) / (s - r) for a
+    # rational Laplace exponent (Kuznetsov, Kyprianou & Rivero 2012), at three
+    # points right of Phi_q
+    model = MODELS[key]
+    q = 10.0 ** log_q
+    ctx = scale_context(model, q)
+    p, zeta, a, b = ctx.phi_q, ctx.zeta_q, ctx.coeff_a, ctx.coeff_b
+    for s in (p + 0.7, p + 1.9, p + 5.3):
+        lhs = a / (s - p) + b / (s + zeta)
+        rhs = 1.0 / (_psi_any(model, s) - q)
+        assert abs(lhs - rhs) <= 1e-9 * (abs(rhs) + 1.0)
+
+
+@pytest.mark.parametrize("key", ["cl_a", "cl_b", "bm_a", "bm_neg"])
+def test_scale_context_finite_at_huge_q(key):
+    # past q ~ 1e17 zeta_q rounds to alpha on cl_a, the pole of psi'(-zeta_q), and
+    # past q ~ 1e154 (Phi_q + alpha)^2 overflows
+    model = MODELS[key]
+    for q in (0.0, 1e16, 1e17, 1e154, 1e155, 1e200, sys.float_info.max):
+        ctx = scale_context(model, q)
+        fields = (ctx.phi_q, ctx.zeta_q, ctx.coeff_a, ctx.coeff_b, ctx.w0)
+        assert all(math.isfinite(v) for v in fields), (q, fields)
 
 
 @pytest.mark.parametrize("key", MODELS)
