@@ -89,16 +89,22 @@ def construction(fn: PathFunctional, allowed: tuple, simulator: str):
 
 def _reject_ignored_fields(fn: PathFunctional, simulator: str) -> None:
     """Raise for a nonzero field the path of ``fn`` never reads: ``laplace_p``
-    outside the occupation functionals (no other path accrues occupation), and
+    outside the occupation functionals (no other path accrues occupation);
     ``tilt_theta`` or the lower barrier ``a`` on them (they end at no deficit and
-    stop at no lower barrier)."""
+    stop at no lower barrier), and ``discount_q`` on them without ``b`` (they end
+    at no stopping time); ``tilt_theta`` where the path ends with no deficit: an
+    up-crossing success, ``tau_b_plus``, and the Brownian ``kappa_fixed`` grid."""
     occupation = fn.name.startswith("occupation")
+    no_deficit = (fn.success_event == "upcross" or fn.name == "tau_b_plus"
+                  or (fn.name == "kappa_fixed" and simulator == "Brownian"))
     if not occupation and fn.laplace_p != 0.0:
         ignored = "laplace_p"
-    elif occupation and fn.tilt_theta != 0.0:
+    elif (occupation or no_deficit) and fn.tilt_theta != 0.0:
         ignored = "tilt_theta"
     elif occupation and fn.params.get("a") is not None:
         ignored = "a"
+    elif occupation and fn.discount_q != 0.0 and fn.params.get("b") is None:
+        ignored = "discount_q"
     else:
         return
     raise UnsupportedFunctional(f"{fn.name} on the {simulator} simulator never reads {ignored}")

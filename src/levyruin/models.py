@@ -148,11 +148,16 @@ def _psi_second_any(model: LevyModel, theta: float) -> float:
     return 2.0 * model.alpha * model.eta / (theta + model.alpha) ** 3
 
 
-def _psi_slope_any(model: LevyModel, a: float, b: float) -> float:
-    # divided difference (psi(a) - psi(b)) / (a - b) in closed form; psi'(a) at a = b
+def _psi_slope_any(model: LevyModel, a: float, b: float, k: int = 0) -> float:
+    # divided difference D(a, b) = (psi(a) - psi(b)) / (a - b) in closed form (psi'(a) at
+    # a = b), or with k = 1, 2 its k-th derivative in a
     if model.kind == BROWNIAN:
-        return model.mu + 0.5 * model.sigma ** 2 * (a + b)
-    return model.c - model.alpha * model.eta / ((a + model.alpha) * (b + model.alpha))
+        half = 0.5 * model.sigma ** 2
+        return half * (k == 1) if k else model.mu + half * (a + b)
+    ta, tb = a + model.alpha, b + model.alpha
+    if k:
+        return model.alpha * model.eta / (ta * ta * tb) * (1.0 if k == 1 else -2.0 / ta)
+    return model.c - model.alpha * model.eta / (ta * tb)
 
 
 def psi(model: LevyModel, theta: float) -> float:

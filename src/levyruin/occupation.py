@@ -54,7 +54,7 @@ from scipy.special import chndtr, erfcx, ive, log_ndtr
 from .errors import DomainError, NumericalError
 from .models import BROWNIAN, LevyModel, _psi_prime_any, phi
 from .quadrature import gl_adaptive, gl_fixed
-from .scale import ScaleContext, scale_context, z, z_tilde
+from .scale import ScaleContext, _ratio, _roots, _z_tilde_sum, scale_context, z, z_tilde
 from .util import clamp_unit
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -64,11 +64,8 @@ _CONV_TOL = 1e-7  # adaptive tolerance of the density convolution
 
 def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
                      lam: float) -> float:
-    """E_x[ e^{-q tau_b^+ - p O_{tau_b^+, lam}} ; tau_b^+ < inf ]  for x <= b.
-
-    Ratio of divided-difference scale functions at (Phi_{lam+q}, Phi_{p+q}); the
-    p = lam confluence routes through the confluent branch automatically.
-    """
+    """E_x[ e^{-q tau_b^+ - p O_{tau_b^+, lam}} ; tau_b^+ < inf ]  for x <= b: the
+    ratio Z~_q(x)/Z~_q(b) at (Phi_{lam+q}, Phi_{p+q}), regular at p = lam."""
     if x > b:
         raise DomainError("joint_lt_upcross requires x <= b")
     if lam <= 0.0:
@@ -78,20 +75,23 @@ def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
     ctx = scale_context(model, q)
     a1 = phi(model, lam + q)
     a2 = phi(model, p + q)
-    val = z_tilde(ctx, x, a1, a2) / z_tilde(ctx, b, a1, a2)
-    return clamp_unit(val, "joint_lt_upcross")
+    return clamp_unit(_ratio(ctx, _z_tilde_sum(ctx, a1, a2), x, b), "joint_lt_upcross")
+
+
+def _occupation_inf(model: LevyModel, p: float, lam: float) -> tuple:
+    # (ctx0, k, Phi_lam, Phi_p) with E_x[e^{-p O_{inf, lam}}] = k Z~_0(x, Phi_lam, Phi_p)
+    model.require_positive_drift("lt_occupation_inf")
+    if p <= 0.0 or lam <= 0.0:
+        raise DomainError("lt_occupation_inf requires p > 0 and lam > 0")
+    php = phi(model, p)
+    phl = phi(model, lam)
+    return scale_context(model, 0.0), model.mean() * (php / p) * (phl / lam), phl, php
 
 
 def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float:
     """E_x[ e^{-p O_{inf, lam}} ]; requires E[X_1] > 0."""
-    model.require_positive_drift("lt_occupation_inf")
-    if p <= 0.0 or lam <= 0.0:
-        raise DomainError("lt_occupation_inf requires p > 0 and lam > 0")
-    ctx0 = scale_context(model, 0.0)
-    php = phi(model, p)
-    phl = phi(model, lam)
-    val = model.mean() * (php * phl / (lam * p)) * z_tilde(ctx0, x, phl, php)
-    return clamp_unit(val, "lt_occupation_inf")
+    ctx0, k, phl, php = _occupation_inf(model, p, lam)
+    return clamp_unit(k * z_tilde(ctx0, x, phl, php), "lt_occupation_inf")
 
 
 def _skellam_tail(a: np.ndarray, b: np.ndarray):
@@ -109,6 +109,8 @@ def _skellam_tail(a: np.ndarray, b: np.ndarray):
     """
     z = 2.0 * np.sqrt(a * b)
     rho = np.sqrt(a / b)
+    if not rho.all():
+        raise NumericalError("Skellam tail: the Poisson means differ beyond the float range")
     z_max, rho_max = float(z.max()), float(rho.max())
     orders = np.arange(1.0, int(min(40.0 / -math.log(rho_max), z_max + 60.0)) + 3)
     log_h = np.log(z_max / (orders - 0.5 + np.sqrt((orders - 0.5) ** 2 + z_max * z_max)))
@@ -210,10 +212,9 @@ def _lambda_prime(model: LevyModel, ctx0: ScaleContext, x: float, r: np.ndarray)
     # psi, so each term is a tilted partial moment with e^{r psi} = 1
     a = max(0.0, -x)
     total = np.zeros_like(r)
-    for coef, theta in ((ctx0.coeff_a * ctx0.phi_q, ctx0.phi_q),
-                        (-ctx0.coeff_b * ctx0.zeta_q, -ctx0.zeta_q)):
-        if coef != 0.0:
-            total += coef * _partial_moment(model, theta, theta * x, a, r)
+    for theta, res in _roots(ctx0):
+        if res * theta != 0.0:
+            total += res * theta * _partial_moment(model, theta, theta * x, a, r)
     return total / r
 
 

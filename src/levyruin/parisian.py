@@ -1,35 +1,41 @@
 """Parisian ruin with exponential-sum, Erlang(2) and Erlang(n) implementation delays.
 
-Every identity is closed-form in the scale functions.  Removable singularities
-(p = lam confluences, theta at the drift root Phi_q, theta at Phi_{q+lam}) are
-evaluated through dedicated confluent branches or analytic limits, never by naive
-evaluation next to the pole.  The Erlang(2, lam) identities are the p = lam case
-of their Exp(p) + Exp(lam) parents, whose p = lam confluences take the closed-form
-p-derivatives of the second-generation scale function.
+Every identity is closed-form in the two-mode scale quantities of
+:mod:`levyruin.scale`: ratios and two-sided combinations factor out e^{Phi_q b},
+and bounded quantities and ruin probabilities keep their decaying mode.
+Removable singularities (p = lam, theta at Phi_q or Phi_{q+lam}) go through
+confluent branches or analytic limits, never naive evaluation next to the pole.
+The Erlang(2, lam) identities are the p = lam case of their Exp(p) + Exp(lam)
+parents, whose confluences take closed-form p-derivatives of scriptW.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from .errors import DomainError, NumericalError
 from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, _psi_slope_any, phi
-from .occupation import joint_lt_upcross, lt_occupation_inf
+from .occupation import _occupation_inf, joint_lt_upcross
 from .scale import (
-    _script_w_dp,
+    _at,
+    _decay,
+    _lin,
+    _ratio,
+    _roots,
+    _script_w_sum,
+    _two_sided,
+    _w_at,
     _w_dq,
-    _z_d2theta,
+    _z_sum,
+    _z_tilde_sum,
     scale_context,
-    script_w,
     w,
-    w_tilde,
-    z,
     z_tilde,
 )
 from .util import clamp_unit
 
 _POLE_TOL = 1e-12
 _DENSITY_CLAMP = 1e-9
+_ONE = (1.0, 0.0, lambda y: 1.0)  # at q = 0, where Phi_0 = 0: the mode e^{Phi_0 x}
 
 
 def _psi_q(model: LevyModel, q: float, theta: float) -> float:
@@ -54,18 +60,22 @@ def _check_pole(theta: float, pole: float, label: str) -> None:
         )
 
 
-def _e_script(model: LevyModel, ctx, lam: float, x: float, theta: float) -> float:
-    # E^{(q,lam)}(x, theta) = lam Z_q(x,theta) - psi_q(theta) Z_q(x, Phi_{lam+q})
-    phi_lq = phi(model, ctx.q + lam)
-    return lam * z(ctx, x, theta) - _psi_q(model, ctx.q, theta) * z(ctx, x, phi_lq)
+def _e_script(ctx, lam: float, theta: float) -> tuple:
+    # E^{(q,lam)}(., theta) = lam Z_q(., theta) - psi_q(theta) Z_q(., Phi_{lam+q})
+    return _lin(lam, _z_sum(ctx, theta), -_psi_q(ctx.model, ctx.q, theta),
+                _z_sum(ctx, phi(ctx.model, ctx.q + lam)))
 
 
 def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float:
     """Probability of Parisian ruin with per-excursion delay Exp(p) + Exp(lam).
 
-    Complement of the infinite-horizon occupation transform; symmetric in (p, lam).
+    Complement 1 - k Z~_0(x, Phi_lam, Phi_p) of the infinite-horizon occupation
+    transform; symmetric in (p, lam).  The Phi_0 = 0 mode of k Z~_0 is exactly 1, so
+    for x >= 0 the ruin probability is its decaying part, without cancellation.
     """
-    return clamp_unit(1.0 - lt_occupation_inf(model, x, p, lam), "ruin_prob_sum_exp")
+    ctx0, k, phl, php = _occupation_inf(model, p, lam)
+    ruin = _decay(ctx0, _lin(1.0, _ONE, -k, _z_tilde_sum(ctx0, phl, php)), x)
+    return clamp_unit(ruin, "ruin_prob_sum_exp")
 
 
 def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -76,15 +86,11 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_two_sided requires p > 0, lam > 0, q >= 0, theta >= 0")
     ctx = scale_context(model, q)
-    phi_lq = phi(model, q + lam)
-    phi_pq = phi(model, q + p)
+    phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
-    ratio = z_tilde(ctx, x, phi_lq, phi_pq) / z_tilde(ctx, b, phi_lq, phi_pq)
-    pref = p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta))
-    return pref * (
-        _e_script(model, ctx, lam, x, theta) - ratio * _e_script(model, ctx, lam, b, theta)
-    )
+    val = _two_sided(ctx, _e_script(ctx, lam, theta), _z_tilde_sum(ctx, phi_lq, phi_pq), x, b)
+    return p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta)) * val
 
 
 def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
@@ -93,38 +99,37 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
 
     psi_q(theta)/(theta - Phi_q) is the slope of psi between Phi_q and theta, regular
     at theta = Phi_q (so q = 0, theta = 0 under positive drift).  For x >= 0 the value
-    lies in [0, 1], so the e^{Phi_q x} mode cancels exactly: only the e^{-zeta_q x}
-    mode rho(th) B (th - Phi_q) e^{-zeta_q x} of each Z_q is kept.
+    lies in [0, 1], so only the decaying mode is kept, as a factored product of
+    slopes that does not cancel next to theta = Phi_{q+lam}.
     """
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_infinite requires p > 0, lam > 0, q >= 0, theta >= 0")
     if q == 0.0:
         model.require_positive_drift("gs_lt_infinite with q = 0")
     ctx = scale_context(model, q)
-    phi_q, zeta = ctx.phi_q, ctx.zeta_q
-    phi_lq = phi(model, q + lam)
-    phi_pq = phi(model, q + p)
+    phi_q = ctx.phi_q
+    phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
     slope_q = _psi_slope_any(model, theta, phi_q)
-    if x >= 0.0:
-        # rho(th)(th - Phi_q) = psi_q(th)/(th + zeta_q) turns E and z_tilde into
-        # products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
-        slopes = (_psi_slope_any(model, theta, phi_lq) * _psi_slope_any(model, theta, phi_pq)
-                  * (phi_lq + zeta) * (theta + zeta) * (phi_pq + zeta))
-        return (-ctx.coeff_b * math.exp(-zeta * x) * p * lam * slope_q * (phi_q + zeta)
-                / slopes)
-    coeff = slope_q * (phi_lq - theta) * (phi_pq - phi_q) / p
-    pref = p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta))
-    return pref * (
-        _e_script(model, ctx, lam, x, theta) - coeff * z_tilde(ctx, x, phi_lq, phi_pq)
-    )
+    if x < 0.0:
+        coeff = slope_q * (phi_lq - theta) * (phi_pq - phi_q) / p
+        pref = p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta))
+        return pref * (_e_script(ctx, lam, theta)[2](x)
+                       - coeff * z_tilde(ctx, x, phi_lq, phi_pq))
+    # the decaying mode, root r = -zeta_q and residue B: D(th, r) = psi_q(th)/(th - r)
+    # turns E and z_tilde into products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
+    (_, _), (r, res) = _roots(ctx)
+    slopes = _psi_slope_any(model, theta, phi_lq) * _psi_slope_any(model, theta, phi_pq)
+    c = (-res * slope_q * (phi_q - r) / (theta - r) * (p / (phi_pq - r))
+         * (lam / (phi_lq - r)) / slopes)
+    return _decay(ctx, (0.0, c, None), x)
 
 
 def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: float,
                            p: float, lam: float) -> float:
     """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho ^ tau_{-a}^- ] as a ratio of composite
-    scale functions.
+    scale functions, taken mode by mode.
 
     The composite vanishes identically at p = lam, so the ratio is taken as the
     ratio of its closed-form p-derivatives there.  At a = 0 the lower barrier is
@@ -137,29 +142,26 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
         raise DomainError("up_cross_three_barrier requires a >= 0, p > 0 and lam > 0")
     ctx = scale_context(model, q)
     if a == 0.0:
-        return clamp_unit(w(ctx, x) / w(ctx, b), "up_cross_three_barrier")
+        # e^{Phi_q b} is factored out only where it would overflow, so that the ratio
+        # is otherwise the plain W_q(x)/W_q(b)
+        s = b if ctx.phi_q * b > 700.0 else 0.0
+        return clamp_unit(_w_at(ctx, x, s) / _w_at(ctx, b, s), "up_cross_three_barrier")
     if abs(p - lam) > 1e-8 * (1.0 + lam):
-        val = w_tilde(model, q, p, lam, x, a) / w_tilde(model, q, p, lam, b, a)
-        return clamp_unit(val, "up_cross_three_barrier")
-    ctx_l = scale_context(model, q + lam)
-    w_l = w(ctx_l, a)
-    w_dp = w_l + lam * _w_dq(ctx_l, a)
-
-    def w_tilde_dp(xi: float) -> float:
+        w_l, w_p = w(scale_context(model, q + lam), a), w(scale_context(model, q + p), a)
+        f = _lin(lam * w_l, _script_w_sum(ctx, p, a), -p * w_p, _script_w_sum(ctx, lam, a))
+    else:
         # d/dp of w_tilde at p = lam
-        sw = script_w(ctx, lam, xi, xi + a)
-        return lam * _script_w_dp(ctx, lam, xi, xi + a) * w_l - sw * w_dp
-
-    return clamp_unit(w_tilde_dp(x) / w_tilde_dp(b), "up_cross_three_barrier")
+        ctx_l = scale_context(model, q + lam)
+        w_l = w(ctx_l, a)
+        f = _lin(lam * w_l, _script_w_sum(ctx, lam, a, dp=True),
+                 -(w_l + lam * _w_dq(ctx_l, a)), _script_w_sum(ctx, lam, a))
+    return clamp_unit(_ratio(ctx, f, x, b), "up_cross_three_barrier")
 
 
 def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: float,
                          lam: float) -> float:
-    """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho ].
-
-    Shares its implementation with :func:`levyruin.occupation.joint_lt_upcross`
-    (the two quantities coincide).
-    """
+    """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho ]: it coincides with
+    :func:`levyruin.occupation.joint_lt_upcross`."""
     return joint_lt_upcross(model, x, b, q, p, lam)
 
 
@@ -184,46 +186,47 @@ def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: f
     if p <= 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError(f"{name} requires delay rates > 0 and q >= 0")
     ctx = scale_context(model, q)
-    phi_lq = phi(model, q + lam)
-    phi_pq = phi(model, q + p)
+    phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     w_l = w(scale_context(model, q + lam), -y)
-    confluent = p == lam
-    if confluent:
+    zl, zt = _z_sum(ctx, phi_lq), _z_tilde_sum(ctx, phi_lq, phi_pq)
+    # the xi-dependent factor conv - bracket Z_q(xi, Phi_{q+lam}), and the magnitude
+    # of its cancelling terms
+    if p == lam:
         w_dq = lam * _w_dq(scale_context(model, q + lam), -y)
         bracket, bracket_mag = w_l + w_dq, w_l + abs(w_dq)
+        conv = _script_w_sum(ctx, lam, -y, dp=True)
+        e = _lin(lam, conv, -bracket, zl)
+        mag = _lin(lam, _abs(conv), bracket_mag, _abs(zl))
     else:
         w_p = w(scale_context(model, q + p), -y)
         bracket = (lam * w_l - p * w_p) / (lam - p)
         bracket_mag = (lam * w_l + p * w_p) / abs(lam - p)
+        sl, sp, c = _script_w_sum(ctx, lam, -y), _script_w_sum(ctx, p, -y), lam / (lam - p)
+        e = _lin(1.0, _lin(c, sl, -c, sp), -bracket, zl)
+        mag = _lin(1.0, _lin(abs(c), _abs(sl), abs(c), _abs(sp)), bracket_mag, _abs(zl))
+    val = p * _two_sided(ctx, e, zt, x, b)
+    # below the rounding floor of the cancelling terms the sign and size are
+    # meaningless; on x >= 0 those are the modes and their determinant, whose
+    # magnitudes combine alike
+    if x >= 0.0:
+        size = _two_sided(ctx, mag, (abs(zt[0]), -abs(zt[1]), None), x, b)
+    else:
+        s = max(b, 0.0)
+        size = mag[2](x) + abs(zt[2](x)) * _at(ctx, mag, b, s) / _at(ctx, zt, b, s)
+    return _floor_density(val, 1e-11 * p * size + 1e-10, "Gerber-Shiu density")
 
-    def e_y(xi: float):
-        # (value, magnitude of the cancelling terms) of the xi-dependent factor
-        if confluent:
-            conv = lam * _script_w_dp(ctx, lam, xi, xi - y)
-            conv_mag = abs(conv)
-        else:
-            wl = script_w(ctx, lam, xi, xi - y)
-            wp = script_w(ctx, p, xi, xi - y)
-            conv = (wl - wp) * lam / (lam - p)
-            conv_mag = (abs(wl) + abs(wp)) * lam / abs(lam - p)
-        zv = z(ctx, xi, phi_lq)
-        return conv - zv * bracket, conv_mag + abs(zv) * bracket_mag
 
-    ratio = z_tilde(ctx, x, phi_lq, phi_pq) / z_tilde(ctx, b, phi_lq, phi_pq)
-    ex, mx = e_y(x)
-    eb, mb = e_y(b)
-    val = p * (ex - ratio * eb)
-    # the exponentially growing pieces cancel against a decaying true value; below
-    # the cancellation floor the sign and size are meaningless
-    floor = 1e-11 * p * (mx + abs(ratio) * mb) + 1e-10
-    return _floor_density(val, floor, "Gerber-Shiu density")
+def _abs(f: tuple) -> tuple:
+    return abs(f[0]), abs(f[1]), lambda y: abs(f[2](y))
 
 
 def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
                               lam: float) -> float:
     """E_x[ e^{-p O_{e_q, lam}} ]: occupation up to an independent Exp(q) horizon.
 
-    Valid for any drift (the exponential horizon keeps everything finite).
+    Valid for any drift (the exponential horizon keeps everything finite).  The
+    value is 1 minus a scale combination that is bounded in x, so for x >= 0 only
+    the combination's decaying mode is kept.
     """
     if q <= 0.0:
         raise DomainError("lt_occupation_exp_horizon requires q > 0")
@@ -233,11 +236,12 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
         return 1.0
     ctx = scale_context(model, q)
     phi_q = ctx.phi_q
-    phi_lq = phi(model, q + lam)
-    phi_pq = phi(model, q + p)
-    e0 = lam * z(ctx, x, 0.0) + q * z(ctx, x, phi_lq)
-    combined = p * e0 - q * phi_lq * (phi_pq - phi_q) / phi_q * z_tilde(ctx, x, phi_lq, phi_pq)
-    val = 1.0 - combined / ((lam + q) * (p + q))
+    phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
+    # q phi_lq (phi_pq - phi_q) / phi_q, with q / phi_q and p / (phi_pq - phi_q) as slopes
+    k = phi_lq * p * _psi_slope_any(model, phi_q, 0.0) / _psi_slope_any(model, phi_pq, phi_q)
+    e0 = _lin(lam, _z_sum(ctx, 0.0), q, _z_sum(ctx, phi_lq))
+    combined = _lin(p, e0, -k, _z_tilde_sum(ctx, phi_lq, phi_pq))
+    val = 1.0 - _decay(ctx, combined, x) / ((lam + q) * (p + q))
     return clamp_unit(val, "lt_occupation_exp_horizon")
 
 
@@ -274,27 +278,24 @@ def gs_lt_infinite_e2(model: LevyModel, x: float, q: float, lam: float,
 
 def gs_lt_infinite_e2_confluent(model: LevyModel, x: float, q: float, lam: float) -> float:
     """theta -> Phi_{q+lam} limit of :func:`gs_lt_infinite_e2` (a double pole with a
-    double zero; second-order expansion).
-
-    Supplies E_x[ e^{-q rho^{(2)} + Phi_{q+lam} X} ; rho^{(2)} < inf ] for the
-    Erlang recursion.
-    """
+    double zero; second-order expansion): E_x[ e^{-q rho^{(2)} + Phi_{q+lam} X} ;
+    rho^{(2)} < inf ], which the Erlang recursion needs."""
     if lam <= 0.0 or q < 0.0:
         raise DomainError("gs_lt_infinite_e2_confluent requires lam > 0 and q >= 0")
     if q == 0.0:
         model.require_positive_drift("gs_lt_infinite_e2_confluent with q = 0")
     ctx = scale_context(model, q)
-    phi_q = ctx.phi_q
-    ph = phi(model, q + lam)
+    return _decay(ctx, _e2_confluent_sum(ctx, lam), x)
+
+
+def _e2_confluent_sum(ctx, lam: float) -> tuple:
+    # gs_lt_infinite_e2_confluent, a transform bounded in x: the growing modes cancel
+    model = ctx.model
+    ph = phi(model, ctx.q + lam)
     psip = _psi_prime_any(model, ph)
-    psis = _psi_second_any(model, ph)
-    zt = z_tilde(ctx, x, ph, ph)
-    bracket2 = (
-        lam * _z_d2theta(ctx, x, ph)
-        - psis * z(ctx, x, ph)
-        - (2.0 / (ph - phi_q) - 2.0 * psip / lam) * zt
-    )
-    return lam * bracket2 / (2.0 * psip * psip)
+    u = lam / (2.0 * psip * psip)
+    z2 = _lin(lam, _z_sum(ctx, ph, 2), -_psi_second_any(model, ph), _z_sum(ctx, ph))
+    return _lin(u, z2, -u * (2.0 / (ph - ctx.phi_q) - 2.0 * psip / lam), _z_tilde_sum(ctx, ph, ph))
 
 
 def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
@@ -310,16 +311,19 @@ def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
 
 
 def deficit_transform_t0(model: LevyModel, x: float, lam: float) -> float:
-    """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ].
-
-    b -> inf, theta -> Phi_lam limit of the joint transform at the first Poisson
-    observation below 0; feeds the n = 2 step of the Erlang recursion.
-    """
+    """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ]: the b -> inf, theta -> Phi_lam limit
+    of the joint transform at the first Poisson observation below 0, which feeds
+    the n = 2 step of the Erlang recursion."""
     model.require_positive_drift("deficit_transform_t0")
     ctx0 = scale_context(model, 0.0)
-    ph = phi(model, lam)
-    psip = _psi_prime_any(model, ph)
-    return (z_tilde(ctx0, x, ph, ph) - lam * z(ctx0, x, ph) / ph) / psip
+    return _decay(ctx0, _deficit_t0_sum(ctx0, lam), x)
+
+
+def _deficit_t0_sum(ctx0, lam: float) -> tuple:
+    # deficit_transform_t0; it vanishes as x -> inf, so the Phi_0 = 0 modes cancel
+    ph = phi(ctx0.model, lam)
+    u = 1.0 / _psi_prime_any(ctx0.model, ph)
+    return _lin(u, _z_tilde_sum(ctx0, ph, ph), -u * lam / ph, _z_sum(ctx0, ph))
 
 
 def deficit_transform_erlang2(model: LevyModel, x: float, lam: float) -> float:
@@ -367,16 +371,19 @@ def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int,
         )
     ctx0 = scale_context(model, 0.0)
     ph = phi(model, lam)
-    mean = model.mean()
-    surv_x = clamp_unit(mean * (ph / lam) * z(ctx0, x, ph), "Erlang survival")
-    surv_0 = clamp_unit(mean * (ph / lam) * z(ctx0, 0.0, ph), "Erlang survival")
+    k_surv = model.mean() * (ph / lam)  # survival with one stage is k_surv Z_0(x, Phi_lam)
+    surv = _z_sum(ctx0, ph)
+    surv_0 = clamp_unit(k_surv * _at(ctx0, surv, 0.0), "Erlang survival")
+    # the Phi_0 = 0 mode of every stage's survival is exactly 1, so ruin is minus its
+    # decaying part; the deficit transforms decay in x
+    ruin_x = clamp_unit(_decay(ctx0, _lin(1.0, _ONE, -k_surv, surv), x), "Erlang ruin")
+    # the closed-form deficit transforms of the first two stages, built once
+    closed = [build(ctx0, lam) for build in (_deficit_t0_sum, _e2_confluent_sum)[:n - 1]]
     mc_transforms = []
 
     def transform(k: int, start: float) -> float:
-        if k == 1:
-            return deficit_transform_t0(model, start, lam)
-        if k == 2:
-            return deficit_transform_erlang2(model, start, lam)
+        if k <= 2:
+            return _decay(ctx0, closed[k - 1], start)
         from .mc import PathFunctional, estimate  # local: keeps the analytic layer light
 
         fn = PathFunctional(
@@ -392,9 +399,9 @@ def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int,
     for k in range(2, n + 1):
         t_x = transform(k - 1, x)
         t_0 = transform(k - 1, 0.0)
-        surv_x = surv_x + surv_0 * t_x / (1.0 - t_0)
+        ruin_x = ruin_x - surv_0 * t_x / (1.0 - t_0)
         surv_0 = surv_0 / (1.0 - t_0)
-    value = clamp_unit(1.0 - surv_x, "ruin_prob_erlang_n")
+    value = clamp_unit(ruin_x, "ruin_prob_erlang_n")
     return ErlangNResult(
         value=value,
         n=n,
@@ -454,9 +461,7 @@ def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
             "theta satisfies psi_q(theta) = lam (theta = Phi_{q+lam}), a removable point"
         )
     ph = phi(model, q + lam)
-    return (lam / denom) * (
-        z(ctx, x, theta) - z(ctx, x, ph) * z(ctx, b, theta) / z(ctx, b, ph)
-    )
+    return (lam / denom) * _two_sided(ctx, _z_sum(ctx, theta), _z_sum(ctx, ph), x, b)
 
 
 def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
@@ -467,8 +472,8 @@ def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
     if a < 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError("upcross_before_t0_two_sided requires a >= 0, lam > 0, q >= 0")
     ctx = scale_context(model, q)
-    val = script_w(ctx, lam, x, x + a) / script_w(ctx, lam, b, b + a)
-    return clamp_unit(val, "upcross_before_t0_two_sided")
+    return clamp_unit(_ratio(ctx, _script_w_sum(ctx, lam, a), x, b),
+                      "upcross_before_t0_two_sided")
 
 
 def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float) -> float:
@@ -479,7 +484,7 @@ def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float
         raise DomainError("upcross_before_t0 requires lam > 0 and q >= 0")
     ctx = scale_context(model, q)
     ph = phi(model, q + lam)
-    return clamp_unit(z(ctx, x, ph) / z(ctx, b, ph), "upcross_before_t0")
+    return clamp_unit(_ratio(ctx, _z_sum(ctx, ph), x, b), "upcross_before_t0")
 
 
 def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: float,
@@ -498,12 +503,12 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     if a < 0.0 or lam <= 0.0 or q < 0.0 or p < 0.0:
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
     ctx = scale_context(model, q)
-    ratio = script_w(ctx, lam, x, x + a) / script_w(ctx, lam, b, b + a)
     pole = q + lam
+    # lam / (p - pole) (f(x) g(b) / f(b) - g(x)) with f = script_w(ctx, lam, ., . + a)
+    # and g the difference quotient in p at length z, or its p-derivative at the pole
     if abs(p - pole) <= 1e-8 * (1.0 + pole):
-        top = _script_w_dp(ctx, lam, b, b + z_shift)
-        bot = _script_w_dp(ctx, lam, x, x + z_shift)
-        return lam * (ratio * top - bot)
-    top = script_w(ctx, p - q, b, b + z_shift) - script_w(ctx, lam, b, b + z_shift)
-    bot = script_w(ctx, p - q, x, x + z_shift) - script_w(ctx, lam, x, x + z_shift)
-    return lam / (p - pole) * (ratio * top - bot)
+        k, g = -lam, _script_w_sum(ctx, lam, z_shift, dp=True)
+    else:
+        k = -lam / (p - pole)
+        g = _lin(1.0, _script_w_sum(ctx, p - q, z_shift), -1.0, _script_w_sum(ctx, lam, z_shift))
+    return k * _two_sided(ctx, g, _script_w_sum(ctx, lam, a), x, b)

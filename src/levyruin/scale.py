@@ -1,28 +1,27 @@
-"""Scale functions of the two risk models.
+"""Scale functions of the two risk models, as two-mode exponential sums.
 
-For both models and every killing rate q >= 0, 1/psi_q is a rational function whose
-numerator quadratic has one nonnegative root Phi_q and one nonpositive root -zeta_q
-(both in closed form, without cancellation: :func:`levyruin.models._phi_zeta`), so
-the q-scale function is a two-exponential
+For both models and every q >= 0, psi_q = psi - q is rational with two real roots
+Phi_q >= 0 >= -zeta_q (closed forms without cancellation:
+:func:`levyruin.models._phi_zeta`), and 1/psi_q has no polynomial part.  So on
+x >= 0 every scale quantity is c_Phi e^{Phi_q x} + c_zeta e^{-zeta_q x}, with
+coefficients built from the residues A_r = 1/psi'(r) of 1/psi_q and the divided
+differences D(theta, r) = (psi(theta) - psi(r)) / (theta - r), regular at
+theta = r (Kuznetsov, Kyprianou & Rivero, 2012):
 
-    W_q(x) = A e^{Phi_q x} + B e^{-zeta_q x},   x >= 0,
+    W_q(x)          c_r = A_r
+    Z_q(x, theta)   c_r = A_r D(theta, r)    (its theta-derivatives: A_r d^k D/dtheta^k)
+    Z~_q(x, a, b)   c_r = A_r D(a, r) D(b, r)
 
-with A = 1/psi'(Phi_q) and B = 1/psi'(-zeta_q) obtained by partial fractions of
-1/psi_q.  Writing rho(theta) = psi_q(theta) / ((theta - Phi_q)(theta + zeta_q))
-(= sigma^2/2 for Brownian, c/(theta+alpha) for Cramer-Lundberg), the companion
-scale function has the closed form
+On x < 0, Z_q(x, theta) = e^{theta x}.  The second-generation scale function is a
+four-term sum; its convolution starts at its first argument xi, so as a function
+of xi >= 0 it is two-mode again, and so are its derivative in the extra rate (from
+dr/dq = 1/psi'(r) at each root r of psi(r) = q) and the three-barrier composite.
 
-    Z_q(x, theta) = rho(theta) [A (theta + zeta_q) e^{Phi_q x} + B (theta - Phi_q) e^{-zeta_q x}],
-
-which is the definition e^{theta x}(1 - psi_q(theta) int_0^x e^{-theta y} W_q(y) dy)
-with the integral evaluated in closed form.  This representation is regular at
-theta = Phi_q (where it reduces to e^{Phi_q x}) and stays bounded for large theta,
-which the large-surrogate limit checks rely on.
-
-The second-generation scale function convolves two such two-exponentials, so it
-is a four-term exponential sum, and its derivative in the extra rate follows from
-dr/dq = 1/psi'(r) and d(1/psi'(r))/dq = -psi''(r)/psi'(r)^3 at each root r of
-psi(r) = q.
+Three operations act on the modes, each in one place: :func:`_at` evaluates;
+:func:`_ratio` takes f(x)/f(b) and :func:`_two_sided` g(x) - f(x) g(b)/f(b) with
+e^{Phi_q b} factored out, so that large levels do not overflow; :func:`_decay`
+keeps the decaying part of a bounded quantity or a complement, whose growing
+mode cancels.  On x < 0 they evaluate the quantity directly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .models import BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any
+from .models import (BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any,
+                     _psi_slope_any)
 from .models import phi  # noqa: F401 - part of the levyruin.scale namespace
 
 
@@ -78,44 +78,106 @@ def scale_context(model: LevyModel, q: float) -> ScaleContext:
     return ScaleContext(model=model, q=q, phi_q=p, zeta_q=zeta, coeff_a=a, coeff_b=b, w0=w0)
 
 
-def _rho(ctx: ScaleContext, theta: float) -> float:
-    if ctx.model.kind == BROWNIAN:
-        return 0.5 * ctx.model.sigma ** 2
-    return ctx.model.c / (theta + ctx.model.alpha)
-
-
-def _rho_prime(ctx: ScaleContext, theta: float) -> float:
-    if ctx.model.kind == BROWNIAN:
-        return 0.0
-    return -ctx.model.c / (theta + ctx.model.alpha) ** 2
-
-
-def _rho_second(ctx: ScaleContext, theta: float) -> float:
-    if ctx.model.kind == BROWNIAN:
-        return 0.0
-    return 2.0 * ctx.model.c / (theta + ctx.model.alpha) ** 3
-
-
 def w(ctx: ScaleContext, x: float) -> float:
     """q-scale function W_q(x); identically 0 for x < 0.
 
     Evaluated as A e^{Phi x} (1 - e^{-(Phi + zeta) x}) + W_q(0) e^{-zeta x}, so
     W_q(0) is exact (0 on Brownian models, where A + B rounds to +-1e-17).
     """
+    return _w_at(ctx, x, 0.0)
+
+
+def _w_at(ctx: ScaleContext, x: float, shift: float) -> float:
+    # W_q(x) e^{-Phi_q shift}
     if x < 0.0:
         return 0.0
-    return (-ctx.coeff_a * math.exp(ctx.phi_q * x) * math.expm1(-(ctx.phi_q + ctx.zeta_q) * x)
-            + ctx.w0 * math.exp(-ctx.zeta_q * x))
+    return (-ctx.coeff_a * math.exp(ctx.phi_q * (x - shift))
+            * math.expm1(-(ctx.phi_q + ctx.zeta_q) * x)
+            + ctx.w0 * math.exp(-ctx.zeta_q * x - ctx.phi_q * shift))
 
 
 def w_prime(ctx: ScaleContext, x: float) -> float:
     """Derivative of W_q on (0, inf); W_q may be non-differentiable at 0."""
     if x <= 0.0:
         raise DomainError("w_prime requires x > 0")
-    return (
-        ctx.coeff_a * ctx.phi_q * math.exp(ctx.phi_q * x)
-        - ctx.coeff_b * ctx.zeta_q * math.exp(-ctx.zeta_q * x)
-    )
+    return (ctx.coeff_a * ctx.phi_q * math.exp(ctx.phi_q * x)
+            - ctx.coeff_b * ctx.zeta_q * math.exp(-ctx.zeta_q * x))
+
+
+def _roots(ctx: ScaleContext) -> tuple:
+    # (root r, residue 1/psi'(r)) pairs of 1/psi_q: W_q(x) = sum of residue * e^{r x}
+    return (ctx.phi_q, ctx.coeff_a), (-ctx.zeta_q, ctx.coeff_b)
+
+
+# A scale quantity f is a tuple (c_Phi, c_zeta, direct): its modes on x >= 0, and
+# the function that evaluates it on x < 0.
+
+
+def _lin(u: float, f: tuple, v: float, g: tuple) -> tuple:
+    # u f + v g
+    return (u * f[0] + v * g[0], u * f[1] + v * g[1], lambda y: u * f[2](y) + v * g[2](y))
+
+
+def _at(ctx: ScaleContext, f: tuple, x: float, shift: float = 0.0) -> float:
+    """f(x) e^{-Phi_q shift}."""
+    if x < 0.0:
+        return f[2](x) * math.exp(-ctx.phi_q * shift)
+    return (f[0] * math.exp(ctx.phi_q * (x - shift))
+            + f[1] * math.exp(-ctx.zeta_q * x - ctx.phi_q * shift))
+
+
+def _ratio(ctx: ScaleContext, f: tuple, x: float, b: float) -> float:
+    """f(x) / f(b) for x <= b, with e^{Phi_q (x - b)} factored out of both."""
+    s = max(b, 0.0)
+    return _at(ctx, f, x, s) / _at(ctx, f, b, s)
+
+
+def _two_sided(ctx: ScaleContext, g: tuple, f: tuple, x: float, b: float) -> float:
+    """g(x) - f(x) g(b) / f(b) for x <= b, which vanishes at x = b.
+
+    On x >= 0 the modes combine into (g_zeta f_Phi - f_zeta g_Phi) e^{-zeta_q x}
+    (1 - e^{(Phi_q + zeta_q)(x - b)}) / (f(b) e^{-Phi_q b}): no growing mode is
+    evaluated, and only the determinant of the coefficients can cancel.  Where the
+    last factors underflow the value is 0.
+    """
+    s = max(b, 0.0)
+    fb = _at(ctx, f, b, s)
+    if x < 0.0:
+        return g[2](x) - f[2](x) * _at(ctx, g, b, s) / fb
+    gap = -math.exp(-ctx.zeta_q * x) * math.expm1((ctx.phi_q + ctx.zeta_q) * (x - b))
+    return (g[1] * (f[0] / fb) - (f[1] / fb) * g[0]) * gap if gap else 0.0
+
+
+def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
+    """f without its growing mode, which cancels in a bounded quantity or in the
+    complement of one; f(x) on x < 0."""
+    return f[2](x) if x < 0.0 else f[1] * math.exp(-ctx.zeta_q * x)
+
+
+def _z_sum(ctx: ScaleContext, theta: float, k: int = 0) -> tuple:
+    # Z_q(., theta), or its k-th theta-derivative: modes A_r d^k/dtheta^k D(theta, r); a
+    # zero residue (zeta_q rounded to the pole -alpha of psi) has a zero mode
+    m, b = ctx.model, ctx.coeff_b
+    return (ctx.coeff_a * _psi_slope_any(m, theta, ctx.phi_q, k),
+            b * _psi_slope_any(m, theta, -ctx.zeta_q, k) if b else 0.0,
+            lambda y: y ** k * math.exp(theta * y))
+
+
+def _z_tilde_sum(ctx: ScaleContext, a: float, b: float) -> tuple:
+    # Z~_q(., a, b): modes A_r D(a, r) D(b, r), symmetric in (a, b)
+    m, r, res = ctx.model, -ctx.zeta_q, ctx.coeff_b
+
+    def direct(y: float) -> float:
+        # the divided difference of psi_q(theta) e^{theta y}; its derivative at confluence
+        lo, hi = min(a, b), max(a, b)
+        if hi - lo <= 1e-8 * (1.0 + lo):
+            mid = 0.5 * (lo + hi)
+            return (_psi_prime_any(m, mid) - (_psi_any(m, mid) - ctx.q) * y) * math.exp(mid * y)
+        return ((_psi_any(m, lo) - ctx.q) * math.exp(hi * y)
+                - (_psi_any(m, hi) - ctx.q) * math.exp(lo * y)) / (lo - hi)
+
+    return (ctx.coeff_a * (_psi_slope_any(m, a, ctx.phi_q) * _psi_slope_any(m, b, ctx.phi_q)),
+            res * (_psi_slope_any(m, a, r) * _psi_slope_any(m, b, r)) if res else 0.0, direct)
 
 
 def z(ctx: ScaleContext, x: float, theta: float) -> float:
@@ -123,58 +185,21 @@ def z(ctx: ScaleContext, x: float, theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta) or theta < 0.0:
         raise DomainError("z requires theta >= 0")
-    if x < 0.0:
-        return math.exp(theta * x)
-    e1 = ctx.coeff_a * (theta + ctx.zeta_q) * math.exp(ctx.phi_q * x) + ctx.coeff_b * (
-        theta - ctx.phi_q
-    ) * math.exp(-ctx.zeta_q * x)
-    return _rho(ctx, theta) * e1
+    return _at(ctx, _z_sum(ctx, theta), x)
 
 
 def _z_dtheta(ctx: ScaleContext, x: float, theta: float) -> float:
     # derivative of Z_q in its second argument, no positivity contract
-    if x < 0.0:
-        return x * math.exp(theta * x)
-    ea = math.exp(ctx.phi_q * x)
-    eb = math.exp(-ctx.zeta_q * x)
-    e1 = ctx.coeff_a * (theta + ctx.zeta_q) * ea + ctx.coeff_b * (theta - ctx.phi_q) * eb
-    e2 = ctx.coeff_a * ea + ctx.coeff_b * eb
-    return _rho_prime(ctx, theta) * e1 + _rho(ctx, theta) * e2
-
-
-def _z_d2theta(ctx: ScaleContext, x: float, theta: float) -> float:
-    if x < 0.0:
-        return x * x * math.exp(theta * x)
-    ea = math.exp(ctx.phi_q * x)
-    eb = math.exp(-ctx.zeta_q * x)
-    e1 = ctx.coeff_a * (theta + ctx.zeta_q) * ea + ctx.coeff_b * (theta - ctx.phi_q) * eb
-    e2 = ctx.coeff_a * ea + ctx.coeff_b * eb
-    return _rho_second(ctx, theta) * e1 + 2.0 * _rho_prime(ctx, theta) * e2
+    return _at(ctx, _z_sum(ctx, theta, 1), x)
 
 
 def z_tilde(ctx: ScaleContext, x: float, alpha: float, beta: float) -> float:
-    """Divided-difference combination of Z_q at two exponents (symmetric in them).
-
-    (psi_q(a) Z_q(x,b) - psi_q(b) Z_q(x,a)) / (a - b) away from the confluence;
-    psi_q'(a) Z_q(x,a) - psi_q(a) dZ_q/dtheta(x,a) when |a - b| <= 1e-8 (1 + a).
-    """
-    a, b = float(alpha), float(beta)
-    if a < 0.0 or b < 0.0:
+    """Divided-difference combination of Z_q at two exponents (symmetric in them):
+    (psi_q(a) Z_q(x,b) - psi_q(b) Z_q(x,a)) / (a - b), with no confluence branch on
+    x >= 0, and psi_q'(a) Z_q(x,a) - psi_q(a) dZ_q/dtheta(x,a) as b -> a."""
+    if alpha < 0.0 or beta < 0.0:
         raise DomainError("z_tilde requires alpha, beta >= 0")
-    if a > b:
-        a, b = b, a
-    if b - a <= 1e-8 * (1.0 + a):
-        m = 0.5 * (a + b)
-        psi_qm = _psi_any(ctx.model, m) - ctx.q
-        return _psi_prime_any(ctx.model, m) * z(ctx, x, m) - psi_qm * _z_dtheta(ctx, x, m)
-    psi_qa = _psi_any(ctx.model, a) - ctx.q
-    psi_qb = _psi_any(ctx.model, b) - ctx.q
-    return (psi_qa * z(ctx, x, b) - psi_qb * z(ctx, x, a)) / (a - b)
-
-
-def _roots(ctx: ScaleContext) -> tuple:
-    # (root r, residue 1/psi'(r)) pairs of 1/psi_q: W_q(x) = sum of residue * e^{r x}
-    return (ctx.phi_q, ctx.coeff_a), (-ctx.zeta_q, ctx.coeff_b)
+    return _at(ctx, _z_tilde_sum(ctx, float(alpha), float(beta)), x)
 
 
 def _exp_integrals(r: float, s: float, length: float) -> tuple:
@@ -193,19 +218,24 @@ def _exp_integrals(r: float, s: float, length: float) -> tuple:
     return (es - er) / d, (es - er * (1.0 + t)) / (d * d)
 
 
+def _conv_modes(ctx: ScaleContext, q2: float, length: float, dq: bool) -> tuple:
+    # modes in a >= 0 of int_a^{a+length} W_{q2}(a + length - y) W_q(y) dy, or with dq
+    # of its derivative in q2
+    model = ctx.model
+    roots2 = _roots(scale_context(model, q2))
+    out = []
+    for s, bs in _roots(ctx):
+        total = 0.0
+        for r, ar in roots2:
+            k1, k2 = _exp_integrals(r, s, length)
+            total += ar * ar * (k2 - _psi_second_any(model, r) * ar * k1) if dq else ar * k1
+        out.append(bs * total)
+    return tuple(out)
+
+
 def _convolution(ctx: ScaleContext, q2: float, a: float, x: float, dq: bool) -> float:
     # int_a^x W_{q2}(x - y) W_q(y) dy for 0 <= a < x, or with dq its derivative in q2
-    model = ctx.model
-    total = 0.0
-    for s, bs in _roots(ctx):
-        ws = bs * math.exp(s * a)
-        for r, ar in _roots(scale_context(model, q2)):
-            k1, k2 = _exp_integrals(r, s, x - a)
-            if dq:
-                total += ws * ar * ar * (k2 - _psi_second_any(model, r) * ar * k1)
-            else:
-                total += ws * ar * k1
-    return total
+    return _at(ctx, _conv_modes(ctx, q2, x - a, dq), a)
 
 
 def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
@@ -230,10 +260,27 @@ def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
 def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     # derivative of script_w(ctx, p_extra, a, x) in p_extra
     a = max(a, 0.0)
-    if x <= a:
-        return 0.0
-    q2 = ctx.q + float(p_extra)
-    return _convolution(ctx, q2, a, x, False) + p_extra * _convolution(ctx, q2, a, x, True)
+    return _at(ctx, _script_w_sum(ctx, p_extra, x - a, dp=True), a) if x > a else 0.0
+
+
+def _script_w_sum(ctx: ScaleContext, p_extra: float, length: float, dp: bool = False) -> tuple:
+    # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its
+    # p_extra-derivative; W_q(xi + length) has the modes (A, W_q(0) - A), so that
+    # W_q(0) stays exact
+    q2 = ctx.q + p_extra
+    if dp:
+        direct = lambda y: _script_w_dp(ctx, p_extra, y, y + length)  # noqa: E731
+        if length <= 0.0:
+            return 0.0, 0.0, direct
+        c, d = _conv_modes(ctx, q2, length, False), _conv_modes(ctx, q2, length, True)
+        return c[0] + p_extra * d[0], c[1] + p_extra * d[1], direct
+    f = (ctx.coeff_a * math.exp(ctx.phi_q * length),
+         (ctx.w0 - ctx.coeff_a) * math.exp(-ctx.zeta_q * length),
+         lambda y: script_w(ctx, p_extra, y, y + length))
+    if p_extra != 0.0 and length > 0.0:
+        conv = _conv_modes(ctx, q2, length, False)
+        f = (f[0] + p_extra * conv[0], f[1] + p_extra * conv[1], f[2])
+    return f
 
 
 def _w_dq(ctx: ScaleContext, x: float) -> float:
@@ -241,25 +288,18 @@ def _w_dq(ctx: ScaleContext, x: float) -> float:
     if x < 0.0:
         return 0.0
     model = ctx.model
-    return sum(
-        ar * ar * (x - _psi_second_any(model, r) * ar) * math.exp(r * x) for r, ar in _roots(ctx)
-    )
+    return sum(ar * ar * (x - _psi_second_any(model, r) * ar) * math.exp(r * x)
+               for r, ar in _roots(ctx))
 
 
 def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float) -> float:
-    """Composite scale function for the three-barrier identity:
-
-        lam * scriptW_x^{(q,p)}(x+a) W_{q+lam}(a)  -  p * scriptW_x^{(q,lam)}(x+a) W_{p+q}(a)
-
-    where the inner convolutions start at the evaluation point x itself.
-    """
+    """Composite scale function for the three-barrier identity,
+    lam scriptW_x^{(q,p)}(x+a) W_{q+lam}(a) - p scriptW_x^{(q,lam)}(x+a) W_{p+q}(a),
+    whose inner convolutions start at the evaluation point x itself."""
     if a < 0.0:
         raise DomainError("w_tilde requires a >= 0")
     if p <= 0.0 or lam <= 0.0:
         raise DomainError("w_tilde requires p > 0 and lam > 0")
-    ctx_q = scale_context(model, q)
-    ctx_ql = scale_context(model, q + lam)
-    ctx_qp = scale_context(model, q + p)
-    return lam * script_w(ctx_q, p, x, x + a) * w(ctx_ql, a) - p * script_w(
-        ctx_q, lam, x, x + a
-    ) * w(ctx_qp, a)
+    ctx = scale_context(model, q)
+    return (lam * script_w(ctx, p, x, x + a) * w(scale_context(model, q + lam), a)
+            - p * script_w(ctx, lam, x, x + a) * w(scale_context(model, q + p), a))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import NumericalError
 
 _UNIT_SLACK = 1e-9
@@ -11,8 +13,11 @@ def clamp_unit(value: float, what: str) -> float:
     """Clamp a probability-valued quantity to [0, 1].
 
     Violations within 1e-9 of the boundary are rounding noise and are clamped;
-    anything larger indicates a formula bug and is a hard error.
+    anything larger, or a value that is not finite, indicates a formula bug or a
+    numeric breakdown and is a hard error.
     """
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} = {value!r} is not finite")
     if value <= 0.0:  # -0.0 too
         if value < -_UNIT_SLACK:
             raise NumericalError(f"{what} = {value!r} is significantly below 0")

@@ -253,20 +253,29 @@ def test_unknown_constructions_rejected(bm, cl):
 
 # functionals whose path never reads a field, per (simulator, field): no
 # functional but the occupation ones accrues occupation, and those end at no
-# deficit and stop at no lower barrier
+# deficit, stop at no lower barrier and, without b, at no stopping time; an
+# up-crossing ends at no deficit either.  A third entry holds further
+# PathFunctional fields.
 _FIRST_PASSAGE = (("tau_b_plus", {"b": 2.0}), ("tau_level_minus", {"level": 0.0}))
 _RUIN = (("rho_sum_exp", {"p": 1.0, "lam": 1.0}), ("rho_erlang", {"n": 2, "lam": 1.0}),
          ("kappa_fixed", {"r": 1.0}), ("T0_minus", {"lam": 1.0}))
 _OCCUPATION = (("occupation_poisson", {"lam": 1.0}),
                ("occupation_poisson_n", {"lam": 1.0, "n": 2}),
                ("occupation_at_upcross", {"lam": 1.0, "b": 2.0}))
+_UPCROSS = (("rho_sum_exp", {"p": 1.0, "lam": 1.0, "b": 2.0}, {"success_event": "upcross"}),
+            ("T0_minus", {"lam": 1.0, "b": 2.0}, {"success_event": "upcross"}),
+            ("tau_b_plus", {"b": 2.0}))
+_NO_STOP = (("occupation_poisson", {"lam": 1.0}), ("occupation_poisson_n", {"lam": 1.0, "n": 2}))
 _IGNORED = {
     ("cl", "laplace_p"): _RUIN + _FIRST_PASSAGE + (
         ("T0_w_weight", {"lam": 1.0, "b": 2.0, "a": 1.0, "pw": 0.7, "shift": 0.5}),),
     ("bm", "laplace_p"): _RUIN + _FIRST_PASSAGE,
-    ("cl", "tilt_theta"): _OCCUPATION + (("occupation_poisson_literal", {"lam": 1.0}),),
-    ("bm", "tilt_theta"): _OCCUPATION,
+    ("cl", "tilt_theta"): _OCCUPATION + _UPCROSS + (
+        ("occupation_poisson_literal", {"lam": 1.0}),),
+    ("bm", "tilt_theta"): _OCCUPATION + _UPCROSS + (("kappa_fixed", {"r": 1.0}),),
     ("cl", "a"): _OCCUPATION + (("occupation_poisson_literal", {"lam": 1.0}),),
+    ("cl", "discount_q"): _NO_STOP + (("occupation_poisson_literal", {"lam": 1.0}),),
+    ("bm", "discount_q"): _NO_STOP,
 }
 
 
@@ -275,12 +284,13 @@ def test_ignored_fields_rejected(case, bm, cl):
     key, field = case
     model = {"bm": bm, "cl": cl}[key]
     cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(26.0))
-    for name, params in _IGNORED[case]:
-        build_simulator(model, PathFunctional(name, params, x0=0.5), cfg)
+    for name, params, *more in _IGNORED[case]:
+        kw = more[0] if more else {}
+        build_simulator(model, PathFunctional(name, params, x0=0.5, **kw), cfg)
         if field == "a":
-            fn = PathFunctional(name, {**params, "a": 1.0}, x0=0.5)
+            fn = PathFunctional(name, {**params, "a": 1.0}, x0=0.5, **kw)
         else:
-            fn = PathFunctional(name, params, x0=0.5, **{field: 0.5})
+            fn = PathFunctional(name, params, x0=0.5, **{field: 0.5, **kw})
         with pytest.raises(UnsupportedFunctional, match=f"never reads {field}"):
             build_simulator(model, fn, cfg)
 

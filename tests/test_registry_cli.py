@@ -132,9 +132,10 @@ def test_cli_exit_codes(model_files, capsys):
 
 def test_cli_numerical_failure_exit_code(model_files, capsys):
     _, cl_path = model_files
-    # Z(x)/Z(b) at b = 1e6 overflows: exit 4 with a one-line message, not a traceback
-    assert main(["eval", "gs_lt_two_sided", "--model", cl_path, "--x=0.5", "--b=1e6",
-                 "--q=0.1", "--lam=1", "--p=1", "--theta=0"]) == 4
+    # at lam = 1e300 the density's Skellam tail leaves the float range: exit 4 with a
+    # one-line message, not a traceback
+    assert main(["eval", "occupation_law", "--model", cl_path, "--x=0.5", "--lam=1e300",
+                 "--r=1"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error") and len(err.strip().splitlines()) == 1
 
