@@ -148,16 +148,22 @@ def _psi_second_any(model: LevyModel, theta: float) -> float:
     return 2.0 * model.alpha * model.eta / (theta + model.alpha) ** 3
 
 
-def _psi_slope_any(model: LevyModel, a: float, b: float, k: int = 0) -> float:
-    # divided difference D(a, b) = (psi(a) - psi(b)) / (a - b) in closed form (psi'(a) at
-    # a = b), or with k = 1, 2 its k-th derivative in a
+def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0) -> tuple:
+    # the divided differences D(a, b) = (psi(a) - psi(b)) / (a - b) at b = b1 and b2 in
+    # closed form (psi'(a) at a = b), or with k = 1, 2 their k-th derivatives in a.  On
+    # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha); b2 = -alpha, a root of
+    # psi_q rounded to the pole, has residue 0 and gets 0
     if model.kind == BROWNIAN:
         half = 0.5 * model.sigma ** 2
-        return half * (k == 1) if k else model.mu + half * (a + b)
-    ta, tb = a + model.alpha, b + model.alpha
+        if k:
+            return (half, half) if k == 1 else (0.0, 0.0)
+        return model.mu + half * (a + b1), model.mu + half * (a + b2)
+    ta = a + model.alpha
+    ck, g = model.c, model.alpha * model.eta / ta
     if k:
-        return model.alpha * model.eta / (ta * ta * tb) * (1.0 if k == 1 else -2.0 / ta)
-    return model.c - model.alpha * model.eta / (ta * tb)
+        ck, g = 0.0, -g / ta if k == 1 else 2.0 * g / (ta * ta)
+    t2 = b2 + model.alpha
+    return ck - g / (b1 + model.alpha), ck - g / t2 if t2 else 0.0
 
 
 def psi(model: LevyModel, theta: float) -> float:

@@ -13,17 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .errors import DomainError, NumericalError
-from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, _psi_slope_any, phi
+from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, _psi_slopes, phi
 from .occupation import _occupation_inf, joint_lt_upcross
 from .scale import (
     _at,
     _decay,
     _lin,
+    _neg,
     _ratio,
     _roots,
     _script_w_sum,
     _two_sided,
     _w_at,
+    _w_tilde_sum,
     _w_dq,
     _z_sum,
     _z_tilde_sum,
@@ -35,7 +37,7 @@ from .util import clamp_unit
 
 _POLE_TOL = 1e-12
 _DENSITY_CLAMP = 1e-9
-_ONE = (1.0, 0.0, lambda y: 1.0)  # at q = 0, where Phi_0 = 0: the mode e^{Phi_0 x}
+_ONE = (1.0, 0.0, lambda y: 1.0, ())  # at q = 0, where Phi_0 = 0: the mode e^{Phi_0 x}
 
 
 def _psi_q(model: LevyModel, q: float, theta: float) -> float:
@@ -111,19 +113,19 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
-    slope_q = _psi_slope_any(model, theta, phi_q)
+    (slope_q, slope_l), (slope_p, _) = (_psi_slopes(model, theta, phi_q, phi_lq),
+                                         _psi_slopes(model, theta, phi_pq, phi_pq))
     if x < 0.0:
         coeff = slope_q * (phi_lq - theta) * (phi_pq - phi_q) / p
         pref = p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta))
-        return pref * (_e_script(ctx, lam, theta)[2](x)
+        return pref * (_neg(_e_script(ctx, lam, theta), x)
                        - coeff * z_tilde(ctx, x, phi_lq, phi_pq))
     # the decaying mode, root r = -zeta_q and residue B: D(th, r) = psi_q(th)/(th - r)
     # turns E and z_tilde into products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
     (_, _), (r, res) = _roots(ctx)
-    slopes = _psi_slope_any(model, theta, phi_lq) * _psi_slope_any(model, theta, phi_pq)
     c = (-res * slope_q * (phi_q - r) / (theta - r) * (p / (phi_pq - r))
-         * (lam / (phi_lq - r)) / slopes)
-    return _decay(ctx, (0.0, c, None), x)
+         * (lam / (phi_lq - r)) / (slope_l * slope_p))
+    return _decay(ctx, (0.0, c, None, ()), x)
 
 
 def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: float,
@@ -147,8 +149,7 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
         s = b if ctx.phi_q * b > 700.0 else 0.0
         return clamp_unit(_w_at(ctx, x, s) / _w_at(ctx, b, s), "up_cross_three_barrier")
     if abs(p - lam) > 1e-8 * (1.0 + lam):
-        w_l, w_p = w(scale_context(model, q + lam), a), w(scale_context(model, q + p), a)
-        f = _lin(lam * w_l, _script_w_sum(ctx, p, a), -p * w_p, _script_w_sum(ctx, lam, a))
+        f = _w_tilde_sum(ctx, p, lam, a)
     else:
         # d/dp of w_tilde at p = lam
         ctx_l = scale_context(model, q + lam)
@@ -209,15 +210,19 @@ def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: f
     # meaningless; on x >= 0 those are the modes and their determinant, whose
     # magnitudes combine alike
     if x >= 0.0:
-        size = _two_sided(ctx, mag, (abs(zt[0]), -abs(zt[1]), None), x, b)
+        size = _two_sided(ctx, mag, (abs(zt[0]), -abs(zt[1]), None, ()), x, b)
     else:
         s = max(b, 0.0)
-        size = mag[2](x) + abs(zt[2](x)) * _at(ctx, mag, b, s) / _at(ctx, zt, b, s)
+        size = _neg(mag, x) + abs(_neg(zt, x)) * _at(ctx, mag, b, s) / _at(ctx, zt, b, s)
     return _floor_density(val, 1e-11 * p * size + 1e-10, "Gerber-Shiu density")
 
 
 def _abs(f: tuple) -> tuple:
-    return abs(f[0]), abs(f[1]), lambda y: abs(f[2](y))
+    return abs(f[0]), abs(f[1]), _abs_neg, (f,)
+
+
+def _abs_neg(y: float, f: tuple) -> float:
+    return abs(_neg(f, y))
 
 
 def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
@@ -238,7 +243,8 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
     phi_q = ctx.phi_q
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     # q phi_lq (phi_pq - phi_q) / phi_q, with q / phi_q and p / (phi_pq - phi_q) as slopes
-    k = phi_lq * p * _psi_slope_any(model, phi_q, 0.0) / _psi_slope_any(model, phi_pq, phi_q)
+    slope_0, slope_p = _psi_slopes(model, phi_q, 0.0, phi_pq)
+    k = phi_lq * p * slope_0 / slope_p
     e0 = _lin(lam, _z_sum(ctx, 0.0), q, _z_sum(ctx, phi_lq))
     combined = _lin(p, e0, -k, _z_tilde_sum(ctx, phi_lq, phi_pq))
     val = 1.0 - _decay(ctx, combined, x) / ((lam + q) * (p + q))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional
 
 from . import occupation, parisian
@@ -72,6 +71,8 @@ def _eval_fixed_delay(model, prm, mc_config=None, workers=1):
     return res.value, {"erlang_sequence": list(res.sequence)}
 
 
+_P = Param
+
 IDENTITIES: dict[str, Identity] = {}
 
 
@@ -79,71 +80,137 @@ def _register(identity: Identity):
     IDENTITIES[identity.name] = identity
 
 
-def _closed(name: str, params: str, module, mc_functional=None):
-    # a closed form evaluated as the function of its lower-cased name in ``module``,
-    # looked up at each call, with the parameters, listed once, in order
-    names, attr = params.split(), name.lower()
-    values = itemgetter(*names)
-    _register(Identity(name, tuple(Param(n) for n in names),
-                       lambda m, p: getattr(module, attr)(m, *values(p)), mc_functional))
-
-
-_closed("joint_lt_upcross", "x b q p lam", occupation,
-        _fn("occupation_at_upcross", {"lam": "lam", "b": "b"}, q_key="q", p_key="p"))
-_closed("lt_occupation_inf", "x p lam", occupation,
-        _fn("occupation_poisson", {"lam": "lam"}, p_key="p"))
-_register(Identity("occupation_law", (Param("x"), Param("lam"), Param("r")),
-                   _eval_occupation_law))
-_closed("ruin_prob_sum_exp", "x p lam", parisian,
-        _fn("rho_sum_exp", {"p": "p", "lam": "lam"}))
-_closed("gs_lt_two_sided", "x b q p lam theta", parisian,
-        _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b"}, q_key="q", theta_key="theta"))
-_closed("gs_lt_infinite", "x q p lam theta", parisian,
-        _fn("rho_sum_exp", {"p": "p", "lam": "lam"}, q_key="q", theta_key="theta"))
-_closed("up_cross_three_barrier", "x b a q p lam", parisian,
-        _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b", "a": "a"},
-            success="upcross", q_key="q"))
-_closed("up_cross_before_ruin", "x b q p lam", parisian,
-        _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b"}, success="upcross", q_key="q"))
-_closed("gerber_shiu_density", "x b q p lam y", parisian)
-_closed("lt_occupation_exp_horizon", "x p q lam", parisian,
-        _fn("occupation_poisson", {"lam": "lam", "exp_horizon_rate": "q"}, p_key="p"))
-_closed("ruin_prob_erlang2", "x lam", parisian,
-        _fn("rho_erlang", {"lam": "lam"}, n=2.0, construction="observation"))
-_closed("gs_density_e2", "x b q lam y", parisian)
-_closed("gs_lt_two_sided_e2", "x b q lam theta", parisian,
-        _fn("rho_erlang", {"lam": "lam", "b": "b"}, n=2.0, construction="observation",
-            q_key="q", theta_key="theta"))
-_closed("gs_lt_infinite_e2", "x q lam theta", parisian,
-        _fn("rho_erlang", {"lam": "lam"}, n=2.0, construction="observation",
-            q_key="q", theta_key="theta"))
-_closed("up_cross_e2", "x b q lam", parisian,
-        _fn("rho_erlang", {"lam": "lam", "b": "b"}, n=2.0, construction="observation",
-            success="upcross", q_key="q"))
+_register(Identity(
+    "joint_lt_upcross",
+    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam")),
+    lambda m, p: occupation.joint_lt_upcross(m, p["x"], p["b"], p["q"], p["p"], p["lam"]),
+    _fn("occupation_at_upcross", {"lam": "lam", "b": "b"}, q_key="q", p_key="p"),
+))
+_register(Identity(
+    "lt_occupation_inf",
+    (_P("x"), _P("p"), _P("lam")),
+    lambda m, p: occupation.lt_occupation_inf(m, p["x"], p["p"], p["lam"]),
+    _fn("occupation_poisson", {"lam": "lam"}, p_key="p"),
+))
+_register(Identity(
+    "occupation_law",
+    (_P("x"), _P("lam"), _P("r")),
+    _eval_occupation_law,
+))
+_register(Identity(
+    "ruin_prob_sum_exp",
+    (_P("x"), _P("p"), _P("lam")),
+    lambda m, p: parisian.ruin_prob_sum_exp(m, p["x"], p["p"], p["lam"]),
+    _fn("rho_sum_exp", {"p": "p", "lam": "lam"}),
+))
+_register(Identity(
+    "gs_lt_two_sided",
+    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam"), _P("theta")),
+    lambda m, p: parisian.gs_lt_two_sided(m, p["x"], p["b"], p["q"], p["p"], p["lam"], p["theta"]),
+    _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b"}, q_key="q", theta_key="theta"),
+))
+_register(Identity(
+    "gs_lt_infinite",
+    (_P("x"), _P("q"), _P("p"), _P("lam"), _P("theta")),
+    lambda m, p: parisian.gs_lt_infinite(m, p["x"], p["q"], p["p"], p["lam"], p["theta"]),
+    _fn("rho_sum_exp", {"p": "p", "lam": "lam"}, q_key="q", theta_key="theta"),
+))
+_register(Identity(
+    "up_cross_three_barrier",
+    (_P("x"), _P("b"), _P("a"), _P("q"), _P("p"), _P("lam")),
+    lambda m, p: parisian.up_cross_three_barrier(m, p["x"], p["b"], p["a"], p["q"], p["p"], p["lam"]),
+    _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b", "a": "a"},
+        success="upcross", q_key="q"),
+))
+_register(Identity(
+    "up_cross_before_ruin",
+    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam")),
+    lambda m, p: parisian.up_cross_before_ruin(m, p["x"], p["b"], p["q"], p["p"], p["lam"]),
+    _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b"}, success="upcross", q_key="q"),
+))
+_register(Identity(
+    "gerber_shiu_density",
+    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam"), _P("y")),
+    lambda m, p: parisian.gerber_shiu_density(m, p["x"], p["b"], p["q"], p["p"], p["lam"], p["y"]),
+))
+_register(Identity(
+    "lt_occupation_exp_horizon",
+    (_P("x"), _P("p"), _P("q"), _P("lam")),
+    lambda m, p: parisian.lt_occupation_exp_horizon(m, p["x"], p["p"], p["q"], p["lam"]),
+    _fn("occupation_poisson", {"lam": "lam", "exp_horizon_rate": "q"}, p_key="p"),
+))
+_register(Identity(
+    "ruin_prob_erlang2",
+    (_P("x"), _P("lam")),
+    lambda m, p: parisian.ruin_prob_erlang2(m, p["x"], p["lam"]),
+    _fn("rho_erlang", {"lam": "lam"}, n=2.0, construction="observation"),
+))
+_register(Identity(
+    "gs_density_e2",
+    (_P("x"), _P("b"), _P("q"), _P("lam"), _P("y")),
+    lambda m, p: parisian.gs_density_e2(m, p["x"], p["b"], p["q"], p["lam"], p["y"]),
+))
+_register(Identity(
+    "gs_lt_two_sided_e2",
+    (_P("x"), _P("b"), _P("q"), _P("lam"), _P("theta")),
+    lambda m, p: parisian.gs_lt_two_sided_e2(m, p["x"], p["b"], p["q"], p["lam"], p["theta"]),
+    _fn("rho_erlang", {"lam": "lam", "b": "b"}, n=2.0, construction="observation",
+        q_key="q", theta_key="theta"),
+))
+_register(Identity(
+    "gs_lt_infinite_e2",
+    (_P("x"), _P("q"), _P("lam"), _P("theta")),
+    lambda m, p: parisian.gs_lt_infinite_e2(m, p["x"], p["q"], p["lam"], p["theta"]),
+    _fn("rho_erlang", {"lam": "lam"}, n=2.0, construction="observation",
+        q_key="q", theta_key="theta"),
+))
+_register(Identity(
+    "up_cross_e2",
+    (_P("x"), _P("b"), _P("q"), _P("lam")),
+    lambda m, p: parisian.up_cross_e2(m, p["x"], p["b"], p["q"], p["lam"]),
+    _fn("rho_erlang", {"lam": "lam", "b": "b"}, n=2.0, construction="observation",
+        success="upcross", q_key="q"),
+))
 _register(Identity(
     "ruin_prob_erlang_n",
-    (Param("x"), Param("lam"), Param("n", "int")),
+    (_P("x"), _P("lam"), _P("n", "int")),
     _eval_erlang_n,
     _fn("rho_erlang", {"lam": "lam", "n": "n"}, construction="observation"),
     needs_mc=True,
 ))
 _register(Identity(
     "fixed_delay_approx",
-    (Param("x"), Param("r"), Param("n", "int")),
+    (_P("x"), _P("r"), _P("n", "int")),
     _eval_fixed_delay,
     _fn("kappa_fixed", {"r": "r"}),
     informational=True,  # Erlang(n, n/r) approximation vs the exact fixed-delay law
     needs_mc=True,
 ))
-_closed("T0_joint_lt", "x b q lam theta", parisian,
-        _fn("T0_minus", {"lam": "lam", "b": "b"}, q_key="q", theta_key="theta"))
-_closed("upcross_before_T0_two_sided", "x b a q lam", parisian,
-        _fn("T0_minus", {"lam": "lam", "b": "b", "a": "a"}, success="upcross", q_key="q"))
-_closed("upcross_before_T0", "x b q lam", parisian,
-        _fn("T0_minus", {"lam": "lam", "b": "b"}, success="upcross", q_key="q"))
-_closed("delayed_W_functional", "x b a q lam p z", parisian,
-        _fn("T0_w_weight", {"lam": "lam", "b": "b", "a": "a", "pw": "p", "shift": "z"},
-            q_key="q"))
+_register(Identity(
+    "T0_joint_lt",
+    (_P("x"), _P("b"), _P("q"), _P("lam"), _P("theta")),
+    lambda m, p: parisian.t0_joint_lt(m, p["x"], p["b"], p["q"], p["lam"], p["theta"]),
+    _fn("T0_minus", {"lam": "lam", "b": "b"}, q_key="q", theta_key="theta"),
+))
+_register(Identity(
+    "upcross_before_T0_two_sided",
+    (_P("x"), _P("b"), _P("a"), _P("q"), _P("lam")),
+    lambda m, p: parisian.upcross_before_t0_two_sided(m, p["x"], p["b"], p["a"], p["q"], p["lam"]),
+    _fn("T0_minus", {"lam": "lam", "b": "b", "a": "a"}, success="upcross", q_key="q"),
+))
+_register(Identity(
+    "upcross_before_T0",
+    (_P("x"), _P("b"), _P("q"), _P("lam")),
+    lambda m, p: parisian.upcross_before_t0(m, p["x"], p["b"], p["q"], p["lam"]),
+    _fn("T0_minus", {"lam": "lam", "b": "b"}, success="upcross", q_key="q"),
+))
+_register(Identity(
+    "delayed_W_functional",
+    (_P("x"), _P("b"), _P("a"), _P("q"), _P("lam"), _P("p"), _P("z")),
+    lambda m, p: parisian.delayed_w_functional(m, p["x"], p["b"], p["a"], p["q"], p["lam"],
+                                               p["p"], p["z"]),
+    _fn("T0_w_weight", {"lam": "lam", "b": "b", "a": "a", "pw": "p", "shift": "z"}, q_key="q"),
+))
 
 
 def identity_names() -> list[str]:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .models import (BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any,
-                     _psi_slope_any)
+                     _psi_slopes)
 from .models import phi  # noqa: F401 - part of the levyruin.scale namespace
 
 
@@ -109,19 +109,27 @@ def _roots(ctx: ScaleContext) -> tuple:
     return (ctx.phi_q, ctx.coeff_a), (-ctx.zeta_q, ctx.coeff_b)
 
 
-# A scale quantity f is a tuple (c_Phi, c_zeta, direct): its modes on x >= 0, and
-# the function that evaluates it on x < 0.
+# A scale quantity f is a tuple (c_Phi, c_zeta, neg, args): its modes on x >= 0, and
+# neg(y, *args), its value at y < 0, which is called only there.
+
+
+def _neg(f: tuple, y: float) -> float:
+    return f[2](y, *f[3])
 
 
 def _lin(u: float, f: tuple, v: float, g: tuple) -> tuple:
     # u f + v g
-    return (u * f[0] + v * g[0], u * f[1] + v * g[1], lambda y: u * f[2](y) + v * g[2](y))
+    return u * f[0] + v * g[0], u * f[1] + v * g[1], _lin_neg, (u, f, v, g)
+
+
+def _lin_neg(y: float, u: float, f: tuple, v: float, g: tuple) -> float:
+    return u * _neg(f, y) + v * _neg(g, y)
 
 
 def _at(ctx: ScaleContext, f: tuple, x: float, shift: float = 0.0) -> float:
     """f(x) e^{-Phi_q shift}."""
     if x < 0.0:
-        return f[2](x) * math.exp(-ctx.phi_q * shift)
+        return _neg(f, x) * math.exp(-ctx.phi_q * shift)
     return (f[0] * math.exp(ctx.phi_q * (x - shift))
             + f[1] * math.exp(-ctx.zeta_q * x - ctx.phi_q * shift))
 
@@ -143,7 +151,7 @@ def _two_sided(ctx: ScaleContext, g: tuple, f: tuple, x: float, b: float) -> flo
     s = max(b, 0.0)
     fb = _at(ctx, f, b, s)
     if x < 0.0:
-        return g[2](x) - f[2](x) * _at(ctx, g, b, s) / fb
+        return _neg(g, x) - _neg(f, x) * _at(ctx, g, b, s) / fb
     gap = -math.exp(-ctx.zeta_q * x) * math.expm1((ctx.phi_q + ctx.zeta_q) * (x - b))
     return (g[1] * (f[0] / fb) - (f[1] / fb) * g[0]) * gap if gap else 0.0
 
@@ -151,33 +159,35 @@ def _two_sided(ctx: ScaleContext, g: tuple, f: tuple, x: float, b: float) -> flo
 def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
     """f without its growing mode, which cancels in a bounded quantity or in the
     complement of one; f(x) on x < 0."""
-    return f[2](x) if x < 0.0 else f[1] * math.exp(-ctx.zeta_q * x)
+    return _neg(f, x) if x < 0.0 else f[1] * math.exp(-ctx.zeta_q * x)
 
 
 def _z_sum(ctx: ScaleContext, theta: float, k: int = 0) -> tuple:
-    # Z_q(., theta), or its k-th theta-derivative: modes A_r d^k/dtheta^k D(theta, r); a
-    # zero residue (zeta_q rounded to the pole -alpha of psi) has a zero mode
-    m, b = ctx.model, ctx.coeff_b
-    return (ctx.coeff_a * _psi_slope_any(m, theta, ctx.phi_q, k),
-            b * _psi_slope_any(m, theta, -ctx.zeta_q, k) if b else 0.0,
-            lambda y: y ** k * math.exp(theta * y))
+    # Z_q(., theta), or its k-th theta-derivative: modes A_r d^k/dtheta^k D(theta, r)
+    d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k)
+    return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (theta, k)
+
+
+def _z_neg(y: float, theta: float, k: int) -> float:
+    return y ** k * math.exp(theta * y)
 
 
 def _z_tilde_sum(ctx: ScaleContext, a: float, b: float) -> tuple:
     # Z~_q(., a, b): modes A_r D(a, r) D(b, r), symmetric in (a, b)
-    m, r, res = ctx.model, -ctx.zeta_q, ctx.coeff_b
+    m, phi_q, r = ctx.model, ctx.phi_q, -ctx.zeta_q
+    (a_phi, a_zeta), (b_phi, b_zeta) = _psi_slopes(m, a, phi_q, r), _psi_slopes(m, b, phi_q, r)
+    return (ctx.coeff_a * (a_phi * b_phi), ctx.coeff_b * (a_zeta * b_zeta), _z_tilde_neg,
+            (m, ctx.q, a, b))
 
-    def direct(y: float) -> float:
-        # the divided difference of psi_q(theta) e^{theta y}; its derivative at confluence
-        lo, hi = min(a, b), max(a, b)
-        if hi - lo <= 1e-8 * (1.0 + lo):
-            mid = 0.5 * (lo + hi)
-            return (_psi_prime_any(m, mid) - (_psi_any(m, mid) - ctx.q) * y) * math.exp(mid * y)
-        return ((_psi_any(m, lo) - ctx.q) * math.exp(hi * y)
-                - (_psi_any(m, hi) - ctx.q) * math.exp(lo * y)) / (lo - hi)
 
-    return (ctx.coeff_a * (_psi_slope_any(m, a, ctx.phi_q) * _psi_slope_any(m, b, ctx.phi_q)),
-            res * (_psi_slope_any(m, a, r) * _psi_slope_any(m, b, r)) if res else 0.0, direct)
+def _z_tilde_neg(y: float, m: LevyModel, q: float, a: float, b: float) -> float:
+    # the divided difference of psi_q(theta) e^{theta y}; its derivative at confluence
+    lo, hi = min(a, b), max(a, b)
+    if hi - lo <= 1e-8 * (1.0 + lo):
+        mid = 0.5 * (lo + hi)
+        return (_psi_prime_any(m, mid) - (_psi_any(m, mid) - q) * y) * math.exp(mid * y)
+    return ((_psi_any(m, lo) - q) * math.exp(hi * y)
+            - (_psi_any(m, hi) - q) * math.exp(lo * y)) / (lo - hi)
 
 
 def z(ctx: ScaleContext, x: float, theta: float) -> float:
@@ -186,11 +196,6 @@ def z(ctx: ScaleContext, x: float, theta: float) -> float:
     if not math.isfinite(theta) or theta < 0.0:
         raise DomainError("z requires theta >= 0")
     return _at(ctx, _z_sum(ctx, theta), x)
-
-
-def _z_dtheta(ctx: ScaleContext, x: float, theta: float) -> float:
-    # derivative of Z_q in its second argument, no positivity contract
-    return _at(ctx, _z_sum(ctx, theta, 1), x)
 
 
 def z_tilde(ctx: ScaleContext, x: float, alpha: float, beta: float) -> float:
@@ -267,20 +272,31 @@ def _script_w_sum(ctx: ScaleContext, p_extra: float, length: float, dp: bool = F
     # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its
     # p_extra-derivative; W_q(xi + length) has the modes (A, W_q(0) - A), so that
     # W_q(0) stays exact
-    q2 = ctx.q + p_extra
+    q2, neg = ctx.q + p_extra, (_script_w_dp if dp else script_w, ctx, p_extra, length)
     if dp:
-        direct = lambda y: _script_w_dp(ctx, p_extra, y, y + length)  # noqa: E731
         if length <= 0.0:
-            return 0.0, 0.0, direct
+            return 0.0, 0.0, _shifted, neg
         c, d = _conv_modes(ctx, q2, length, False), _conv_modes(ctx, q2, length, True)
-        return c[0] + p_extra * d[0], c[1] + p_extra * d[1], direct
-    f = (ctx.coeff_a * math.exp(ctx.phi_q * length),
-         (ctx.w0 - ctx.coeff_a) * math.exp(-ctx.zeta_q * length),
-         lambda y: script_w(ctx, p_extra, y, y + length))
+        return c[0] + p_extra * d[0], c[1] + p_extra * d[1], _shifted, neg
+    c_phi = ctx.coeff_a * math.exp(ctx.phi_q * length)
+    c_zeta = (ctx.w0 - ctx.coeff_a) * math.exp(-ctx.zeta_q * length)
     if p_extra != 0.0 and length > 0.0:
         conv = _conv_modes(ctx, q2, length, False)
-        f = (f[0] + p_extra * conv[0], f[1] + p_extra * conv[1], f[2])
-    return f
+        c_phi, c_zeta = c_phi + p_extra * conv[0], c_zeta + p_extra * conv[1]
+    return c_phi, c_zeta, _shifted, neg
+
+
+def _shifted(y: float, fn, ctx: ScaleContext, p_extra: float, length: float) -> float:
+    # script_w or its p_extra-derivative, fn, from y to y + length
+    return fn(ctx, p_extra, y, y + length)
+
+
+def _w_tilde_sum(ctx: ScaleContext, p: float, lam: float, a: float) -> tuple:
+    # the three-barrier composite lam W_{q+lam}(a) scriptW^{(q,p)}(xi, xi + a)
+    # - p W_{q+p}(a) scriptW^{(q,lam)}(xi, xi + a) as a function of xi
+    m = ctx.model
+    return _lin(lam * w(scale_context(m, ctx.q + lam), a), _script_w_sum(ctx, p, a),
+                -p * w(scale_context(m, ctx.q + p), a), _script_w_sum(ctx, lam, a))
 
 
 def _w_dq(ctx: ScaleContext, x: float) -> float:
@@ -301,5 +317,4 @@ def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float
     if p <= 0.0 or lam <= 0.0:
         raise DomainError("w_tilde requires p > 0 and lam > 0")
     ctx = scale_context(model, q)
-    return (lam * script_w(ctx, p, x, x + a) * w(scale_context(model, q + lam), a)
-            - p * script_w(ctx, lam, x, x + a) * w(scale_context(model, q + p), a))
+    return _at(ctx, _w_tilde_sum(ctx, p, lam, a), x)

@@ -31,7 +31,7 @@ from levyruin import (
     upcross_before_t0_two_sided,
     up_cross_three_barrier,
 )
-from levyruin.models import BROWNIAN, _psi_prime_any, _psi_second_any, _psi_slope_any
+from levyruin.models import BROWNIAN, _psi_prime_any, _psi_second_any, _psi_slopes
 from levyruin.registry import IDENTITIES, evaluate_identity
 from levyruin.scale import _z_sum, _z_tilde_sum
 
@@ -230,7 +230,8 @@ def test_dropped_growing_modes_cancel(key, lam):
     # lt_occupation_exp_horizon at q > 0
     ctx = scale_context(model, Q)
     phq, phl, php = ctx.phi_q, phi(model, Q + lam), phi(model, Q + P)
-    k = phl * P * _psi_slope_any(model, phq, 0.0) / _psi_slope_any(model, php, phq)
+    slope_0, slope_p = _psi_slopes(model, phq, 0.0, php)
+    k = phl * P * slope_0 / slope_p
     _cancels([(P * lam, _z_sum(ctx, 0.0)[0]), (P * Q, _z_sum(ctx, phl)[0]),
               (-k, _z_tilde_sum(ctx, phl, php)[0])])
 

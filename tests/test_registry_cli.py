@@ -132,12 +132,19 @@ def test_cli_exit_codes(model_files, capsys):
 
 def test_cli_numerical_failure_exit_code(model_files, capsys):
     _, cl_path = model_files
-    # at lam = 1e300 the density's Skellam tail leaves the float range: exit 4 with a
-    # one-line message, not a traceback
+    # a NumericalError (at lam = 1e300 the density's Skellam tail leaves the float
+    # range) and an ArithmeticError (e^{rL} at a root of psi = q + lam overflows at
+    # q = 1e20) both exit 4 with a one-line message, not a traceback
     assert main(["eval", "occupation_law", "--model", cl_path, "--x=0.5", "--lam=1e300",
                  "--r=1"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical error") and len(err.strip().splitlines()) == 1
+    assert err.startswith("numerical error (NumericalError)")
+    assert len(err.strip().splitlines()) == 1
+    assert main(["eval", "delayed_W_functional", "--model", cl_path, "--x=0.5", "--b=1",
+                 "--a=1", "--q=1e20", "--lam=1", "--p=1", "--z=0.5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error (OverflowError)")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_delayed_w_beyond_lower_barrier(model_files, capsys):

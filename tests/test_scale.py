@@ -19,7 +19,7 @@ from levyruin import (
     z,
     z_tilde,
 )
-from levyruin.scale import _convolution, _script_w_dp, _w_dq, _z_dtheta
+from levyruin.scale import _at, _convolution, _script_w_dp, _w_dq, _z_sum
 
 
 def w0_closed_brownian(m, x):
@@ -126,6 +126,11 @@ def test_cm1_exponential_ratio_limit(model):
         for x in np.linspace(0.0, 2.0, 9):
             ratio = w(ctx, float(x) + b) / w(ctx, b)
             assert ratio == pytest.approx(math.exp(ctx.phi_q * x), rel=1e-6)
+
+
+def _z_dtheta(ctx, x, theta):
+    # derivative of Z_q in its second argument, no positivity contract
+    return _at(ctx, _z_sum(ctx, theta, 1), x)
 
 
 def test_z_prime_theta(bm, cl):
