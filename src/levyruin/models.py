@@ -145,7 +145,8 @@ def _psi_prime_any(model: LevyModel, theta: float) -> float:
 def _psi_second_any(model: LevyModel, theta: float) -> float:
     if model.kind == BROWNIAN:
         return model.sigma ** 2
-    return 2.0 * model.alpha * model.eta / (theta + model.alpha) ** 3
+    t = theta + model.alpha  # t * t * t rounds to inf where t ** 3 raises OverflowError
+    return 2.0 * model.alpha * model.eta / (t * t * t)
 
 
 def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0) -> tuple:

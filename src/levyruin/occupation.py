@@ -190,7 +190,7 @@ def gamma_lambda(model: LevyModel, lam: float, r: float) -> float:
     return val
 
 
-def _gamma_comp(model: LevyModel, lam: float, phi_lam: float, r) -> np.ndarray:
+def _gamma_comp(model: LevyModel, phi_lam: float, r) -> np.ndarray:
     # G(r) = (1/r) E[X_r^- e^{Phi_lam X_r}] = Gamma_lam(r) - psi'(Phi_lam) e^{lam r},
     # vectorized over r, with e^{lam r} cancelled against the tilted tail
     r = np.asarray(r, dtype=float)
@@ -198,13 +198,15 @@ def _gamma_comp(model: LevyModel, lam: float, phi_lam: float, r) -> np.ndarray:
         sig = model.sigma
         d = -_psi_prime_any(model, phi_lam) * np.sqrt(r) / sig
         bracket = 1.0 / _SQRT_2PI + 0.5 * d * erfcx(-d / math.sqrt(2.0))
-        return np.exp(-r * model.mu ** 2 / (2.0 * sig * sig)) * (sig / np.sqrt(r)) * bracket
+        return np.exp(-r * _transform_decay_rate(model)) * (sig / np.sqrt(r)) * bracket
     # under the tilt X_r^- = (S_r - c r)^+ and E[(S_r - c r)^+] = E[(K - N)^+] / beta
-    # with K ~ Poisson(u) tilted claims and N ~ Poisson(beta c r)
+    # with K ~ Poisson(u) tilted claims and N ~ Poisson(beta c r).  The Skellam scale
+    # -(sqrt(beta c r) - sqrt(u))^2 plus lam r = psi(Phi_lam) r folds, with
+    # u beta c r = alpha eta c r^2, to -r (sqrt(c alpha) - sqrt(eta))^2: no term of size lam r
     beta = model.alpha + phi_lam
     u = model.eta * model.alpha * r / beta
-    log_scale, _, excess = _skellam_tail(u, beta * model.c * r)
-    return np.exp(lam * r + log_scale) * excess / (beta * r)
+    _, _, excess = _skellam_tail(u, beta * model.c * r)
+    return np.exp(-r * _transform_decay_rate(model)) * excess / (beta * r)
 
 
 def _lambda_prime(model: LevyModel, ctx0: ScaleContext, x: float, r: np.ndarray) -> np.ndarray:
@@ -270,7 +272,7 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
         r = float(r)
         if not (math.isfinite(r) and r > 0.0):
             raise DomainError(f"occupation density is defined for finite r > 0, got {r!r}")
-        g_r = float(_gamma_comp(model, lam, ph, r))
+        g_r = float(_gamma_comp(model, ph, r))
 
         # int_0^r (e^{-lam s} G(r) - G(r-s)) Lambda'(x, s) ds with the
         # sin^2 substitution absorbing the 1/sqrt endpoints of both factors
@@ -279,7 +281,7 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
             cs = np.cos(w_arr)
             s = r * sn * sn
             lp = _lambda_prime(model, ctx0, x, s)
-            gc = _gamma_comp(model, lam, ph, r * cs * cs)
+            gc = _gamma_comp(model, ph, r * cs * cs)
             return (np.exp(-lam * s) * g_r - gc) * lp * (2.0 * r * sn * cs)
 
         conv = gl_adaptive(conv_f, 0.0, 0.5 * math.pi, tol_abs=_CONV_TOL,

@@ -206,15 +206,19 @@ def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: f
         e = _lin(1.0, _lin(c, sl, -c, sp), -bracket, zl)
         mag = _lin(1.0, _lin(abs(c), _abs(sl), abs(c), _abs(sp)), bracket_mag, _abs(zl))
     val = p * _two_sided(ctx, e, zt, x, b)
-    # below the rounding floor of the cancelling terms the sign and size are
-    # meaningless; on x >= 0 those are the modes and their determinant, whose
+    return _floor_density(val, 1e-11 * p * _cancelling(ctx, mag, zt, x, b) + 1e-10,
+                          "Gerber-Shiu density")
+
+
+def _cancelling(ctx, mag: tuple, f: tuple, x: float, b: float) -> float:
+    # the size of the terms that cancel in _two_sided(ctx, g, f, x, b), where mag bounds
+    # g's terms; below its rounding floor the sign and size of the value are
+    # meaningless.  On x >= 0 those are the modes and their determinant, whose
     # magnitudes combine alike
     if x >= 0.0:
-        size = _two_sided(ctx, mag, (abs(zt[0]), -abs(zt[1]), None, ()), x, b)
-    else:
-        s = max(b, 0.0)
-        size = _neg(mag, x) + abs(_neg(zt, x)) * _at(ctx, mag, b, s) / _at(ctx, zt, b, s)
-    return _floor_density(val, 1e-11 * p * size + 1e-10, "Gerber-Shiu density")
+        return _two_sided(ctx, mag, (abs(f[0]), -abs(f[1]), None, ()), x, b)
+    s = max(b, 0.0)
+    return _neg(mag, x) + abs(_neg(f, x)) * _at(ctx, mag, b, s) / _at(ctx, f, b, s)
 
 
 def _abs(f: tuple) -> tuple:
@@ -500,7 +504,8 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     The point p = q + lam is removable: the difference quotients in p become the
     closed-form p-derivatives of the second-generation scale function there.
     z > a is rejected: there the formula disagrees with its Monte Carlo
-    counterpart ``T0_w_weight`` and can go negative.
+    counterpart ``T0_w_weight`` and can go negative.  A value below the rounding
+    floor of its cancelling terms (at large q) raises :class:`NumericalError`.
     """
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
@@ -514,7 +519,14 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     # and g the difference quotient in p at length z, or its p-derivative at the pole
     if abs(p - pole) <= 1e-8 * (1.0 + pole):
         k, g = -lam, _script_w_sum(ctx, lam, z_shift, dp=True)
+        mag = _abs(g)
     else:
         k = -lam / (p - pole)
-        g = _lin(1.0, _script_w_sum(ctx, p - q, z_shift), -1.0, _script_w_sum(ctx, lam, z_shift))
-    return k * _two_sided(ctx, g, _script_w_sum(ctx, lam, a), x, b)
+        g_p, g_l = _script_w_sum(ctx, p - q, z_shift), _script_w_sum(ctx, lam, z_shift)
+        g, mag = _lin(1.0, g_p, -1.0, g_l), _lin(1.0, _abs(g_p), 1.0, _abs(g_l))
+    f = _script_w_sum(ctx, lam, a)
+    val = k * _two_sided(ctx, g, f, x, b)
+    if 1e-11 * abs(k) * _cancelling(ctx, mag, f, x, b) > abs(val):
+        raise NumericalError("delayed_W_functional is below the rounding floor of its "
+                             f"cancelling terms: {val!r}")
+    return val

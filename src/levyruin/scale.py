@@ -12,10 +12,13 @@ theta = r (Kuznetsov, Kyprianou & Rivero, 2012):
     Z_q(x, theta)   c_r = A_r D(theta, r)    (its theta-derivatives: A_r d^k D/dtheta^k)
     Z~_q(x, a, b)   c_r = A_r D(a, r) D(b, r)
 
-On x < 0, Z_q(x, theta) = e^{theta x}.  The second-generation scale function is a
-four-term sum; its convolution starts at its first argument xi, so as a function
-of xi >= 0 it is two-mode again, and so are its derivative in the extra rate (from
-dr/dq = 1/psi'(r) at each root r of psi(r) = q) and the three-barrier composite.
+On x < 0, Z_q(x, theta) = e^{theta x}.  The second-generation scale function
+W_q(xi + L) + p int_xi^{xi+L} W_{q+p}(xi + L - y) W_q(y) dy equals, for xi >= 0,
+sum_r e^{r L} Z_q(xi, r) A'_r over the roots r of psi(r) = q + p with residues A'_r
+(Loeffen, Renaud & Zhou, 2014).  So it is two-mode in xi again, and so are its
+derivative in p (from dr/dp = A'_r) and the three-barrier composite.  Since
+psi(r) - psi(s) = p at the roots s of psi_q, sum_r A'_r D(r, s) = 1, and e^{r L}
+enters as expm1(r L): W_q(0) stays exact at L = 0, and short windows do not cancel.
 
 Three operations act on the modes, each in one place: :func:`_at` evaluates;
 :func:`_ratio` takes f(x)/f(b) and :func:`_two_sided` g(x) - f(x) g(b)/f(b) with
@@ -207,59 +210,23 @@ def z_tilde(ctx: ScaleContext, x: float, alpha: float, beta: float) -> float:
     return _at(ctx, _z_tilde_sum(ctx, float(alpha), float(beta)), x)
 
 
-def _exp_integrals(r: float, s: float, length: float) -> tuple:
-    # int_0^L e^{r(L-u) + s u} du and int_0^L (L-u) e^{r(L-u) + s u} du; near s = r
-    # by the series e^{rL} L^k sum_n t^n/(n+k)!, t = (s-r)L, without cancellation
-    d = s - r
-    t = d * length
-    er = math.exp(r * length)
-    if abs(t) < 0.5:
-        s2, term = 0.0, 0.5
-        for n in range(18):
-            s2 += term
-            term *= t / (n + 3)
-        return er * length * (1.0 + t * s2), er * length * length * s2
-    es = math.exp(s * length)
-    return (es - er) / d, (es - er * (1.0 + t)) / (d * d)
-
-
-def _conv_modes(ctx: ScaleContext, q2: float, length: float, dq: bool) -> tuple:
-    # modes in a >= 0 of int_a^{a+length} W_{q2}(a + length - y) W_q(y) dy, or with dq
-    # of its derivative in q2
-    model = ctx.model
-    roots2 = _roots(scale_context(model, q2))
-    out = []
-    for s, bs in _roots(ctx):
-        total = 0.0
-        for r, ar in roots2:
-            k1, k2 = _exp_integrals(r, s, length)
-            total += ar * ar * (k2 - _psi_second_any(model, r) * ar * k1) if dq else ar * k1
-        out.append(bs * total)
-    return tuple(out)
-
-
-def _convolution(ctx: ScaleContext, q2: float, a: float, x: float, dq: bool) -> float:
-    # int_a^x W_{q2}(x - y) W_q(y) dy for 0 <= a < x, or with dq its derivative in q2
-    return _at(ctx, _conv_modes(ctx, q2, x - a, dq), a)
-
-
 def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     """Second-generation scale function: W_q corrected by a convolution from ``a``.
 
         W_q(x) + p_extra * int_a^x W_{q+p_extra}(x - y) W_q(y) dy
 
-    evaluated in closed form as a four-term exponential sum.  Reduces to W_q(x)
-    for x <= a or p_extra = 0.  Since W_q vanishes on the negative axis, a < 0 is
-    equivalent to a = 0, where the sum is W_{q+p_extra}(x).
+    evaluated in closed form as sum_r e^{r (x - a)} Z_q(a, r) / psi'(r) over the two
+    roots r of psi = q + p_extra.  Reduces to W_q(x) for x <= a or p_extra = 0.
+    Since W_q vanishes on the negative axis, a < 0 is equivalent to a = 0, where
+    the sum is W_{q+p_extra}(x).
     """
     p_extra = float(p_extra)
-    q2 = ctx.q + p_extra
-    if q2 < 0.0:
+    if ctx.q + p_extra < 0.0:
         raise DomainError("script_w requires q + p_extra >= 0")
     a = max(a, 0.0)
     if p_extra == 0.0 or x <= a:
         return w(ctx, x)
-    return w(ctx, x) + p_extra * _convolution(ctx, q2, a, x, False)
+    return _at(ctx, _script_w_sum(ctx, p_extra, x - a), a)
 
 
 def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
@@ -270,20 +237,27 @@ def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float
 
 def _script_w_sum(ctx: ScaleContext, p_extra: float, length: float, dp: bool = False) -> tuple:
     # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its
-    # p_extra-derivative; W_q(xi + length) has the modes (A, W_q(0) - A), so that
-    # W_q(0) stays exact
-    q2, neg = ctx.q + p_extra, (_script_w_dp if dp else script_w, ctx, p_extra, length)
-    if dp:
-        if length <= 0.0:
-            return 0.0, 0.0, _shifted, neg
-        c, d = _conv_modes(ctx, q2, length, False), _conv_modes(ctx, q2, length, True)
-        return c[0] + p_extra * d[0], c[1] + p_extra * d[1], _shifted, neg
-    c_phi = ctx.coeff_a * math.exp(ctx.phi_q * length)
-    c_zeta = (ctx.w0 - ctx.coeff_a) * math.exp(-ctx.zeta_q * length)
-    if p_extra != 0.0 and length > 0.0:
-        conv = _conv_modes(ctx, q2, length, False)
-        c_phi, c_zeta = c_phi + p_extra * conv[0], c_zeta + p_extra * conv[1]
-    return c_phi, c_zeta, _shifted, neg
+    # p_extra-derivative: the modes B_s sum_r A'_r D(r, s) e^{r length} over the roots r
+    # of psi = q + p_extra, with residues A'_r = dr/dp_extra and B = (A, W_q(0) - A) so
+    # that W_q(0) stays exact.  sum_r A'_r D(r, s) = 1 for every p_extra, so e^{r length}
+    # enters as expm1, which does not cancel at short lengths
+    model, s_phi, s_zeta = ctx.model, ctx.phi_q, -ctx.zeta_q
+    c_phi = c_zeta = 0.0 if dp else 1.0
+    for r, ar in _roots(scale_context(model, ctx.q + p_extra)):
+        if not ar:
+            continue  # a root rounded to the pole of a Cramer-Lundberg psi'
+        em = math.expm1(r * length)
+        d_phi, d_zeta = _psi_slopes(model, r, s_phi, s_zeta)
+        if dp:
+            k_phi, k_zeta = _psi_slopes(model, r, s_phi, s_zeta, 1)
+            u, h, e = ar * ar, _psi_second_any(model, r) * ar, length * (1.0 + em)
+            c_phi += u * (em * (k_phi - h * d_phi) + e * d_phi)
+            c_zeta += u * (em * (k_zeta - h * d_zeta) + e * d_zeta)
+        else:
+            c_phi += ar * d_phi * em
+            c_zeta += ar * d_zeta * em
+    return (ctx.coeff_a * c_phi, (ctx.w0 - ctx.coeff_a) * c_zeta, _shifted,
+            (_script_w_dp if dp else script_w, ctx, p_extra, length))
 
 
 def _shifted(y: float, fn, ctx: ScaleContext, p_extra: float, length: float) -> float:

@@ -33,7 +33,8 @@ from levyruin import (
 )
 from levyruin.models import BROWNIAN, _psi_prime_any, _psi_second_any, _psi_slopes
 from levyruin.registry import IDENTITIES, evaluate_identity
-from levyruin.scale import _z_sum, _z_tilde_sum
+from levyruin.scale import _script_w_dp, _z_sum, _z_tilde_sum, script_w
+from test_scale import CLOSED_FORM_POINTS, CLOSED_FORM_RATES
 
 MODELS = {
     "bm_a": LevyModel.brownian(1.0, math.sqrt(2.0)),
@@ -196,6 +197,28 @@ def test_ruin_prob_sum_exp_far_tail():
     assert_matches(ruin_prob_sum_exp(model, 40.0, P, LAM), exact)
 
 
+def mp_script_w(model, q, p, a, x):
+    # sum over the exact roots r of psi = q + p of e^{r (x - a)} Z_q(a, r) / psi'(r), the
+    # second-generation scale function for 0 <= a < x (Loeffen, Renaud & Zhou, 2014)
+    q, p, a, x = map(mpmath.mpf, (q, p, max(a, 0.0), x))
+    ex = Exact(model, q)
+    return sum(mpmath.exp(r * (x - a)) * ex.z(a, r) / ex.dpsi(r)
+               for r in (ex.root(q + p, sign) for sign in (1, -1)))
+
+
+@pytest.mark.parametrize("key", MODELS)
+@pytest.mark.parametrize("q, pe", CLOSED_FORM_RATES)
+def test_script_w_and_its_p_derivative_match_mpmath(key, q, pe):
+    model = MODELS[key]
+    ctx = scale_context(model, q)
+    for a, x in (*CLOSED_FORM_POINTS, (0.4, 0.41)):
+        with mpmath.workdps(60):
+            exact = mp_script_w(model, q, pe, a, x)
+            exact_dp = mpmath.diff(lambda v: mp_script_w(model, q, v, a, x), mpmath.mpf(pe))
+        assert script_w(ctx, pe, a, x) == pytest.approx(float(exact), rel=1e-12)
+        assert _script_w_dp(ctx, pe, a, x) == pytest.approx(float(exact_dp), rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # each dropped growing coefficient cancels to rounding
 # ---------------------------------------------------------------------------
@@ -299,6 +322,7 @@ BASE = {"x": 0.5, "b": 2.0, "a": 1.0, "q": 0.1, "p": 0.7, "lam": 1.3, "theta": 0
 
 
 @pytest.mark.parametrize("key", MODELS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_rates_finite_or_typed_error(key):
     model = MODELS[key]
     for name, ident in sorted(IDENTITIES.items()):
@@ -316,3 +340,43 @@ def test_huge_rates_finite_or_typed_error(key):
                 where = (name, axis, e, value)
                 assert math.isfinite(value) and value >= 0.0, where
                 assert value <= 1.0 or name not in PROBABILITIES, where
+
+
+@pytest.mark.parametrize("key", ["cl_a", "cl_b"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_erlang_ruin_at_huge_rates_tends_to_ordinary_ruin(key, n):
+    # an Erlang(n, lam) delay shrinks to 0 as lam -> inf, leaving the ruin probability
+    # (eta / (c alpha)) e^{-(alpha - eta / c) x} of Exp(alpha) claims
+    model, x = MODELS[key], 0.5
+    ruin = model.eta / (model.c * model.alpha) * math.exp(-(model.alpha - model.eta / model.c) * x)
+    for e in range(20, 301, 20):
+        assert ruin_prob_erlang_n(model, x, 10.0 ** e, n).value == pytest.approx(ruin, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# a larger discount gives a smaller value, or a typed error, never garbage
+# ---------------------------------------------------------------------------
+
+DISCOUNTS = (0.1, 0.3, 1.0, 3.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0, 150.0, 200.0,
+             300.0, 500.0, 700.0, 1000.0, 2000.0, 3000.0, 1e4)
+# in lt_occupation_exp_horizon q is the rate of an exponential horizon, not a
+# discount: its value grows with q
+DISCOUNTED = sorted(name for name, ident in IDENTITIES.items()
+                    if "q" in [prm.name for prm in ident.params]
+                    and name != "lt_occupation_exp_horizon")
+
+
+@pytest.mark.parametrize("key", MODELS)
+@pytest.mark.parametrize("name", DISCOUNTED)
+def test_discounted_identities_decrease_in_q(key, name):
+    names = [prm.name for prm in IDENTITIES[name].params]
+    previous = math.inf
+    for q in DISCOUNTS:
+        params = {k: BASE[k] for k in names}
+        params["q"] = q
+        try:
+            value = float(evaluate_identity(name, MODELS[key], params)[0])
+        except (DomainError, NumericalError, ArithmeticError):
+            continue
+        assert math.isfinite(value) and 0.0 <= value <= (1.0 + 1e-9) * previous, (q, value)
+        previous = value

@@ -125,7 +125,7 @@ def test_gamma_comp_identity(model):
     psip = psi_prime(model, ph)
     for r in (0.3, 1.0, 3.0):
         lhs = gamma_lambda(model, lam, r)
-        rhs = psip * math.exp(lam * r) + _gamma_comp(model, lam, ph, r)
+        rhs = psip * math.exp(lam * r) + _gamma_comp(model, ph, r)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -137,7 +137,7 @@ def test_gamma_comp_brute_force_cl(cl, r):
     td = transition(cl, r)
     brute = quad(lambda zz: -zz * math.exp(ph * zz) * float(td.density(zz)) / r,
                  td.lower, 0.0, limit=400, epsabs=0.0, epsrel=1e-12)[0]
-    assert float(_gamma_comp(cl, lam, ph, r)) == pytest.approx(brute, rel=1e-8)
+    assert float(_gamma_comp(cl, ph, r)) == pytest.approx(brute, rel=1e-8)
 
 
 def test_gamma_lambda_rejects_bad_r(model):

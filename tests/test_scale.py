@@ -19,7 +19,7 @@ from levyruin import (
     z,
     z_tilde,
 )
-from levyruin.scale import _at, _convolution, _script_w_dp, _w_dq, _z_sum
+from levyruin.scale import _at, _script_w_dp, _w_dq, _z_sum
 
 
 def w0_closed_brownian(m, x):
@@ -254,8 +254,8 @@ def test_scale_context_rejects_degenerate():
         scale_context(LevyModel.brownian(0.0, 1.0), 0.0)  # E[X_1] = 0, double root
 
 
-# (q, p_extra): a negative extra rate, the near-confluent series (the roots of
-# psi = q and psi = q + p_extra a distance ~p_extra apart) and ordinary rates
+# (q, p_extra): a negative extra rate, a near-confluent one (the roots of psi = q
+# and psi = q + p_extra a distance ~p_extra apart) and ordinary rates
 CLOSED_FORM_RATES = ((0.3, -0.05), (0.06, -0.05), (0.3, 1e-9), (0.0, 0.7), (0.3, 3.0))
 # (a, x): a < 0 <= x (a convolution from 0), an interior start, a short window
 CLOSED_FORM_POINTS = ((-0.5, 1.2), (0.4, 2.5), (1.0, 1.05))
@@ -268,7 +268,7 @@ def test_script_w_convolution_against_quadrature(model, q, pe):
     for a, x in CLOSED_FORM_POINTS:
         lo = max(a, 0.0)
         val, _ = quad(lambda y: w(ctx2, x - y) * w(ctx, y), lo, x, epsabs=1e-14, epsrel=1e-13)
-        assert _convolution(ctx, q + pe, lo, x, False) == pytest.approx(val, rel=1e-11)
+        assert script_w(ctx, pe, a, x) == pytest.approx(w(ctx, x) + pe * val, rel=1e-11)
 
 
 @pytest.mark.parametrize("q, pe", CLOSED_FORM_RATES)
