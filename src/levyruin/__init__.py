@@ -4,14 +4,7 @@ Monte Carlo oracle."""
 
 from .errors import DomainError, NumericalError, UnsupportedFunctional, UsageError
 from .models import LevyModel, TransitionDensity, model_from_dict, phi, psi, psi_prime, transition
-from .occupation import (
-    OccupationLaw,
-    gamma_lambda,
-    joint_lt_upcross,
-    lambda_prime,
-    lt_occupation_inf,
-    occupation_law,
-)
+from .occupation import OccupationLaw, joint_lt_upcross, lt_occupation_inf, occupation_law
 from .parisian import (
     ErlangNResult,
     FixedDelayResult,

@@ -19,17 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, pdtrik
 
 from .errors import DomainError
 
 BROWNIAN = "brownian"
 CRAMER_LUNDBERG = "cramer_lundberg"
-
-# Poisson tail mass at which the Cramer-Lundberg transition series is truncated;
-# far below the Monte Carlo noise floor.
-_SERIES_TAIL = 1e-12
-
 
 @dataclass(frozen=True)
 class LevyModel:
@@ -227,8 +221,7 @@ def transition(model: LevyModel, r: float) -> TransitionDensity:
 
     Brownian: Gaussian(mu*r, sigma^2*r), no atom.
     Cramer-Lundberg: atom e^{-eta r} at c*r (no claims) plus the Poisson-Erlang
-    mixture sum_{k>=1} P(N_r=k) Erlang(k, alpha)(c*r - z) for z < c*r, truncated
-    once the Poisson tail mass drops below 1e-12.
+    mixture sum_{k>=1} P(N_r=k) Erlang(k, alpha)(c*r - z) for z < c*r.
     """
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
@@ -243,43 +236,19 @@ def transition(model: LevyModel, r: float) -> TransitionDensity:
             u = (z - _m) / _s
             return np.exp(-0.5 * u * u) / (_s * math.sqrt(2.0 * math.pi))
 
-        return TransitionDensity(
-            atom_location=None,
-            atom_mass=0.0,
-            density=density,
-            lower=m - 14.0 * s,
-            upper=m + 14.0 * s,
-        )
+        return TransitionDensity(None, 0.0, density, lower=m - 14.0 * s, upper=m + 14.0 * s)
 
-    c, eta, alpha = model.c, model.eta, model.alpha
-    cr = c * r
-    mu_pois = eta * r
-    kmax = math.ceil(pdtrik(1.0 - _SERIES_TAIL, mu_pois)) + 1
-    ks = np.arange(1, kmax + 1, dtype=float)
-    log_pmf = -mu_pois + ks * math.log(mu_pois) - gammaln(ks + 1.0)
+    from scipy.special import ive  # a test oracle: off the import path
 
-    def density(z, _ks=ks, _log_pmf=log_pmf, _cr=cr, _alpha=alpha):
-        z = np.asarray(z, dtype=float)
-        w = _cr - z
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        if np.any(pos):
-            wp = w[pos]
-            # log of alpha^k w^{k-1} e^{-alpha w} / (k-1)!
-            log_erl = (
-                _ks[:, None] * math.log(_alpha)
-                + (_ks[:, None] - 1.0) * np.log(wp)[None, :]
-                - gammaln(_ks[:, None])
-                - _alpha * wp[None, :]
-            )
-            out[pos] = np.exp(_log_pmf[:, None] + log_erl).sum(axis=0)
-        return out
+    cr, a = model.c * r, model.eta * r
 
-    spread = (kmax + 14.0 * math.sqrt(kmax) + 45.0) / alpha
-    return TransitionDensity(
-        atom_location=cr,
-        atom_mass=math.exp(-mu_pois),
-        density=density,
-        lower=cr - spread,
-        upper=cr,
-    )
+    def density(z):
+        # sum_{k>=1} P(N_r = k) alpha P(Pois(alpha w) = k-1) at w = c r - z, in Bessel form
+        w = cr - np.asarray(z, dtype=float)
+        b = model.alpha * np.where(w > 0.0, w, 1.0)
+        dens = (model.alpha * np.sqrt(a / b) * np.exp(-(np.sqrt(a) - np.sqrt(b)) ** 2)
+                * ive(1, 2.0 * np.sqrt(a * b)))
+        return np.where(w > 0.0, dens, 0.0)
+
+    return TransitionDensity(cr, math.exp(-a), density,
+                             lower=cr - (a + 21.0 * math.sqrt(a) + 60.0) / model.alpha, upper=cr)

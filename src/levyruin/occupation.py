@@ -2,64 +2,49 @@
 
 The occupation time accrues, within each negative excursion, from the first Poisson
 observation epoch finding the surplus negative until the excursion's recovery to 0.
-This module provides
+This module gives the joint transform of (first passage above b, occupation until
+then), the transform of the total occupation O over an infinite horizon, and the
+law of O: an atom at 0 plus a density, in closed form (Landriault, Renaud & Zhou,
+SPA 2011).  Since Phi_p/p = 1/D(Phi_p, 0) and D(u, -zeta_0)/D(u, 0) = u/(u + zeta_0),
+E_x[e^{-p O}] = atom + (1 - atom) zeta_0/(Phi_p + zeta_0) for x >= 0, so given O > 0
+the density g depends on the model alone:
 
-* the joint transform of (first passage above b, occupation accrued until then),
-* the Laplace transform of the total occupation over an infinite horizon,
-* the kernels Gamma_lam and Lambda' built on Kendall's identity, and
-* the full law of the infinite-horizon occupation time: an atom at 0 plus a density.
+* Brownian, a = mu/(sqrt 2 sigma), z = a sqrt r: g(r) = (2a/sqrt r) e^{-z^2} (1/sqrt pi
+  - z erfcx z), the Laplace pair of 1/(sqrt(p + a^2) + a);
+* Cramer-Lundberg: g = (c zeta_0/2 eta) Hbar, the tail of the M/M/1 busy-period density
+  (Kleinrock 1975, ch. 5).
 
-Numerical note: Gamma_lam(r) grows like psi'(Phi_lam) e^{lam r} (its Laplace
-transform 1/(Phi_p - Phi_lam) has a pole at p = lam), so the textbook density
-formula is a catastrophic cancellation at large r.  The density is evaluated
-through the compensated kernel
-
-    G(r) = Gamma_lam(r) - psi'(Phi_lam) e^{lam r} = (1/r) E[X_r^- e^{Phi_lam X_r}] >= 0
-
-(split E[X_r e^{Phi_lam X_r}] = r psi'(Phi_lam) e^{lam r} over the two half-lines),
-combined with the Laplace identity
-int_0^inf e^{-lam s} Lambda'(x, s) ds = (Phi_lam/lam) Z(x, Phi_lam) - W(x).
-
-Every kernel is a partial first moment of X_r under an exponential tilt, in
-closed form and vectorized over r, so a density point costs one kernel call per
-quadrature level of its convolution and tail integrals:
-
-* Brownian: the tilted law is Gaussian.  G uses erfcx with e^{lam r} cancelled
-  analytically, G(r) = e^{-r mu^2/2 sigma^2} (sigma/sqrt r) [1/sqrt(2 pi)
-  + d erfcx(-d/sqrt 2)/2] with d = -psi'(Phi_lam) sqrt(r)/sigma; Gamma_lam and
-  Lambda' use log_ndtr with their prefactors folded into the exponent.
-* Cramer-Lundberg: the tilted law is again compound Poisson with exponential
-  claims, and each moment reduces to the upper tail of the difference of two
-  independent Poisson counts (Skellam).  Where the tilted drift is negative (G,
-  and Lambda' on positive-drift models) that tail is a rare event: its
-  probabilities e^{-(sqrt b - sqrt a)^2} rho^d ive(d, 2 sqrt(ab)) are summed with
-  the prefactor (e^{lam r} for G, e^{-zeta_0 x} for Lambda') folded into the
-  exponent, so the kernels stay finite and nonzero out to r ~ 1000 on thinly
-  loaded models and for x far below 0.  Gamma_lam, a bulk moment, uses
-  P(N >= K + m) = chndtr(2y, 2m, 2u) for N ~ Poisson(y), K ~ Poisson(u).
-
-Lambda' needs no e^{r psi} prefactor: the exponents of W' are roots of psi.
+From x < 0 the process creeps up to 0, and the strong Markov property at tau = tau_0^+
+splits O into independent parts O_init = (tau - e_lam)^+, e_lam the first observation
+epoch, and O_0, the occupation from 0 with atom atom_0.  So the density is
+e^{-Phi_lam |x|} (1 - atom_0) g + atom_0 f_init + (1 - atom_0) f_init * g, with
+f_init(s) = lam E[e^{-lam (tau - s)}; tau > s]; the convolution is the one quadrature.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import chndtr, erfcx, ive, log_ndtr
 
-from .errors import DomainError, NumericalError
-from .models import BROWNIAN, LevyModel, _psi_prime_any, phi
-from .quadrature import gl_adaptive, gl_fixed
-from .scale import ScaleContext, _ratio, _roots, _z_tilde_sum, scale_context, z, z_tilde
+from .errors import DomainError
+from .models import BROWNIAN, LevyModel, phi
+from .quadrature import gl_adaptive, gl_batch
+from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
 from .util import clamp_unit
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_NEG_DENSITY_CLAMP = 1e-9
-_CONV_TOL = 1e-7  # adaptive tolerance of the density convolution
+_SQRT_PI, _HALF_LOG_2PI = math.sqrt(math.pi), 0.5 * math.log(2.0 * math.pi)
+_CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
+_CF_FROM, _CF_DEPTH = 4.0, 30  # erfc continued fraction: from where, and how deep
+_TOL = 1e-9  # relative tolerance of the x < 0 quadratures
+# 2 e^{-z} I_1(z)/z is e^{-z} times a power series in z^2/4 below z = 17, and
+# sqrt(2/(pi z))/z times Hankel's expansion in 1/z above (error below e^{-2z});
+# coefficients from the highest power down
+_I1_SERIES = 1.0 / np.array([float(math.factorial(k) * math.factorial(k + 1))
+                             for k in range(59, -1, -1)])
+_I1_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4.0) / (8.0 * k) for k in range(1, 26)])[::-1]
 
 
 def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -94,138 +79,196 @@ def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float
     return clamp_unit(k * z_tilde(ctx0, x, phl, php), "lt_occupation_inf")
 
 
-def _skellam_tail(a: np.ndarray, b: np.ndarray):
-    """Upper tail of A - B for independent A ~ Poisson(a), B ~ Poisson(b), a < b.
+def _erfc_cf(z: float) -> float:
+    # R with sqrt(pi) erfcx(z) = 1/(z + R), Laplace's continued fraction (1/2)/(z + 1/(z +
+    # (3/2)/(z + ...))): positive levels, 30 of them exact to rounding from z = 4 on
+    t = 0.0
+    for n in range(_CF_DEPTH, 0, -1):
+        t = 0.5 * n / (z + t)
+    return t
 
-    Returns (log_scale, p, e) with P(A >= B) = e^{log_scale} p and
-    E[(A - B)^+] = e^{log_scale} e, so that callers fold their own exponential
-    prefactor into log_scale.  P(A - B = d) = e^{-(sqrt b - sqrt a)^2} rho^d ive(d, z)
-    with rho = sqrt(a/b) and z = 2 sqrt(ab).  The Bessel ratios h_d = I_d / I_{d-1}
-    come from the stable downward recurrence h_d = z / (2d + z h_{d+1}), started at
-    the exact ratio one order above the last term kept.  Term d of the mean is at
-    most d rho^{d-1} prod_{2<=i<=d} h_i times term 1.  Terms are cut where this
-    drops below e^{-40}, bounding h_i by 1 and z/2i (at most z + 62 terms), or by
-    Amos's h_i <= z / (i - 1/2 + sqrt((i - 1/2)^2 + z^2)) where that cuts earlier.
+
+def _stirlerr(n: float) -> float:
+    # log n! - (n + 1/2) log n + n - log sqrt(2 pi) for n >= 1, by Stirling's series
+    # where its terms would cancel
+    if n < 10.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    u = 1.0 / (n * n)
+    return (1 / 12 - u * (1 / 360 - u * (1 / 1260 - u * (1 / 1680 - u / 1188)))) / n
+
+
+def _busy_period_tail(m: float, kappa: float, decay: float, r: np.ndarray) -> np.ndarray:
+    """Hbar(r) = int_r^inf (kappa/t) I_1(kappa t) e^{-m t} dt on a 1-d array of r > 0.
+
+    Hbar(r) = 2m sum_k C_k y^{k+1} P(Poisson(m r) <= 2k), C_k the Catalan numbers and
+    y = (kappa/2m)^2: positive terms, peaking near k = kappa r/2 and falling like
+    (kappa/m)^{2k} beyond, summed where they exceed e^{-_CUT} of the peak.  Both factors
+    start from Stirling forms and go on by log-space recurrences.  Hbar(r) <
+    kappa e^{-decay r}/(decay r) (decay = m - kappa, from I_1(u) < e^u) is 0 where
+    that underflows.
     """
-    z = 2.0 * np.sqrt(a * b)
-    rho = np.sqrt(a / b)
-    if not rho.all():
-        raise NumericalError("Skellam tail: the Poisson means differ beyond the float range")
-    z_max, rho_max = float(z.max()), float(rho.max())
-    orders = np.arange(1.0, int(min(40.0 / -math.log(rho_max), z_max + 60.0)) + 3)
-    log_h = np.log(z_max / (orders - 0.5 + np.sqrt((orders - 0.5) ** 2 + z_max * z_max)))
-    log_bound = np.log(orders) + (orders - 1.0) * math.log(rho_max) + np.cumsum(log_h) - log_h[0]
-    below = log_bound < -40.0
-    n = int(orders[np.argmax(below)]) if below.any() else len(orders)
-    i_n = ive(n, z)
-    g = rho * np.divide(ive(n + 1, z), i_n, out=np.zeros_like(z), where=i_n > 0.0)
-    rho_z, z_rho = rho * z, z / rho
-    p = np.zeros_like(z)
-    e = np.zeros_like(z)
-    for d in range(n, 0, -1):
-        g = rho_z / (2.0 * d + z_rho * g)  # g = rho h_d
-        # Horner forms of sum_d prod_{i<=d} rho h_i and sum_d d prod_{i<=d} rho h_i
-        p = g * (1.0 + p)
-        e = g * (d + e)
-    i_0 = ive(0, z)
-    return -(np.sqrt(b) - np.sqrt(a)) ** 2, i_0 * (1.0 + p), i_0 * e
-
-
-def _partial_moment(model: LevyModel, theta: float, log_pre: float, a: float,
-                    r: np.ndarray) -> np.ndarray:
-    """e^{log_pre} E[X_r e^{theta X_r}; X_r > a] e^{-r psi(theta)} for a 1-d array of r > 0.
-
-    The partial first moment of X_r under the law tilted by e^{theta X_r}, the
-    Cramer-Lundberg atom at c*r included.  The prefactor e^{log_pre} is folded into
-    the exponent of the moment, so that neither overflows or underflows on its own.
-    """
-    if model.kind == BROWNIAN:
-        # the tilted law is Gaussian(psi'(theta) r, sigma^2 r)
-        m = _psi_prime_any(model, theta) * r
-        s = model.sigma * np.sqrt(r)
-        d = (a - m) / s
-        return (m * np.exp(log_pre + log_ndtr(-d))
-                + s * np.exp(log_pre - 0.5 * d * d) / _SQRT_2PI)
-    # Under the tilt K ~ Poisson(u) claims arrive by r with Exp(beta) sizes.  With
-    # N ~ Poisson(y), y = beta (c r - a): P(X_r > a) = P(N >= K) and
-    # E[(X_r - a)^+] = E[(N - K)^+] / beta.
-    beta = model.alpha + theta
     out = np.zeros_like(r)
-    pos = model.c * r > a
-    if not pos.any():
+    live = np.log(kappa / decay) - np.log(r) - decay * r >= -746.0
+    if not live.any():
         return out
-    u = model.eta * model.alpha * r[pos] / beta
-    y = beta * (model.c * r[pos] - a)
-    if _psi_prime_any(model, theta) < 0.0:
-        # negative tilted drift, so y < u and {X_r > a} is a Skellam tail
-        log_scale, p_ge, excess = _skellam_tail(y, u)
+    mu, log_4y = m * r[live], 2.0 * math.log(kappa / m)
+    kc = 0.5 * (kappa / m) * mu
+    k_lo = max(0, int((kc - np.sqrt(_CUT * 1.25 * kc)).min() - 5.0))
+    k_hi = int(np.maximum(kc + np.sqrt(_CUT * 1.25 * kc),
+                          0.5 * mu + np.sqrt(_CUT * 1.25 * mu)).max() + 5.0 - _CUT / log_4y)
+    # log P(N = j) for j = 2 k_lo .. 2 k_hi, less its value at j = 2 k_lo
+    j = np.arange(2 * k_lo + 1, 2 * k_hi + 1, dtype=float)
+    log_p = np.zeros((len(mu), len(j) + 1))
+    np.cumsum(np.log(mu[:, None] / j), axis=1, out=log_p[:, 1:])
+    top = log_p.max(axis=1)
+    cdf = np.cumsum(np.exp(log_p - top[:, None]), axis=1)[:, ::2]
+    # log C_k y^{k+1} less its value at k_lo, by C_{k+1}/C_k = 4 (2k+1)/(2k+4)
+    k = np.arange(k_lo, k_hi, dtype=float)
+    log_c = np.concatenate(([0.0], np.cumsum(log_4y + np.log1p(-3.0 / (2.0 * k + 4.0)))))
+    terms = log_c + np.log(cdf, out=np.full_like(cdf, -np.inf), where=cdf > 0.0)
+    peak = terms.max(axis=1)
+    # the anchors: log C_k y^{k+1} at k_lo, and Loader's saddle-point form of log P(N = j)
+    log_cy = log_4y - 2.0 * math.log(2.0)
+    if k_lo:
+        log_cy += (k_lo * log_4y - 0.5 * math.log(math.pi * k_lo) - math.log(k_lo + 1.0)
+                   + _stirlerr(2.0 * k_lo) - 2.0 * _stirlerr(k_lo))
+        j0 = 2.0 * k_lo
+        dev = (mu - j0) / j0
+        log_p0 = (-j0 * (dev - np.log1p(dev)) - _HALF_LOG_2PI - 0.5 * math.log(j0)
+                  - _stirlerr(j0))
     else:
-        # P(N >= K + m) = chndtr(2y, 2m, 2u) for m >= 1
-        log_scale = 0.0
-        p_tie = np.exp(-(np.sqrt(y) - np.sqrt(u)) ** 2) * ive(0, 2.0 * np.sqrt(u * y))
-        p_ge = p_tie + chndtr(2.0 * y, 2.0, 2.0 * u)
-        excess = y * p_ge - u * chndtr(2.0 * y, 4.0, 2.0 * u)
-    out[pos] = np.exp(log_pre + log_scale) * (a * p_ge + excess / beta)
+        log_p0 = -mu
+    out[live] = 2.0 * m * np.exp(log_cy + log_p0 + top + peak) * np.exp(
+        terms - peak[:, None]).sum(axis=1)
     return out
 
 
-def gamma_lambda(model: LevyModel, lam: float, r: float) -> float:
-    """Kernel Gamma_lam(r) = int_0^inf e^{Phi_lam z} (z/r) P(X_r in dz).
-
-    The positive-half-line partial moment under the e^{Phi_lam z} tilt, including
-    the Cramer-Lundberg atom at c*r.  Grows like psi'(Phi_lam) e^{lam r}; intended
-    for moderate r.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"gamma_lambda requires finite r > 0, got {r!r}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"gamma_lambda requires finite lam > 0, got {lam!r}")
-    ph = phi(model, lam)
-    with np.errstate(over="ignore"):
-        val = float(_partial_moment(model, ph, lam * r, 0.0, np.array([r], dtype=float))[0]) / r
-    if not math.isfinite(val):
-        raise OverflowError(
-            f"gamma_lambda overflows at r={r!r}, lam={lam!r}: it grows like e^(lam r)"
-        )
-    return val
-
-
-def _gamma_comp(model: LevyModel, phi_lam: float, r) -> np.ndarray:
-    # G(r) = (1/r) E[X_r^- e^{Phi_lam X_r}] = Gamma_lam(r) - psi'(Phi_lam) e^{lam r},
-    # vectorized over r, with e^{lam r} cancelled against the tilted tail
-    r = np.asarray(r, dtype=float)
+def _positive_density(model: LevyModel, zeta0: float) -> tuple:
+    """g, the density of O given O > 0 from any x >= 0, a function of the model alone:
+    returns g on one r > 0 and on a 1-d array of them."""
     if model.kind == BROWNIAN:
-        sig = model.sigma
-        d = -_psi_prime_any(model, phi_lam) * np.sqrt(r) / sig
-        bracket = 1.0 / _SQRT_2PI + 0.5 * d * erfcx(-d / math.sqrt(2.0))
-        return np.exp(-r * _transform_decay_rate(model)) * (sig / np.sqrt(r)) * bracket
-    # under the tilt X_r^- = (S_r - c r)^+ and E[(S_r - c r)^+] = E[(K - N)^+] / beta
-    # with K ~ Poisson(u) tilted claims and N ~ Poisson(beta c r).  The Skellam scale
-    # -(sqrt(beta c r) - sqrt(u))^2 plus lam r = psi(Phi_lam) r folds, with
-    # u beta c r = alpha eta c r^2, to -r (sqrt(c alpha) - sqrt(eta))^2: no term of size lam r
-    beta = model.alpha + phi_lam
-    u = model.eta * model.alpha * r / beta
-    _, _, excess = _skellam_tail(u, beta * model.c * r)
-    return np.exp(-r * _transform_decay_rate(model)) * excess / (beta * r)
+        a = model.mu / (math.sqrt(2.0) * model.sigma)
+
+        def g(r: float) -> float:
+            z_ = a * math.sqrt(r)
+            if z_ < _CF_FROM:
+                return 2.0 * a * (math.exp(-z_ * z_) / math.sqrt(math.pi * r) - a * math.erfc(z_))
+            # 1/sqrt pi - z erfcx z = R/(sqrt pi (z + R)), free of cancellation
+            cf = _erfc_cf(z_)
+            return 2.0 * a * math.exp(-z_ * z_) * cf / ((z_ + cf) * math.sqrt(math.pi * r))
+
+        return g, lambda r: np.array([g(v) for v in r])
+    m = model.eta + model.c * model.alpha
+    kappa = 2.0 * math.sqrt(model.c * model.alpha * model.eta)
+    decay, scale = _transform_decay_rate(model), model.c * zeta0 / (2.0 * model.eta)
+
+    def g_many(r: np.ndarray) -> np.ndarray:
+        return scale * _busy_period_tail(m, kappa, decay, r)
+
+    return lambda r: float(g_many(np.array([r]))[0]), g_many
 
 
-def _lambda_prime(model: LevyModel, ctx0: ScaleContext, x: float, r: np.ndarray) -> np.ndarray:
-    # W'(y) = A Phi_0 e^{Phi_0 y} - B zeta_0 e^{-zeta_0 y}; both exponents are roots of
-    # psi, so each term is a tilted partial moment with e^{r psi} = 1
-    a = max(0.0, -x)
-    total = np.zeros_like(r)
-    for theta, res in _roots(ctx0):
-        if res * theta != 0.0:
-            total += res * theta * _partial_moment(model, theta, theta * x, a, r)
-    return total / r
+def _i1_ratio(z: np.ndarray) -> np.ndarray:
+    # 2 e^{-z} I_1(z)/z for z >= 0
+    out = np.empty_like(z)
+    small = z < 17.0
+    out[small] = np.exp(-z[small]) * np.polyval(_I1_SERIES, 0.25 * z[small] ** 2)
+    zl = z[~small]
+    out[~small] = np.polyval(_I1_HANKEL, 1.0 / zl) / zl / np.sqrt(0.5 * math.pi * zl)
+    return out
 
 
-def lambda_prime(model: LevyModel, x: float, r: float) -> float:
-    """Kernel Lambda'(x, r) = int W'(x+z) (z/r) P(X_r in dz) over z > max(0, -x)."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"lambda_prime requires finite r > 0, got {r!r}")
-    r_arr = np.array([r], dtype=float)
-    return float(_lambda_prime(model, scale_context(model, 0.0), x, r_arr)[0])
+def _erfcx(u: float) -> float:
+    # e^{u^2} erfc(u) for u >= 0
+    if u < _CF_FROM:
+        return math.exp(u * u) * math.erfc(u)
+    return 1.0 / (_SQRT_PI * (u + _erfc_cf(u)))
+
+
+def _erfcx_gap(a: float, b: float) -> float:
+    # erfcx(a) - erfcx(b) for 0 <= a <= b; from a = 4 on as (b - a + R(b) - R(a)) /
+    # (sqrt pi (a + R(a)) (b + R(b))), whose R(b) - R(a) is small against b - a
+    if a < _CF_FROM:
+        return _erfcx(a) - _erfcx(b)
+    ra, rb = _erfc_cf(a), _erfc_cf(b)
+    return (b - a + (rb - ra)) / (_SQRT_PI * (a + ra) * (b + rb))
+
+
+def _initial_density(model: LevyModel, d: float, lam: float, ph: float) -> tuple:
+    """(f_init, hit): f_init(s) = lam E[e^{-lam (tau - s)}; tau > s] on a 1-d array of s
+    for tau = tau_0^+ from -d < 0, and the time tau >= hit at which f_init jumps."""
+    if model.kind == BROWNIAN:
+        # e^{-lam t} P(tau in dt) = e^{-Phi_lam d} times the inverse Gaussian law of
+        # drift nu = psi'(Phi_lam), whose survival function is two erfc terms
+        mu, sigma = model.mu, model.sigma
+        nu = mu + sigma * sigma * ph
+
+        def one(s: float) -> float:
+            k = sigma * math.sqrt(2.0 * s)
+            u0, u1, u2 = (d - mu * s) / k, (d - nu * s) / k, (d + nu * s) / k
+            if u1 >= 0.0:  # here lam s - Phi_lam d <= 0
+                return 0.5 * lam * (math.exp(lam * s - ph * d) * math.erfc(-u1)
+                                    - math.exp(-u0 * u0) * _erfcx(u2))
+            return 0.5 * lam * math.exp(-u0 * u0) * _erfcx_gap(-u1, u2)
+
+        return (lambda s: np.array([one(v) for v in s])), 0.0
+    # Cramer-Lundberg: tau >= hit = d/c, with an atom there, so below hit
+    # f_init = lam e^{lam s} E[e^{-lam tau}].  Beyond it f_init = int_0^inf e^{-v}
+    # f_tau(s + v/lam) dv with Kendall's f_tau(t) = (d/t) P(X_t in dd) =
+    # d alpha eta e^{-(sqrt a - sqrt b)^2} 2 e^{-z} I_1(z)/z, a = eta t, b = alpha (c t - d),
+    # z = 2 sqrt(ab).  Past the bulk of tau the integrand falls like
+    # e^{-(lam + decay) (t - s)}; the bulk ends where P(tau > t) <= e^{slope d - decay t}
+    # (the martingale e^{theta X_t - psi(theta) t} at the minimiser -slope of psi,
+    # where psi = -decay) passes e^{-_CUT}.
+    decay, hit = _transform_decay_rate(model), d / model.c
+    slope = model.alpha - math.sqrt(model.alpha * model.eta / model.c)
+
+    def integrand(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        t = s + v / lam
+        a, b = model.eta * t, np.maximum(model.alpha * (model.c * t - d), 0.0)
+        return (np.exp(-v - (np.sqrt(a) - np.sqrt(b)) ** 2) * d * model.alpha * model.eta
+                * _i1_ratio(2.0 * np.sqrt(a) * np.sqrt(b)))
+
+    def f_init(s: np.ndarray) -> np.ndarray:
+        out = np.empty_like(s)
+        before = s < hit  # here lam s - Phi_lam d <= (lam/c - Phi_lam) d <= 0
+        out[before] = lam * np.exp(lam * s[before] - ph * d)
+        after = s[~before]
+        ends = np.minimum(_CUT, lam * (_CUT + np.maximum(0.0, slope * d - decay * after))
+                          / (lam + decay))
+        out[~before] = gl_batch(lambda rows, v: integrand(after[rows, None], v), ends, _TOL)
+        return out
+
+    return f_init, hit
+
+
+def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0: float, g,
+                        g_many) -> Callable[[float], float]:
+    """Density of O from x = -d < 0 by the strong-Markov split at tau_0^+."""
+    f_init, hit = _initial_density(model, d, lam, ph)
+    outside = math.exp(-ph * d) * (1.0 - atom0)
+    # f_init(s) <= lam e^{lam s - Phi_lam d} and g(r - s) grows with s, so below s_lo
+    # the convolution has less than e^{-_CUT} of its mass
+    s_lo = max(0.0, (ph * d - _CUT) / lam)
+    bulk = d / model.mean()
+
+    def conv(r: float, lo: float, hi: float) -> float:
+        # int_lo^hi f_init(s) g(r - s) ds; up to hi = r as s = r - v^2, which absorbs
+        # the 1/sqrt blow-up of g at 0
+        if hi < r:
+            return gl_adaptive(lambda s: f_init(s) * g_many(r - s), lo, hi, 0.0, _TOL, n0=16)
+        return gl_adaptive(lambda v: 2.0 * v * f_init(r - v * v) * g_many(v * v), 0.0,
+                           math.sqrt(r - lo), 0.0, _TOL, n0=16)
+
+    def density(r: float) -> float:
+        val = outside * g(r) + atom0 * float(f_init(np.array([r]))[0])
+        # f_init jumps at hit and varies fastest below the mean of tau, g(r - s) near r
+        cuts = sorted({s_lo, r, max(s_lo, hit, 0.5 * r)}
+                      | {c for c in (hit, bulk) if s_lo < c < r})
+        return val + (1.0 - atom0) * sum(conv(r, lo, hi) for lo, hi in zip(cuts, cuts[1:])
+                                         if lo < hi)
+
+    return density
 
 
 @dataclass
@@ -259,56 +302,24 @@ def _transform_decay_rate(model: LevyModel) -> float:
 def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     """Atom-plus-density law of O_{inf, lam} started from x; requires E[X_1] > 0."""
     model.require_positive_drift("occupation_law")
+    for name, value in (("x", x), ("lam", lam)):
+        if not math.isfinite(value):
+            raise DomainError(f"occupation_law requires a finite {name}, got {value!r}")
     if lam <= 0.0:
         raise DomainError("occupation_law requires lam > 0")
     ctx0 = scale_context(model, 0.0)
     ph = phi(model, lam)
-    psip = _psi_prime_any(model, ph)
-    mean = model.mean()
-    atom = mean * (ph / lam) * z(ctx0, x, ph)
-    atom = clamp_unit(atom, "occupation atom")
+    atom = clamp_unit(model.mean() * (ph / lam) * z(ctx0, x, ph), "occupation atom")
+    g, g_many = _positive_density(model, ctx0.zeta_q)
+    atom0 = clamp_unit(model.mean() * (ph / lam), "occupation atom")  # from 0
+    below = _below_zero_density(model, -x, lam, ph, atom0, g, g_many) if x < 0.0 else None
+    scale = 1.0 - atom
 
     def density(r: float) -> float:
         r = float(r)
         if not (math.isfinite(r) and r > 0.0):
             raise DomainError(f"occupation density is defined for finite r > 0, got {r!r}")
-        g_r = float(_gamma_comp(model, ph, r))
+        return below(r) if below else scale * g(r)
 
-        # int_0^r (e^{-lam s} G(r) - G(r-s)) Lambda'(x, s) ds with the
-        # sin^2 substitution absorbing the 1/sqrt endpoints of both factors
-        def conv_f(w_arr):
-            sn = np.sin(w_arr)
-            cs = np.cos(w_arr)
-            s = r * sn * sn
-            lp = _lambda_prime(model, ctx0, x, s)
-            gc = _gamma_comp(model, ph, r * cs * cs)
-            return (np.exp(-lam * s) * g_r - gc) * lp * (2.0 * r * sn * cs)
-
-        conv = gl_adaptive(conv_f, 0.0, 0.5 * math.pi, tol_abs=_CONV_TOL,
-                           tol_rel=_CONV_TOL, n0=48, nmax=384)
-
-        # tail integral T~(r) = int_0^inf e^{-lam v} Lambda'(x, r+v) dv via v = -ln(1-t)/lam
-        def tail_f(t_arr):
-            v = -np.log1p(-t_arr) / lam
-            return _lambda_prime(model, ctx0, x, r + v) / lam
-
-        tail = gl_fixed(tail_f, 0.0, 1.0, 96)
-
-        val = mean * ph * (conv + (psip + g_r * math.exp(-lam * r)) * tail)
-        if val < 0.0:
-            if val < -_NEG_DENSITY_CLAMP:
-                raise NumericalError(
-                    f"occupation density significantly negative at r={r:g}: {val!r}"
-                )
-            warnings.warn(f"occupation density clamped to 0 at r={r:g} ({val:.3e})")
-            return 0.0
-        return val
-
-    return OccupationLaw(
-        atom_at_zero=atom,
-        density=density,
-        model=model,
-        x=x,
-        lam=lam,
-        decay_rate=_transform_decay_rate(model),
-    )
+    return OccupationLaw(atom_at_zero=atom, density=density, model=model, x=x, lam=lam,
+                         decay_rate=_transform_decay_rate(model))

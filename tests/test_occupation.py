@@ -1,16 +1,17 @@
 import math
+import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kendall import _gamma_comp, gamma_lambda, kendall_density, lambda_prime
 from levyruin import (
     DomainError,
     LevyModel,
-    gamma_lambda,
     joint_lt_upcross,
-    lambda_prime,
     lt_occupation_inf,
     occupation_law,
     phi,
@@ -20,7 +21,10 @@ from levyruin import (
     w,
     z,
 )
-from levyruin.occupation import _gamma_comp
+
+# the benchmark's four models: bm_a and cl_a are the bm and cl fixtures
+BM_B = LevyModel.brownian(0.3, 1.0)
+CL_B = LevyModel.cramer_lundberg(1.5, 2.0, 1.6)
 
 
 def test_joint_lt_trivial_at_b(model):
@@ -251,16 +255,22 @@ def test_occupation_law_normalizes(bm):
 
 
 def _check_laplace_consistency(model, x, lam):
-    # transform of the constructed law matches the closed infinite-horizon transform
+    # transform of the constructed law matches the closed infinite-horizon transform.
+    # From x < 0 a Cramer-Lundberg density jumps at r = |x|/c, where the first passage
+    # to 0 has its atom, so the rule is split there: u = sqrt(r) below, r above
     law = occupation_law(model, x, lam)
     rmax = law.suggested_r_max(2e-6)
+    jump = -x / model.c if model.kind == "cramer_lundberg" and x < 0.0 else rmax
     u_nodes, u_w = np.polynomial.legendre.leggauss(440)
-    umax = math.sqrt(rmax)
+    umax = math.sqrt(jump)
     uu = 0.5 * umax * (u_nodes + 1.0)
-    dens = np.array([law.density(float(u * u)) for u in uu])
+    rs, ws = uu * uu, 0.5 * umax * u_w * 2.0 * uu
+    if jump < rmax:
+        rs = np.concatenate((rs, jump + 0.5 * (rmax - jump) * (u_nodes + 1.0)))
+        ws = np.concatenate((ws, 0.5 * (rmax - jump) * u_w))
+    dens = np.array([law.density(float(r)) for r in rs])
     for p in (0.5, 1.0, 2.0):
-        integral = 0.5 * umax * float(np.dot(u_w, np.exp(-p * uu * uu) * dens * 2.0 * uu))
-        total = law.atom_at_zero + integral
+        total = law.atom_at_zero + float(np.dot(ws, np.exp(-p * rs) * dens))
         assert total == pytest.approx(lt_occupation_inf(model, x, p, lam), abs=1e-4)
 
 
@@ -270,6 +280,16 @@ def test_occupation_law_laplace_consistency(bm):
 
 def test_occupation_law_laplace_consistency_cl(cl):
     _check_laplace_consistency(cl, 0.5, 1.0)
+
+
+def test_occupation_law_laplace_consistency_thin_cl():
+    _check_laplace_consistency(CL_B, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["bm", "cl"])
+def test_occupation_law_laplace_consistency_below_zero(kind, bm, cl):
+    # the strong-Markov split at the first passage to 0, with the convolution quadrature
+    _check_laplace_consistency(bm if kind == "bm" else cl, -0.5, 1.0)
 
 
 def test_occupation_law_nonnegative_density(cl):
@@ -296,3 +316,70 @@ def test_occupation_law_large_r_thin_model():
 def test_occupation_density_far_below_zero(model):
     # e^{-zeta_0 x} overflows on its own at x = -750; folded into the kernels it does not
     _check_density_finite(occupation_law(model, -750.0, 2.0), (1.0, 760.0, 1600.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_occupation_law_rejects_non_finite_inputs(model, bad):
+    with pytest.raises(DomainError, match="finite x"):
+        occupation_law(model, bad, 1.0)
+    with pytest.raises(DomainError, match="finite lam"):
+        occupation_law(model, 0.5, bad)
+
+
+@pytest.mark.parametrize("x", [0.5, -0.5])
+@pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b"])
+def test_occupation_law_extreme_inputs(name, x, bm, cl):
+    # extreme rates and times give a finite density >= 0 and an atom in [0, 1]
+    model = {"bm_a": bm, "bm_b": BM_B, "cl_a": cl, "cl_b": CL_B}[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, r in ((1e-300, 1.0), (1e300, 1.0), (1.0, 1e-300), (1.0, 1e300)):
+            law = occupation_law(model, x, lam)
+            val = law.density(r)
+            assert 0.0 <= law.atom_at_zero <= 1.0
+            assert math.isfinite(val) and val >= 0.0, (lam, r, val)
+
+
+def _g_mpmath(model, r):
+    # density of O given O > 0 from x >= 0, at 30 digits: the erfc form on Brownian
+    # models, the tail of the M/M/1 busy-period density (a Bessel integral) otherwise
+    r = mp.mpf(r)
+    if model.kind == "brownian":
+        a = mp.mpf(model.mu) / (mp.sqrt(2) * mp.mpf(model.sigma))
+        zz = a * mp.sqrt(r)
+        return 2 * a * (mp.exp(-zz * zz) / mp.sqrt(mp.pi * r) - a * mp.erfc(zz))
+    c, eta, alpha = mp.mpf(model.c), mp.mpf(model.eta), mp.mpf(model.alpha)
+    m, kappa = eta + c * alpha, 2 * mp.sqrt(c * alpha * eta)
+    pts = sorted({r, r * 1.01, r * 1.1, 2 * r, r + 1, r + 10, r + 100, r + 1000}) + [mp.inf]
+    tail = mp.quad(lambda t: kappa / t * mp.besseli(1, kappa * t) * mp.exp(-m * t), pts)
+    return c * (alpha - eta / c) / (2 * eta) * tail
+
+
+@pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b"])
+def test_occupation_density_matches_mpmath(name, bm, cl):
+    # on x >= 0 the density is (1 - atom) g(r), exact to rounding out to the grid's r_max
+    model = {"bm_a": bm, "bm_b": BM_B, "cl_a": cl, "cl_b": CL_B}[name]
+    with mp.workdps(30):
+        for x, lam in ((0.0, 2.0), (0.5, 1.0)):
+            law = occupation_law(model, x, lam)
+            for r in np.geomspace(1e-4, law.suggested_r_max(2e-6), 9):
+                ref = (1 - mp.mpf(law.atom_at_zero)) * _g_mpmath(model, r)
+                assert law.density(float(r)) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.5, -0.5, -2.0])
+def test_occupation_density_matches_kendall_oracle(model, x):
+    # the paper's Kendall convolution (tests/kendall.py, about 1e-6 accurate) agrees
+    # with the closed form on x >= 0 and with the strong-Markov split on x < 0
+    law = occupation_law(model, x, 1.0)
+    for r in (0.3, 1.0, 4.0):
+        assert law.density(r) == pytest.approx(kendall_density(model, x, 1.0, r), rel=1e-5)
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+
+    code = "import sys, levyruin; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.strip()
+    assert out == "[]"

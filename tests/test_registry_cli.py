@@ -132,11 +132,11 @@ def test_cli_exit_codes(model_files, capsys):
 
 def test_cli_numerical_failure_exit_code(model_files, capsys):
     _, cl_path = model_files
-    # a NumericalError (at lam = 1e300 the density's Skellam tail leaves the float
-    # range) and an ArithmeticError (e^{rL} at a root of psi = q + lam overflows at
-    # q = 1e20) both exit 4 with a one-line message, not a traceback
-    assert main(["eval", "occupation_law", "--model", cl_path, "--x=0.5", "--lam=1e300",
-                 "--r=1"]) == 4
+    # a NumericalError (delayed_W_functional below the rounding floor of its cancelling
+    # terms at q = 150) and an ArithmeticError (e^{rL} at a root of psi = q + lam
+    # overflows at q = 1e20) both exit 4 with a one-line message, not a traceback
+    assert main(["eval", "delayed_W_functional", "--model", cl_path, "--x=0.5", "--b=2",
+                 "--a=1", "--q=150", "--lam=1.3", "--p=0.7", "--z=0.5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error (NumericalError)")
     assert len(err.strip().splitlines()) == 1
@@ -275,4 +275,12 @@ def test_cli_dist_precondition(model_files, tmp_path):
     sink = tmp_path / "sink.json"
     sink.write_text(json.dumps({"kind": "brownian", "mu": -1.0, "sigma": 1.0}))
     assert main(["dist", "--model", str(sink), "--lam", "2", "--x", "0",
+                 "--r-grid", "0.5:2:4"]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--x", "--lam"])
+def test_cli_dist_non_finite_input(model_files, flag):
+    bm_path, _ = model_files
+    args = {"--x": "0", "--lam": "2", flag: "nan"}
+    assert main(["dist", "--model", bm_path, "--lam", args["--lam"], "--x", args["--x"],
                  "--r-grid", "0.5:2:4"]) == 3
