@@ -201,6 +201,26 @@ def phi(model: LevyModel, q: float) -> float:
     return _phi_zeta(model, q)[0]
 
 
+# 2 e^{-z} I_1(z)/z is e^{-z} times a power series in z^2/4 below z = 17, and
+# sqrt(2/(pi z))/z times Hankel's expansion in 1/z above (error below e^{-2z});
+# coefficients from the highest power down
+_I1_SERIES = 1.0 / np.array([float(math.factorial(k) * math.factorial(k + 1))
+                             for k in range(59, -1, -1)])
+_I1_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4.0) / (8.0 * k) for k in range(1, 26)])[::-1]
+
+
+def _poisson_erlang(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_{j>=0} e^{-a-b} a^j b^j/(j! (j+1)!) = e^{-a-b} I_1(2 sqrt(ab))/sqrt(ab) for
+    a, b >= 0, as e^{-(sqrt a - sqrt b)^2} 2 e^{-z} I_1(z)/z at z = 2 sqrt(ab)."""
+    z = 2.0 * np.sqrt(a) * np.sqrt(b)
+    ratio = np.empty_like(z)
+    small = z < 17.0
+    ratio[small] = np.exp(-z[small]) * np.polyval(_I1_SERIES, 0.25 * z[small] ** 2)
+    zl = z[~small]
+    ratio[~small] = np.polyval(_I1_HANKEL, 1.0 / zl) / zl / np.sqrt(0.5 * math.pi * zl)
+    return np.exp(-(np.sqrt(a) - np.sqrt(b)) ** 2) * ratio
+
+
 @dataclass(frozen=True)
 class TransitionDensity:
     """Law of X_r started at 0: an optional atom plus an absolutely continuous part.
@@ -238,17 +258,12 @@ def transition(model: LevyModel, r: float) -> TransitionDensity:
 
         return TransitionDensity(None, 0.0, density, lower=m - 14.0 * s, upper=m + 14.0 * s)
 
-    from scipy.special import ive  # a test oracle: off the import path
-
     cr, a = model.c * r, model.eta * r
 
     def density(z):
-        # sum_{k>=1} P(N_r = k) alpha P(Pois(alpha w) = k-1) at w = c r - z, in Bessel form
-        w = cr - np.asarray(z, dtype=float)
-        b = model.alpha * np.where(w > 0.0, w, 1.0)
-        dens = (model.alpha * np.sqrt(a / b) * np.exp(-(np.sqrt(a) - np.sqrt(b)) ** 2)
-                * ive(1, 2.0 * np.sqrt(a * b)))
-        return np.where(w > 0.0, dens, 0.0)
+        # sum_{k>=1} P(N_r = k) alpha P(Pois(alpha w) = k-1) at w = c r - z
+        w = np.maximum(cr - np.asarray(z, dtype=float), 0.0)
+        return np.where(w > 0.0, model.alpha * a * _poisson_erlang(a, model.alpha * w), 0.0)
 
     return TransitionDensity(cr, math.exp(-a), density,
                              lower=cr - (a + 21.0 * math.sqrt(a) + 60.0) / model.alpha, upper=cr)

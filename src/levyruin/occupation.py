@@ -18,7 +18,11 @@ From x < 0 the process creeps up to 0, and the strong Markov property at tau = t
 splits O into independent parts O_init = (tau - e_lam)^+, e_lam the first observation
 epoch, and O_0, the occupation from 0 with atom atom_0.  So the density is
 e^{-Phi_lam |x|} (1 - atom_0) g + atom_0 f_init + (1 - atom_0) f_init * g, with
-f_init(s) = lam E[e^{-lam (tau - s)}; tau > s]; the convolution is the one quadrature.
+f_init(s) = lam E[e^{-lam (tau - s)}; tau > s].  g is the law of tau from -U, U ~
+Exp(zeta_0), so the convolution is a mixture of f_init over the start -(|x| + U) less
+e^{-Phi_lam |x|} times the smoothing of g over e_lam; the density is evaluated as a sum
+of nonnegative terms, with one quadrature over U (and, on Cramer-Lundberg models, one
+inside f_init).
 """
 
 from __future__ import annotations
@@ -30,21 +34,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .models import BROWNIAN, LevyModel, phi
-from .quadrature import gl_adaptive, gl_batch
+from .models import BROWNIAN, LevyModel, _poisson_erlang, _psi_second_any, phi
+from .quadrature import gl_batch, gl_pieces
 from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
 from .util import clamp_unit
 
 _SQRT_PI, _HALF_LOG_2PI = math.sqrt(math.pi), 0.5 * math.log(2.0 * math.pi)
 _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
-_CF_FROM, _CF_DEPTH = 4.0, 30  # erfc continued fraction: from where, and how deep
-_TOL = 1e-9  # relative tolerance of the x < 0 quadratures
-# 2 e^{-z} I_1(z)/z is e^{-z} times a power series in z^2/4 below z = 17, and
-# sqrt(2/(pi z))/z times Hankel's expansion in 1/z above (error below e^{-2z});
-# coefficients from the highest power down
-_I1_SERIES = 1.0 / np.array([float(math.factorial(k) * math.factorial(k + 1))
-                             for k in range(59, -1, -1)])
-_I1_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4.0) / (8.0 * k) for k in range(1, 26)])[::-1]
+# erfc continued fraction: from where, and how deep, for 1e-16: 30 levels from 4, 6
+# from 26, below which math.erfc gives R = 1/(sqrt pi erfcx z) - z to 2 z^4 eps
+_CF_FROM, _CF_DEPTH, _CF_FROM_SHORT, _CF_DEPTH_SHORT = 4.0, 30, 26.0, 6
+_TOL = 1e-9  # relative tolerance of the quadratures
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -79,13 +80,33 @@ def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float
     return clamp_unit(k * z_tilde(ctx0, x, phl, php), "lt_occupation_inf")
 
 
-def _erfc_cf(z: float) -> float:
+def _erfc_cf(z, depth: int = _CF_DEPTH):
     # R with sqrt(pi) erfcx(z) = 1/(z + R), Laplace's continued fraction (1/2)/(z + 1/(z +
-    # (3/2)/(z + ...))): positive levels, 30 of them exact to rounding from z = 4 on
+    # (3/2)/(z + ...))) of positive levels; on a float or elementwise on an array
     t = 0.0
-    for n in range(_CF_DEPTH, 0, -1):
+    for n in range(depth, 0, -1):
         t = 0.5 * n / (z + t)
     return t
+
+
+def _mills_gap(w: float) -> float:
+    # 1/sqrt pi - w erfcx(w) for w >= 0; from w = 4 on as R/(sqrt pi (w + R)), free of
+    # cancellation
+    if w < _CF_FROM:
+        return 1.0 / _SQRT_PI - w * math.exp(w * w) * math.erfc(w)
+    cf = _erfc_cf(w)
+    return cf / (_SQRT_PI * (w + cf))
+
+
+def _mills_rest(z: np.ndarray) -> np.ndarray:
+    # R(z) = 1/(sqrt pi erfcx z) - z for z >= 0, elementwise: by math.erfc below z = 26,
+    # by the short continued fraction from there on
+    near = np.minimum(z, _CF_FROM_SHORT)
+    out = np.exp(-near * near) / (_SQRT_PI * _ERFC(near).astype(float)) - near
+    far = z >= _CF_FROM_SHORT
+    if far.any():
+        out[far] = _erfc_cf(z[far], _CF_DEPTH_SHORT)
+    return out
 
 
 def _stirlerr(n: float) -> float:
@@ -143,130 +164,135 @@ def _busy_period_tail(m: float, kappa: float, decay: float, r: np.ndarray) -> np
     return out
 
 
-def _positive_density(model: LevyModel, zeta0: float) -> tuple:
-    """g, the density of O given O > 0 from any x >= 0, a function of the model alone:
-    returns g on one r > 0 and on a 1-d array of them."""
+def _positive_density(model: LevyModel, zeta0: float, lam: float) -> tuple:
+    """(g, drop): g the density of O given O > 0 from any x >= 0, a function of the
+    model alone, and drop(t) = g(t) - E[g(t + e_lam)] = int_0^inf e^{-lam v} (-g')(t + v)
+    dv, e_lam ~ Exp(lam), both on one t > 0."""
     if model.kind == BROWNIAN:
+        # -g'(t) = (a/sqrt pi) t^{-3/2} e^{-a^2 t}: its smoothing is g's form with a sqrt t
+        # raised to sqrt((lam + a^2) t) in the bracket
         a = model.mu / (math.sqrt(2.0) * model.sigma)
 
-        def g(r: float) -> float:
-            z_ = a * math.sqrt(r)
-            if z_ < _CF_FROM:
-                return 2.0 * a * (math.exp(-z_ * z_) / math.sqrt(math.pi * r) - a * math.erfc(z_))
-            # 1/sqrt pi - z erfcx z = R/(sqrt pi (z + R)), free of cancellation
-            cf = _erfc_cf(z_)
-            return 2.0 * a * math.exp(-z_ * z_) * cf / ((z_ + cf) * math.sqrt(math.pi * r))
+        def smoothed(t: float, root: float) -> float:
+            return 2.0 * a * math.exp(-a * a * t) * _mills_gap(root * math.sqrt(t)) / math.sqrt(t)
 
-        return g, lambda r: np.array([g(v) for v in r])
+        root = math.sqrt(lam + a * a)
+        return (lambda r: smoothed(r, a)), (lambda t: smoothed(t, root))
+    # -Hbar' is the M/M/1 busy-period density (kappa/t) I_1(kappa t) e^{-m t} =
+    # (kappa^2/2) PE(eta t, c alpha t), PE = models._poisson_erlang, which falls like
+    # e^{-decay t} times a power of t from t = 1/m on: its smoothing runs over v = h
+    # expm1(theta) up to reach = _CUT/(lam + decay), h = min(max(t, 1/m), reach),
+    # logarithmic where the reach is long
     m = model.eta + model.c * model.alpha
     kappa = 2.0 * math.sqrt(model.c * model.alpha * model.eta)
     decay, scale = _transform_decay_rate(model), model.c * zeta0 / (2.0 * model.eta)
+    reach = _CUT / (lam + decay)
 
-    def g_many(r: np.ndarray) -> np.ndarray:
-        return scale * _busy_period_tail(m, kappa, decay, r)
+    def drop(t: float) -> float:
+        h = min(max(t, 1.0 / m), reach)
 
-    return lambda r: float(g_many(np.array([r]))[0]), g_many
+        def smoothed(th: np.ndarray) -> np.ndarray:
+            v = h * np.expm1(th)
+            return (h * np.exp(th - lam * v)
+                    * _poisson_erlang(model.eta * (t + v), model.c * model.alpha * (t + v)))
 
+        return scale * 0.5 * kappa * kappa * gl_pieces(smoothed, (0.0, math.log1p(reach / h)),
+                                                       _TOL)
 
-def _i1_ratio(z: np.ndarray) -> np.ndarray:
-    # 2 e^{-z} I_1(z)/z for z >= 0
-    out = np.empty_like(z)
-    small = z < 17.0
-    out[small] = np.exp(-z[small]) * np.polyval(_I1_SERIES, 0.25 * z[small] ** 2)
-    zl = z[~small]
-    out[~small] = np.polyval(_I1_HANKEL, 1.0 / zl) / zl / np.sqrt(0.5 * math.pi * zl)
-    return out
-
-
-def _erfcx(u: float) -> float:
-    # e^{u^2} erfc(u) for u >= 0
-    if u < _CF_FROM:
-        return math.exp(u * u) * math.erfc(u)
-    return 1.0 / (_SQRT_PI * (u + _erfc_cf(u)))
+    return (lambda r: scale * float(_busy_period_tail(m, kappa, decay, np.array([r]))[0])), drop
 
 
-def _erfcx_gap(a: float, b: float) -> float:
-    # erfcx(a) - erfcx(b) for 0 <= a <= b; from a = 4 on as (b - a + R(b) - R(a)) /
-    # (sqrt pi (a + R(a)) (b + R(b))), whose R(b) - R(a) is small against b - a
-    if a < _CF_FROM:
-        return _erfcx(a) - _erfcx(b)
-    ra, rb = _erfc_cf(a), _erfc_cf(b)
-    return (b - a + (rb - ra)) / (_SQRT_PI * (a + ra) * (b + rb))
-
-
-def _initial_density(model: LevyModel, d: float, lam: float, ph: float) -> tuple:
-    """(f_init, hit): f_init(s) = lam E[e^{-lam (tau - s)}; tau > s] on a 1-d array of s
-    for tau = tau_0^+ from -d < 0, and the time tau >= hit at which f_init jumps."""
+def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
+    """f_init(s, y) = lam E[e^{-lam (tau - s)}; tau > s] for tau = tau_0^+ from -y < 0,
+    elementwise on 1-d arrays s > 0 and y > 0 of one length."""
     if model.kind == BROWNIAN:
-        # e^{-lam t} P(tau in dt) = e^{-Phi_lam d} times the inverse Gaussian law of
+        # e^{-lam t} P(tau in dt) = e^{-Phi_lam y} times the inverse Gaussian law of
         # drift nu = psi'(Phi_lam), whose survival function is two erfc terms
         mu, sigma = model.mu, model.sigma
         nu = mu + sigma * sigma * ph
 
-        def one(s: float) -> float:
-            k = sigma * math.sqrt(2.0 * s)
-            u0, u1, u2 = (d - mu * s) / k, (d - nu * s) / k, (d + nu * s) / k
-            if u1 >= 0.0:  # here lam s - Phi_lam d <= 0
-                return 0.5 * lam * (math.exp(lam * s - ph * d) * math.erfc(-u1)
-                                    - math.exp(-u0 * u0) * _erfcx(u2))
-            return 0.5 * lam * math.exp(-u0 * u0) * _erfcx_gap(-u1, u2)
+        def f_init(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+            k = sigma * np.sqrt(2.0 * s)
+            u0, u1, u2 = (y - mu * s) / k, (y - nu * s) / k, (y + nu * s) / k
+            a = np.abs(u1)
+            rest = _mills_rest(np.concatenate((a, u2)))
+            r1, r2 = rest[:len(a)], rest[len(a):]
+            # erfcx = 1/(sqrt pi (z + R)).  Where u1 >= 0, lam s - Phi_lam y <= 0 and erfc(-u1)
+            # = 2 - e^{-u1^2} erfcx(u1); elsewhere erfcx(a) - erfcx(u2) is (u2 - a + R(u2) -
+            # R(a)) sqrt pi erfcx(a) erfcx(u2), whose R(u2) - R(a) is small against u2 - a at
+            # large arguments
+            ex1, ex2 = 1.0 / (_SQRT_PI * (a + r1)), 1.0 / (_SQRT_PI * (u2 + r2))
+            e0 = np.exp(-u0 * u0)
+            up = (np.exp(np.minimum(lam * s - ph * y, 0.0)) * (2.0 - np.exp(-a * a) * ex1)
+                  - e0 * ex2)
+            down = _SQRT_PI * e0 * (u2 - a + (r2 - r1)) * ex1 * ex2
+            return 0.5 * lam * np.where(u1 >= 0.0, up, down)
 
-        return (lambda s: np.array([one(v) for v in s])), 0.0
-    # Cramer-Lundberg: tau >= hit = d/c, with an atom there, so below hit
-    # f_init = lam e^{lam s} E[e^{-lam tau}].  Beyond it f_init = int_0^inf e^{-v}
-    # f_tau(s + v/lam) dv with Kendall's f_tau(t) = (d/t) P(X_t in dd) =
-    # d alpha eta e^{-(sqrt a - sqrt b)^2} 2 e^{-z} I_1(z)/z, a = eta t, b = alpha (c t - d),
-    # z = 2 sqrt(ab).  Past the bulk of tau the integrand falls like
-    # e^{-(lam + decay) (t - s)}; the bulk ends where P(tau > t) <= e^{slope d - decay t}
-    # (the martingale e^{theta X_t - psi(theta) t} at the minimiser -slope of psi,
-    # where psi = -decay) passes e^{-_CUT}.
-    decay, hit = _transform_decay_rate(model), d / model.c
+        return f_init
+    # Cramer-Lundberg: tau >= y/c, with an atom there, so below it f_init = lam e^{lam s}
+    # E[e^{-lam tau}].  Beyond it f_init = int_0^inf e^{-v} f_tau(s + v/lam) dv with
+    # Kendall's f_tau(t) = (y/t) P(X_t in dy) = y alpha eta PE(eta t, alpha (c t - y)).
+    # Past the bulk of tau the integrand falls like e^{-(lam + decay) (t - s)}; the bulk
+    # ends where P(tau > t) <= e^{slope y - decay t} (the martingale e^{theta X_t -
+    # psi(theta) t} at the minimiser -slope of psi, where psi = -decay) passes e^{-_CUT}.
+    # The rule runs in theta, v = lam h expm1(theta) with h = min(max(s, 1/m), reach/lam):
+    # nearly linear over a short reach, logarithmic over a long one (lam << decay), across
+    # which f_tau falls like a power of t.
+    decay, m = _transform_decay_rate(model), model.eta + model.c * model.alpha
     slope = model.alpha - math.sqrt(model.alpha * model.eta / model.c)
 
-    def integrand(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, y: np.ndarray, lh: np.ndarray, th: np.ndarray) -> np.ndarray:
+        v = lh * np.expm1(th)
         t = s + v / lam
-        a, b = model.eta * t, np.maximum(model.alpha * (model.c * t - d), 0.0)
-        return (np.exp(-v - (np.sqrt(a) - np.sqrt(b)) ** 2) * d * model.alpha * model.eta
-                * _i1_ratio(2.0 * np.sqrt(a) * np.sqrt(b)))
+        b = np.maximum(model.alpha * (model.c * t - y), 0.0)
+        return (lh * np.exp(th - v) * y * model.alpha * model.eta
+                * _poisson_erlang(model.eta * t, b))
 
-    def f_init(s: np.ndarray) -> np.ndarray:
+    def f_init(s: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty_like(s)
-        before = s < hit  # here lam s - Phi_lam d <= (lam/c - Phi_lam) d <= 0
-        out[before] = lam * np.exp(lam * s[before] - ph * d)
-        after = s[~before]
-        ends = np.minimum(_CUT, lam * (_CUT + np.maximum(0.0, slope * d - decay * after))
-                          / (lam + decay))
-        out[~before] = gl_batch(lambda rows, v: integrand(after[rows, None], v), ends, _TOL)
+        before = s < y / model.c  # here lam s - Phi_lam y <= (lam/c - Phi_lam) y <= 0
+        out[before] = lam * np.exp(lam * s[before] - ph * y[before])
+        s, y = s[~before], y[~before]
+        reach = np.minimum(_CUT, lam * (_CUT + np.maximum(0.0, slope * y - decay * s))
+                           / (lam + decay))
+        lh = lam * np.minimum(np.maximum(s, 1.0 / m), reach / lam)
+        out[~before] = gl_batch(
+            lambda rows, th: integrand(s[rows, None], y[rows, None], lh[rows, None], th),
+            np.log1p(reach / lh), _TOL)
         return out
 
-    return f_init, hit
+    return f_init
 
 
-def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0: float, g,
-                        g_many) -> Callable[[float], float]:
-    """Density of O from x = -d < 0 by the strong-Markov split at tau_0^+."""
-    f_init, hit = _initial_density(model, d, lam, ph)
-    outside = math.exp(-ph * d) * (1.0 - atom0)
-    # f_init(s) <= lam e^{lam s - Phi_lam d} and g(r - s) grows with s, so below s_lo
-    # the convolution has less than e^{-_CUT} of its mass
-    s_lo = max(0.0, (ph * d - _CUT) / lam)
-    bulk = d / model.mean()
+def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0: float,
+                        q0: float, zeta0: float, drop) -> Callable[[float], float]:
+    """Density of O from x = -d < 0 by the strong-Markov split at tau_0^+, atom0 the atom
+    from 0 and q0 = 1 - atom0."""
+    f_init = _initial_density(model, lam, ph)
+    outside = math.exp(-ph * d)
+    mean, var, rate = model.mean(), _psi_second_any(model, 0.0), zeta0 + ph
+    jump = model.c if model.kind != BROWNIAN else math.inf
 
-    def conv(r: float, lo: float, hi: float) -> float:
-        # int_lo^hi f_init(s) g(r - s) ds; up to hi = r as s = r - v^2, which absorbs
-        # the 1/sqrt blow-up of g at 0
-        if hi < r:
-            return gl_adaptive(lambda s: f_init(s) * g_many(r - s), lo, hi, 0.0, _TOL, n0=16)
-        return gl_adaptive(lambda v: 2.0 * v * f_init(r - v * v) * g_many(v * v), 0.0,
-                           math.sqrt(r - lo), 0.0, _TOL, n0=16)
+    def mixed(t: float) -> float:
+        # E f_init(t, d + U), U ~ Exp(zeta_0).  Beyond the bulk of tau_0^+ (y above t E[X_1]
+        # + 8 sd), f_init(t, y) is close to lam e^{lam t - Phi_lam y}, so the integrand
+        # falls at rate zeta_0 + Phi_lam; a Cramer-Lundberg f_init jumps at y = c t
+        centre, width = mean * t - d, 8.0 * math.sqrt(var * t)
+        hi = max(0.0, centre + width) + _CUT / rate
+        cuts = sorted({0.0, hi} | {u for u in (centre - width, centre + width, jump * t - d)
+                                   if 0.0 < u < hi})
 
-    def density(r: float) -> float:
-        val = outside * g(r) + atom0 * float(f_init(np.array([r]))[0])
-        # f_init jumps at hit and varies fastest below the mean of tau, g(r - s) near r
-        cuts = sorted({s_lo, r, max(s_lo, hit, 0.5 * r)}
-                      | {c for c in (hit, bulk) if s_lo < c < r})
-        return val + (1.0 - atom0) * sum(conv(r, lo, hi) for lo, hi in zip(cuts, cuts[1:])
-                                         if lo < hi)
+        def f(u: np.ndarray) -> np.ndarray:
+            return zeta0 * np.exp(-zeta0 * u) * f_init(np.full_like(u, t), d + u)
+
+        return gl_pieces(f, cuts, _TOL)
+
+    def density(t: float) -> float:
+        # f_init * g = E f_init(t, d + U) - e^{-Phi_lam d} E f_init(t, U), as g is the law
+        # of tau_0^+ from -U (transform zeta_0/(Phi_p + zeta_0)), and g(t) - E f_init(t, U)
+        # = g(t) - E[g(t + e_lam)] = drop(t): every term below is >= 0
+        head = float(f_init(np.array([t]), np.array([d]))[0])
+        return atom0 * head + q0 * (outside * drop(t) + mixed(t))
 
     return density
 
@@ -310,16 +336,28 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     ctx0 = scale_context(model, 0.0)
     ph = phi(model, lam)
     atom = clamp_unit(model.mean() * (ph / lam) * z(ctx0, x, ph), "occupation atom")
-    g, g_many = _positive_density(model, ctx0.zeta_q)
     atom0 = clamp_unit(model.mean() * (ph / lam), "occupation atom")  # from 0
-    below = _below_zero_density(model, -x, lam, ph, atom0, g, g_many) if x < 0.0 else None
-    scale = 1.0 - atom
+    # 1 - atom0 = (psi(Phi_lam) - psi'(0) Phi_lam)/lam, formed without the subtraction,
+    # which loses it as lam -> 0
+    if model.kind == BROWNIAN:
+        excess = 0.5 * model.sigma ** 2 * ph
+    else:
+        excess = model.eta * ph / (model.alpha * (model.alpha + ph))
+    q0 = clamp_unit(excess * (ph / lam), "occupation atom complement")
+    g, drop = _positive_density(model, ctx0.zeta_q, lam)
+    if x < 0.0:
+        value = _below_zero_density(model, -x, lam, ph, atom0, q0, ctx0.zeta_q, drop)
+    else:
+        scale = q0 * math.exp(-ctx0.zeta_q * x)  # 1 - atom = e^{-zeta_0 x} P_0(O > 0)
+
+        def value(r: float) -> float:
+            return scale * g(r)
 
     def density(r: float) -> float:
         r = float(r)
         if not (math.isfinite(r) and r > 0.0):
             raise DomainError(f"occupation density is defined for finite r > 0, got {r!r}")
-        return below(r) if below else scale * g(r)
+        return value(r)
 
     return OccupationLaw(atom_at_zero=atom, density=density, model=model, x=x, lam=lam,
                          decay_rate=_transform_decay_rate(model))

@@ -25,6 +25,8 @@ from levyruin import (
 # the benchmark's four models: bm_a and cl_a are the bm and cl fixtures
 BM_B = LevyModel.brownian(0.3, 1.0)
 CL_B = LevyModel.cramer_lundberg(1.5, 2.0, 1.6)
+# a thin safety loading (decay 0.0023): long series windows and long first-passage tails
+CL_THIN = LevyModel.cramer_lundberg(1.0, 1.0, 1.1)
 
 
 def test_joint_lt_trivial_at_b(model):
@@ -327,10 +329,11 @@ def test_occupation_law_rejects_non_finite_inputs(model, bad):
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5])
-@pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b"])
+@pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b", "cl_thin"])
 def test_occupation_law_extreme_inputs(name, x, bm, cl):
-    # extreme rates and times give a finite density >= 0 and an atom in [0, 1]
-    model = {"bm_a": bm, "bm_b": BM_B, "cl_a": cl, "cl_b": CL_B}[name]
+    # extreme rates and times give a finite density >= 0 and an atom in [0, 1]; as
+    # lam -> 0 the density is about lam times a finite function, so it stays > 0 at r = 1
+    model = {"bm_a": bm, "bm_b": BM_B, "cl_a": cl, "cl_b": CL_B, "cl_thin": CL_THIN}[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lam, r in ((1e-300, 1.0), (1e300, 1.0), (1.0, 1e-300), (1.0, 1e300)):
@@ -338,6 +341,8 @@ def test_occupation_law_extreme_inputs(name, x, bm, cl):
             val = law.density(r)
             assert 0.0 <= law.atom_at_zero <= 1.0
             assert math.isfinite(val) and val >= 0.0, (lam, r, val)
+            if lam == 1e-300:
+                assert val > 0.0
 
 
 def _g_mpmath(model, r):
@@ -365,6 +370,36 @@ def test_occupation_density_matches_mpmath(name, bm, cl):
             for r in np.geomspace(1e-4, law.suggested_r_max(2e-6), 9):
                 ref = (1 - mp.mpf(law.atom_at_zero)) * _g_mpmath(model, r)
                 assert law.density(float(r)) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+def _below_zero_mpmath_bm(model, x, lam, r):
+    # Brownian density from x < 0 at 25 digits, each part from its definition:
+    # atom_0 f_init(r, d) + (1 - atom_0) (e^{-Phi d} int e^{-lam v} (-g')(r + v) dv +
+    # E f_init(r, d + U)), f_init(s, y) = lam int_s^inf e^{-lam (t - s)} f_IG(t, y) dt
+    mu, sig, lam, d, r = (mp.mpf(v) for v in (model.mu, model.sigma, lam, -x, r))
+    ph = (-mu + mp.sqrt(mu * mu + 2 * sig * sig * lam)) / (sig * sig)
+    zeta, atom0, a = 2 * mu / sig ** 2, mu * ph / lam, mu / (mp.sqrt(2) * sig)
+
+    def f_init(s, y):
+        dens = lambda t: y / (sig * mp.sqrt(2 * mp.pi * t ** 3)) * mp.exp(  # noqa: E731
+            -(y - mu * t) ** 2 / (2 * sig * sig * t))
+        return lam * mp.quad(lambda t: mp.exp(-lam * (t - s)) * dens(t),
+                             [s, s + 1 / lam, s + 10 / lam, mp.inf])
+
+    drop = mp.quad(lambda v: mp.exp(-lam * v) * a / mp.sqrt(mp.pi) * (r + v) ** -1.5
+                   * mp.exp(-a * a * (r + v)), [0, 1 / lam, mp.inf])
+    mid = max(mp.mpf(0), mu * r - d)
+    mix = mp.quad(lambda u: zeta * mp.exp(-zeta * u) * f_init(r, d + u),
+                  sorted({mp.mpf(0), mid, mid + 1, mid + 5}) + [mp.inf])
+    return atom0 * f_init(r, d) + (1 - atom0) * (mp.exp(-ph * d) * drop + mix)
+
+
+@pytest.mark.parametrize("x, lam, r", [(-0.5, 30.0, 1.0), (-6.0, 30.0, 0.01)])
+def test_occupation_density_below_zero_matches_mpmath(x, lam, r):
+    # the last is a density of 2.6e-19, to the same relative accuracy
+    with mp.workdps(25):
+        ref = _below_zero_mpmath_bm(BM_B, x, lam, r)
+    assert occupation_law(BM_B, x, lam).density(r) == pytest.approx(float(ref), rel=1e-9)
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5, -2.0])
