@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import UnsupportedFunctional
 from ..models import LevyModel
 from .config import FixedTime, McConfig
@@ -39,6 +41,7 @@ from .functionals import (
     _reject_ignored_fields,
     construction,
 )
+from .streams import _BUF
 
 
 def _setup(model: LevyModel, fn: PathFunctional, config: McConfig, needs_escape=True):
@@ -224,9 +227,39 @@ def make_tau_plus_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     return sim
 
 
+class _DelayClock:
+    """The delay clock of a negative run, ``run += step`` once a step, summed
+    only as far as the runs met so far reach.  ``J`` is the first run length
+    whose clock exceeds r: the smallest j whose j-fold float sum of ``step`` is
+    above r.  A delay that no path outlives (a huge r, inf or nan) then costs no
+    more steps than the walk itself takes."""
+
+    __slots__ = ("step", "r", "run", "n", "J")
+
+    def __init__(self, step: float, r: float):
+        self.step, self.r = step, r
+        self.run, self.n = 0.0, 0
+        self.J = None
+
+    def reach(self, length: int):
+        """Sum the clock to ``length`` steps unless J is found first; J or None."""
+        while self.J is None and self.n < length:
+            self.run += self.step
+            self.n += 1
+            if self.run > self.r:
+                self.J = self.n
+        return self.J
+
+
 def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
     """Fixed-delay Parisian ruin on an Euler grid (the only grid-based Brownian
-    functional; the driver reports the grid-halving gap in the bias bound)."""
+    functional; the driver reports the grid-halving gap in the bias bound).
+
+    The walk takes one stream read at a time: the positions X, the times t and
+    the length of the current negative run over a read are sequential
+    accumulations, so every value is the one a step-by-step loop would compute.
+    It stops at the first escape or the first run of J negative steps, the
+    delay clock's crossing of r (``_DelayClock``)."""
     mu, sig = model.mu, model.sigma
     r_delay = float(fn.params["r"])
     q = fn.discount_q
@@ -238,23 +271,44 @@ def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, 
     if tmax is not None:
         raise UnsupportedFunctional("kappa_fixed needs an escape-level horizon")
     step = config.grid_dt if dt is None else dt
-    sqdt = math.sqrt(step)
+    drift = mu * step
+    scale = sig * math.sqrt(step)
+    clock = _DelayClock(step, r_delay)
+    idx = np.arange(1, _BUF + 1)
 
     def sim(stream):
-        t = 0.0
         X = x0
-        run = 0.0  # age of the current negative spell; delay clocks start at entry
+        t = 0.0
+        neg = 0  # steps in the current negative run; delay clocks start at entry
         while True:
-            X += mu * step + sig * sqdt * stream.normal()
-            t += step
-            if X >= 0.0:
-                run = 0.0
-                if X >= besc:
+            z = stream.normals()
+            k = z.size
+            # row 0: X then its increments; row 1: t then the steps
+            w = np.empty((2, k + 1))
+            w[0, 0] = X
+            np.multiply(z, scale, out=w[0, 1:])
+            np.add(w[0, 1:], drift, out=w[0, 1:])
+            w[1, 0] = t
+            w[1, 1:] = step
+            np.add.accumulate(w, axis=1, out=w)
+            xs = w[0, 1:]
+            # the negative run at each step counts back to the last X >= 0 (or
+            # into the previous read)
+            last = np.where(xs >= 0.0, idx[:k], -neg)
+            np.maximum.accumulate(last, out=last)
+            runs = idx[:k] - last
+            stop = xs >= besc  # besc > 0, so an escape is never a negative step
+            J = clock.reach(neg + k)  # no run in this read is longer
+            if J is not None:
+                stop |= runs >= J
+            i = int(stop.argmax())
+            if stop[i]:
+                if xs[i] >= 0.0:
                     return 0.0, 1
-            else:
-                run += step
-                if run > r_delay:
-                    return math.exp(-q * t), 0
+                return math.exp(-q * float(w[1, i + 1])), 0
+            X = float(xs[-1])
+            t = float(w[1, -1])
+            neg = int(runs[-1])
 
     return sim
 

@@ -47,8 +47,8 @@ class McConfig:
             raise DomainError("replications must be >= 1")
         if self.antithetic and self.replications % 2 != 0:
             raise DomainError("antithetic campaigns need an even replication count")
-        if self.grid_dt <= 0.0:
-            raise DomainError("grid_dt must be > 0")
+        if not math.isfinite(self.grid_dt) or self.grid_dt <= 0.0:
+            raise DomainError("grid_dt must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,9 @@ def _blocks(model, fn, config, workers, seed, dt=None):
     if workers <= 1 or n_blocks == 1:
         return _run_blocks(model, fn, config, 0, n_blocks, seed, dt)
     bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # one process per block range: under fork a pool starts all its workers at
+    # the first submit
+    with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
         futs = [
             pool.submit(_run_blocks, model, fn, config, int(lo), int(hi), seed, dt)
             for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -124,6 +126,8 @@ def estimate(model: LevyModel, config: McConfig, fn: PathFunctional,
     grid = model.kind == BROWNIAN and brownian.needs_grid(fn)
     if grid:
         half_reps = max(config.replications // 4, min(config.replications, 2000))
+        if config.antithetic:
+            half_reps += half_reps & 1  # whole antithetic pairs
         half_cfg = McConfig(
             replications=half_reps,
             seed=config.seed,

@@ -9,13 +9,20 @@ Philox counter steps each).  Block 0 feeds the uniform buffer; each later block
 goes, in order of need, to whichever buffer (uniform or normal) runs out first.
 Uniforms are clamped to [1e-16, 1 - 1e-16]; normals are ``ndtri`` of clamped
 uniforms.  Antithetic members reuse the partner's key and flip every uniform to
-1 - u before the clamp, so their normals are exact negations.
+1 - u before the clamp, so their normals are exact negations.  A raw uniform is
+a multiple of 2^-53 in [0, 1 - 2^-53], and 1 - 1e-16 == 1 - 2^-53, so only one
+bound can bind: 1e-16 at a plain u = 0, 1 - 1e-16 at a flipped 1 - 0.  Raising
+u to 1e-16 before the flip applies both with one operation.
 
-Lazy reads.  A buffer reads its block ``_CHUNK`` values at a time: each buffer
-keeps its own Philox bit generator, positioned at the block's first counter
-when the block is taken and advancing through it chunk by chunk.  A replication
-that needs five uniforms draws one chunk, not a block.  Buffers hold Python
-floats, so the simulators' scalar arithmetic stays unboxed.
+Growing reads.  Each buffer keeps its own Philox bit generator, positioned at a
+block's first counter when the block is taken.  Within a replication a buffer's
+reads grow geometrically, ``_CHUNK``, 2 ``_CHUNK``, ... up to the end of the
+current block, so a replication that needs five uniforms reads 32 values, and
+one that needs thousands of normals reads whole blocks.  The values are the
+block's values in order whatever the read sizes.  Reads are kept as Python
+floats, so the simulators' scalar arithmetic stays unboxed; ``normals()`` hands
+out the rest of the current normal read as an array instead, for simulators
+that walk a whole read at once.
 
 Reuse.  ``reset(seed, index, antithetic)`` re-keys the same stream for the next
 replication by rewriting the key and counter words of kept state dicts; it
@@ -31,17 +38,17 @@ import numpy as np
 from scipy.special import ndtri
 
 _BUF = 512  # doubles per stream block
-_CHUNK = 32  # doubles read from a block at a time
+_CHUNK = 32  # doubles in a buffer's first read of a replication
 _STEPS = _BUF // 4  # Philox counter steps per block (four 64-bit words a step)
 _MASK = (1 << 64) - 1
-_LO = 1e-16
-_HI = 1.0 - 1e-16
+_LO = 1e-16  # lower clamp; 1 - _LO rounds to 1 - 2^-53, the upper one
 
 
 class _Feed:
-    """One buffer's Philox generator, its block and the position read within it."""
+    """One buffer's Philox generator, its block, the position read within it and
+    the length of its next read."""
 
-    __slots__ = ("gen", "state", "block", "pos", "normal")
+    __slots__ = ("gen", "state", "block", "pos", "size", "normal")
 
     def __init__(self, key: list, normal: bool):
         self.gen = np.random.Generator(np.random.Philox(0))
@@ -57,13 +64,15 @@ class _Feed:
         self.normal = normal
         self.block = 0
         self.pos = 0
+        self.size = _CHUNK
 
 
 class Stream:
     """The draws of one replication: uniforms, exponentials, normals and
     inverse-Gaussian variates from the stream keyed (seed, index)."""
 
-    __slots__ = ("_u", "_ui", "_n", "_ni", "_anti", "_key", "_next", "_uf", "_nf")
+    __slots__ = ("_u", "_ui", "_un", "_n", "_na", "_ni", "_nn", "_anti", "_key", "_next",
+                 "_uf", "_nf")
 
     def __init__(self, seed: int, index: int, antithetic: bool = False):
         self._key = [0, 0]
@@ -80,11 +89,12 @@ class Stream:
         self._uf.block = 0
         self._uf.pos = 0
         self._nf.pos = _BUF  # no block yet
+        self._uf.size = self._nf.size = _CHUNK
         self._next = 1
         self._u = self._n = ()
-        self._ui = self._ni = _CHUNK
+        self._ui = self._un = self._ni = self._nn = 0
 
-    def _fill(self, feed: _Feed) -> list:
+    def _fill(self, feed: _Feed) -> np.ndarray:
         if feed.pos == _BUF:  # block used up: take the next one
             feed.block = self._next
             self._next += 1
@@ -92,20 +102,22 @@ class Stream:
         if feed.pos == 0:
             feed.state["state"]["counter"][0] = feed.block * _STEPS
             feed.gen.bit_generator.state = feed.state
-        feed.pos += _CHUNK
-        u = feed.gen.random(_CHUNK)
+        n = min(feed.size, _BUF - feed.pos)
+        feed.pos += n
+        feed.size = min(2 * feed.size, _BUF)
+        u = feed.gen.random(n)
+        np.maximum(u, _LO, out=u)  # binds at u = 0 alone, flipped to 1 - _LO
         if self._anti:
             np.subtract(1.0, u, out=u)
-        np.maximum(u, _LO, out=u)
-        np.minimum(u, _HI, out=u)
         if feed.normal:
             ndtri(u, out=u)
-        return u.tolist()
+        return u
 
     def uniform(self) -> float:
         i = self._ui
-        if i == _CHUNK:
-            self._u = self._fill(self._uf)
+        if i == self._un:
+            self._u = self._fill(self._uf).tolist()
+            self._un = len(self._u)
             i = 0
         self._ui = i + 1
         return self._u[i]
@@ -113,19 +125,34 @@ class Stream:
     def exponential(self, rate: float) -> float:
         # uniform() inlined: event-driven paths draw dozens of these a replication
         i = self._ui
-        if i == _CHUNK:
-            self._u = self._fill(self._uf)
+        if i == self._un:
+            self._u = self._fill(self._uf).tolist()
+            self._un = len(self._u)
             i = 0
         self._ui = i + 1
         return -math.log1p(-self._u[i]) / rate
 
     def normal(self) -> float:
         i = self._ni
-        if i == _CHUNK:
-            self._n = self._fill(self._nf)
+        if i == self._nn:
+            self._na = self._fill(self._nf)
+            self._n = self._na.tolist()
+            self._nn = len(self._n)
             i = 0
         self._ni = i + 1
         return self._n[i]
+
+    def normals(self) -> np.ndarray:
+        """The unread normals of the current read (after a new read if it is used
+        up; at most ``_BUF`` values), all counted as drawn: the next ``normal()``
+        starts the next read."""
+        i = self._ni
+        if i == self._nn:
+            self._na = self._fill(self._nf)
+            self._nn = len(self._na)
+            i = 0
+        self._ni = self._nn
+        return self._na[i:]
 
     def inverse_gaussian(self, mean: float, shape: float) -> float:
         # Michael-Schucany-Haas; exact first-passage times of drifted Brownian motion

@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
 from levyruin import (
+    DomainError,
     UnsupportedFunctional,
     delayed_w_functional,
     gs_lt_infinite,
@@ -26,6 +28,7 @@ from levyruin.mc import (
     excursion_occupation,
     sample,
 )
+from levyruin.mc import driver
 from levyruin.registry import IDENTITIES, validatable_names
 
 CL_CFG = McConfig(replications=60_000, seed=424242, horizon=EscapeLevel(13.0))
@@ -71,6 +74,46 @@ def test_estimate_deterministic_and_worker_invariant(cl):
     again = estimate(cl, cfg, fn, workers=1)
     eight = estimate(cl, cfg, fn, workers=8)
     assert one == again == eight
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs each
+    submitted call in this process, so no process is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_pool_has_one_process_per_block_range(cl, monkeypatch):
+    # a pool started all its workers at the first submit under fork, so a
+    # two-block campaign asked for 64 workers would fork 64 processes
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    fn = PathFunctional("rho_sum_exp", {"p": 1.0, "lam": 1.0}, x0=0.5)
+    cfg = McConfig(replications=4096 + 10, seed=99, horizon=EscapeLevel(12.0))
+    assert estimate(cl, cfg, fn, workers=64) == estimate(cl, cfg, fn, workers=1)
+    estimate(cl, McConfig(replications=3 * 4096, seed=99, horizon=EscapeLevel(12.0)), fn,
+             workers=2)
+    assert _InlinePool.sizes == [2, 2]
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_grid_step_must_be_finite_and_positive(dt):
+    with pytest.raises(DomainError, match="grid_dt"):
+        McConfig(replications=10, seed=1, horizon=EscapeLevel(5.0), grid_dt=dt)
 
 
 def test_clt_scaling(cl):

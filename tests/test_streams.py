@@ -7,6 +7,7 @@ up here first.
 
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -25,16 +26,20 @@ from levyruin.mc import (
 from levyruin.mc.driver import _GRID_SALT
 
 
+def _clamp(u, antithetic):
+    # the two-sided clamp of a raw uniform block, flipped first when antithetic
+    if antithetic:
+        u = 1.0 - u
+    return np.clip(u, 1e-16, 1.0 - 1e-16)
+
+
 def _reference(seed, index, antithetic, kinds):
     """Draws of a fresh Philox keyed (seed, index): 512-value blocks in order of
     need, block 0 to the uniforms, later blocks to whichever buffer runs out."""
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
     def block(normal):
-        u = gen.random(512)
-        if antithetic:
-            u = 1.0 - u
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
+        u = _clamp(gen.random(512), antithetic)
         return list(ndtri(u) if normal else u)
 
     bufs = {"u": block(False), "n": []}
@@ -82,6 +87,59 @@ def test_keys_are_exact_uint64():
     kinds = _pattern(5, 600)
     assert _draw(Stream(2**64 - 1, 2**63 + 1), kinds) == _reference(
         2**64 - 1, 2**63 + 1, False, kinds)
+
+
+class _RawGen:
+    """Stands in for a buffer's Philox generator: hands out the given raw
+    uniforms in order and ignores seeks."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.pos = 0
+        self.bit_generator = types.SimpleNamespace(state=None)
+
+    def random(self, n):
+        self.pos += n
+        return self.raw[self.pos - n:self.pos].copy()
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_one_sided_clamp_matches_two_sided(anti):
+    # exact zeros, and values u > 0 small enough that 1 - u == 1, next to the
+    # ordinary ones: the stream's one-sided clamp must give the two-sided clip
+    edge = np.array([0.0, 5e-324, 1e-17, 2.0**-54, 1e-16, 1.05e-16, 2.0**-53,
+                     0.5, 1.0 - 2.0**-53])
+    assert all(1.0 - u == 1.0 for u in edge[:4])
+    rng = np.random.default_rng(1)
+    raw = {}
+    for kind in "un":
+        block = rng.random(512)
+        block[rng.choice(512, 60, replace=False)] = np.resize(edge, 60)
+        raw[kind] = block
+    stream = Stream(1, 0, anti)
+    stream._uf.gen, stream._nf.gen = _RawGen(raw["u"]), _RawGen(raw["n"])
+    assert [stream.uniform() for _ in range(512)] == list(_clamp(raw["u"], anti))
+    assert [stream.normal() for _ in range(512)] == list(ndtri(_clamp(raw["n"], anti)))
+
+
+def test_normals_hands_out_the_rest_of_a_read():
+    # normals() returns the unread part of the current read and counts it as
+    # drawn; interleaved with normal() and uniform() the values keep the layout
+    rng = random.Random(4)
+    for seed, index, anti in ((7, 3, False), (8, 1, True)):
+        stream = Stream(seed, index, anti)
+        got, kinds = [], []
+        while len(got) < 3000:
+            pick = rng.choice(("u", "n", "many"))
+            if pick == "many":
+                arr = stream.normals()
+                assert arr.dtype == np.float64 and 0 < arr.size <= 512
+                got += arr.tolist()
+                kinds += ["n"] * arr.size
+            else:
+                got.append(stream.uniform() if pick == "u" else stream.normal())
+                kinds.append(pick)
+        assert got == _reference(seed, index, anti, kinds)
 
 
 def test_pinned_estimates_and_sample(bm, cl):
