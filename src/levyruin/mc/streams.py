@@ -14,6 +14,12 @@ a multiple of 2^-53 in [0, 1 - 2^-53], and 1 - 1e-16 == 1 - 2^-53, so only one
 bound can bind: 1e-16 at a plain u = 0, 1 - 1e-16 at a flipped 1 - 0.  Raising
 u to 1e-16 before the flip applies both with one operation.
 
+scipy.  ``scipy.special.ndtri`` is bound when a normal buffer is built, in
+``_Feed.__init__``, not at module import, so importing this module (and with it
+``levyruin.mc``, ``registry`` and the CLI) loads no scipy and the closed-form
+path never pays for it.  Building a ``Stream`` loads it before the first draw;
+the fills call the bound function and import nothing.
+
 Growing reads.  Each buffer keeps its own Philox bit generator, positioned at a
 block's first counter when the block is taken.  Within a replication a buffer's
 reads grow geometrically, ``_CHUNK``, 2 ``_CHUNK``, ... up to the end of the
@@ -35,7 +41,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 _BUF = 512  # doubles per stream block
 _CHUNK = 32  # doubles in a buffer's first read of a replication
@@ -45,12 +50,16 @@ _LO = 1e-16  # lower clamp; 1 - _LO rounds to 1 - 2^-53, the upper one
 
 
 class _Feed:
-    """One buffer's Philox generator, its block, the position read within it and
-    the length of its next read."""
+    """One buffer's Philox generator, its block, the position read within it, the
+    length of its next read and, for the normal buffer, ``ndtri``."""
 
-    __slots__ = ("gen", "state", "block", "pos", "size", "normal")
+    __slots__ = ("gen", "state", "block", "pos", "size", "ndtri")
 
     def __init__(self, key: list, normal: bool):
+        if normal:
+            from scipy.special import ndtri
+        else:
+            ndtri = None
         self.gen = np.random.Generator(np.random.Philox(0))
         # the bit generator's full state, rewritten in place to re-key and seek
         self.state = {
@@ -61,7 +70,7 @@ class _Feed:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.normal = normal
+        self.ndtri = ndtri
         self.block = 0
         self.pos = 0
         self.size = _CHUNK
@@ -109,8 +118,8 @@ class Stream:
         np.maximum(u, _LO, out=u)  # binds at u = 0 alone, flipped to 1 - _LO
         if self._anti:
             np.subtract(1.0, u, out=u)
-        if feed.normal:
-            ndtri(u, out=u)
+        if feed.ndtri is not None:
+            feed.ndtri(u, out=u)
         return u
 
     def uniform(self) -> float:

@@ -56,6 +56,15 @@ class LevyModel:
                     raise DomainError(f"cramer_lundberg model requires {name} > 0")
         else:
             raise DomainError(f"unknown model kind {self.kind!r}")
+        # scale_context's cache hashes the model about twice an evaluation; the
+        # generated __hash__ would rebuild a tuple each time.  A kind flag, not
+        # the kind string, so the hash is the same in every process and a model
+        # pickled to a spawn-started worker keeps a valid one.  Not a field.
+        object.__setattr__(self, "_hash", hash(
+            (self.kind == BROWNIAN, self.mu, self.sigma, self.c, self.eta, self.alpha)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def brownian(cls, mu: float, sigma: float) -> "LevyModel":

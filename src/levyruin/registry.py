@@ -8,7 +8,7 @@ Monte Carlo functional for validation campaigns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import occupation, parisian
@@ -33,6 +33,14 @@ class Identity:
     # evaluate takes mc_config and workers: the hybrid Erlang(n) recursion runs
     # Monte Carlo campaigns for n >= 4
     needs_mc: bool = False
+    # what _coerce_params checks against, compiled once here: the parameter
+    # names, and (name, is_int) in Param order
+    names: frozenset = field(init=False, repr=False, compare=False)
+    coerce: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", frozenset(p.name for p in self.params))
+        object.__setattr__(self, "coerce", tuple((p.name, p.kind == "int") for p in self.params))
 
 
 def _fn(name, keys, success="ruin", q_key=None, theta_key=None, p_key=None, **fixed):
@@ -256,20 +264,20 @@ def _lookup(name: str) -> Identity:
 
 
 def _coerce_params(ident: Identity, params: dict) -> dict:
-    unknown = set(params) - {p.name for p in ident.params}
-    if unknown:
-        raise UsageError(f"unknown parameters for {ident.name}: {sorted(unknown)}")
-    missing = {p.name for p in ident.params} - set(params)
-    if missing:
+    if params.keys() != ident.names:
+        unknown = params.keys() - ident.names
+        if unknown:
+            raise UsageError(f"unknown parameters for {ident.name}: {sorted(unknown)}")
+        missing = ident.names - params.keys()
         raise UsageError(f"missing parameters for {ident.name}: {sorted(missing)}")
     out = {}
-    for p in ident.params:
-        val = float(params[p.name])
+    for name, is_int in ident.coerce:
+        val = float(params[name])
         if not math.isfinite(val):
-            raise UsageError(f"parameter {p.name} must be finite, got {val!r}")
-        if p.kind == "int":
+            raise UsageError(f"parameter {name} must be finite, got {val!r}")
+        if is_int:
             if val != int(val):
-                raise UsageError(f"parameter {p.name} must be an integer")
+                raise UsageError(f"parameter {name} must be an integer")
             val = int(val)
-        out[p.name] = val
+        out[name] = val
     return out

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,3 +140,30 @@ def test_model_from_dict_schema(bm, cl):
         model_from_dict({"kind": "brownian", "mu": 1.0})
     with pytest.raises(DomainError):
         model_from_dict({"mu": 1.0, "sigma": 1.0})
+
+
+def test_model_hash_is_cached_and_process_independent():
+    cl = LevyModel.cramer_lundberg(1, 1, 2)
+    bm = LevyModel.brownian(1.0, math.sqrt(2.0))
+    assert cl == LevyModel.cramer_lundberg(1.0, 1.0, 2.0)
+    assert hash(cl) == hash(LevyModel.cramer_lundberg(1.0, 1.0, 2.0))
+    assert hash(cl) == hash(dataclasses.replace(LevyModel.cramer_lundberg(1, 1, 3), alpha=2.0))
+    for m in (cl, bm):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == hash(m)
+    # the cached hash is not a field: fields, asdict, repr and == are the dataclass's
+    assert [f.name for f in dataclasses.fields(cl)] == ["kind", "mu", "sigma", "c", "eta", "alpha"]
+    assert dataclasses.asdict(cl) == {"kind": "cramer_lundberg", "mu": 0.0, "sigma": 0.0,
+                                      "c": 1.0, "eta": 1.0, "alpha": 2.0}
+    assert repr(cl) == ("LevyModel(kind='cramer_lundberg', mu=0.0, sigma=0.0, c=1.0, "
+                        "eta=1.0, alpha=2.0)")
+    assert cl != LevyModel.cramer_lundberg(1.0, 1.0, 2.5) and cl != bm
+    # string hashes change with PYTHONHASHSEED; the model's must not, so that a model
+    # pickled to a spawn-started worker still finds its cache entries
+    code = ("import math; from levyruin import LevyModel; "
+            "print(hash(LevyModel.cramer_lundberg(1, 1, 2)), "
+            "hash(LevyModel.brownian(1.0, math.sqrt(2.0))))")
+    for seed in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        assert out.split() == [str(hash(cl)), str(hash(bm))]

@@ -412,9 +412,13 @@ def test_occupation_density_matches_kendall_oracle(model, x):
 
 
 def test_import_loads_no_scipy():
+    # scipy serves the Monte Carlo oracle alone (its streams bind ndtri when built),
+    # so no import of the library, the registry, the CLI or the mc package loads it
     import subprocess
 
-    code = "import sys, levyruin; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout.strip()
-    assert out == "[]"
+    for module in ("levyruin", "levyruin.registry", "levyruin.cli", "levyruin.mc"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout.strip()
+        assert out == "[]", module

@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from levyruin import UsageError
 from levyruin.cli import main
 from levyruin.registry import (
     IDENTITIES,
+    _coerce_params,
     evaluate_identity,
     identity_names,
     mc_counterpart,
@@ -84,6 +86,28 @@ def test_registry_strict_param_checking(cl):
         evaluate_identity("ruin_prob_erlang_n", cl, {"x": 0.0, "lam": 2.0, "n": 2.5})
 
 
+def test_coerce_params_pins():
+    ident = IDENTITIES["ruin_prob_erlang_n"]  # params x, lam and the integer n
+    # unknown keys are reported before missing ones, and names are listed sorted
+    with pytest.raises(UsageError, match=r"^unknown parameters for ruin_prob_erlang_n: "
+                                         r"\['b', 'zz'\]$"):
+        _coerce_params(ident, {"zz": 1.0, "x": 0.4, "b": 1.0})
+    with pytest.raises(UsageError, match=r"^missing parameters for ruin_prob_erlang_n: "
+                                         r"\['lam', 'n'\]$"):
+        _coerce_params(ident, {"x": 0.4})
+    for key in ("x", "n"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(UsageError, match=f"^parameter {key} must be finite"):
+                _coerce_params(ident, {"x": 0.4, "lam": 1.3, "n": 2, key: bad})
+    with pytest.raises(UsageError, match="^parameter n must be an integer$"):
+        _coerce_params(ident, {"x": 0.4, "lam": 1.3, "n": 2.5})
+    # numpy floats and numeric strings are accepted; the result keeps Param order
+    out = _coerce_params(ident, {"n": 3.0, "lam": np.float64(1.3), "x": "0.4"})
+    assert list(out) == ["x", "lam", "n"] == [p.name for p in ident.params]
+    assert out == {"x": 0.4, "lam": 1.3, "n": 3}
+    assert [type(v) for v in out.values()] == [float, float, int]
+
+
 def test_mc_counterpart_registry(cl):
     assert "ruin_prob_sum_exp" in validatable_names()
     assert "gerber_shiu_density" not in validatable_names()
@@ -125,6 +149,8 @@ def test_cli_exit_codes(model_files, capsys):
     # non-finite parameter: 2
     assert main(["eval", "lt_occupation_inf", "--model", bm_path, "--x=nan", "--p=2",
                  "--lam=2"]) == 2
+    assert main(["eval", "ruin_prob_erlang_n", "--model", cl_path, "--x=0.4", "--lam=1.3",
+                 "--n=inf"]) == 2
     # no replications: 2
     assert main(["validate", "ruin_prob_sum_exp", "--model", cl_path, "--x=0.5", "--p=1",
                  "--lam=1", "--reps", "0"]) == 2

@@ -7,6 +7,8 @@ up here first.
 
 import math
 import random
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -120,6 +122,18 @@ def test_one_sided_clamp_matches_two_sided(anti):
     stream._uf.gen, stream._nf.gen = _RawGen(raw["u"]), _RawGen(raw["n"])
     assert [stream.uniform() for _ in range(512)] == list(_clamp(raw["u"], anti))
     assert [stream.normal() for _ in range(512)] == list(ndtri(_clamp(raw["n"], anti)))
+
+
+def test_stream_build_loads_ndtri():
+    # importing the streams loads no scipy; building one binds ndtri, and the
+    # first normal of stream (1, 0) is the one it always was
+    code = ("import sys; from levyruin.mc import Stream; "
+            "before = 'scipy.special' in sys.modules; stream = Stream(1, 0); "
+            "print(before, 'scipy.special' in sys.modules, stream.normal().hex())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["False", "True", "-0x1.83179f98d2d8cp+0"]
+    assert _reference(1, 0, False, ["n"])[0].hex() == out[2]
 
 
 def test_normals_hands_out_the_rest_of_a_read():
