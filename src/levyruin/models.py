@@ -145,28 +145,31 @@ def _psi_prime_any(model: LevyModel, theta: float) -> float:
         return model.c - model.alpha * model.eta / (t * t)
 
 
-def _psi_second_any(model: LevyModel, theta: float) -> float:
+def _psi_second_any(model: LevyModel, theta: float, t: Optional[float] = None) -> float:
     if model.kind == BROWNIAN:
         return model.sigma ** 2
-    t = theta + model.alpha  # t * t * t rounds to inf where t ** 3 raises OverflowError
+    # t: theta + alpha where the caller knows it to full relative precision (a root next
+    # to the pole -alpha); t * t * t rounds to inf where t ** 3 raises OverflowError
+    t = theta + model.alpha if t is None else t
     return 2.0 * model.alpha * model.eta / (t * t * t)
 
 
-def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0) -> tuple:
+def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0,
+                ta: Optional[float] = None, t2: Optional[float] = None) -> tuple:
     # the divided differences D(a, b) = (psi(a) - psi(b)) / (a - b) at b = b1 and b2 in
     # closed form (psi'(a) at a = b), or with k = 1, 2 their k-th derivatives in a.  On
-    # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha); b2 = -alpha, a root of
-    # psi_q rounded to the pole, has residue 0 and gets 0
+    # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha), with ta = a + alpha and
+    # t2 = b2 + alpha as in _psi_second_any; t2 = 0 (residue 0 at the pole) gets 0
     if model.kind == BROWNIAN:
         half = 0.5 * model.sigma ** 2
         if k:
             return (half, half) if k == 1 else (0.0, 0.0)
         return model.mu + half * (a + b1), model.mu + half * (a + b2)
-    ta = a + model.alpha
+    ta = a + model.alpha if ta is None else ta
     ck, g = model.c, model.alpha * model.eta / ta
     if k:
         ck, g = 0.0, -g / ta if k == 1 else 2.0 * g / (ta * ta)
-    t2 = b2 + model.alpha
+    t2 = b2 + model.alpha if t2 is None else t2
     return ck - g / (b1 + model.alpha), ck - g / t2 if t2 else 0.0
 
 

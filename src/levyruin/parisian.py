@@ -11,7 +11,10 @@ parents, whose confluences take closed-form p-derivatives of scriptW.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+
 from .errors import DomainError, NumericalError
 from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, _psi_slopes, phi
 from .occupation import _occupation_inf, joint_lt_upcross
@@ -25,33 +28,22 @@ from .scale import (
     _script_w_sum,
     _two_sided,
     _w_at,
-    _w_tilde_sum,
     _w_dq,
+    _w_tilde_dp_sum,
+    _w_tilde_sum,
     _z_sum,
     _z_tilde_sum,
     scale_context,
-    w,
     z_tilde,
 )
 from .util import clamp_unit
 
 _POLE_TOL = 1e-12
-_DENSITY_CLAMP = 1e-9
 _ONE = (1.0, 0.0, lambda y: 1.0, ())  # at q = 0, where Phi_0 = 0: the mode e^{Phi_0 x}
 
 
 def _psi_q(model: LevyModel, q: float, theta: float) -> float:
     return _psi_any(model, theta) - q
-
-
-def _floor_density(val: float, floor: float, what: str) -> float:
-    if abs(val) <= floor:
-        return 0.0
-    if val < 0.0:
-        if val < -max(_DENSITY_CLAMP, floor):
-            raise NumericalError(f"{what} significantly negative: {val!r}")
-        return 0.0
-    return val
 
 
 def _check_pole(theta: float, pole: float, label: str) -> None:
@@ -122,7 +114,7 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
                        - coeff * z_tilde(ctx, x, phi_lq, phi_pq))
     # the decaying mode, root r = -zeta_q and residue B: D(th, r) = psi_q(th)/(th - r)
     # turns E and z_tilde into products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
-    (_, _), (r, res) = _roots(ctx)
+    _, (r, res, _) = _roots(ctx)
     c = (-res * slope_q * (phi_q - r) / (theta - r) * (p / (phi_pq - r))
          * (lam / (phi_lq - r)) / (slope_l * slope_p))
     return _decay(ctx, (0.0, c, None, ()), x)
@@ -151,11 +143,7 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
     if abs(p - lam) > 1e-8 * (1.0 + lam):
         f = _w_tilde_sum(ctx, p, lam, a)
     else:
-        # d/dp of w_tilde at p = lam
-        ctx_l = scale_context(model, q + lam)
-        w_l = w(ctx_l, a)
-        f = _lin(lam * w_l, _script_w_sum(ctx, lam, a, dp=True),
-                 -(w_l + lam * _w_dq(ctx_l, a)), _script_w_sum(ctx, lam, a))
+        f = _w_tilde_dp_sum(ctx, lam, a)
     return clamp_unit(_ratio(ctx, f, x, b), "up_cross_three_barrier")
 
 
@@ -178,55 +166,85 @@ def gerber_shiu_density(model: LevyModel, x: float, b: float, q: float, p: float
 
 def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: float,
                 y: float, name: str) -> float:
-    # Gerber-Shiu density for the Exp(p)+Exp(lam) delay; p == lam is its confluent
-    # (Erlang(2)) limit, where the difference quotients in p become p-derivatives
+    # Gerber-Shiu density for the Exp(p)+Exp(lam) delay, p == lam its confluent
+    # (Erlang(2)) limit: p times the two-sided combination, against
+    # f = Z~_q(., Phi_{q+lam}, Phi_{q+p}), of a xi-factor made of scriptW at length
+    # L = -y, sums over the roots r of psi = q + lam and q + p.  Its r = Phi_{q+lam} term
+    # is identically 0, and its r = Phi_{q+p} term is k0 e^{Phi_{q+p} L} f with
+    # k0 = -A'_{Phi_{q+p}} / D(Phi_{q+lam}, Phi_{q+p}), which the combination maps to 0.
+    # The decaying root terms c e^{s} Z_q^{(k)}(., theta), s = rL, are kept alone.
     if y > 0.0:
         raise DomainError(f"{name} requires y <= 0")
     if x > b:
         raise DomainError(f"{name} requires x <= b")
     if p <= 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError(f"{name} requires delay rates > 0 and q >= 0")
-    ctx = scale_context(model, q)
-    phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
-    w_l = w(scale_context(model, q + lam), -y)
-    zl, zt = _z_sum(ctx, phi_lq), _z_tilde_sum(ctx, phi_lq, phi_pq)
-    # the xi-dependent factor conv - bracket Z_q(xi, Phi_{q+lam}), and the magnitude
-    # of its cancelling terms
+    # the rates as the roots see them, through q + lam and q + p
+    lam, p = (q + lam) - q, (q + p) - q
+    if not (lam and p):
+        raise NumericalError(f"{name}: q = {q:g} absorbs the delay rates in q + lam, q + p")
+    ctx, length = scale_context(model, q), -y
+    ctx_l, ctx_p = scale_context(model, q + lam), scale_context(model, q + p)
+    (phi_l, _, t_l), (r_l, a_l, u_l) = _roots(ctx_l)
+    (phi_p, a_phi_p, _), (r_p, a_p, u_p) = _roots(ctx_p)
+    s_l, s_p = r_l * length, r_p * length
+    # The terms' values at L = 0 sum to -W_q(0) Z_q(., Phi_{q+lam}) modulo f; on
+    # Brownian models W_q(0) = 0, so e^{s_p} times them is dropped (keep = False), which
+    # leaves the zero at y = 0 exact and no cancellation at any L
+    keep, e_l, e_p = ctx.w0 != 0.0, math.exp(s_l), math.exp(s_p)
     if p == lam:
-        w_dq = lam * _w_dq(scale_context(model, q + lam), -y)
-        bracket, bracket_mag = w_l + w_dq, w_l + abs(w_dq)
-        conv = _script_w_sum(ctx, lam, -y, dp=True)
-        e = _lin(lam, conv, -bracket, zl)
-        mag = _lin(lam, _abs(conv), bracket_mag, _abs(zl))
+        # -d/dp at p = lam of the p part's term A'_r e^{rL} (p Z(Phi_{q+lam}) - lam Z(r)),
+        # r = -zeta_{q+p}, which the lam part cancels there; dr/dp = A' and
+        # dA'/dp = -psi''(r) A'^3.  The weights go like lam A'^2 ~ lam^-3 on
+        # Cramer-Lundberg models, and underflow past lam ~ 1e100
+        if abs(lam * a_l * a_l) < sys.float_info.min:
+            raise NumericalError(
+                f"{name}: at q + lam = {q + lam:g} the root -zeta_{{q+lam}} lies within "
+                f"{u_l:.3g} of the pole -alpha of psi, and its terms leave the float range")
+        la, e_c = lam * a_l, e_l if keep else 0.0
+        hl = _psi_second_any(model, r_l, u_l) * a_l * la
+        terms = ((a_l * (hl - 1.0), s_l, phi_l, t_l, 0, e_c), (-a_l * hl, s_l, r_l, u_l, 0, e_c),
+                 (la * a_l, s_l, r_l, u_l, 1, e_c), (-la * a_l * length, s_l, phi_l, t_l, 0, e_l),
+                 (la * a_l * length, s_l, r_l, u_l, 0, e_l))
     else:
-        w_p = w(scale_context(model, q + p), -y)
-        bracket = (lam * w_l - p * w_p) / (lam - p)
-        bracket_mag = (lam * w_l + p * w_p) / abs(lam - p)
-        sl, sp, c = _script_w_sum(ctx, lam, -y), _script_w_sum(ctx, p, -y), lam / (lam - p)
-        e = _lin(1.0, _lin(c, sl, -c, sp), -bracket, zl)
-        mag = _lin(1.0, _lin(abs(c), _abs(sl), abs(c), _abs(sp)), bracket_mag, _abs(zl))
-    val = p * _two_sided(ctx, e, zt, x, b)
-    return _floor_density(val, 1e-11 * p * _cancelling(ctx, mag, zt, x, b) + 1e-10,
-                          "Gerber-Shiu density")
+        c_l, c_p = lam / (lam - p) * a_l, a_p / (lam - p)
+        if not keep:  # (e^{s_l} - e^{s_p}) times the lam part
+            e_l = -e_l * math.expm1(s_p - s_l) if s_l >= s_p else e_p * math.expm1(s_l - s_p)
+            e_p = 0.0
+        # a residue 0, at a root rounded to the pole, drops its term
+        terms = tuple(tm for tm in ((c_l, s_l, r_l, u_l, 0, e_l), (-c_l, s_l, phi_l, t_l, 0, e_l),
+                                    (p * c_p, s_p, phi_l, t_l, 0, e_p),
+                                    (-lam * c_p, s_p, r_p, u_p, 0, e_p)) if tm[0])
+    c_phi = c_zeta = 0.0
+    for c, _, theta, t, k, e in terms:
+        if e:
+            z_phi, z_zeta = _z_sum(ctx, theta, k, t)[:2]
+            c_phi, c_zeta = c_phi + c * e * z_phi, c_zeta + c * e * z_zeta
+    # On x < 0 the factor is the same multiple of f off the full one as on x >= 0.  The
+    # r = Phi_{q+p} term is k0 e^{Phi_{q+p} L} f, D = D(Phi_{q+lam}, Phi_{q+p}); dropping
+    # the L-constant terms drops k0 e^{s_p} f more.  Below -L, where scriptW vanishes, the
+    # full factor less that term is lam/(lam-p) (W_{q+p}(L) e^{Phi_{q+p} y} - W_{q+lam}(L)
+    # e^{Phi_{q+lam} y}) - A'_{r_p} e^{s_p} / D f(y), and on Brownian models, where
+    # A'_{r_p} = -A'_{Phi_{q+p}}, the dropped part cancels its f term
+    f, d = _z_tilde_sum(ctx, phi_l, phi_p), _psi_slopes(model, phi_l, phi_p, phi_p)[0]
+    k_drop, k_zeta = (0.0, -a_p * e_p / d) if keep else (-a_phi_p * math.exp(s_p) / d, 0.0)
+    g = (c_phi, c_zeta, _gs_neg, (terms, length, k_drop, k_zeta, f, ctx_l, ctx_p, p, lam))
+    return p * _two_sided(ctx, g, f, x, b)
 
 
-def _cancelling(ctx, mag: tuple, f: tuple, x: float, b: float) -> float:
-    # the size of the terms that cancel in _two_sided(ctx, g, f, x, b), where mag bounds
-    # g's terms; below its rounding floor the sign and size of the value are
-    # meaningless.  On x >= 0 those are the modes and their determinant, whose
-    # magnitudes combine alike
-    if x >= 0.0:
-        return _two_sided(ctx, mag, (abs(f[0]), -abs(f[1]), None, ()), x, b)
-    s = max(b, 0.0)
-    return _neg(mag, x) + abs(_neg(f, x)) * _at(ctx, mag, b, s) / _at(ctx, f, b, s)
-
-
-def _abs(f: tuple) -> tuple:
-    return abs(f[0]), abs(f[1]), _abs_neg, (f,)
-
-
-def _abs_neg(y: float, f: tuple) -> float:
-    return abs(_neg(f, y))
+def _gs_neg(y: float, terms: tuple, length: float, k_drop: float, k_zeta: float, f: tuple,
+            ctx_l, ctx_p, p: float, lam: float) -> float:
+    # the xi-factor at y < 0: on [-L, 0) the terms with Z_q(y, theta) = e^{theta y} and
+    # weights e^{rL}, plus k_drop f; below -L the W terms, whose limit at p = lam is
+    # -lam d/dp (W_{q+p}(L) e^{Phi_{q+p} y}), plus k_zeta f
+    if y >= -length:
+        return (sum(c * y ** k * math.exp(theta * y + s) for c, s, theta, _, k, _ in terms)
+                + k_drop * _neg(f, y))
+    if p == lam:
+        val = -lam * (_w_dq(ctx_l, length, -y) + y * ctx_l.coeff_a * _w_at(ctx_l, length, -y))
+    else:
+        val = lam / (lam - p) * (_w_at(ctx_p, length, -y) - _w_at(ctx_l, length, -y))
+    return val + k_zeta * _neg(f, y)
 
 
 def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
@@ -504,8 +522,8 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     The point p = q + lam is removable: the difference quotients in p become the
     closed-form p-derivatives of the second-generation scale function there.
     z > a is rejected: there the formula disagrees with its Monte Carlo
-    counterpart ``T0_w_weight`` and can go negative.  A value below the rounding
-    floor of its cancelling terms (at large q) raises :class:`NumericalError`.
+    counterpart ``T0_w_weight`` and can go negative.  A value too large for a float
+    (W_p at a huge p) raises ``OverflowError``.
     """
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
@@ -513,20 +531,23 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
         raise DomainError("delayed_w_functional requires 0 < z <= a")
     if a < 0.0 or lam <= 0.0 or q < 0.0 or p < 0.0:
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
-    ctx = scale_context(model, q)
+    ctx, ctx_l = scale_context(model, q), scale_context(model, q + lam)
     pole = q + lam
     # lam / (p - pole) (f(x) g(b) / f(b) - g(x)) with f = script_w(ctx, lam, ., . + a)
     # and g the difference quotient in p at length z, or its p-derivative at the pole
-    if abs(p - pole) <= 1e-8 * (1.0 + pole):
-        k, g = -lam, _script_w_sum(ctx, lam, z_shift, dp=True)
-        mag = _abs(g)
-    else:
-        k = -lam / (p - pole)
-        g_p, g_l = _script_w_sum(ctx, p - q, z_shift), _script_w_sum(ctx, lam, z_shift)
-        g, mag = _lin(1.0, g_p, -1.0, g_l), _lin(1.0, _abs(g_p), 1.0, _abs(g_l))
     f = _script_w_sum(ctx, lam, a)
-    val = k * _two_sided(ctx, g, f, x, b)
-    if 1e-11 * abs(k) * _cancelling(ctx, mag, f, x, b) > abs(val):
-        raise NumericalError("delayed_W_functional is below the rounding floor of its "
-                             f"cancelling terms: {val!r}")
-    return val
+    if abs(p - pole) <= 1e-8 * (1.0 + pole):
+        k, g = -lam * math.exp(ctx_l.phi_q * z_shift), _script_w_sum(ctx, lam, z_shift, dp=True)
+    else:
+        # scriptW^{(q,lam)}(xi, xi + z) less e^{Phi (z - a)} f, Phi = Phi_{q+lam}: its Phi
+        # term is that multiple of f's, and the rest, bounded for z <= a, is
+        # A'_r e^{r z} (1 - e^{(Phi - r)(z - a)}) Z_q(xi, r) at r = -zeta_{q+lam}, or below
+        # xi = -z, where scriptW vanishes, -e^{Phi (z - a)} W_{q+lam}(xi + a)
+        (ph, _, _), (r, ar, t) = _roots(ctx_l)
+        c = -ar * math.exp(r * z_shift) * math.expm1((ph - r) * (z_shift - a))
+        z_phi, z_zeta = _z_sum(ctx, r, 0, t)[:2] if c else (0.0, 0.0)
+        g_l = (c * z_phi, c * z_zeta, lambda y: c * math.exp(r * y) if y >= -z_shift
+               else -_w_at(ctx_l, y + a, a - z_shift), ())
+        k, e_p = -lam / (p - pole), math.exp(scale_context(model, q + (p - q)).phi_q * z_shift)
+        g = _lin(e_p, _script_w_sum(ctx, p - q, z_shift), -1.0, g_l)
+    return k * _two_sided(ctx, g, f, x, b)

@@ -19,6 +19,11 @@ sum_r e^{r L} Z_q(xi, r) A'_r over the roots r of psi(r) = q + p with residues A
 derivative in p (from dr/dp = A'_r) and the three-barrier composite.  Since
 psi(r) - psi(s) = p at the roots s of psi_q, sum_r A'_r D(r, s) = 1, and e^{r L}
 enters as expm1(r L): W_q(0) stays exact at L = 0, and short windows do not cancel.
+Its modes carry the scale e^{-Phi_{q+p} L} (the composite, both of its rates'), which
+ratios and two-sided combinations do not see, so any rate stays finite; the public
+values multiply it back.  A two-sided combination against f maps every multiple of
+f to 0, so the Gerber-Shiu densities and delayed_W_functional drop their growing root
+terms, identically 0 or multiples of f, and keep the decaying ones.
 
 Three operations act on the modes, each in one place: :func:`_at` evaluates;
 :func:`_ratio` takes f(x)/f(b) and :func:`_two_sided` g(x) - f(x) g(b)/f(b) with
@@ -50,6 +55,7 @@ class ScaleContext:
     coeff_a: float
     coeff_b: float
     w0: float  # W_q(0) = coeff_a + coeff_b, exactly
+    t_zeta: float  # alpha - zeta_q to full relative precision (-zeta_q on Brownian models)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -71,14 +77,18 @@ def scale_context(model: LevyModel, q: float) -> ScaleContext:
             "(q = 0 with E[X_1] = 0 is not supported)"
         )
     a = 1.0 / _psi_prime_any(model, p)
-    if model.kind != BROWNIAN and zeta == model.alpha:
-        # at huge q zeta_q rounds to alpha, the pole of psi'(-zeta_q); 1/psi' tends to -0
-        b = -0.0
+    if model.kind == BROWNIAN:
+        t, b = -zeta, 1.0 / _psi_prime_any(model, -zeta)
     else:
-        b = 1.0 / _psi_prime_any(model, -zeta)
+        # the roots t of c t^2 - (c alpha + eta + q) t + alpha eta are theta + alpha at
+        # theta = Phi_q, -zeta_q: their product gives alpha - zeta_q without a subtraction.
+        # Where alpha eta / t^2 overflows, the residue rounds to -0
+        t = model.alpha * model.eta / model.c / (p + model.alpha)
+        b = 1.0 / (model.c - model.alpha * model.eta / t / t)
     # W_q(0) is 0 with a Gaussian part and 1/c for a bounded-variation drift c
     w0 = 0.0 if model.sigma > 0.0 else 1.0 / model.c
-    return ScaleContext(model=model, q=q, phi_q=p, zeta_q=zeta, coeff_a=a, coeff_b=b, w0=w0)
+    return ScaleContext(model=model, q=q, phi_q=p, zeta_q=zeta, coeff_a=a, coeff_b=b, w0=w0,
+                        t_zeta=t)
 
 
 def w(ctx: ScaleContext, x: float) -> float:
@@ -108,8 +118,9 @@ def w_prime(ctx: ScaleContext, x: float) -> float:
 
 
 def _roots(ctx: ScaleContext) -> tuple:
-    # (root r, residue 1/psi'(r)) pairs of 1/psi_q: W_q(x) = sum of residue * e^{r x}
-    return (ctx.phi_q, ctx.coeff_a), (-ctx.zeta_q, ctx.coeff_b)
+    # (root r, residue 1/psi'(r), r + alpha) of 1/psi_q: W_q(x) = sum of residue * e^{r x}
+    return ((ctx.phi_q, ctx.coeff_a, ctx.phi_q + ctx.model.alpha),
+            (-ctx.zeta_q, ctx.coeff_b, ctx.t_zeta))
 
 
 # A scale quantity f is a tuple (c_Phi, c_zeta, neg, args): its modes on x >= 0, and
@@ -165,9 +176,10 @@ def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
     return _neg(f, x) if x < 0.0 else f[1] * math.exp(-ctx.zeta_q * x)
 
 
-def _z_sum(ctx: ScaleContext, theta: float, k: int = 0) -> tuple:
-    # Z_q(., theta), or its k-th theta-derivative: modes A_r d^k/dtheta^k D(theta, r)
-    d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k)
+def _z_sum(ctx: ScaleContext, theta: float, k: int = 0, t: float | None = None) -> tuple:
+    # Z_q(., theta), or its k-th theta-derivative: modes A_r d^k/dtheta^k D(theta, r); t
+    # is theta + alpha where it is known to full precision (theta a root next to -alpha)
+    d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k, t, ctx.t_zeta)
     return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (theta, k)
 
 
@@ -178,7 +190,9 @@ def _z_neg(y: float, theta: float, k: int) -> float:
 def _z_tilde_sum(ctx: ScaleContext, a: float, b: float) -> tuple:
     # Z~_q(., a, b): modes A_r D(a, r) D(b, r), symmetric in (a, b)
     m, phi_q, r = ctx.model, ctx.phi_q, -ctx.zeta_q
-    (a_phi, a_zeta), (b_phi, b_zeta) = _psi_slopes(m, a, phi_q, r), _psi_slopes(m, b, phi_q, r)
+    t = ctx.t_zeta
+    (a_phi, a_zeta), (b_phi, b_zeta) = (_psi_slopes(m, a, phi_q, r, t2=t),
+                                        _psi_slopes(m, b, phi_q, r, t2=t))
     return (ctx.coeff_a * (a_phi * b_phi), ctx.coeff_b * (a_zeta * b_zeta), _z_tilde_neg,
             (m, ctx.q, a, b))
 
@@ -226,60 +240,92 @@ def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     a = max(a, 0.0)
     if p_extra == 0.0 or x <= a:
         return w(ctx, x)
-    return _at(ctx, _script_w_sum(ctx, p_extra, x - a), a)
+    ph = scale_context(ctx.model, ctx.q + p_extra).phi_q
+    return _at(ctx, _script_w_sum(ctx, p_extra, x - a), a) * math.exp(ph * (x - a))
 
 
 def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     # derivative of script_w(ctx, p_extra, a, x) in p_extra
-    a = max(a, 0.0)
-    return _at(ctx, _script_w_sum(ctx, p_extra, x - a, dp=True), a) if x > a else 0.0
+    a, ph = max(a, 0.0), scale_context(ctx.model, ctx.q + p_extra).phi_q
+    if x <= a:
+        return 0.0
+    return _at(ctx, _script_w_sum(ctx, p_extra, x - a, True), a) * math.exp(ph * (x - a))
 
 
 def _script_w_sum(ctx: ScaleContext, p_extra: float, length: float, dp: bool = False) -> tuple:
     # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its
-    # p_extra-derivative: the modes B_s sum_r A'_r D(r, s) e^{r length} over the roots r
-    # of psi = q + p_extra, with residues A'_r = dr/dp_extra and B = (A, W_q(0) - A) so
-    # that W_q(0) stays exact.  sum_r A'_r D(r, s) = 1 for every p_extra, so e^{r length}
-    # enters as expm1, which does not cancel at short lengths
-    model, s_phi, s_zeta = ctx.model, ctx.phi_q, -ctx.zeta_q
-    c_phi = c_zeta = 0.0 if dp else 1.0
-    for r, ar in _roots(scale_context(model, ctx.q + p_extra)):
-        if not ar:
-            continue  # a root rounded to the pole of a Cramer-Lundberg psi'
-        em = math.expm1(r * length)
-        d_phi, d_zeta = _psi_slopes(model, r, s_phi, s_zeta)
+    # p_extra-derivative, times e^{-Phi length}, Phi = Phi_{q+p_extra}: the modes
+    # B_s sum_r A'_r D(r, s) e^{(r - Phi) length} over the roots r of psi = q + p_extra,
+    # with residues A'_r = dr/dp_extra and B = (A, -A) on Brownian models, so that
+    # W_q(0) = 0 stays exact.  sum_r A'_r D(r, s) = 1 for every p_extra, so e^{r length}
+    # enters as expm1, which does not cancel at short lengths.  A root next to the pole
+    # of a Cramer-Lundberg psi' has a residue that rounds to 0 and is skipped
+    model, s_phi, s_zeta, t_zeta = ctx.model, ctx.phi_q, -ctx.zeta_q, ctx.t_zeta
+    ctx_p = scale_context(model, ctx.q + p_extra)
+    ph = ctx_p.phi_q
+    scale = math.exp(-ph * length)
+    c_phi = c_zeta = 0.0 if dp else scale
+    for r, ar, tr in _roots(ctx_p):
+        u = ar * ar if dp else ar
+        if not u:
+            continue
+        # (e^{r length} - 1) e^{-Phi length}; r > 0 is Phi itself
+        em = -math.expm1(-r * length) if r > 0.0 else math.expm1(r * length) * scale
+        d_phi, d_zeta = _psi_slopes(model, r, s_phi, s_zeta, 0, tr, t_zeta)
         if dp:
-            k_phi, k_zeta = _psi_slopes(model, r, s_phi, s_zeta, 1)
-            u, h, e = ar * ar, _psi_second_any(model, r) * ar, length * (1.0 + em)
+            k_phi, k_zeta = _psi_slopes(model, r, s_phi, s_zeta, 1, tr, t_zeta)
+            h, e = _psi_second_any(model, r, tr) * ar, length * math.exp((r - ph) * length)
             c_phi += u * (em * (k_phi - h * d_phi) + e * d_phi)
             c_zeta += u * (em * (k_zeta - h * d_zeta) + e * d_zeta)
         else:
-            c_phi += ar * d_phi * em
-            c_zeta += ar * d_zeta * em
-    return (ctx.coeff_a * c_phi, (ctx.w0 - ctx.coeff_a) * c_zeta, _shifted,
-            (_script_w_dp if dp else script_w, ctx, p_extra, length))
+            c_phi += u * d_phi * em
+            c_zeta += u * d_zeta * em
+    return (ctx.coeff_a * c_phi, (ctx.coeff_b if ctx.w0 else -ctx.coeff_a) * c_zeta, _shifted,
+            (_w_dq if dp else _w_at, ctx_p, length))
 
 
-def _shifted(y: float, fn, ctx: ScaleContext, p_extra: float, length: float) -> float:
-    # script_w or its p_extra-derivative, fn, from y to y + length
-    return fn(ctx, p_extra, y, y + length)
+def _shifted(y: float, fn, ctx_p: ScaleContext, length: float) -> float:
+    # script_w or its p_extra-derivative from y < 0 to y + length times its scale:
+    # W_{q+p_extra}(y + length), or with fn = _w_dq its q-derivative
+    return fn(ctx_p, y + length, length)
 
 
 def _w_tilde_sum(ctx: ScaleContext, p: float, lam: float, a: float) -> tuple:
     # the three-barrier composite lam W_{q+lam}(a) scriptW^{(q,p)}(xi, xi + a)
-    # - p W_{q+p}(a) scriptW^{(q,lam)}(xi, xi + a) as a function of xi
+    # - p W_{q+p}(a) scriptW^{(q,lam)}(xi, xi + a) as a function of xi, times
+    # e^{-(Phi_{q+p} + Phi_{q+lam}) a}
     m = ctx.model
-    return _lin(lam * w(scale_context(m, ctx.q + lam), a), _script_w_sum(ctx, p, a),
-                -p * w(scale_context(m, ctx.q + p), a), _script_w_sum(ctx, lam, a))
+    ctx_l, ctx_p = scale_context(m, ctx.q + lam), scale_context(m, ctx.q + p)
+    return _lin(lam * _w_at(ctx_l, a, a), _script_w_sum(ctx, p, a),
+                -p * _w_at(ctx_p, a, a), _script_w_sum(ctx, lam, a))
 
 
-def _w_dq(ctx: ScaleContext, x: float) -> float:
-    # derivative of W_q(x) in q
-    if x < 0.0:
+def _w_tilde_dp_sum(ctx: ScaleContext, lam: float, a: float) -> tuple:
+    # d/dp of _w_tilde_sum at p = lam, times e^{-2 Phi a}, Phi = Phi_{q+lam}: with
+    # W_{q+lam}(a) = W = sum E_s and scriptW^{(q,lam)} = sum E_s Z_q(., s), E_s = A'_s e^{s a}
+    # over the roots s of psi = q + lam, it is lam (M (Z_q(., r) - Z_q(., Phi)) + W sum E_s
+    # A'_s dZ_q/dtheta(., s)) - W scriptW^{(q,lam)}, r = -zeta_{q+lam}, M = E_Phi E'_r -
+    # E'_Phi E_r, E' = dE/dp: lam (W d/dp scriptW - dW/dq scriptW) without its E_s E'_s
+    # terms, which cancel
+    m, ctx_l = ctx.model, scale_context(ctx.model, ctx.q + lam)
+    (ph, a_ph, t_ph), (r, a_r, t_r) = _roots(ctx_l)
+    w_l, decay, z_ph = _w_at(ctx_l, a, a), math.exp((r - ph) * a), _z_sum(ctx, ph, 0, t_ph)
+    f = _lin(lam * w_l * a_ph * a_ph, _z_sum(ctx, ph, 1, t_ph), -w_l, _script_w_sum(ctx, lam, a))
+    if not a_r * a_r * decay:
+        return f  # the r terms are below the rounding of the others
+    mm = a_ph * a_r * decay * (a_r * (a - _psi_second_any(m, r, t_r) * a_r)
+                               - a_ph * (a - _psi_second_any(m, ph, t_ph) * a_ph))
+    return _lin(1.0, f, lam, _lin(mm, _lin(1.0, _z_sum(ctx, r, 0, t_r), -1.0, z_ph),
+                                  w_l * a_r * a_r * decay, _z_sum(ctx, r, 1, t_r)))
+
+
+def _w_dq(ctx: ScaleContext, x: float, shift: float = 0.0) -> float:
+    # derivative of W_q(x) in q, times e^{-Phi_q shift}; W_q(0) does not depend on q.  A
+    # root next to the pole of a Cramer-Lundberg psi' has a residue that squares to 0
+    if x <= 0.0:
         return 0.0
-    model = ctx.model
-    return sum(ar * ar * (x - _psi_second_any(model, r) * ar) * math.exp(r * x)
-               for r, ar in _roots(ctx))
+    return sum(ar * ar * (x - _psi_second_any(ctx.model, r, t) * ar)
+               * math.exp(r * x - ctx.phi_q * shift) for r, ar, t in _roots(ctx) if ar * ar)
 
 
 def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float) -> float:
@@ -291,4 +337,5 @@ def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float
     if p <= 0.0 or lam <= 0.0:
         raise DomainError("w_tilde requires p > 0 and lam > 0")
     ctx = scale_context(model, q)
-    return _at(ctx, _w_tilde_sum(ctx, p, lam, a), x)
+    scale = scale_context(model, q + p).phi_q + scale_context(model, q + lam).phi_q
+    return _at(ctx, _w_tilde_sum(ctx, p, lam, a), x) * math.exp(scale * a)

@@ -164,7 +164,7 @@ def _lambda_prime(model: LevyModel, ctx0: ScaleContext, x: float, r: np.ndarray)
     # psi, so each term is a tilted partial moment with e^{r psi} = 1
     a = max(0.0, -x)
     total = np.zeros_like(r)
-    for theta, res in _roots(ctx0):
+    for theta, res, _ in _roots(ctx0):
         if res * theta != 0.0:
             total += res * theta * _partial_moment(model, theta, theta * x, a, r)
     return total / r

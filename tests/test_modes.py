@@ -13,6 +13,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from levyruin import (
     DomainError,
@@ -20,6 +21,11 @@ from levyruin import (
     NumericalError,
     deficit_transform_erlang2,
     deficit_transform_t0,
+    delayed_w_functional,
+    gerber_shiu_density,
+    gs_density_e2,
+    gs_lt_two_sided,
+    gs_lt_two_sided_e2,
     joint_lt_upcross,
     lt_occupation_exp_horizon,
     lt_occupation_inf,
@@ -30,6 +36,8 @@ from levyruin import (
     upcross_before_t0,
     upcross_before_t0_two_sided,
     up_cross_three_barrier,
+    w,
+    z,
 )
 from levyruin.models import BROWNIAN, _psi_prime_any, _psi_second_any, _psi_slopes
 from levyruin.registry import IDENTITIES, evaluate_identity
@@ -91,6 +99,69 @@ class Exact:
             return (self.dpsi(a) * self.z(x, a)
                     - psi_q(a) * mpmath.diff(lambda t: self.z(x, t), a))
         return (psi_q(a) * self.z(x, b) - psi_q(b) * self.z(x, a)) / (a - b)
+
+    # the second-generation quantities, unreduced: every root term of scriptW is kept,
+    # and the digits carry their cancellation.  On x >= 0 Z_q is taken as its partial
+    # fractions, the definition with the cancelling e^{theta x} term removed exactly
+
+    def z_modes(self, x, theta):
+        x = mpmath.mpf(x)
+        if x < 0:
+            return mpmath.exp(theta * x)
+        return sum(mpmath.exp(s * x) * (self.psi(theta) - self.psi(s)) / ((theta - s) * self.dpsi(s))
+                   for s in self.roots)
+
+    def w_rate(self, rate, x):
+        # W_rate(x), from the residues of 1/(psi - rate)
+        x = mpmath.mpf(x)
+        if x < 0:
+            return mpmath.mpf(0)
+        return sum(mpmath.exp(r * x) / self.dpsi(r) for r in (self.root(rate, s) for s in (1, -1)))
+
+    def script_w(self, pe, xi, length):
+        # scriptW^{(q,pe)}(xi, xi + length) (Loeffen, Renaud & Zhou, 2014)
+        xi, length = mpmath.mpf(xi), mpmath.mpf(length)
+        if xi + length <= 0:
+            return mpmath.mpf(0)
+        if xi < 0:
+            return self.w_rate(self.q + pe, xi + length)
+        return sum(mpmath.exp(r * length) * self.z_modes(xi, r) / self.dpsi(r)
+                   for r in (self.root(self.q + pe, s) for s in (1, -1)))
+
+    def gs_density(self, x, b, p, lam, y):
+        # p (e(x) - f(x) e(b) / f(b)), e = lam/(lam-p) (scriptW^lam - scriptW^p)(., . - y)
+        # - bracket(-y) Z_q(., Phi_{q+lam}) and f = Z~_q(., Phi_{q+lam}, Phi_{q+p})
+        x, b, p, lam, length = map(mpmath.mpf, (x, b, p, lam, -y))
+        q = self.q
+        phl, php = self.root(q + lam), self.root(q + p)
+        bracket = (lam * self.w_rate(q + lam, length) - p * self.w_rate(q + p, length)) / (lam - p)
+
+        def e(xi):
+            return (lam / (lam - p) * (self.script_w(lam, xi, length) - self.script_w(p, xi, length))
+                    - bracket * self.z_modes(xi, phl))
+
+        def f(xi):
+            return (lam * self.z_modes(xi, php) - p * self.z_modes(xi, phl)) / (phl - php)
+
+        return p * (e(x) - f(x) * e(b) / f(b))
+
+    def gs_density_e2(self, x, b, lam, y):
+        # the p = lam limit, as the mean of the two sides at p = lam (1 +- 10^(-dps/3))
+        lam = mpmath.mpf(lam)
+        eps = lam * mpmath.mpf(10) ** (-(mpmath.mp.dps // 3))
+        return (self.gs_density(x, b, lam + eps, lam, y) + self.gs_density(x, b, lam - eps, lam, y)) / 2
+
+    def delayed_w(self, x, b, a, lam, p, z_shift):
+        x, b, a, lam, p, z_shift = map(mpmath.mpf, (x, b, a, lam, p, z_shift))
+        q = self.q
+
+        def g(xi):
+            return self.script_w(p - q, xi, z_shift) - self.script_w(lam, xi, z_shift)
+
+        def f(xi):
+            return self.script_w(lam, xi, a)
+
+        return -lam / (p - q - lam) * (g(x) - f(x) * g(b) / f(b))
 
 
 def digits(model, level):
@@ -380,3 +451,138 @@ def test_discounted_identities_decrease_in_q(key, name):
             continue
         assert math.isfinite(value) and 0.0 <= value <= (1.0 + 1e-9) * previous, (q, value)
         previous = value
+
+
+# ---------------------------------------------------------------------------
+# second-generation identities: decaying root terms against the unreduced formulas
+# ---------------------------------------------------------------------------
+
+# (model, x, b, q, p, lam, y, value); the values are 60-digit evaluations of
+# Exact.gs_density at least, to 12 digits
+GS_PINS = [
+    ("cl_a", 0.5, 2.0, 2.0, 2.0, 3.0, -3.0, 2.760258596664e-4),
+    ("cl_a", 0.5, 2.0, 0.1, 0.7, 3.0, -5.0, 1.81374730421e-4),
+    ("cl_a", 0.5, 2.0, 0.1, 0.7, 10.0, -2.0, 9.19794805916e-3),
+    ("cl_a", 0.5, 2.0, 0.1, 0.7, 100.0, -0.5, 7.10729751338e-2),
+    ("bm_a", 0.5, 2.0, 0.1, 0.7, 100.0, -4.0, 5.01693498976e-4),
+    ("bm_a", 0.5, 2.0, 0.1, 0.7, 1e4, -0.5, 0.1001396559199),
+]
+# (model, x, b, q, lam, y, value)
+E2_PINS = [
+    ("cl_a", -1.0, 3.0, 0.05, 3.0, -4.0, 2.589943208464e-3),
+    ("bm_a", -1.0, 3.0, 0.05, 3.0, -7.0, 4.451176230058e-6),
+    ("bm_b", -1.0, 3.0, 0.05, 3.0, -7.0, 5.247642087857e-7),
+    ("cl_a", -1.0, 3.0, 0.05, 3.0, -7.0, 2.462994791392e-5),
+    ("cl_b", -1.0, 3.0, 0.05, 3.0, -7.0, 7.953696444645e-4),
+    ("cl_a", 0.5, 2.0, 0.1, 1e4, 0.0, 0.4683172948722),
+    ("cl_a", 0.5, 2.0, 0.1, 1e8, 0.0, 0.4685259518401),
+    ("cl_a", 0.5, 2.0, 0.1, 1e12, 0.0, 0.4685259727147),
+    ("cl_a", 0.5, 2.0, 0.1, 1e16, 0.0, 0.4685259727168),
+]
+# (model, x, b, a, q, lam, p, z, value)
+DELAYED_W_PINS = [
+    ("cl_a", 0.5, 2.0, 1.0, 60.0, 1.3, 0.7, 0.5, 1.188468833559e-4),
+    ("cl_a", 0.5, 2.0, 1.0, 80.0, 1.3, 0.7, 0.5, 6.840850524352e-5),
+    ("cl_a", 0.5, 2.0, 1.0, 150.0, 1.3, 0.7, 0.5, 2.011142637641e-5),
+    ("cl_a", 0.5, 2.0, 1.0, 0.1, 100.0, 0.7, 0.5, 0.2262725309587),
+]
+
+
+def pin_digits(model, rate, length, q, b):
+    # enough digits for terms e^{Phi_rate length} and e^{Phi_q b} to cancel
+    return 60 + int(1.3 * (phi(model, rate) * length + phi(model, q) * b) / math.log(10.0))
+
+
+@pytest.mark.parametrize("key, x, b, q, p, lam, y, value", GS_PINS)
+def test_gerber_shiu_density_matches_mpmath(key, x, b, q, p, lam, y, value):
+    model = MODELS[key]
+    with mpmath.workdps(pin_digits(model, q + max(p, lam), -y, q, b - x)):
+        exact = float(Exact(model, q).gs_density(x, b, p, lam, y))
+    assert exact == pytest.approx(value, rel=1e-11)
+    assert gerber_shiu_density(model, x, b, q, p, lam, y) == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("key, x, b, q, lam, y, value", E2_PINS)
+def test_gs_density_e2_matches_mpmath(key, x, b, q, lam, y, value):
+    model = MODELS[key]
+    with mpmath.workdps(3 * pin_digits(model, q + lam, -y, q, b - x) + 200):
+        exact = float(Exact(model, q).gs_density_e2(x, b, lam, y))
+    assert exact == pytest.approx(value, rel=1e-11)
+    assert gs_density_e2(model, x, b, q, lam, y) == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("key, x, b, a, q, lam, p, zs, value", DELAYED_W_PINS)
+def test_delayed_w_functional_matches_mpmath(key, x, b, a, q, lam, p, zs, value):
+    model = MODELS[key]
+    with mpmath.workdps(pin_digits(model, q + lam, a, q, b - x)):
+        exact = float(Exact(model, q).delayed_w(x, b, a, lam, p, zs))
+    assert exact == pytest.approx(value, rel=1e-11)
+    assert delayed_w_functional(model, x, b, a, q, lam, p, zs) == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("key", ["cl_a", "cl_b"])
+def test_residue_next_to_the_pole_matches_mpmath(key):
+    # -zeta_q approaches the pole -alpha of psi' as q grows; alpha - zeta_q is taken
+    # without subtraction, so 1/psi'(-zeta_q) keeps its relative precision
+    model = MODELS[key]
+    for q in (1e4, 1e8, 1e12, 1e15):
+        with mpmath.workdps(50):
+            ex = Exact(model, q)
+            exact = float(1 / ex.dpsi(ex.roots[1]))
+        assert scale_context(model, q).coeff_b == pytest.approx(exact, rel=1e-14), q
+
+
+@pytest.mark.parametrize("key", ["cl_a", "bm_a"])
+@pytest.mark.parametrize("lam", [1.3, 3.0, 10.0, 100.0])
+def test_density_laplace_transform_over_all_deficits(key, lam):
+    # the densities integrate against e^{theta y} over all y <= 0 to the joint transforms
+    model, x, b = MODELS[key], 0.5, 2.0
+    for theta in (0.0, 0.5):
+        for density, transform in (
+                (lambda y: gerber_shiu_density(model, x, b, Q, P, lam, y),
+                 gs_lt_two_sided(model, x, b, Q, P, lam, theta)),
+                (lambda y: gs_density_e2(model, x, b, Q, lam, y),
+                 gs_lt_two_sided_e2(model, x, b, Q, lam, theta))):
+            val, _ = quad(lambda y: math.exp(theta * y) * density(y), -math.inf, 0.0,
+                          epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert val == pytest.approx(transform, abs=1e-10), (theta, val, transform)
+
+
+@pytest.mark.parametrize("key", MODELS)
+def test_second_generation_identities_over_a_rate_scan(key):
+    # lam from 1 to 1e4 at a = 1: the scriptW modes carry e^{Phi_{q+lam} a} only as a
+    # factored-out scale, and the densities keep their decaying root terms
+    model, x, b, a = MODELS[key], 0.5, 2.0, 1.0
+    for k in range(17):
+        lam = 10.0 ** (k / 4)
+        for v in (up_cross_three_barrier(model, x, b, a, Q, P, lam),
+                  up_cross_three_barrier(model, x, b, a, Q, lam, lam),
+                  upcross_before_t0_two_sided(model, x, b, a, Q, lam)):
+            assert _in_unit(v), (lam, v)
+        values = [delayed_w_functional(model, x, b, a, Q, lam, P, 0.5)]
+        # x = -3 starts below the deficit y = -1, where e^{Phi_{q+lam} |y|} alone overflows
+        for x0, y in ((x, 0.0), (x, -0.5), (x, -2.0), (-3.0, -1.0)):
+            values += [gerber_shiu_density(model, x0, b, Q, P, lam, y),
+                       gs_density_e2(model, x0, b, Q, lam, y)]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), (lam, values)
+
+
+@pytest.mark.parametrize("key", ["cl_a", "cl_b"])
+def test_erlang2_identities_at_huge_rates_tend_to_ordinary_ruin(key):
+    # an Erlang(2, lam) delay shrinks to 0 as lam -> inf: the three-barrier
+    # up-crossing tends to W_q(x)/W_q(b), and, since the deficit at ruin under
+    # Exp(alpha) claims is Exp(alpha) and independent of the ruin time, the density
+    # tends to alpha e^{alpha y} E_x[e^{-q tau_0^-}; tau_0^- < tau_b^+]
+    model, x, b = MODELS[key], 0.5, 2.0
+    ctx = scale_context(model, Q)
+    ruin = z(ctx, x, 0.0) - z(ctx, b, 0.0) * w(ctx, x) / w(ctx, b)
+    for lam in (1e17, 1e20, 1e100):
+        assert up_cross_three_barrier(model, x, b, 1.0, Q, lam, lam) == pytest.approx(
+            w(ctx, x) / w(ctx, b), rel=1e-12)
+        for y in (0.0, -0.5):
+            assert gs_density_e2(model, x, b, Q, lam, y) == pytest.approx(
+                model.alpha * math.exp(model.alpha * y) * ruin, rel=1e-12)
+    # past lam ~ 1e100 the root -zeta_{q+lam} is so close to -alpha that the terms
+    # underflow: a typed error, not a wrong value
+    with pytest.raises(NumericalError, match="pole"):
+        gs_density_e2(model, x, b, Q, 1e300, -0.5)

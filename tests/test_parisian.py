@@ -36,6 +36,7 @@ from levyruin import (
     z,
 )
 from printed_forms import erlang2_ruin_alternative_form
+from test_modes import MODELS
 
 
 def test_ruin_sum_exp_values(bm):
@@ -143,8 +144,14 @@ def test_up_cross_before_ruin_shares_code_path(model):
 
 def test_gerber_shiu_density_contracts(cl):
     assert gerber_shiu_density(cl, 2.0, 2.0, 0.1, 0.7, 1.3, -0.5) == pytest.approx(0.0, abs=1e-12)
-    for y in (-0.1, -0.5, -1.0, -2.0, -5.0):
-        assert gerber_shiu_density(cl, 0.5, 2.0, 0.1, 0.7, 1.3, y) >= 0.0
+    # the density decays in |y| without a cancellation floor, and W(0) = 0 on Brownian
+    # models makes it exactly 0 at y = 0 there
+    for key, model in MODELS.items():
+        for y in (-0.1, -0.5, -1.0, -2.0, -5.0, -10.0, -20.0):
+            assert gerber_shiu_density(model, 0.5, 2.0, 0.1, 0.7, 1.3, y) > 0.0, (key, y)
+        for x in (0.5, -0.5) if model.sigma > 0.0 else ():
+            assert gerber_shiu_density(model, x, 2.0, 0.1, 0.7, 1.3, 0.0) == 0.0, key
+            assert gs_density_e2(model, x, 2.0, 0.1, 1.3, 0.0) == 0.0, key
     with pytest.raises(DomainError):
         gerber_shiu_density(cl, 0.5, 2.0, 0.1, 1.3, 1.3, -0.5)  # p = lam redirects
     with pytest.raises(DomainError):
@@ -386,8 +393,7 @@ def test_gs_density_e2_is_p_to_lam_limit_both_models(model):
 
 def test_gs_density_e2_deep_deficit_values(bm, cl):
     # reference values from a 60-digit evaluation of the Exp(p)+Exp(lam) density at
-    # p = lam + 1e-25 with quadrature convolutions; the cancellation floor must not
-    # zero these
+    # p = lam + 1e-25 with quadrature convolutions
     assert gs_density_e2(cl, -1.0, 3.0, 0.05, 3.0, -4.0) == pytest.approx(
         2.58994320846e-3, rel=1e-5
     )

@@ -158,18 +158,24 @@ def test_cli_exit_codes(model_files, capsys):
 
 def test_cli_numerical_failure_exit_code(model_files, capsys):
     _, cl_path = model_files
-    # a NumericalError (delayed_W_functional below the rounding floor of its cancelling
-    # terms at q = 150) and an ArithmeticError (e^{rL} at a root of psi = q + lam
-    # overflows at q = 1e20) both exit 4 with a one-line message, not a traceback
+    # delayed_W_functional at q = 150 is a value (an 80-digit evaluation gives
+    # 2.011142637641e-5), not a cancellation failure
     assert main(["eval", "delayed_W_functional", "--model", cl_path, "--x=0.5", "--b=2",
-                 "--a=1", "--q=150", "--lam=1.3", "--p=0.7", "--z=0.5"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numerical error (NumericalError)")
-    assert len(err.strip().splitlines()) == 1
-    assert main(["eval", "delayed_W_functional", "--model", cl_path, "--x=0.5", "--b=1",
-                 "--a=1", "--q=1e20", "--lam=1", "--p=1", "--z=0.5"]) == 4
+                 "--a=1", "--q=150", "--lam=1.3", "--p=0.7", "--z=0.5"]) == 0
+    value = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
+    assert value == pytest.approx(2.011142637641e-5, rel=1e-11)
+    # an ArithmeticError (W_p(X + z) at p = 1e20 is beyond the float range) and a
+    # NumericalError (an Erlang(2) rate whose root lies within 1e-300 of the pole of
+    # psi) both exit 4 with a one-line message, not a traceback
+    assert main(["eval", "delayed_W_functional", "--model", cl_path, "--x=0.5", "--b=2",
+                 "--a=1", "--q=0.1", "--lam=1.3", "--p=1e20", "--z=0.5"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error (OverflowError)")
+    assert len(err.strip().splitlines()) == 1
+    assert main(["eval", "gs_density_e2", "--model", cl_path, "--x=0.5", "--b=2",
+                 "--q=0.1", "--lam=1e300", "--y=-0.5"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error (NumericalError)")
     assert len(err.strip().splitlines()) == 1
 
 
