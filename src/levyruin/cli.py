@@ -199,7 +199,10 @@ def _parse_grid(spec: str):
         parts = body.split(":")
         if len(parts) != 3:
             raise _fail(f"range grid must be lo:hi:count, got {body!r}", 2)
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise _fail(f"range grid must be numbers lo:hi and an integer count, got {body!r}", 2)
         if count < 1:
             raise _fail("grid count must be >= 1", 2)
         if count == 1:
@@ -208,7 +211,10 @@ def _parse_grid(spec: str):
             step = (hi - lo) / (count - 1)
             values = [lo + i * step for i in range(count)]
     else:
-        values = [float(v) for v in body.split(",") if v != ""]
+        try:
+            values = [float(v) for v in body.split(",") if v != ""]
+        except ValueError:
+            raise _fail(f"list grid must be numbers v1,v2,..., got {body!r}", 2)
     if not values:
         raise _fail("empty grid", 2)
     return key, values

@@ -8,20 +8,24 @@ consecutive-observation Erlang ruin and budget-clock ruin times are all exact in
 law; the pure fine-grid fallback is kept only for the fixed-delay time kappa_r,
 where the excursion-age clock is not observation-driven.
 
-The Parisian and occupation functionals share one excursion core.  An
+Three event loops: the excursion core, one bridge-checked first passage
+(tau_b^+ and tau_level^-) and the kappa_fixed Euler walk.  Each reads its
+constants and its payoff from :func:`~.functionals.plan`; which functional
+takes which construction is in :data:`~.functionals.CATALOGUE`.
+
+The Parisian and occupation functionals share the excursion core.  An
 excursion's trigger is the n-th consecutive negative observation with the bridge
 below 0 in between (n is the ``n`` param, default 1); its recovery is the
 inverse-Gaussian first passage to 0 from the trigger's position.  Constructions:
 
-* "observation" (T0_minus and the occupation functionals, which take no
-  construction, and the default of rho_erlang): a ruin functional stops at the
-  trigger; an occupation functional accrues recovery - trigger and runs on;
-* "occupation" (rho_sum_exp, its only construction) and "clock" (rho_erlang):
-  the delay's first Exp(lam) stage is the wait for the first negative
-  observation (n = 1), and its other stages -- Exp(p), or n - 1 Exp(lam) -- are
-  a budget drawn after the recovery and raced against it: ruin comes at
-  trigger + budget when the budget runs out first.  With n = 1 there is no
-  budget and the clock construction is T0_minus.
+* "observation" (also the functionals that take no construction): a ruin
+  functional stops at the trigger; an occupation functional accrues
+  recovery - trigger and runs on;
+* "occupation" and "clock": the delay's first Exp(lam) stage is the wait for
+  the first negative observation (n = 1), and its other stages -- Exp(p), or
+  n - 1 Exp(lam) -- are a budget drawn after the recovery and raced against it:
+  ruin comes at trigger + budget when the budget runs out first.  With n = 1
+  there is no budget and the clock construction is T0_minus.
 """
 
 from __future__ import annotations
@@ -30,31 +34,10 @@ import math
 
 import numpy as np
 
-from ..errors import UnsupportedFunctional
 from ..models import LevyModel
-from .config import FixedTime, McConfig
-from .functionals import (
-    EV_NONE,
-    EV_RUIN,
-    EV_UPCROSS,
-    PathFunctional,
-    _reject_ignored_fields,
-    construction,
-)
+from .config import McConfig
+from .functionals import EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, plan
 from .streams import _BUF
-
-
-def _setup(model: LevyModel, fn: PathFunctional, config: McConfig, needs_escape=True):
-    if fn.params.get("a") is not None:
-        raise UnsupportedFunctional(
-            "lower-barrier detection between skeleton points is not exactly samplable "
-            "for the Brownian model; use the Cramer-Lundberg simulator"
-        )
-    if isinstance(config.horizon, FixedTime):
-        return math.inf, config.horizon.t_max
-    if needs_escape:
-        model.require_positive_drift("escape-level Monte Carlo horizon")
-    return config.horizon.b_esc, None
 
 
 def _crossed_above(stream, x1, x2, gap, level, sig2) -> bool:
@@ -69,51 +52,13 @@ def _touched_zero(stream, x1, x2, gap, sig2) -> bool:
     return stream.uniform() < math.exp(-2.0 * x1 * x2 / (sig2 * gap))
 
 
-def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig, kind):
+def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     mu, sig = model.mu, model.sigma
     sig2 = sig * sig
-    prm = fn.params
-    lam = float(prm["lam"])
-    n = int(prm.get("n", 1))
-    budget = None  # Exp rates of the budget raced against the recovery
-    if fn.name == "rho_sum_exp":
-        n, budget = 1, (float(prm["p"]),)
-    elif kind == "clock" and n > 1:
-        n, budget = 1, (lam,) * (n - 1)
-    accrue = fn.name.startswith("occupation")
-    b = prm.get("b")
-    b = None if b is None else float(b)
-    exp_rate = prm.get("exp_horizon_rate")
-    exp_rate = None if exp_rate is None else float(exp_rate)
-    q, th, p = fn.discount_q, fn.tilt_theta, fn.laplace_p
-    x0 = fn.x0
-    if fn.name == "occupation_poisson_literal":
-        raise UnsupportedFunctional(
-            "the literal overlapping sum needs the in-excursion path after a "
-            "sampled recovery; only the Cramer-Lundberg simulator provides it"
-        )
-    if b is not None and q != 0.0 and (accrue or fn.success_event == "upcross"):
-        raise UnsupportedFunctional(
-            "discounted tau_b crossing times are not exactly samplable for the "
-            "Brownian model"
-        )
-    if budget is not None and th != 0.0:
-        raise UnsupportedFunctional(
-            "the deficit at a mid-excursion Parisian ruin time is not exactly "
-            "samplable for the Brownian model"
-        )
-    besc, tmax = _setup(model, fn, config, needs_escape=exp_rate is None)
-    if not accrue and tmax is not None:
-        raise UnsupportedFunctional("ruin-event functionals need an escape-level horizon")
-    if b is not None or exp_rate is not None:
-        besc = math.inf  # the path ends at b or at the horizon instead
-    stop = not accrue and budget is None  # ruin at the trigger itself
-    success = None if accrue else (EV_RUIN if fn.success_event == "ruin" else EV_UPCROSS)
-
-    def value(ev, tm, df, occ):
-        if success is not None and ev != success:
-            return 0.0
-        return math.exp(-q * tm + th * df - p * occ)
+    pl = plan(model, fn, config)
+    value, x0, b, besc, tmax, exp_rate = pl.payoff, pl.x0, pl.b, pl.besc, pl.tmax, pl.exp_rate
+    lam, n, budget = pl.lam, pl.n, pl.budget
+    stop = not pl.accrue and budget is None  # ruin at the trigger itself
 
     def sim(stream):
         t = 0.0
@@ -166,63 +111,28 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig, k
     return sim
 
 
-def make_tau_minus_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    """Indicator of ever passing below ``level`` (bridge-checked; q = 0 only)."""
+def make_first_passage_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
+    """tau_b^+ or tau_level^-, bridge-checked between skeleton points (q = 0 only)."""
     mu, sig = model.mu, model.sigma
     sig2 = sig * sig
-    level = float(fn.params["level"])
-    if fn.discount_q != 0.0 or fn.tilt_theta != 0.0:
-        raise UnsupportedFunctional(
-            "only the bare indicator of tau_level^- is exactly samplable for the "
-            "Brownian model"
-        )
-    x0 = fn.x0
-    besc, tmax = _setup(model, fn, config)
-    if tmax is not None:
-        raise UnsupportedFunctional("first-passage indicators need an escape-level horizon")
+    pl = plan(model, fn, config)
+    value, x0, besc = pl.payoff, pl.x0, pl.besc
+    up = pl.b is not None  # tau_b^+: the crossing is X >= b, else X < level
+    level, event = (pl.b, EV_UPCROSS) if up else (pl.floor, EV_RUIN)
 
     def sim(stream):
         X = x0
-        if X < level:
-            return 1.0, 0
+        if (X >= level) == up:
+            return value(event, 0.0, 0.0, 0.0), 0
         while True:
             gap = stream.exponential(1.0)  # skeleton rate; any rate is exact via bridges
             Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if Xn < level:
-                return 1.0, 0
-            if stream.uniform() < math.exp(-2.0 * (X - level) * (Xn - level) / (sig2 * gap)):
-                return 1.0, 0
+            if (Xn >= level) == up or (
+                    stream.uniform() < math.exp(-2.0 * (X - level) * (Xn - level) / (sig2 * gap))):
+                return value(event, 0.0, 0.0, 0.0), 0
             X = Xn
             if X >= besc:
-                return 0.0, 1
-
-    return sim
-
-
-def make_tau_plus_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    mu, sig = model.mu, model.sigma
-    sig2 = sig * sig
-    b = float(fn.params["b"])
-    if fn.discount_q != 0.0:
-        raise UnsupportedFunctional(
-            "discounted tau_b crossing times are not exactly samplable for the "
-            "Brownian model"
-        )
-    x0 = fn.x0
-    _, tmax = _setup(model, fn, config)
-    if tmax is not None:
-        raise UnsupportedFunctional("first-passage indicators need an escape-level horizon")
-
-    def sim(stream):
-        X = x0
-        if X >= b:
-            return 1.0, 0
-        while True:
-            gap = stream.exponential(1.0)
-            Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if _crossed_above(stream, X, Xn, gap, b, sig2):
-                return 1.0, 0
-            X = Xn
+                return value(EV_NONE, 0.0, 0.0, 0.0), 1
 
     return sim
 
@@ -261,19 +171,12 @@ def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, 
     It stops at the first escape or the first run of J negative steps, the
     delay clock's crossing of r (``_DelayClock``)."""
     mu, sig = model.mu, model.sigma
-    r_delay = float(fn.params["r"])
-    q = fn.discount_q
-    success = EV_RUIN if fn.success_event == "ruin" else EV_UPCROSS
-    if success != EV_RUIN:
-        raise UnsupportedFunctional("kappa_fixed supports only the ruin event")
-    x0 = fn.x0
-    besc, tmax = _setup(model, fn, config)
-    if tmax is not None:
-        raise UnsupportedFunctional("kappa_fixed needs an escape-level horizon")
+    pl = plan(model, fn, config)
+    value, x0, besc = pl.payoff, pl.x0, pl.besc
     step = config.grid_dt if dt is None else dt
     drift = mu * step
     scale = sig * math.sqrt(step)
-    clock = _DelayClock(step, r_delay)
+    clock = _DelayClock(step, pl.delay)
     idx = np.arange(1, _BUF + 1)
 
     def sim(stream):
@@ -304,40 +207,10 @@ def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, 
             i = int(stop.argmax())
             if stop[i]:
                 if xs[i] >= 0.0:
-                    return 0.0, 1
-                return math.exp(-q * float(w[1, i + 1])), 0
+                    return value(EV_NONE, 0.0, 0.0, 0.0), 1
+                return value(EV_RUIN, float(w[1, i + 1]), 0.0, 0.0), 0
             X = float(xs[-1])
             t = float(w[1, -1])
             neg = int(runs[-1])
 
     return sim
-
-
-# the functionals this simulator runs, each with the delay constructions it
-# accepts (default first)
-_CONSTRUCTIONS = {
-    "occupation_poisson": (), "occupation_poisson_literal": (), "occupation_poisson_n": (),
-    "occupation_at_upcross": (), "T0_minus": (),
-    "rho_sum_exp": ("occupation",), "rho_erlang": ("observation", "clock"),
-    "tau_level_minus": (), "tau_b_plus": (), "kappa_fixed": (),
-}
-
-
-def needs_grid(fn: PathFunctional) -> bool:
-    return fn.name == "kappa_fixed"
-
-
-def build(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
-    if fn.name not in _CONSTRUCTIONS:
-        raise UnsupportedFunctional(
-            f"functional {fn.name!r} is not implemented for the Brownian simulator"
-        )
-    kind = construction(fn, _CONSTRUCTIONS[fn.name], "Brownian")
-    _reject_ignored_fields(fn, "Brownian")
-    if fn.name == "tau_level_minus":
-        return make_tau_minus_sim(model, fn, config)
-    if fn.name == "tau_b_plus":
-        return make_tau_plus_sim(model, fn, config)
-    if fn.name == "kappa_fixed":
-        return make_kappa_grid_sim(model, fn, config, dt=dt)
-    return make_excursion_sim(model, fn, config, kind)

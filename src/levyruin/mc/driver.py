@@ -17,7 +17,7 @@ import numpy as np
 from ..models import BROWNIAN, LevyModel
 from . import brownian, cramer_lundberg
 from .config import EscapeLevel, McConfig, McEstimate, classical_ruin_bound
-from .functionals import PathFunctional
+from .functionals import PathFunctional, loop_of
 from .streams import Stream
 
 _BLOCK = 4096
@@ -25,9 +25,15 @@ _GRID_SALT = 0x9E3779B97F4A7C15  # seed offset for the grid-halving companion ru
 
 
 def build_simulator(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
-    if model.kind == BROWNIAN:
-        return brownian.build(model, fn, config, dt=dt)
-    return cramer_lundberg.build(model, fn, config)
+    """The replication closure of ``fn`` on ``model``: the event loop that
+    ``loop_of`` names, which checks ``fn`` against the catalogue (``plan``).
+    ``dt`` overrides the Euler grid step of a grid functional."""
+    loop = loop_of(model, fn)
+    if loop == "grid":
+        return brownian.make_kappa_grid_sim(model, fn, config, dt=dt)
+    sims = brownian if model.kind == BROWNIAN else cramer_lundberg
+    make = sims.make_first_passage_sim if loop == "passage" else sims.make_excursion_sim
+    return make(model, fn, config)
 
 
 def _run_blocks(model, fn, config, block_lo, block_hi, seed, dt):
@@ -123,8 +129,7 @@ def estimate(model: LevyModel, config: McConfig, fn: PathFunctional,
     s, s2, nv, nesc = _collect(model, fn, config, workers, config.seed)
     value, se, bound = _finish(model, config, s, s2, nv, nesc)
 
-    grid = model.kind == BROWNIAN and brownian.needs_grid(fn)
-    if grid:
+    if loop_of(model, fn) == "grid":
         half_reps = max(config.replications // 4, min(config.replications, 2000))
         if config.antithetic:
             half_reps += half_reps & 1  # whole antithetic pairs

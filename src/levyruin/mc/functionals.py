@@ -1,60 +1,38 @@
-"""Path functionals estimable by the oracle, and the occupation accrual rule.
+"""Path functionals estimable by the oracle, their catalogue, and the plan that
+checks a request against it once.
 
 A :class:`PathFunctional` names a simulated quantity (first passages, Parisian
 ruin times under the different delay constructions, Poissonian occupation times)
-together with the transform applied to the raw path outcome:
+together with the payoff applied to the raw path outcome:
 
-    value = 1{event == success_event} * exp(-discount_q * time
-                                            + tilt_theta * deficit
-                                            - laplace_p * occupation)
+    payoff = 1{event == success_event} * exp(-discount_q * time
+                                             + tilt_theta * deficit
+                                             - laplace_p * occupation)
 
-(occupation functionals pay at every terminal event).  Both simulators run the
-Parisian and occupation functionals through one excursion core: each excursion
-below 0 has a *trigger*, the n-th point of a clock started at the excursion's
-start, and a *recovery*, its next up-crossing of 0.  A ruin functional stops at
-the first trigger that comes before its excursion's recovery; an occupation
-functional accrues recovery - trigger and runs on.  This is the link between
-Parisian ruin and Poissonian occupation times that the identities rest on.
+(occupation functionals pay at every terminal event; ``T0_w_weight`` multiplies
+by W_pw(deficit + shift)).  Both simulators run the Parisian and occupation
+functionals through one excursion core: each excursion below 0 has a *trigger*,
+the n-th point of a clock started at the excursion's start, and a *recovery*,
+its next up-crossing of 0.  A ruin functional stops at the first trigger that
+comes before its excursion's recovery; an occupation functional accrues
+recovery - trigger and runs on.  This is the link between Parisian ruin and
+Poissonian occupation times that the identities rest on.
 
-Functional names:
-
-* ``occupation_poisson``          total occupation, once-per-excursion accrual
-                                  (params: lam; optional exp_horizon_rate)
-* ``occupation_poisson_literal``  the overlapping-sum reading of the accrual
-                                  (every negative observation adds its full
-                                  remaining recovery time); kept because it is
-                                  the verbatim summation formula -- it does NOT
-                                  match the closed-form identities (see tests)
-* ``occupation_poisson_n``        accrual from the n-th consecutive negative
-                                  observation (params: lam, n)
-* ``occupation_at_upcross``       occupation accrued up to tau_b^+ (params: lam, b)
-* ``rho_sum_exp``                 Parisian ruin, delay Exp(p)+Exp(lam) per
-                                  excursion (params: p, lam; optional b, a)
-* ``rho_erlang``                  Parisian ruin, Erlang(n, lam) delay (params:
-                                  n, lam; optional b)
-* ``kappa_fixed``                 Parisian ruin with deterministic delay r
-* ``T0_minus``                    first Poisson observation below 0 (params:
-                                  lam; optional b, a)
-* ``T0_w_weight``                 e^{-q T_0^-} W_pw(X + shift) on {T_0^- first}
-                                  (params: lam, b, a, pw, shift)
-* ``tau_b_plus`` / ``tau_level_minus``  classical first passages (sanity checks)
-
-Delay constructions (the ``construction`` param; the first listed is the
-default, any other value raises :class:`UnsupportedFunctional`):
-
-* Cramer-Lundberg ``rho_sum_exp`` and ``kappa_fixed``: "clock";
-  ``rho_erlang``: "clock", "observation".
-* Brownian ``rho_sum_exp``: "occupation"; ``rho_erlang``: "observation",
-  "clock".
-
-The other functionals take no construction.
+The params of each functional, the delay constructions each simulator accepts
+and the fields and barriers its path reads are in :data:`CATALOGUE`.
+:func:`plan` checks a request against it and returns what the event loops read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 from ..errors import UnsupportedFunctional
+from ..models import BROWNIAN, LevyModel
+from ..scale import scale_context, w
+from .config import EscapeLevel, McConfig
 
 EV_NONE = 0
 EV_RUIN = 1
@@ -73,41 +51,195 @@ class PathFunctional:
     laplace_p: float = 0.0
 
 
-def construction(fn: PathFunctional, allowed: tuple, simulator: str):
-    """The delay construction ``fn`` asks for: ``allowed[0]`` by default (None
-    when ``allowed`` is empty), and any value outside ``allowed`` raises."""
-    chosen = fn.params.get("construction")
-    if chosen is None:
-        return allowed[0] if allowed else None
-    if chosen not in allowed:
+class Entry(NamedTuple):
+    params: str  # the params it takes, optional ones in brackets
+    cl: Optional[tuple]  # delay constructions on Cramer-Lundberg models, default first
+    bm: Optional[tuple]  # the same on Brownian models; None: the simulator does not run it
+    reads: str  # the fields and barriers its path reads
+    grid: bool = False  # on Brownian models an Euler walk, which reads discount_q alone
+    passage: bool = False  # a classical first passage, with no excursions
+
+
+_OCC = "laplace_p discount_q b"  # discount_q only with b: otherwise no stopping time
+_RUIN = "tilt_theta a discount_q b"  # tilt_theta only at ruin: an up-crossing has no deficit
+
+CATALOGUE = {
+    # total occupation, accrued once per excursion
+    "occupation_poisson": Entry("lam [exp_horizon_rate]", (), (), _OCC),
+    # every negative observation adds its full remaining recovery time: the
+    # verbatim summation formula, kept although it does NOT match the closed-form
+    # identities (see tests); it needs the in-excursion path after a recovery
+    "occupation_poisson_literal": Entry("lam", (), None, _OCC),
+    # accrual from the n-th consecutive negative observation
+    "occupation_poisson_n": Entry("lam n", (), (), _OCC),
+    # occupation accrued up to tau_b^+
+    "occupation_at_upcross": Entry("lam b", (), (), _OCC),
+    # Parisian ruin, delay Exp(p) + Exp(lam) per excursion
+    "rho_sum_exp": Entry("p lam", ("clock",), ("occupation",), _RUIN),
+    # Parisian ruin, delay Erlang(n, lam)
+    "rho_erlang": Entry("n lam", ("clock", "observation"), ("observation", "clock"), _RUIN),
+    # Parisian ruin with deterministic delay r
+    "kappa_fixed": Entry("r", ("clock",), (), _RUIN, grid=True),
+    # first Poisson observation below 0
+    "T0_minus": Entry("lam", (), (), _RUIN),
+    # e^{-q T_0^-} W_pw(X + shift) on {T_0^- first}
+    "T0_w_weight": Entry("lam b a pw shift", (), None, _RUIN),
+    # classical first passages (sanity checks)
+    "tau_b_plus": Entry("b", (), (), "discount_q b", passage=True),
+    "tau_level_minus": Entry("level", (), (), "tilt_theta discount_q", passage=True),
+}
+
+
+def loop_of(model: LevyModel, fn: PathFunctional) -> str:
+    """The event loop that runs ``fn`` on ``model``: "grid", "passage" or
+    "excursion" (also for a name that the plan rejects)."""
+    entry = CATALOGUE.get(fn.name)
+    if entry is None:
+        return "excursion"
+    if entry.grid and model.kind == BROWNIAN:
+        return "grid"
+    return "passage" if entry.passage else "excursion"
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What an event loop reads: the start, the barriers, the horizon, the
+    excursions' trigger clock and the payoff (``payoff(event, time, deficit,
+    occupation)``)."""
+
+    payoff: Callable
+    x0: float
+    accrue: bool  # an occupation functional: accrues and runs on past triggers
+    mode: str  # occupation accrual, "union" or "literal" (excursion_occupation)
+    b: Optional[float]  # upper barrier; tau_b_plus's level
+    floor: Optional[float]  # lower barrier -a; tau_level_minus's level
+    besc: float  # escape level, inf where b or the horizon ends the path
+    tmax: Optional[float]  # fixed horizon
+    exp_rate: Optional[float]  # rate of an Exp horizon
+    n: int  # the trigger is the n-th point of the clock
+    delay: float  # constant part of the clock's first gap; kappa_fixed's r
+    rates: tuple  # Exp rates summed into the clock's first gap
+    lam: Optional[float]  # rate of the clock's later gaps, the observations
+    budget: Optional[tuple]  # Brownian: Exp rates of a budget raced against the recovery
+
+
+def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
+    """Check ``fn`` on ``model`` under ``config`` against :data:`CATALOGUE` and
+    return its :class:`Plan`; a request the simulator cannot run raises
+    :class:`UnsupportedFunctional`, and one that needs positive drift on a model
+    without it raises ``DomainError``."""
+    brownian = model.kind == BROWNIAN
+    simulator = "Brownian" if brownian else "Cramer-Lundberg"
+    entry = CATALOGUE.get(fn.name)
+    allowed = None if entry is None else entry.bm if brownian else entry.cl
+    if allowed is None:
+        raise UnsupportedFunctional(
+            f"functional {fn.name!r} is not implemented for the {simulator} simulator"
+        )
+    prm = fn.params
+    kind = prm.get("construction")
+    if kind is None:
+        kind = allowed[0] if allowed else None
+    elif kind not in allowed:
         takes = "construction " + " or ".join(map(repr, allowed)) if allowed else "no construction"
         raise UnsupportedFunctional(
-            f"{fn.name} on the {simulator} simulator takes {takes}, not {chosen!r}"
+            f"{fn.name} on the {simulator} simulator takes {takes}, not {kind!r}"
         )
-    return chosen
+    if fn.success_event not in ("ruin", "upcross"):
+        raise UnsupportedFunctional(
+            f"success_event is 'ruin' or 'upcross', not {fn.success_event!r}")
 
+    grid = brownian and entry.grid
+    accrue = fn.name.startswith("occupation")
+    upcross = fn.success_event == "upcross"
+    b = prm.get("b")
+    b = None if b is None else float(b)
+    reads = {"discount_q"} if grid else set(entry.reads.split())
+    if upcross:
+        reads.discard("tilt_theta")
+    if accrue and b is None:
+        reads.discard("discount_q")
+    given = (("laplace_p", fn.laplace_p != 0.0), ("tilt_theta", fn.tilt_theta != 0.0),
+             ("a", prm.get("a") is not None), ("discount_q", fn.discount_q != 0.0),
+             ("b", b is not None))
+    for name, nonzero in given:
+        if nonzero and name not in reads:
+            raise UnsupportedFunctional(
+                f"{fn.name} on the {simulator} simulator never reads {name}")
 
-def _reject_ignored_fields(fn: PathFunctional, simulator: str) -> None:
-    """Raise for a nonzero field the path of ``fn`` never reads: ``laplace_p``
-    outside the occupation functionals (no other path accrues occupation);
-    ``tilt_theta`` or the lower barrier ``a`` on them (they end at no deficit and
-    stop at no lower barrier), and ``discount_q`` on them without ``b`` (they end
-    at no stopping time); ``tilt_theta`` where the path ends with no deficit: an
-    up-crossing success, ``tau_b_plus``, and the Brownian ``kappa_fixed`` grid."""
-    occupation = fn.name.startswith("occupation")
-    no_deficit = (fn.success_event == "upcross" or fn.name == "tau_b_plus"
-                  or (fn.name == "kappa_fixed" and simulator == "Brownian"))
-    if not occupation and fn.laplace_p != 0.0:
-        ignored = "laplace_p"
-    elif (occupation or no_deficit) and fn.tilt_theta != 0.0:
-        ignored = "tilt_theta"
-    elif occupation and fn.params.get("a") is not None:
-        ignored = "a"
-    elif occupation and fn.discount_q != 0.0 and fn.params.get("b") is None:
-        ignored = "discount_q"
+    # the trigger clock of each excursion
+    n, delay, rates, lam, budget = 1, 0.0, (), None, None
+    if fn.name == "kappa_fixed":
+        delay = float(prm["r"])
+    elif kind == "clock" and not brownian:  # the whole delay, drawn at the excursion's start
+        if fn.name == "rho_sum_exp":
+            rates = (float(prm["p"]), float(prm["lam"]))
+        else:
+            rates = (float(prm["lam"]),) * int(prm["n"])
+    elif not entry.passage:  # the observations, every Exp(lam)
+        lam = float(prm["lam"])
+        n, rates = int(prm.get("n", 1)), (lam,)
+        # Brownian: the first observation, then a budget for the delay's other stages
+        if brownian and fn.name == "rho_sum_exp":
+            n, budget = 1, (float(prm["p"]),)
+        elif brownian and kind == "clock" and n > 1:
+            n, budget = 1, (lam,) * (n - 1)
+
+    q, th, p = fn.discount_q, fn.tilt_theta, fn.laplace_p
+    if brownian:  # what the skeleton and its bridges cannot sample exactly
+        for unsamplable, what in (
+                (prm.get("a") is not None, "a lower barrier between skeleton points"),
+                (q != 0.0 and (fn.name == "tau_b_plus" or (b is not None and (accrue or upcross))),
+                 "a discounted tau_b crossing time"),
+                (th != 0.0 and budget is not None, "the deficit at a mid-excursion Parisian ruin"),
+                (fn.name == "tau_level_minus" and (q != 0.0 or th != 0.0),
+                 "more of tau_level^- than its bare indicator"),
+                (grid and upcross, "an up-crossing on the kappa_fixed grid")):
+            if unsamplable:
+                raise UnsupportedFunctional(f"{what} is not exactly samplable on a Brownian model")
+
+    # the horizon: only occupation runs to a fixed time, and an escape level
+    # needs positive drift unless an Exp horizon ends the path
+    exp_rate = None if entry.passage or grid else prm.get("exp_horizon_rate")
+    exp_rate = None if exp_rate is None else float(exp_rate)
+    if isinstance(config.horizon, EscapeLevel):
+        besc, tmax = config.horizon.b_esc, None
+        if exp_rate is None:
+            model.require_positive_drift("escape-level Monte Carlo horizon")
+    elif accrue:
+        besc, tmax = math.inf, config.horizon.t_max
     else:
-        return
-    raise UnsupportedFunctional(f"{fn.name} on the {simulator} simulator never reads {ignored}")
+        raise UnsupportedFunctional(f"{fn.name} needs an escape-level horizon")
+    if fn.name == "occupation_poisson_literal" and (tmax is not None or exp_rate is not None):
+        raise UnsupportedFunctional("literal occupation has no finite-horizon reading")
+    if brownian and (accrue or budget is not None):
+        model.require_positive_drift("the inverse-Gaussian recovery")
+    if b is not None or exp_rate is not None:
+        besc = math.inf  # the path ends at b or at the horizon instead
+
+    if fn.name == "tau_level_minus":
+        floor, success = float(prm["level"]), EV_RUIN
+    else:
+        floor = None if accrue or prm.get("a") is None else -float(prm["a"])
+        success = EV_UPCROSS if upcross or fn.name == "tau_b_plus" else EV_RUIN
+    if accrue:
+        success = None
+    weight = shift = None
+    if fn.name == "T0_w_weight":
+        weight, shift = scale_context(model, float(prm["pw"])), float(prm["shift"])
+
+    def payoff(ev, tm, df, occ):
+        if success is not None and ev != success:
+            return 0.0
+        out = math.exp(-q * tm + th * df - p * occ)
+        if weight is not None:
+            out *= w(weight, df + shift)
+        return out
+
+    mode = "literal" if fn.name == "occupation_poisson_literal" else "union"
+    return Plan(payoff=payoff, x0=fn.x0, accrue=accrue, mode=mode, b=b, floor=floor, besc=besc,
+                tmax=tmax, exp_rate=exp_rate, n=n, delay=delay, rates=rates, lam=lam,
+                budget=budget)
 
 
 def excursion_occupation(obs_times, recovery, mode="union", n_consec=1):

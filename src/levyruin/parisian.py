@@ -500,7 +500,7 @@ def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
     if a < 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError("upcross_before_t0_two_sided requires a >= 0, lam > 0, q >= 0")
     ctx = scale_context(model, q)
-    return clamp_unit(_ratio(ctx, _script_w_sum(ctx, lam, a), x, b),
+    return clamp_unit(_ratio(ctx, _script_w_sum(ctx, scale_context(model, q + lam), a), x, b),
                       "upcross_before_t0_two_sided")
 
 
@@ -535,9 +535,9 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     pole = q + lam
     # lam / (p - pole) (f(x) g(b) / f(b) - g(x)) with f = script_w(ctx, lam, ., . + a)
     # and g the difference quotient in p at length z, or its p-derivative at the pole
-    f = _script_w_sum(ctx, lam, a)
+    f = _script_w_sum(ctx, ctx_l, a)
     if abs(p - pole) <= 1e-8 * (1.0 + pole):
-        k, g = -lam * math.exp(ctx_l.phi_q * z_shift), _script_w_sum(ctx, lam, z_shift, dp=True)
+        k, g = -lam * math.exp(ctx_l.phi_q * z_shift), _script_w_sum(ctx, ctx_l, z_shift, dp=True)
     else:
         # scriptW^{(q,lam)}(xi, xi + z) less e^{Phi (z - a)} f, Phi = Phi_{q+lam}: its Phi
         # term is that multiple of f's, and the rest, bounded for z <= a, is
@@ -548,6 +548,7 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
         z_phi, z_zeta = _z_sum(ctx, r, 0, t)[:2] if c else (0.0, 0.0)
         g_l = (c * z_phi, c * z_zeta, lambda y: c * math.exp(r * y) if y >= -z_shift
                else -_w_at(ctx_l, y + a, a - z_shift), ())
-        k, e_p = -lam / (p - pole), math.exp(scale_context(model, q + (p - q)).phi_q * z_shift)
-        g = _lin(e_p, _script_w_sum(ctx, p - q, z_shift), -1.0, g_l)
+        ctx_p = scale_context(model, p)  # at p itself: q + (p - q) can round p away
+        k, e_p = -lam / (p - pole), math.exp(ctx_p.phi_q * z_shift)
+        g = _lin(e_p, _script_w_sum(ctx, ctx_p, z_shift), -1.0, g_l)
     return k * _two_sided(ctx, g, f, x, b)

@@ -240,28 +240,30 @@ def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     a = max(a, 0.0)
     if p_extra == 0.0 or x <= a:
         return w(ctx, x)
-    ph = scale_context(ctx.model, ctx.q + p_extra).phi_q
-    return _at(ctx, _script_w_sum(ctx, p_extra, x - a), a) * math.exp(ph * (x - a))
+    ctx_p = scale_context(ctx.model, ctx.q + p_extra)
+    return _at(ctx, _script_w_sum(ctx, ctx_p, x - a), a) * math.exp(ctx_p.phi_q * (x - a))
 
 
 def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     # derivative of script_w(ctx, p_extra, a, x) in p_extra
-    a, ph = max(a, 0.0), scale_context(ctx.model, ctx.q + p_extra).phi_q
+    a, ctx_p = max(a, 0.0), scale_context(ctx.model, ctx.q + p_extra)
     if x <= a:
         return 0.0
-    return _at(ctx, _script_w_sum(ctx, p_extra, x - a, True), a) * math.exp(ph * (x - a))
+    return _at(ctx, _script_w_sum(ctx, ctx_p, x - a, True), a) * math.exp(ctx_p.phi_q * (x - a))
 
 
-def _script_w_sum(ctx: ScaleContext, p_extra: float, length: float, dp: bool = False) -> tuple:
+def _script_w_sum(ctx: ScaleContext, ctx_p: ScaleContext, length: float,
+                  dp: bool = False) -> tuple:
     # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its
-    # p_extra-derivative, times e^{-Phi length}, Phi = Phi_{q+p_extra}: the modes
+    # p_extra-derivative, times e^{-Phi length}, where ctx_p is the context of the
+    # total rate q + p_extra (taken as given, so that a rate below the float
+    # resolution of q is not lost to q + p_extra - q) and Phi = Phi_{q+p_extra}: the modes
     # B_s sum_r A'_r D(r, s) e^{(r - Phi) length} over the roots r of psi = q + p_extra,
     # with residues A'_r = dr/dp_extra and B = (A, -A) on Brownian models, so that
     # W_q(0) = 0 stays exact.  sum_r A'_r D(r, s) = 1 for every p_extra, so e^{r length}
     # enters as expm1, which does not cancel at short lengths.  A root next to the pole
     # of a Cramer-Lundberg psi' has a residue that rounds to 0 and is skipped
     model, s_phi, s_zeta, t_zeta = ctx.model, ctx.phi_q, -ctx.zeta_q, ctx.t_zeta
-    ctx_p = scale_context(model, ctx.q + p_extra)
     ph = ctx_p.phi_q
     scale = math.exp(-ph * length)
     c_phi = c_zeta = 0.0 if dp else scale
@@ -296,8 +298,8 @@ def _w_tilde_sum(ctx: ScaleContext, p: float, lam: float, a: float) -> tuple:
     # e^{-(Phi_{q+p} + Phi_{q+lam}) a}
     m = ctx.model
     ctx_l, ctx_p = scale_context(m, ctx.q + lam), scale_context(m, ctx.q + p)
-    return _lin(lam * _w_at(ctx_l, a, a), _script_w_sum(ctx, p, a),
-                -p * _w_at(ctx_p, a, a), _script_w_sum(ctx, lam, a))
+    return _lin(lam * _w_at(ctx_l, a, a), _script_w_sum(ctx, ctx_p, a),
+                -p * _w_at(ctx_p, a, a), _script_w_sum(ctx, ctx_l, a))
 
 
 def _w_tilde_dp_sum(ctx: ScaleContext, lam: float, a: float) -> tuple:
@@ -310,7 +312,7 @@ def _w_tilde_dp_sum(ctx: ScaleContext, lam: float, a: float) -> tuple:
     m, ctx_l = ctx.model, scale_context(ctx.model, ctx.q + lam)
     (ph, a_ph, t_ph), (r, a_r, t_r) = _roots(ctx_l)
     w_l, decay, z_ph = _w_at(ctx_l, a, a), math.exp((r - ph) * a), _z_sum(ctx, ph, 0, t_ph)
-    f = _lin(lam * w_l * a_ph * a_ph, _z_sum(ctx, ph, 1, t_ph), -w_l, _script_w_sum(ctx, lam, a))
+    f = _lin(lam * w_l * a_ph * a_ph, _z_sum(ctx, ph, 1, t_ph), -w_l, _script_w_sum(ctx, ctx_l, a))
     if not a_r * a_r * decay:
         return f  # the r terms are below the rounding of the others
     mm = a_ph * a_r * decay * (a_r * (a - _psi_second_any(m, r, t_r) * a_r)

@@ -362,6 +362,105 @@ def test_registry_functionals_build(bm, cl):
     }
 
 
+# every functional each simulator runs, with in-domain params; literal occupation
+# runs on Cramer-Lundberg models only, and only to an escape level
+_STOPPING = {
+    "bm": (("rho_sum_exp", {"p": 1.0, "lam": 1.0}), ("rho_erlang", {"n": 2, "lam": 1.0}),
+           ("rho_erlang", {"n": 2, "lam": 1.0, "construction": "clock"}),
+           ("kappa_fixed", {"r": 1.0}), ("T0_minus", {"lam": 1.0, "b": 2.0}),
+           ("tau_b_plus", {"b": 2.0}), ("tau_level_minus", {"level": 0.0})),
+    "cl": (("rho_sum_exp", {"p": 1.0, "lam": 1.0, "b": 2.0, "a": 1.0}),
+           ("rho_erlang", {"n": 2, "lam": 1.0}),
+           ("rho_erlang", {"n": 2, "lam": 1.0, "construction": "observation"}),
+           ("kappa_fixed", {"r": 1.0}), ("T0_minus", {"lam": 1.0}),
+           ("T0_w_weight", {"lam": 1.0, "b": 2.0, "a": 1.0, "pw": 0.7, "shift": 0.5}),
+           ("tau_b_plus", {"b": 2.0}), ("tau_level_minus", {"level": 0.0})),
+}
+_ACCRUING = (("occupation_poisson", {"lam": 1.0}),
+             ("occupation_poisson", {"lam": 1.0, "exp_horizon_rate": 0.5}),
+             ("occupation_poisson_n", {"lam": 1.0, "n": 2}),
+             ("occupation_at_upcross", {"lam": 1.0, "b": 2.0}))
+
+
+@pytest.mark.parametrize("key", ["bm", "cl"])
+def test_horizon_matrix(key, bm, cl):
+    # under a fixed horizon only the occupation functionals run; every other one
+    # needs an escape level, and an escape level needs positive drift unless an
+    # Exp horizon ends the path
+    model = {"bm": bm, "cl": cl}[key]
+    fixed = McConfig(replications=8, seed=1, horizon=FixedTime(4.0))
+    for name, params in _STOPPING[key]:
+        with pytest.raises(UnsupportedFunctional, match="escape-level horizon"):
+            build_simulator(model, PathFunctional(name, params, x0=0.5), fixed)
+    for name, params in _ACCRUING:
+        fn = PathFunctional(name, params, x0=0.5, laplace_p=1.0)
+        assert np.all(np.isfinite(sample(model, fixed, fn)))
+    literal = PathFunctional("occupation_poisson_literal", {"lam": 1.0}, x0=0.5)
+    with pytest.raises(UnsupportedFunctional):
+        build_simulator(model, literal, fixed)
+    # zero drift: an escape level does not run; on Cramer-Lundberg models a fixed
+    # or Exp horizon still does
+    flat = type(model).brownian(0.0, 1.0) if key == "bm" else type(model).cramer_lundberg(
+        1.0, 2.0, 2.0)
+    escape = McConfig(replications=8, seed=1, horizon=EscapeLevel(10.0))
+    for name, params in _STOPPING[key] + _ACCRUING:
+        fn = PathFunctional(name, params, x0=0.5)
+        if "exp_horizon_rate" not in params:
+            with pytest.raises(DomainError, match="E\\[X_1\\] > 0"):
+                build_simulator(flat, fn, escape)
+        elif key == "cl":
+            build_simulator(flat, fn, escape)
+    if key == "cl":
+        for name, params in _ACCRUING:
+            build_simulator(flat, PathFunctional(name, params, x0=0.5), fixed)
+
+
+def test_brownian_kappa_fixed_rejects_b(bm, cl):
+    # the Euler walk has no upper barrier; the Cramer-Lundberg path stops at tau_b^+
+    cfg = McConfig(replications=4000, seed=1, horizon=EscapeLevel(10.0), grid_dt=0.05)
+    fn = PathFunctional("kappa_fixed", {"r": 0.25, "b": 0.6}, x0=0.5)
+    with pytest.raises(UnsupportedFunctional, match="never reads b"):
+        estimate(bm, cfg, fn)
+    build_simulator(cl, fn, cfg)
+
+
+@pytest.mark.parametrize("key", ["bm", "cl"])
+def test_first_passages_reject_other_barriers(key, bm, cl):
+    # a first passage stops at its own level alone
+    model = {"bm": bm, "cl": cl}[key]
+    cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(10.0))
+    for name, params, field in (("tau_b_plus", {"b": 2.0, "a": 1.0}, "a"),
+                                ("tau_level_minus", {"level": 0.0, "a": 1.0}, "a"),
+                                ("tau_level_minus", {"level": 0.0, "b": 2.0}, "b")):
+        with pytest.raises(UnsupportedFunctional, match=f"never reads {field}"):
+            build_simulator(model, PathFunctional(name, params, x0=0.5), cfg)
+
+
+def test_unknown_success_event_rejected(bm, cl):
+    # any other spelling used to be read as "upcross"
+    cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(10.0))
+    for model in (bm, cl):
+        fn = PathFunctional("T0_minus", {"lam": 1.0, "b": 2.0}, x0=0.5, success_event="Ruin")
+        with pytest.raises(UnsupportedFunctional, match="'ruin' or 'upcross'"):
+            build_simulator(model, fn, cfg)
+
+
+def test_brownian_recovery_needs_positive_drift(bm):
+    # the inverse-Gaussian recovery from below 0 exists only for mu > 0, under
+    # any horizon; a ruin at the trigger itself samples none
+    sink = type(bm).brownian(-0.2, 1.0)
+    fixed = McConfig(replications=50, seed=1, horizon=FixedTime(4.0))
+    escape = McConfig(replications=50, seed=1, horizon=EscapeLevel(10.0))
+    exp_horizon = {"lam": 1.0, "exp_horizon_rate": 0.5}
+    for name, params in _ACCRUING:
+        with pytest.raises(DomainError, match="inverse-Gaussian recovery"):
+            build_simulator(sink, PathFunctional(name, params, x0=0.5), fixed)
+    with pytest.raises(DomainError, match="inverse-Gaussian recovery"):
+        build_simulator(sink, PathFunctional("rho_sum_exp", {"p": 1.0, **exp_horizon}), escape)
+    vals = sample(sink, escape, PathFunctional("T0_minus", exp_horizon, x0=0.5))
+    assert set(vals) <= {0.0, 1.0} and 0.0 < vals.mean() < 1.0
+
+
 @pytest.mark.filterwarnings("ignore:truncation bound")
 def test_kappa_fixed_grid_bm_reports_halving_bound(bm):
     # classical-limit sanity: tiny delay approaches tau_0^- ruin

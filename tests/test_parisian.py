@@ -342,6 +342,15 @@ def test_delayed_w_functional_rejects_z_beyond_lower_barrier(model):
             delayed_w_functional(model, x, b, a, q, lam, p, zs)
 
 
+def test_delayed_w_functional_takes_w_p_at_p(cl):
+    # the p part is W_p at p itself: at q = 1e16, q + (p - q) rounds to 0 and
+    # used to give W_0, so q^2 times the value jumped from 0.79862 to 0.57900
+    def scaled(q):
+        return q * q * delayed_w_functional(cl, 0.5, 1.0, 1.0, q, 2.0, 1.0, 0.5)
+
+    assert scaled(1e16) == pytest.approx(scaled(1e14), rel=1e-9)
+
+
 def test_alternative_erlang2_forms_disagree(bm, cl):
     # the printed per-model worked-example formulas are inconsistent with the
     # confluent identity (and with simulation); keep the gap on record

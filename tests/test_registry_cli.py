@@ -303,6 +303,19 @@ def test_cli_dist_empty_grid(model_files):
                  "--r-grid", "-3:-1:4"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["x=0:1:abc", "x=a:1:3", "x=0:b:3", "x=0:1:2.5", "x=1,b"])
+def test_cli_malformed_grid_is_usage_error(model_files, capsys, grid):
+    # a grid that does not parse is a usage error (exit 2) with a one-line
+    # message, for sweep's --grid and dist's --r-grid alike
+    bm_path, _ = model_files
+    assert main(["sweep", "lt_occupation_inf", "--model", bm_path, "--p=2", "--lam=2",
+                 "--grid", grid]) == 2
+    assert main(["dist", "--model", bm_path, "--lam", "2", "--x", "0",
+                 "--r-grid", grid.split("=", 1)[1]]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("grid must be") == 2
+
+
 def test_cli_dist_precondition(model_files, tmp_path):
     sink = tmp_path / "sink.json"
     sink.write_text(json.dumps({"kind": "brownian", "mu": -1.0, "sigma": 1.0}))
