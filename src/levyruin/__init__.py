@@ -16,7 +16,6 @@ from .parisian import (
     gs_density_e2,
     gs_lt_infinite,
     gs_lt_infinite_e2,
-    gs_lt_infinite_e2_confluent,
     gs_lt_two_sided,
     gs_lt_two_sided_e2,
     lt_occupation_exp_horizon,

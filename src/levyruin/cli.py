@@ -81,11 +81,6 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _hybrid(name: str, params: dict) -> bool:
-    # the Erlang(n) recursion is hybrid, and needs a Monte Carlo config, for n >= 4
-    return IDENTITIES[name].needs_mc and params.get("n", 0) >= 4
-
-
 def _mc_config(model, args) -> McConfig:
     if args.reps < 1:
         raise _fail(f"--reps must be >= 1, got {args.reps}", 2)
@@ -107,10 +102,7 @@ def cmd_eval(args) -> int:
     model = _load_model(args.model)
     _require_identity(args.identity)
     params = _parse_kv(args.params)
-    mc_config = _mc_config(model, args) if _hybrid(args.identity, params) else None
-    value, extras = evaluate_identity(
-        args.identity, model, params, mc_config=mc_config, workers=args.workers
-    )
+    value, extras = evaluate_identity(args.identity, model, params)
     print(f"identity  {args.identity}")
     print(f"model     {model.describe()}")
     for key in sorted(params):
@@ -133,8 +125,7 @@ def cmd_validate(args) -> int:
         )
     params = _parse_kv(args.params)
     config = _mc_config(model, args)
-    analytic, _ = evaluate_identity(args.identity, model, params, mc_config=config,
-                                    workers=args.workers)
+    analytic, _ = evaluate_identity(args.identity, model, params)
     try:
         mc, fn = mc_counterpart(args.identity, model, params, config, workers=args.workers)
     except UnsupportedFunctional as exc:
@@ -235,9 +226,7 @@ def cmd_sweep(args) -> int:
     for combo in itertools.product(*(grids[k] for k in keys)):
         params = dict(fixed)
         params.update(dict(zip(keys, combo)))
-        mc_config = _mc_config(model, args) if _hybrid(args.identity, params) else None
-        value, _ = evaluate_identity(args.identity, model, params, mc_config=mc_config,
-                                     workers=args.workers)
+        value, _ = evaluate_identity(args.identity, model, params)
         lines.append(",".join(_fmt(v) for v in combo) + "," + _fmt(value))
     _emit(lines, args.out)
     return 0
@@ -301,7 +290,7 @@ def _build_parser():
 
     p_eval = sub.add_parser("eval", help="evaluate one identity", allow_abbrev=False)
     p_eval.add_argument("identity")
-    common(p_eval)
+    common(p_eval, with_mc=False)
     p_eval.add_argument("params", nargs="*", help="--key=value identity parameters")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -313,7 +302,7 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="evaluate over a parameter grid, CSV out", allow_abbrev=False)
     p_sweep.add_argument("identity")
-    common(p_sweep)
+    common(p_sweep, with_mc=False)
     p_sweep.add_argument("--grid", action="append", default=[],
                          help="key=lo:hi:count or key=v1,v2,... (repeatable)")
     p_sweep.add_argument("params", nargs="*", help="--key=value fixed parameters")

@@ -52,7 +52,9 @@ class PathFunctional:
 
 
 class Entry(NamedTuple):
-    params: str  # the params it takes, optional ones in brackets
+    # the params it needs; on the excursion loop exp_horizon_rate, an Exp horizon,
+    # is optional
+    params: str
     cl: Optional[tuple]  # delay constructions on Cramer-Lundberg models, default first
     bm: Optional[tuple]  # the same on Brownian models; None: the simulator does not run it
     reads: str  # the fields and barriers its path reads
@@ -65,7 +67,7 @@ _RUIN = "tilt_theta a discount_q b"  # tilt_theta only at ruin: an up-crossing h
 
 CATALOGUE = {
     # total occupation, accrued once per excursion
-    "occupation_poisson": Entry("lam [exp_horizon_rate]", (), (), _OCC),
+    "occupation_poisson": Entry("lam", (), (), _OCC),
     # every negative observation adds its full remaining recovery time: the
     # verbatim summation formula, kept although it does NOT match the closed-form
     # identities (see tests); it needs the in-excursion path after a recovery
@@ -145,6 +147,17 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
         raise UnsupportedFunctional(
             f"{fn.name} on the {simulator} simulator takes {takes}, not {kind!r}"
         )
+    # the params column, the barriers (checked against reads below), the
+    # construction and, on the excursion loop, an Exp horizon
+    needs = set(entry.params.split())
+    takes = needs | {"a", "b", "construction"}
+    if loop_of(model, fn) == "excursion":
+        takes.add("exp_horizon_rate")
+    missing = needs - prm.keys()
+    if missing or prm.keys() - takes:
+        raise UnsupportedFunctional(
+            f"{fn.name} takes the params {entry.params!r}: missing {sorted(missing)}, "
+            f"unknown {sorted(prm.keys() - takes)}")
     if fn.success_event not in ("ruin", "upcross"):
         raise UnsupportedFunctional(
             f"success_event is 'ruin' or 'upcross', not {fn.success_event!r}")

@@ -157,18 +157,18 @@ def _psi_second_any(model: LevyModel, theta: float, t: Optional[float] = None) -
 def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0,
                 ta: Optional[float] = None, t2: Optional[float] = None) -> tuple:
     # the divided differences D(a, b) = (psi(a) - psi(b)) / (a - b) at b = b1 and b2 in
-    # closed form (psi'(a) at a = b), or with k = 1, 2 their k-th derivatives in a.  On
+    # closed form (psi'(a) at a = b), or with k = 1 their derivatives in a.  On
     # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha), with ta = a + alpha and
     # t2 = b2 + alpha as in _psi_second_any; t2 = 0 (residue 0 at the pole) gets 0
     if model.kind == BROWNIAN:
         half = 0.5 * model.sigma ** 2
         if k:
-            return (half, half) if k == 1 else (0.0, 0.0)
+            return half, half
         return model.mu + half * (a + b1), model.mu + half * (a + b2)
     ta = a + model.alpha if ta is None else ta
     ck, g = model.c, model.alpha * model.eta / ta
     if k:
-        ck, g = 0.0, -g / ta if k == 1 else 2.0 * g / (ta * ta)
+        ck, g = 0.0, -g / ta
     t2 = b2 + model.alpha if t2 is None else t2
     return ck - g / (b1 + model.alpha), ck - g / t2 if t2 else 0.0
 

@@ -6,7 +6,10 @@ and bounded quantities and ruin probabilities keep their decaying mode.
 Removable singularities (p = lam, theta at Phi_q or Phi_{q+lam}) go through
 confluent branches or analytic limits, never naive evaluation next to the pole.
 The Erlang(2, lam) identities are the p = lam case of their Exp(p) + Exp(lam)
-parents, whose confluences take closed-form p-derivatives of scriptW.
+parents, whose confluences take closed-form p-derivatives of scriptW.  Erlang(n)
+ruin and its deficit transforms are closed-form for every n: a recursion over the
+delay's stages in which every term has one sign, so no Monte Carlo enters and
+nothing cancels, in O(n^2) operations.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
-from .models import LevyModel, _psi_any, _psi_prime_any, _psi_second_any, _psi_slopes, phi
+from .models import (LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any,
+                     _psi_slopes, phi)
 from .occupation import _occupation_inf, joint_lt_upcross
 from .scale import (
-    _at,
     _decay,
     _lin,
     _neg,
@@ -304,28 +307,6 @@ def gs_lt_infinite_e2(model: LevyModel, x: float, q: float, lam: float,
     return gs_lt_infinite(model, x, q, lam, lam, theta)
 
 
-def gs_lt_infinite_e2_confluent(model: LevyModel, x: float, q: float, lam: float) -> float:
-    """theta -> Phi_{q+lam} limit of :func:`gs_lt_infinite_e2` (a double pole with a
-    double zero; second-order expansion): E_x[ e^{-q rho^{(2)} + Phi_{q+lam} X} ;
-    rho^{(2)} < inf ], which the Erlang recursion needs."""
-    if lam <= 0.0 or q < 0.0:
-        raise DomainError("gs_lt_infinite_e2_confluent requires lam > 0 and q >= 0")
-    if q == 0.0:
-        model.require_positive_drift("gs_lt_infinite_e2_confluent with q = 0")
-    ctx = scale_context(model, q)
-    return _decay(ctx, _e2_confluent_sum(ctx, lam), x)
-
-
-def _e2_confluent_sum(ctx, lam: float) -> tuple:
-    # gs_lt_infinite_e2_confluent, a transform bounded in x: the growing modes cancel
-    model = ctx.model
-    ph = phi(model, ctx.q + lam)
-    psip = _psi_prime_any(model, ph)
-    u = lam / (2.0 * psip * psip)
-    z2 = _lin(lam, _z_sum(ctx, ph, 2), -_psi_second_any(model, ph), _z_sum(ctx, ph))
-    return _lin(u, z2, -u * (2.0 / (ph - ctx.phi_q) - 2.0 * psip / lam), _z_tilde_sum(ctx, ph, ph))
-
-
 def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
                   y: float) -> float:
     """Gerber-Shiu density at Erlang(2, lam) Parisian ruin: the p = lam limit of
@@ -336,108 +317,127 @@ def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
 # ---------------------------------------------------------------------------
 # Erlang(n) recursion and the fixed-delay approximation
 # ---------------------------------------------------------------------------
+#
+# With N_k(theta; x) = E_x[e^{theta X}; rho^{(k)} < inf] at the first time rho^{(k)}
+# an excursion below 0 holds k clock points, ruin is N_k at theta = 0 and the deficit
+# transform T_k is N_k at theta = Phi = Phi_lam.  From X_{rho^{(k-1)}} < 0 the next
+# point comes before tau_0^+, or the process climbs to 0 and starts afresh, so
+# N_k = L N_{k-1} + T_{k-1} N_k(.; 0), L f = lam (f - f(Phi)) / (lam - psi) (Albrecher,
+# Ivanovs & Zhou, 2016).  In t = (Phi - theta) / gap, gap = Phi + zeta_lam,
+# L f = g (f - f(Phi)) / t (1 - (1 - delta) t) / (1 - t) with g = lam / (gap psi'(Phi))
+# and delta = gap psi''(Phi) / (2 psi'(Phi)) in (0, 1]: L maps series in t, and
+# polynomials in v = 1 / (1 - t), with coefficients >= 0 to such, so every sum below
+# has terms >= 0 and none cancels.
+
+
+def _erlang_rates(model: LevyModel, lam: float) -> tuple:
+    # (lam, Phi, zeta_lam, g, delta) of the recursion at rate lam
+    if not 0.0 < lam < math.inf:
+        raise DomainError("the Erlang(n, lam) recursion requires 0 < lam < inf")
+    ph, zeta = _phi_zeta(model, lam)
+    gap, dpsi = ph + zeta, _psi_prime_any(model, ph)
+    return lam, ph, zeta, lam / gap / dpsi, gap * _psi_second_any(model, ph) / (2.0 * dpsi)
+
+
+def _erlang_origin(model: LevyModel, rates: tuple, n: int) -> tuple:
+    # (ruin, T_n) from x = 0.  N_k(.; 0) is a polynomial in v without constant term, so
+    # T_k(0) is its value at v = 1 and ruin its value at theta = 0, v = 1 / w,
+    # w = zeta_lam / gap; its coefficients are carried times w^{-i}, each at most the
+    # ruin.  N_1(.; 0) = T_1(0) v, with ruin the decaying mode of 1 - E[X_1] (Phi / lam)
+    # Z_0(., Phi)
+    lam, ph, zeta, g, delta = rates
+    w = zeta / (ph + zeta)
+    coef = [-model.mean() * (ph / lam) * _z_sum(scale_context(model, 0.0), ph)[1]]
+    while True:
+        tails, s = [], 0.0  # s = sum_{i >= m} coef_i w^{i - m}, from the top m down
+        for c in reversed(coef):
+            s = c + w * s
+            tails.append(s)
+        if len(coef) == n:
+            return math.fsum(coef), w * s
+        step = g / (1.0 - w * s)
+        tails.reverse()
+        hold, up = step * (1.0 - delta), step * delta / w
+        coef = [hold * s] + [hold * hi + up * lo for hi, lo in zip(tails[1:] + [0.0], tails)]
+
+
+def _erlang_below(rates: tuple, x: float, n: int, size: int) -> tuple:
+    # The first `size` coefficients of L^n e^{theta x} in s = t gap / Phi, all >= 0, and
+    # p_0 + ... + p_{n-1}, where p_j, the probability of j clock points before tau_0^+
+    # from x < 0, is L^j e^{theta x} at s = 0.  At theta = 0, s = 1, L^n e^{theta x} is
+    # the probability of n points or more; e^{theta x} has the Poisson(Phi |x|) weights
+    _, ph, zeta, g, delta = rates
+    tau, b = ph / (ph + zeta), -ph * x
+    coef = [math.exp(ph * x)]
+    for j in range(1, size + n):
+        coef.append(coef[-1] * b / j)
+    head, g, delta = 0.0, g / tau, delta * tau
+    for _ in range(n):
+        head += coef[0]
+        run, out = 0.0, []  # run: the shifted coefficients so far, divided by 1 - tau s
+        for c in coef[1:]:
+            out.append(g * (c + delta * run))
+            run = c + tau * run
+        coef = out
+    return coef, head
+
+
+def _erlang(model: LevyModel, x: float, lam: float, n: int, ruin: bool) -> float:
+    # The ruin probability, or the deficit transform T_n.  From x >= 0 the law of the
+    # deficit below 0 does not depend on x (the process creeps, or a memoryless claim
+    # takes it there): the x = 0 value times e^{-zeta_0 x}.  From x < 0 the process
+    # climbs to 0 and starts afresh there: L^n e^{theta x} plus p_0 + ... + p_{n-1}
+    # times the x = 0 value.  At theta = 0 L^n e^{theta x} is 1 - head where the head is
+    # at most 1/2, and otherwise its series, to twice as many coefficients until the
+    # last is below the rounding of the sum or there are 4096 or more (Phi / gap near 1)
+    model.require_positive_drift("the Erlang(n) recursion")
+    rates = _erlang_rates(model, lam)
+    at_0 = _erlang_origin(model, rates, n)[0 if ruin else 1]
+    if x >= 0.0:
+        return at_0 * math.exp(-scale_context(model, 0.0).zeta_q * x)
+    coef, head = _erlang_below(rates, x, n, 1)
+    first = 1.0 - head if ruin else coef[0]
+    size, tau = 2 * n + 32, rates[1] / (rates[1] + rates[2])
+    while ruin and head > 0.5:
+        coef = _erlang_below(rates, x, n, size)[0]
+        first = math.fsum(coef)
+        if coef[-1] <= 1e-17 * first * (1.0 - tau) or size >= 4096:
+            break
+        size *= 2
+    return first + head * at_0
 
 
 def deficit_transform_t0(model: LevyModel, x: float, lam: float) -> float:
-    """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ]: the b -> inf, theta -> Phi_lam limit
-    of the joint transform at the first Poisson observation below 0, which feeds
-    the n = 2 step of the Erlang recursion."""
-    model.require_positive_drift("deficit_transform_t0")
-    ctx0 = scale_context(model, 0.0)
-    return _decay(ctx0, _deficit_t0_sum(ctx0, lam), x)
-
-
-def _deficit_t0_sum(ctx0, lam: float) -> tuple:
-    # deficit_transform_t0; it vanishes as x -> inf, so the Phi_0 = 0 modes cancel
-    ph = phi(ctx0.model, lam)
-    u = 1.0 / _psi_prime_any(ctx0.model, ph)
-    return _lin(u, _z_tilde_sum(ctx0, ph, ph), -u * lam / ph, _z_sum(ctx0, ph))
+    """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ]: the deficit transform at the first
+    Poisson observation below 0, the first stage of the Erlang recursion."""
+    return _erlang(model, x, lam, 1, False)
 
 
 def deficit_transform_erlang2(model: LevyModel, x: float, lam: float) -> float:
-    """E_x[ e^{Phi_lam X_{rho^{(2)}}} ; rho^{(2)} < inf ]; feeds the n = 3 step."""
-    return gs_lt_infinite_e2_confluent(model, x, 0.0, lam)
+    """E_x[ e^{Phi_lam X_{rho^{(2)}}} ; rho^{(2)} < inf ]: its second stage."""
+    return _erlang(model, x, lam, 2, False)
 
 
 @dataclass(frozen=True)
 class ErlangNResult:
-    """Erlang(n, lam) Parisian ruin probability with recursion metadata.
-
-    ``method`` is "analytic" for n <= 3 and "hybrid_mc" when Monte Carlo estimates
-    of the deficit transforms entered the recursion (n >= 4); the estimates used
-    are then listed in ``mc_transforms`` as (k, start, estimate) triples.
-    """
+    """Erlang(n, lam) Parisian ruin probability with its inputs."""
 
     value: float
     n: int
     lam: float
     x: float
-    method: str
-    mc_transforms: tuple = ()
 
     def __float__(self) -> float:
         return self.value
 
 
-def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int,
-                       mc_config=None, workers: int = 1) -> ErlangNResult:
-    """Probability of Parisian ruin with an Erlang(n, lam) delay per excursion.
-
-    Survival recursion over n.  The deficit transforms E[ e^{Phi_lam X_rho} ] are
-    closed-form for the first two stages; from n >= 4 they are estimated by the
-    Monte Carlo oracle (pass ``mc_config``), and the result is labeled hybrid.
-    """
-    model.require_positive_drift("ruin_prob_erlang_n")
-    if lam <= 0.0:
-        raise DomainError("ruin_prob_erlang_n requires lam > 0")
+def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> ErlangNResult:
+    """Probability of Parisian ruin with an Erlang(n, lam) delay per excursion, in
+    closed form for every n: O(n^2) operations on sums of nonnegative terms."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("ruin_prob_erlang_n requires integer n >= 1")
-    if n >= 4 and mc_config is None:
-        raise DomainError(
-            "ruin_prob_erlang_n with n >= 4 needs mc_config for the hybrid "
-            "Monte Carlo deficit-transform estimates"
-        )
-    ctx0 = scale_context(model, 0.0)
-    ph = phi(model, lam)
-    k_surv = model.mean() * (ph / lam)  # survival with one stage is k_surv Z_0(x, Phi_lam)
-    surv = _z_sum(ctx0, ph)
-    surv_0 = clamp_unit(k_surv * _at(ctx0, surv, 0.0), "Erlang survival")
-    # the Phi_0 = 0 mode of every stage's survival is exactly 1, so ruin is minus its
-    # decaying part; the deficit transforms decay in x
-    ruin_x = clamp_unit(_decay(ctx0, _lin(1.0, _ONE, -k_surv, surv), x), "Erlang ruin")
-    # the closed-form deficit transforms of the first two stages, built once
-    closed = [build(ctx0, lam) for build in (_deficit_t0_sum, _e2_confluent_sum)[:n - 1]]
-    mc_transforms = []
-
-    def transform(k: int, start: float) -> float:
-        if k <= 2:
-            return _decay(ctx0, closed[k - 1], start)
-        from .mc import PathFunctional, estimate  # local: keeps the analytic layer light
-
-        fn = PathFunctional(
-            name="rho_erlang",
-            params={"n": float(k), "lam": lam, "construction": "observation"},
-            x0=start,
-            tilt_theta=ph,
-        )
-        est = estimate(model, mc_config, fn, workers=workers)
-        mc_transforms.append((k, start, est))
-        return est.value
-
-    for k in range(2, n + 1):
-        t_x = transform(k - 1, x)
-        t_0 = transform(k - 1, 0.0)
-        ruin_x = ruin_x - surv_0 * t_x / (1.0 - t_0)
-        surv_0 = surv_0 / (1.0 - t_0)
-    value = clamp_unit(ruin_x, "ruin_prob_erlang_n")
-    return ErlangNResult(
-        value=value,
-        n=n,
-        lam=lam,
-        x=x,
-        method="analytic" if n <= 3 else "hybrid_mc",
-        mc_transforms=tuple(mc_transforms),
-    )
+    value = clamp_unit(_erlang(model, x, lam, n, True), "ruin_prob_erlang_n")
+    return ErlangNResult(value=value, n=n, lam=lam, x=x)
 
 
 @dataclass(frozen=True)
@@ -455,19 +455,15 @@ class FixedDelayResult:
         return self.value
 
 
-def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int,
-                       mc_config=None, workers: int = 1) -> FixedDelayResult:
+def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDelayResult:
     """Approximate fixed-delay (kappa_r) Parisian ruin by Erlang(n, n/r) delays."""
     if r <= 0.0:
         raise DomainError("fixed_delay_approx requires r > 0")
     if not isinstance(n, int) or n < 1:
         raise DomainError("fixed_delay_approx requires integer n >= 1")
     ns = sorted({2 ** k for k in range(0, 40) if 2 ** k <= n} | {n})
-    seq = []
-    for nk in ns:
-        res = ruin_prob_erlang_n(model, x, nk / r, nk, mc_config=mc_config, workers=workers)
-        seq.append((nk, res.value))
-    return FixedDelayResult(value=seq[-1][1], r=r, n=n, x=x, sequence=tuple(seq))
+    seq = tuple((nk, ruin_prob_erlang_n(model, x, nk / r, nk).value) for nk in ns)
+    return FixedDelayResult(value=seq[-1][1], r=r, n=n, x=x, sequence=seq)
 
 
 # ---------------------------------------------------------------------------

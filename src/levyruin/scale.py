@@ -9,7 +9,7 @@ differences D(theta, r) = (psi(theta) - psi(r)) / (theta - r), regular at
 theta = r (Kuznetsov, Kyprianou & Rivero, 2012):
 
     W_q(x)          c_r = A_r
-    Z_q(x, theta)   c_r = A_r D(theta, r)    (its theta-derivatives: A_r d^k D/dtheta^k)
+    Z_q(x, theta)   c_r = A_r D(theta, r)    (its theta-derivative: A_r dD/dtheta)
     Z~_q(x, a, b)   c_r = A_r D(a, r) D(b, r)
 
 On x < 0, Z_q(x, theta) = e^{theta x}.  The second-generation scale function
@@ -177,8 +177,8 @@ def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
 
 
 def _z_sum(ctx: ScaleContext, theta: float, k: int = 0, t: float | None = None) -> tuple:
-    # Z_q(., theta), or its k-th theta-derivative: modes A_r d^k/dtheta^k D(theta, r); t
-    # is theta + alpha where it is known to full precision (theta a root next to -alpha)
+    # Z_q(., theta), or with k = 1 its theta-derivative: modes A_r d^k/dtheta^k D(theta, r);
+    # t is theta + alpha where it is known to full precision (theta a root next to -alpha)
     d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k, t, ctx.t_zeta)
     return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (theta, k)
 

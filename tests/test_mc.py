@@ -288,7 +288,7 @@ def test_unknown_constructions_rejected(bm, cl):
                                    (cl, cfg_cl, "rho_erlang", "clock"),
                                    (bm, cfg_bm, "rho_sum_exp", "occupation"),
                                    (bm, cfg_bm, "rho_erlang", "observation")):
-        params = {"p": 1.0, "n": 2, "lam": 1.0}
+        params = {"lam": 1.0, **({"p": 1.0} if name == "rho_sum_exp" else {"n": 2})}
         plain = sample(model, cfg, PathFunctional(name, params, x0=0.5))
         named = sample(model, cfg, PathFunctional(name, {**params, "construction": kind}, x0=0.5))
         assert np.array_equal(plain, named)
@@ -508,16 +508,52 @@ def test_kappa_fixed_cl_between_neighbours(cl):
     assert est.value > 0.0
 
 
-def test_erlang_hybrid_recursion_n4(cl):
+def test_erlang_recursion_n4_against_rho_erlang(cl):
     from levyruin import ruin_prob_erlang_n
 
-    cfg = McConfig(replications=40_000, seed=17, horizon=EscapeLevel(13.0))
-    res = ruin_prob_erlang_n(cl, 0.4, 1.0, 4, mc_config=cfg)
-    assert res.method == "hybrid_mc"
-    assert len(res.mc_transforms) == 2  # transforms at x and at 0 for k = 3
-    r3 = ruin_prob_erlang_n(cl, 0.4, 1.0, 3).value
-    assert 0.0 < res.value <= r3 + 0.01
-    # direct MC of the n = 4 ruin probability agrees
+    value = ruin_prob_erlang_n(cl, 0.4, 1.0, 4).value
+    assert 0.0 < value <= ruin_prob_erlang_n(cl, 0.4, 1.0, 3).value
+    # direct MC of the n = 4 ruin probability agrees with the closed form
     est = estimate(cl, cfg_for(cl), PathFunctional(
         "rho_erlang", {"n": 4, "lam": 1.0, "construction": "observation"}, x0=0.4))
-    assert abs(est.value - res.value) <= 3.0 * est.std_error + 0.01
+    assert_within(est, value)
+
+
+# a request that plan accepts, per functional and simulator: the params column
+# of the catalogue, with in-domain values
+_PARAM_VALUES = {"lam": 1.0, "n": 2, "p": 1.0, "r": 1.0, "b": 2.0, "a": 1.0, "pw": 0.7,
+                 "shift": 0.5, "level": 0.0}
+
+
+@pytest.mark.parametrize("key", ["bm", "cl"])
+def test_plan_checks_params_against_catalogue(key, bm, cl):
+    from levyruin.mc.functionals import CATALOGUE, plan
+
+    model = {"bm": bm, "cl": cl}[key]
+    cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(26.0))
+    for name, entry in CATALOGUE.items():
+        if (entry.bm if key == "bm" else entry.cl) is None:
+            continue
+        params = {p: _PARAM_VALUES[p] for p in entry.params.split()}
+        plan(model, PathFunctional(name, params, x0=0.5), cfg)
+        for p in params:
+            rest = {k: v for k, v in params.items() if k != p}
+            with pytest.raises(UnsupportedFunctional, match=f"missing \\['{p}'\\]"):
+                plan(model, PathFunctional(name, rest, x0=0.5), cfg)
+        extra = [k for k in ("n", "p", "r", "lam", "level", "exp_horizon_rate", "bogus")
+                 if k not in entry.params.split()]
+        if not (entry.passage or (entry.grid and key == "bm")):
+            extra.remove("exp_horizon_rate")  # the excursion loop's Exp horizon
+        for k in extra:
+            with pytest.raises(UnsupportedFunctional, match=f"unknown \\['{k}'\\]"):
+                plan(model, PathFunctional(name, {**params, k: 3}, x0=0.5), cfg)
+
+
+def test_plan_rejects_reproduced_param_mistakes(cl):
+    # each ran before the catalogue's params were checked: a KeyError traceback,
+    # a silent Erlang(3) trigger, and occupation accrued from the n-th observation
+    cfg = McConfig(replications=10, seed=1, horizon=EscapeLevel(13.0))
+    for name, params in (("T0_minus", {}), ("T0_minus", {"lam": 1.0, "n": 3}),
+                         ("occupation_poisson", {"lam": 1.0, "n": 3})):
+        with pytest.raises(UnsupportedFunctional, match="takes the params"):
+            estimate(cl, cfg, PathFunctional(name, params, x0=0.5))

@@ -39,7 +39,7 @@ from levyruin import (
     w,
     z,
 )
-from levyruin.models import BROWNIAN, _psi_prime_any, _psi_second_any, _psi_slopes
+from levyruin.models import BROWNIAN, _psi_slopes
 from levyruin.registry import IDENTITIES, evaluate_identity
 from levyruin.scale import _script_w_dp, _z_sum, _z_tilde_sum, script_w
 from test_scale import CLOSED_FORM_POINTS, CLOSED_FORM_RATES
@@ -88,7 +88,9 @@ class Exact:
         return (-lin + sign * mpmath.sqrt(lin * lin - 4 * lead * const)) / (2 * lead)
 
     def z(self, x, theta):
-        x, theta = mpmath.mpf(x), mpmath.mpf(theta)
+        x, theta = mpmath.mpf(x), mpmath.mpmathify(theta)  # theta may be complex
+        if x < 0:  # W_q vanishes there
+            return mpmath.exp(theta * x)
         integral = sum((mpmath.exp((r - theta) * x) - 1) / (self.dpsi(r) * (r - theta))
                        for r in self.roots)
         return mpmath.exp(theta * x) * (1 - (self.psi(theta) - self.q) * integral)
@@ -206,13 +208,63 @@ def mp_deficit_erlang2(model, x, lam):
     return lam * bracket / (2 * psip * psip)
 
 
-def mp_ruin_erlang_n(model, x, lam, n):
+def mp_deficit_series(model, x, lam, m):
+    # the deficit transforms T_k(x) and T_k(0), k < m, by the recursion over the stages:
+    # with N_k(theta; y) = E_y[e^{theta X_{rho^(k)}}; rho^(k) < inf], N_k = L N_{k-1}
+    # + N_{k-1}(Phi; y) N_k(.; 0) and L f = lam (f - f(Phi)) / (lam - psi), on Taylor
+    # coefficients in theta - Phi, Phi = Phi_lam.  Those of N_1, t0_joint_lt at q = 0 and
+    # b = inf, and of (psi(theta) - lam) / (theta - Phi) are Cauchy integrals on a
+    # circle of radius (Phi + zeta_lam) / 2, inside which both are analytic
+    x, lam = map(mpmath.mpf, (x, lam))
+    ex = Exact(model, 0)
+    ph = ex.root(lam)
+    rad, nodes = (ph - ex.root(lam, -1)) / 2, 128
+    unity = [mpmath.expjpi(mpmath.mpf(2 * k) / nodes) for k in range(nodes)]
+
+    def taylor(f):
+        vals = [f(ph + rad * u) for u in unity]
+        return [mpmath.re(mpmath.fsum(v / unity[j * k % nodes] for k, v in enumerate(vals)))
+                / (nodes * rad ** j) for j in range(m)]
+
+    def n1(y):
+        return taylor(lambda th: lam * (ex.z(y, th) - ph * ex.psi(th) / (lam * th) * ex.z(y, ph))
+                      / (lam - ex.psi(th)))
+
+    div = taylor(lambda th: (ex.psi(th) - lam) / (th - ph))
+
+    def shift_divide(a):  # -lam (a(theta) - a(Phi)) / (psi(theta) - lam)
+        out = []
+        for j in range(len(a) - 1):
+            out.append((a[j + 1] - mpmath.fsum(div[i] * out[j - i] for i in range(1, j + 1)))
+                       / div[0])
+        return [-lam * c for c in out]
+
+    at_x, at_0 = n1(x), n1(0)
+    t_x, t_0 = [at_x[0]], [at_0[0]]
+    for _ in range(2, m):
+        at_0 = [c / (1 - at_0[0]) for c in shift_divide(at_0)]
+        at_x = [c + at_x[0] * c0 for c, c0 in zip(shift_divide(at_x), at_0)]
+        t_x.append(at_x[0])
+        t_0.append(at_0[0])
+    return t_x, t_0
+
+
+def mp_ruin_erlang_n(model, x, lam, n, series=None):
+    # the survival recursion over the deficit transforms: in closed form for the first
+    # two stages, from mp_deficit_series (or its given result, of n - 1 stages or more)
+    # beyond
+    if n > 3 and series is None:
+        series = mp_deficit_series(model, x, lam, n)
     x, lam = map(mpmath.mpf, (x, lam))
     ex = Exact(model, 0)
     ph = ex.root(lam)
     surv_x, surv_0 = (ex.dpsi(0) * ph / lam * ex.z(y, ph) for y in (x, 0))
-    for t in (mp_deficit_t0, mp_deficit_erlang2)[:n - 1]:
-        t_x, t_0 = t(model, x, lam), t(model, 0, lam)
+    if n <= 3:
+        transforms = [(t(model, x, lam), t(model, 0, lam))
+                      for t in (mp_deficit_t0, mp_deficit_erlang2)[:n - 1]]
+    else:
+        transforms = list(zip(*series))[:n - 1]
+    for t_x, t_0 in transforms:
         surv_x, surv_0 = surv_x + surv_0 * t_x / (1 - t_0), surv_0 / (1 - t_0)
     return 1 - surv_x
 
@@ -247,6 +299,25 @@ def test_complements_and_decaying_parts_match_mpmath(key, x):
         for n in (1, 2, 3):
             assert_matches(ruin_prob_erlang_n(model, x, LAM, n).value,
                            mp_ruin_erlang_n(model, x, LAM, n))
+
+
+@pytest.mark.parametrize("key", MODELS)
+@pytest.mark.parametrize("x", [0.5, 10.0, 40.0, -0.5])
+def test_erlang_n_ruin_matches_mpmath_recursion(key, x):
+    # every n is closed-form, at full relative accuracy far in the tail and below 0;
+    # at n = 64 the ruin probability is down to 1e-8 of its n = 1 value on bm_a
+    model = MODELS[key]
+    # Z_0's definition cancels e^{theta x}, and Re theta <= 1.5 gap on the circle
+    gap = float(Exact(model, 0).root(LAM) - Exact(model, 0).root(LAM, -1))
+    with mpmath.workdps(40 + int(1.5 * gap * max(x, 0.0) / math.log(10.0))):
+        if x == 0.5:  # the series' first two stages are the closed-form transforms
+            t_x, t_0 = mp_deficit_series(model, x, LAM, 3)
+            assert abs(t_x[1] - mp_deficit_erlang2(model, x, LAM)) <= mpmath.mpf("1e-30")
+            assert abs(t_0[0] - mp_deficit_t0(model, 0, LAM)) <= mpmath.mpf("1e-30")
+        series = mp_deficit_series(model, x, LAM, 64)
+        for n in (4, 8, 16, 64):
+            assert_matches(ruin_prob_erlang_n(model, x, LAM, n).value,
+                           mp_ruin_erlang_n(model, x, LAM, n, series))
 
 
 @pytest.mark.parametrize("key", MODELS)
@@ -313,14 +384,6 @@ def test_dropped_growing_modes_cancel(key, lam):
     _cancels([(k, _z_tilde_sum(ctx0, ph, php)[0]), (-1.0, 1.0)])
     # ruin_prob_erlang_n: the one-stage survival mean (Phi_lam / lam) Z_0(., Phi_lam)
     _cancels([(model.mean() * ph / lam, _z_sum(ctx0, ph)[0]), (-1.0, 1.0)])
-    # deficit_transform_t0: Z~_0(., Phi_lam, Phi_lam) - lam / Phi_lam Z_0(., Phi_lam)
-    _cancels([(1.0, _z_tilde_sum(ctx0, ph, ph)[0]),
-              (-lam / ph, _z_sum(ctx0, ph)[0])])
-    # deficit_transform_erlang2 (gs_lt_infinite_e2_confluent at q = 0)
-    psip = _psi_prime_any(model, ph)
-    _cancels([(lam, _z_sum(ctx0, ph, 2)[0]),
-              (-_psi_second_any(model, ph), _z_sum(ctx0, ph)[0]),
-              (-(2.0 / ph - 2.0 * psip / lam), _z_tilde_sum(ctx0, ph, ph)[0])])
     # lt_occupation_exp_horizon at q > 0
     ctx = scale_context(model, Q)
     phq, phl, php = ctx.phi_q, phi(model, Q + lam), phi(model, Q + P)
@@ -414,7 +477,7 @@ def test_huge_rates_finite_or_typed_error(key):
 
 
 @pytest.mark.parametrize("key", ["cl_a", "cl_b"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_erlang_ruin_at_huge_rates_tends_to_ordinary_ruin(key, n):
     # an Erlang(n, lam) delay shrinks to 0 as lam -> inf, leaving the ruin probability
     # (eta / (c alpha)) e^{-(alpha - eta / c) x} of Exp(alpha) claims

@@ -271,11 +271,9 @@ def test_erlang_recursion_consistency(model):
     assert r1.value == pytest.approx(pruine1, abs=1e-12)
     r2 = ruin_prob_erlang_n(model, x, lam, 2)
     assert r2.value == pytest.approx(ruin_prob_erlang2(model, x, lam), abs=1e-8)
-    r3 = ruin_prob_erlang_n(model, x, lam, 3)
-    assert r1.value >= r2.value >= r3.value
-    assert r3.method == "analytic"
-    with pytest.raises(DomainError):
-        ruin_prob_erlang_n(model, x, lam, 4)  # hybrid needs mc_config
+    # a longer delay leaves less ruin, at every n
+    values = [ruin_prob_erlang_n(model, x, lam, n).value for n in range(1, 9)]
+    assert all(a >= b for a, b in zip(values, values[1:])), values
 
 
 def test_deficit_transforms_match_limit_evaluations(model):

@@ -192,11 +192,6 @@ def test_cli_delayed_w_beyond_lower_barrier(model_files, capsys):
     assert "z <= a" in err and "Traceback" not in err
 
 
-def test_needs_mc_flag():
-    assert {n for n, ident in IDENTITIES.items() if ident.needs_mc} == {
-        "ruin_prob_erlang_n", "fixed_delay_approx"}
-
-
 def test_cli_eval_value(model_files, capsys):
     bm_path, _ = model_files
     assert main(["eval", "ruin_prob_erlang2", "--model", bm_path, "--x=0", "--lam=2"]) == 0
@@ -259,6 +254,27 @@ def test_cli_sweep_csv_roundtrip(model_files, capsys, tmp_path, bm):
 
     for n, v in zip((1, 2, 3), values):
         assert v == ruin_prob_erlang_n(bm, 0.5, 2.0, n).value
+
+
+def test_cli_erlang_n_is_closed_form_at_every_n(model_files, capsys, tmp_path, cl):
+    # eval and sweep take no Monte Carlo flags: every n is closed-form
+    _, cl_path = model_files
+    assert main(["eval", "ruin_prob_erlang_n", "--model", cl_path, "--x=0.5", "--lam=1.3",
+                 "--n=8"]) == 0
+    out = capsys.readouterr().out
+    assert "extra" not in out
+    assert 0.0 < float(out.strip().splitlines()[-1].split()[-1]) < 1.0
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "ruin_prob_erlang_n", "--model", cl_path, "--grid", "n=1,2,4,8",
+                 "--x=0.5", "--lam=1.3", "--out", str(csv)]) == 0
+    rows = [line.split(",") for line in csv.read_text().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1", "2", "4", "8"]
+    from levyruin import ruin_prob_erlang_n
+
+    assert [float(r[1]) for r in rows] == [ruin_prob_erlang_n(cl, 0.5, 1.3, n).value
+                                          for n in (1, 2, 4, 8)]
+    assert main(["eval", "ruin_prob_erlang_n", "--model", cl_path, "--x=0.5", "--lam=1.3",
+                 "--n=8", "--reps", "10"]) == 2
 
 
 def test_cli_sweep_single_point_matches_eval(model_files, capsys):
