@@ -37,7 +37,7 @@ from .errors import DomainError
 from .models import BROWNIAN, LevyModel, _poisson_erlang, _psi_second_any, phi
 from .quadrature import gl_batch, gl_pieces
 from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
-from .util import clamp_unit
+from .util import clamp_unit, represented_rate
 
 _SQRT_PI, _HALF_LOG_2PI = math.sqrt(math.pi), 0.5 * math.log(2.0 * math.pi)
 _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
@@ -58,6 +58,8 @@ def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
         raise DomainError("joint_lt_upcross requires lam > 0")
     if p < 0.0 or q < 0.0:
         raise DomainError("joint_lt_upcross requires p >= 0 and q >= 0")
+    lam = represented_rate(q, lam, "joint_lt_upcross")
+    p = represented_rate(q, p, "joint_lt_upcross")
     ctx = scale_context(model, q)
     a1 = phi(model, lam + q)
     a2 = phi(model, p + q)

@@ -39,9 +39,11 @@ from .scale import (
     scale_context,
     z_tilde,
 )
-from .util import clamp_unit
+from .util import clamp_unit, represented_rate
 
 _POLE_TOL = 1e-12
+_TINY = 1e-200  # the Erlang(n) scale sc is folded into the coefficients below this
+_MAX_TERMS = 4096  # the longest series for Erlang(n) ruin from x < 0
 _ONE = (1.0, 0.0, lambda y: 1.0, ())  # at q = 0, where Phi_0 = 0: the mode e^{Phi_0 x}
 
 
@@ -82,6 +84,7 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
         raise DomainError("gs_lt_two_sided requires x <= b")
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_two_sided requires p > 0, lam > 0, q >= 0, theta >= 0")
+    lam, p = represented_rate(q, lam, "gs_lt_two_sided"), represented_rate(q, p, "gs_lt_two_sided")
     ctx = scale_context(model, q)
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
@@ -103,6 +106,7 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
         raise DomainError("gs_lt_infinite requires p > 0, lam > 0, q >= 0, theta >= 0")
     if q == 0.0:
         model.require_positive_drift("gs_lt_infinite with q = 0")
+    lam, p = represented_rate(q, lam, "gs_lt_infinite"), represented_rate(q, p, "gs_lt_infinite")
     ctx = scale_context(model, q)
     phi_q = ctx.phi_q
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
@@ -143,6 +147,8 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
         # is otherwise the plain W_q(x)/W_q(b)
         s = b if ctx.phi_q * b > 700.0 else 0.0
         return clamp_unit(_w_at(ctx, x, s) / _w_at(ctx, b, s), "up_cross_three_barrier")
+    p = represented_rate(q, p, "up_cross_three_barrier")
+    lam = represented_rate(q, lam, "up_cross_three_barrier")
     if abs(p - lam) > 1e-8 * (1.0 + lam):
         f = _w_tilde_sum(ctx, p, lam, a)
     else:
@@ -183,9 +189,7 @@ def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: f
     if p <= 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError(f"{name} requires delay rates > 0 and q >= 0")
     # the rates as the roots see them, through q + lam and q + p
-    lam, p = (q + lam) - q, (q + p) - q
-    if not (lam and p):
-        raise NumericalError(f"{name}: q = {q:g} absorbs the delay rates in q + lam, q + p")
+    lam, p = represented_rate(q, lam, name), represented_rate(q, p, name)
     ctx, length = scale_context(model, q), -y
     ctx_l, ctx_p = scale_context(model, q + lam), scale_context(model, q + p)
     (phi_l, _, t_l), (r_l, a_l, u_l) = _roots(ctx_l)
@@ -264,6 +268,8 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
         raise DomainError("lt_occupation_exp_horizon requires lam > 0 and p >= 0")
     if p == 0.0:
         return 1.0
+    lam = represented_rate(q, lam, "lt_occupation_exp_horizon")
+    p = represented_rate(q, p, "lt_occupation_exp_horizon")
     ctx = scale_context(model, q)
     phi_q = ctx.phi_q
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
@@ -339,26 +345,33 @@ def _erlang_rates(model: LevyModel, lam: float) -> tuple:
     return lam, ph, zeta, lam / gap / dpsi, gap * _psi_second_any(model, ph) / (2.0 * dpsi)
 
 
-def _erlang_origin(model: LevyModel, rates: tuple, n: int) -> tuple:
+def _erlang_origin(model: LevyModel, ctx0, rates: tuple, n: int) -> tuple:
     # (ruin, T_n) from x = 0.  N_k(.; 0) is a polynomial in v without constant term, so
     # T_k(0) is its value at v = 1 and ruin its value at theta = 0, v = 1 / w,
-    # w = zeta_lam / gap; its coefficients are carried times w^{-i}, each at most the
-    # ruin.  N_1(.; 0) = T_1(0) v, with ruin the decaying mode of 1 - E[X_1] (Phi / lam)
-    # Z_0(., Phi)
+    # w = zeta_lam / gap; its coefficients are carried times w^{-i}, as sc times coef,
+    # highest power first.  N_1(.; 0) = T_1(0) v, with ruin the decaying mode of
+    # 1 - E[X_1] (Phi / lam) Z_0(., Phi).  A stage is one pass from the top: the suffix
+    # sums s_i = sum_{j >= i} coef_j w^{j - i} give the new coefficients
+    # (1 - delta) s_{i+1} + (delta / w) s_i, and sc takes the factor g / (1 - w sc s_0)
     lam, ph, zeta, g, delta = rates
     w = zeta / (ph + zeta)
-    coef = [-model.mean() * (ph / lam) * _z_sum(scale_context(model, 0.0), ph)[1]]
-    while True:
-        tails, s = [], 0.0  # s = sum_{i >= m} coef_i w^{i - m}, from the top m down
-        for c in reversed(coef):
-            s = c + w * s
-            tails.append(s)
-        if len(coef) == n:
-            return math.fsum(coef), w * s
-        step = g / (1.0 - w * s)
-        tails.reverse()
-        hold, up = step * (1.0 - delta), step * delta / w
-        coef = [hold * s] + [hold * hi + up * lo for hi, lo in zip(tails[1:] + [0.0], tails)]
+    hold, up = 1.0 - delta, delta / w
+    sc, coef = -model.mean() * (ph / lam) * _z_sum(ctx0, ph)[1], [1.0]
+    for _ in range(n - 1):
+        out, s = [], 0.0
+        for c in coef:
+            t = c + w * s
+            out.append(hold * s + up * t)
+            s = t
+        out.append(hold * s)
+        sc *= g / (1.0 - w * sc * s)
+        coef = out
+        if sc < _TINY:  # the sum of coef never falls, so only sc can leave the float range
+            coef, sc = [sc * c for c in coef], 1.0
+    s = 0.0
+    for c in coef:
+        s = c + w * s
+    return sc * math.fsum(coef), sc * (w * s)
 
 
 def _erlang_below(rates: tuple, x: float, n: int, size: int) -> tuple:
@@ -382,40 +395,58 @@ def _erlang_below(rates: tuple, x: float, n: int, size: int) -> tuple:
     return coef, head
 
 
-def _erlang(model: LevyModel, x: float, lam: float, n: int, ruin: bool) -> float:
+def _erlang_setup(model: LevyModel, x: float) -> tuple:
+    # what every (lam, n) from x shares: the drift check, Z_0's context and e^{-zeta_0 x}
+    model.require_positive_drift("the Erlang(n) recursion")
+    ctx0 = scale_context(model, 0.0)
+    return ctx0, x, math.exp(-ctx0.zeta_q * x) if x >= 0.0 else 0.0
+
+
+def _erlang(model: LevyModel, setup: tuple, lam: float, n: int, ruin: bool) -> float:
     # The ruin probability, or the deficit transform T_n.  From x >= 0 the law of the
     # deficit below 0 does not depend on x (the process creeps, or a memoryless claim
     # takes it there): the x = 0 value times e^{-zeta_0 x}.  From x < 0 the process
     # climbs to 0 and starts afresh there: L^n e^{theta x} plus p_0 + ... + p_{n-1}
-    # times the x = 0 value.  At theta = 0 L^n e^{theta x} is 1 - head where the head is
-    # at most 1/2, and otherwise its series, to twice as many coefficients until the
-    # last is below the rounding of the sum or there are 4096 or more (Phi / gap near 1)
-    model.require_positive_drift("the Erlang(n) recursion")
+    # times the x = 0 value.  At theta = 0 L^n e^{theta x} is 1 - head, to some ulp of
+    # 1; where that is not within 1e-14 of the value its series is summed instead, to
+    # twice as many coefficients until the last is below the rounding of the sum, and
+    # past 4096 coefficients (Phi / gap near 1) it is a numerical error
+    ctx0, x, decay = setup
     rates = _erlang_rates(model, lam)
-    at_0 = _erlang_origin(model, rates, n)[0 if ruin else 1]
+    at_0 = _erlang_origin(model, ctx0, rates, n)[0 if ruin else 1]
     if x >= 0.0:
-        return at_0 * math.exp(-scale_context(model, 0.0).zeta_q * x)
+        return at_0 * decay
     coef, head = _erlang_below(rates, x, n, 1)
-    first = 1.0 - head if ruin else coef[0]
+    if not ruin:
+        return coef[0] + head * at_0
+    value = (1.0 - head) + head * at_0
+    # the rounding of 1 - head: against 40-digit arithmetic on 4500 random inputs it
+    # stayed below 0.8 of (1 + (n + Phi |x|) sqrt(head) / 4) ulp of 1
+    err = (1.0 + 0.25 * (n - rates[1] * x) * math.sqrt(head)) * sys.float_info.epsilon
+    if err <= 1e-14 * value:
+        return value
     size, tau = 2 * n + 32, rates[1] / (rates[1] + rates[2])
-    while ruin and head > 0.5:
+    while True:
         coef = _erlang_below(rates, x, n, size)[0]
         first = math.fsum(coef)
-        if coef[-1] <= 1e-17 * first * (1.0 - tau) or size >= 4096:
-            break
-        size *= 2
-    return first + head * at_0
+        if coef[-1] <= 1e-17 * first * (1.0 - tau):
+            return first + head * at_0
+        if size >= _MAX_TERMS:
+            raise NumericalError(
+                f"Erlang({n}) ruin from x = {x:g} at lam = {lam:g}: the series of the "
+                f"clock points before tau_0^+ has not converged in {_MAX_TERMS} terms")
+        size = min(2 * size, _MAX_TERMS)
 
 
 def deficit_transform_t0(model: LevyModel, x: float, lam: float) -> float:
     """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ]: the deficit transform at the first
     Poisson observation below 0, the first stage of the Erlang recursion."""
-    return _erlang(model, x, lam, 1, False)
+    return _erlang(model, _erlang_setup(model, x), lam, 1, False)
 
 
 def deficit_transform_erlang2(model: LevyModel, x: float, lam: float) -> float:
     """E_x[ e^{Phi_lam X_{rho^{(2)}}} ; rho^{(2)} < inf ]: its second stage."""
-    return _erlang(model, x, lam, 2, False)
+    return _erlang(model, _erlang_setup(model, x), lam, 2, False)
 
 
 @dataclass(frozen=True)
@@ -436,7 +467,8 @@ def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> Erlang
     closed form for every n: O(n^2) operations on sums of nonnegative terms."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("ruin_prob_erlang_n requires integer n >= 1")
-    value = clamp_unit(_erlang(model, x, lam, n, True), "ruin_prob_erlang_n")
+    value = clamp_unit(_erlang(model, _erlang_setup(model, x), lam, n, True),
+                       "ruin_prob_erlang_n")
     return ErlangNResult(value=value, n=n, lam=lam, x=x)
 
 
@@ -461,8 +493,12 @@ def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDel
         raise DomainError("fixed_delay_approx requires r > 0")
     if not isinstance(n, int) or n < 1:
         raise DomainError("fixed_delay_approx requires integer n >= 1")
-    ns = sorted({2 ** k for k in range(0, 40) if 2 ** k <= n} | {n})
-    seq = tuple((nk, ruin_prob_erlang_n(model, x, nk / r, nk).value) for nk in ns)
+    ns = [1 << k for k in range(n.bit_length())]
+    if ns[-1] != n:
+        ns.append(n)
+    setup = _erlang_setup(model, x)
+    seq = tuple((nk, clamp_unit(_erlang(model, setup, nk / r, nk, True), "ruin_prob_erlang_n"))
+                for nk in ns)
     return FixedDelayResult(value=seq[-1][1], r=r, n=n, x=x, sequence=seq)
 
 
@@ -478,6 +514,7 @@ def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
         raise DomainError("t0_joint_lt requires x <= b")
     if lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("t0_joint_lt requires lam > 0, q >= 0, theta >= 0")
+    lam = represented_rate(q, lam, "t0_joint_lt")
     ctx = scale_context(model, q)
     denom = lam - _psi_q(model, q, theta)
     if abs(denom) <= _POLE_TOL * (1.0 + lam):
@@ -495,6 +532,7 @@ def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
         raise DomainError("upcross_before_t0_two_sided requires -a <= x <= b")
     if a < 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError("upcross_before_t0_two_sided requires a >= 0, lam > 0, q >= 0")
+    lam = represented_rate(q, lam, "upcross_before_t0_two_sided")
     ctx = scale_context(model, q)
     return clamp_unit(_ratio(ctx, _script_w_sum(ctx, scale_context(model, q + lam), a), x, b),
                       "upcross_before_t0_two_sided")
@@ -506,6 +544,7 @@ def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float
         raise DomainError("upcross_before_t0 requires x <= b")
     if lam <= 0.0 or q < 0.0:
         raise DomainError("upcross_before_t0 requires lam > 0 and q >= 0")
+    lam = represented_rate(q, lam, "upcross_before_t0")
     ctx = scale_context(model, q)
     ph = phi(model, q + lam)
     return clamp_unit(_ratio(ctx, _z_sum(ctx, ph), x, b), "upcross_before_t0")
@@ -527,6 +566,7 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
         raise DomainError("delayed_w_functional requires 0 < z <= a")
     if a < 0.0 or lam <= 0.0 or q < 0.0 or p < 0.0:
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
+    lam = represented_rate(q, lam, "delayed_w_functional")
     ctx, ctx_l = scale_context(model, q), scale_context(model, q + lam)
     pole = q + lam
     # lam / (p - pole) (f(x) g(b) / f(b) - g(x)) with f = script_w(ctx, lam, ., . + a)

@@ -7,6 +7,7 @@ import math
 from .errors import NumericalError
 
 _UNIT_SLACK = 1e-9
+_RATE_TOL = 1e-8
 
 
 def clamp_unit(value: float, what: str) -> float:
@@ -27,3 +28,16 @@ def clamp_unit(value: float, what: str) -> float:
             raise NumericalError(f"{what} = {value!r} is significantly above 1")
         return 1.0
     return value
+
+
+def represented_rate(q: float, rate: float, what: str) -> float:
+    """The rate a root of psi = q + rate sees: (q + rate) - q.
+
+    A rate below the float resolution of q loses its digits in q + rate.  Off the
+    requested rate by more than 1e-8 relative, that is a numerical error, not a
+    value for another rate.
+    """
+    seen = (q + rate) - q
+    if abs(seen - rate) > _RATE_TOL * rate:
+        raise NumericalError(f"{what}: q = {q:g} absorbs the rate {rate:g} in q + {rate:g}")
+    return seen

@@ -476,6 +476,22 @@ def test_huge_rates_finite_or_typed_error(key):
                 assert value <= 1.0 or name not in PROBABILITIES, where
 
 
+ABSORBING = sorted(name for name, ident in IDENTITIES.items()
+                   if {"q", "lam"} <= {prm.name for prm in ident.params})
+
+
+@pytest.mark.parametrize("key", MODELS)
+@pytest.mark.parametrize("name", ABSORBING)
+def test_rates_below_the_resolution_of_q_raise(key, name):
+    # every identity that forms q + lam (and q + p) raises where q absorbs the rate
+    names = [prm.name for prm in IDENTITIES[name].params]
+    params = {k: BASE[k] for k in names}
+    assert math.isfinite(float(evaluate_identity(name, MODELS[key], params)[0]))
+    params["q"] = 1e16
+    with pytest.raises(NumericalError, match="absorbs"):
+        evaluate_identity(name, MODELS[key], params)
+
+
 @pytest.mark.parametrize("key", ["cl_a", "cl_b"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_erlang_ruin_at_huge_rates_tends_to_ordinary_ruin(key, n):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from levyruin import (
     DomainError,
     LevyModel,
+    NumericalError,
     deficit_transform_erlang2,
     deficit_transform_t0,
     delayed_w_functional,
@@ -302,6 +303,42 @@ def test_fixed_delay_examples(bm):
     assert res.value == ruin_prob_erlang_n(bm, 0.5, 1.0 / r, 1).value
     seq = fixed_delay_approx(bm, 0.5, 1.0, 2).sequence
     assert [n for n, _ in seq] == [1, 2]
+
+
+@pytest.mark.parametrize("n, ns", [(1, [1]), (3, [1, 2, 3]), (64, [1, 2, 4, 8, 16, 32, 64]),
+                                   (100, [1, 2, 4, 8, 16, 32, 64, 100])])
+def test_fixed_delay_sequence_is_erlang_n_bit_for_bit(model, n, ns):
+    # the sequence shares one set-up, and each entry is still Erlang(n_k, n_k / r) ruin
+    for x, r in ((0.5, 1.0), (0.0, 0.3), (-0.4, 2.0)):
+        res = fixed_delay_approx(model, x, r, n)
+        assert [nk for nk, _ in res.sequence] == ns
+        assert [v for _, v in res.sequence] == [ruin_prob_erlang_n(model, x, nk / r, nk).value
+                                                for nk in ns]
+        assert res.value == res.sequence[-1][1]
+
+
+def test_erlang_n_ruin_below_zero_at_large_rates(cl):
+    # Phi / gap = 0.9998: the series of the clock points before tau_0^+ needs more
+    # than 65536 terms here, and 1 - head is exact to a few ulp; a 60-digit evaluation
+    # of the recursion gives 0.49730828951975532
+    assert ruin_prob_erlang_n(cl, -1e-3, 1e4, 64).value == pytest.approx(
+        0.49730828951975532, rel=1e-13)
+    # where 1 - head is not within 1e-14 of the value the series runs, and it is
+    # capped: at n = 100 its rounding could reach 6e-15 of 1 against a value of 0.497
+    with pytest.raises(NumericalError, match="4096 terms"):
+        ruin_prob_erlang_n(cl, -1e-3, 1e4, 100)
+    # where the series converges it is still the value (0.5261354643046049 at 60 digits)
+    assert ruin_prob_erlang_n(cl, -0.5, 100.0, 64).value == pytest.approx(
+        0.5261354643046044, rel=1e-14)
+
+
+def test_rates_absorbed_by_q_are_numerical_errors(cl):
+    # q + 1 rounds to q + 2 or q at q = 1e16; up to 1e15 the rate keeps every digit
+    for q in (1e8, 1e15):
+        assert delayed_w_functional(cl, 0.5, 1.0, 1.0, q, 1.0, 1.0, 0.5) * q * q == \
+            pytest.approx(0.39931, rel=1e-4)
+    with pytest.raises(NumericalError, match="absorbs"):
+        delayed_w_functional(cl, 0.5, 1.0, 1.0, 1e16, 1.0, 1.0, 0.5)
 
 
 def test_appendix_trivial_and_limits(model):

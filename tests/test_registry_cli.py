@@ -172,6 +172,10 @@ def test_cli_numerical_failure_exit_code(model_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error (OverflowError)")
     assert len(err.strip().splitlines()) == 1
+    # a delay rate that q absorbs (q + 1 is not 1 more than q = 1e16) exits 4 too
+    assert main(["eval", "delayed_W_functional", "--model", cl_path, "--x=0.5", "--b=1",
+                 "--a=1", "--q=1e16", "--lam=1", "--p=1", "--z=0.5"]) == 4
+    assert "absorbs" in capsys.readouterr().err
     assert main(["eval", "gs_density_e2", "--model", cl_path, "--x=0.5", "--b=2",
                  "--q=0.1", "--lam=1e300", "--y=-0.5"]) == 4
     err = capsys.readouterr().err
