@@ -6,7 +6,6 @@ from .errors import DomainError, NumericalError, UnsupportedFunctional, UsageErr
 from .models import LevyModel, TransitionDensity, model_from_dict, phi, psi, psi_prime, transition
 from .occupation import OccupationLaw, joint_lt_upcross, lt_occupation_inf, occupation_law
 from .parisian import (
-    ErlangNResult,
     FixedDelayResult,
     deficit_transform_erlang2,
     deficit_transform_t0,

@@ -30,28 +30,18 @@ from .registry import (
 _PARAM_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*)=(.+)$")
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail(message: str, code: int) -> "CliError":
-    return CliError(message, code)
-
-
 def _load_model(path: str):
     try:
         with open(path) as fh:
             spec = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read model file: {exc}", 2)
+        raise UsageError(f"cannot read model file: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail(f"model file is not valid JSON: {exc}", 2)
+        raise UsageError(f"model file is not valid JSON: {exc}")
     try:
         return model_from_dict(spec)
     except DomainError as exc:
-        raise _fail(f"bad model file: {exc}", 2)
+        raise UsageError(f"bad model file: {exc}")
 
 
 def _parse_kv(pairs):
@@ -59,22 +49,19 @@ def _parse_kv(pairs):
     for item in pairs:
         m = _PARAM_RE.match(item)
         if not m:
-            raise _fail(f"parameters must be given as --key=value, got {item!r}", 2)
+            raise UsageError(f"parameters must be given as --key=value, got {item!r}")
         key, raw = m.groups()
         try:
             out[key] = float(raw)
         except ValueError:
-            raise _fail(f"parameter {key} has a non-numeric value {raw!r}", 2)
+            raise UsageError(f"parameter {key} has a non-numeric value {raw!r}")
     return out
 
 
 def _require_identity(name: str):
     if name not in IDENTITIES:
-        raise _fail(
-            f"unknown identity {name!r}; registered identities:\n  "
-            + "\n  ".join(identity_names()),
-            2,
-        )
+        raise UsageError(f"unknown identity {name!r}; registered identities:\n  "
+                         + "\n  ".join(identity_names()))
 
 
 def _fmt(v: float) -> str:
@@ -83,7 +70,7 @@ def _fmt(v: float) -> str:
 
 def _mc_config(model, args) -> McConfig:
     if args.reps < 1:
-        raise _fail(f"--reps must be >= 1, got {args.reps}", 2)
+        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     if args.b_esc is not None:
         horizon = EscapeLevel(args.b_esc)
     else:
@@ -118,18 +105,15 @@ def cmd_validate(args) -> int:
     _require_identity(args.identity)
     ident = IDENTITIES[args.identity]
     if ident.mc_functional is None:
-        raise _fail(
-            f"identity {args.identity!r} has no Monte Carlo counterpart; "
-            "validatable identities:\n  " + "\n  ".join(validatable_names()),
-            2,
-        )
+        raise UsageError(f"identity {args.identity!r} has no Monte Carlo counterpart; "
+                         "validatable identities:\n  " + "\n  ".join(validatable_names()))
     params = _parse_kv(args.params)
     config = _mc_config(model, args)
     analytic, _ = evaluate_identity(args.identity, model, params)
     try:
         mc, fn = mc_counterpart(args.identity, model, params, config, workers=args.workers)
     except UnsupportedFunctional as exc:
-        raise _fail(f"Monte Carlo counterpart unavailable for this model: {exc}", 2)
+        raise UsageError(f"Monte Carlo counterpart unavailable for this model: {exc}")
 
     z_score = (analytic - mc.value) / mc.std_error if mc.std_error > 0.0 else 0.0
     tol = 3.0 * mc.std_error + mc.truncation_bound
@@ -184,18 +168,19 @@ _GRID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.+)$")
 def _parse_grid(spec: str):
     m = _GRID_RE.match(spec)
     if not m:
-        raise _fail(f"grid spec must be key=lo:hi:count or key=v1,v2,..., got {spec!r}", 2)
+        raise UsageError(f"grid spec must be key=lo:hi:count or key=v1,v2,..., got {spec!r}")
     key, body = m.groups()
     if ":" in body:
         parts = body.split(":")
         if len(parts) != 3:
-            raise _fail(f"range grid must be lo:hi:count, got {body!r}", 2)
+            raise UsageError(f"range grid must be lo:hi:count, got {body!r}")
         try:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise _fail(f"range grid must be numbers lo:hi and an integer count, got {body!r}", 2)
+            raise UsageError(
+                f"range grid must be numbers lo:hi and an integer count, got {body!r}")
         if count < 1:
-            raise _fail("grid count must be >= 1", 2)
+            raise UsageError("grid count must be >= 1")
         if count == 1:
             values = [lo]
         else:
@@ -205,9 +190,9 @@ def _parse_grid(spec: str):
         try:
             values = [float(v) for v in body.split(",") if v != ""]
         except ValueError:
-            raise _fail(f"list grid must be numbers v1,v2,..., got {body!r}", 2)
+            raise UsageError(f"list grid must be numbers v1,v2,..., got {body!r}")
     if not values:
-        raise _fail("empty grid", 2)
+        raise UsageError("empty grid")
     return key, values
 
 
@@ -216,11 +201,11 @@ def cmd_sweep(args) -> int:
     _require_identity(args.identity)
     fixed = _parse_kv(args.params)
     if not args.grid:
-        raise _fail("sweep needs at least one --grid key=... specification", 2)
+        raise UsageError("sweep needs at least one --grid key=... specification")
     grids = dict(_parse_grid(g) for g in args.grid)
     overlap = set(grids) & set(fixed)
     if overlap:
-        raise _fail(f"parameters both fixed and swept: {sorted(overlap)}", 2)
+        raise UsageError(f"parameters both fixed and swept: {sorted(overlap)}")
     keys = sorted(grids)
     lines = [",".join(keys + ["value"])]
     for combo in itertools.product(*(grids[k] for k in keys)):
@@ -234,14 +219,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_dist(args) -> int:
     model = _load_model(args.model)
-    try:
-        law = occupation_law(model, args.x, args.lam)
-    except DomainError as exc:
-        raise _fail(str(exc), 3)
+    law = occupation_law(model, args.x, args.lam)
     key, rs = _parse_grid("r=" + args.r_grid)
     rs = [r for r in rs if r > 0.0]
     if not rs:
-        raise _fail("empty r grid", 2)
+        raise UsageError("empty r grid")
     lines = [
         f"# occupation_law model={model.describe()} x={_fmt(args.x)} lam={_fmt(args.lam)}",
         f"# atom_at_zero={_fmt(law.atom_at_zero)}",
@@ -336,9 +318,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

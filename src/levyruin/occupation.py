@@ -37,7 +37,7 @@ from .errors import DomainError
 from .models import BROWNIAN, LevyModel, _poisson_erlang, _psi_second_any, phi
 from .quadrature import gl_batch, gl_pieces
 from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
-from .util import clamp_unit, represented_rate
+from .util import clamp_unit, represented_rate, require_finite
 
 _SQRT_PI, _HALF_LOG_2PI = math.sqrt(math.pi), 0.5 * math.log(2.0 * math.pi)
 _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
@@ -52,6 +52,7 @@ def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
                      lam: float) -> float:
     """E_x[ e^{-q tau_b^+ - p O_{tau_b^+, lam}} ; tau_b^+ < inf ]  for x <= b: the
     ratio Z~_q(x)/Z~_q(b) at (Phi_{lam+q}, Phi_{p+q}), regular at p = lam."""
+    require_finite("joint_lt_upcross", "x b q p lam", x, b, q, p, lam)
     if x > b:
         raise DomainError("joint_lt_upcross requires x <= b")
     if lam <= 0.0:
@@ -78,6 +79,7 @@ def _occupation_inf(model: LevyModel, p: float, lam: float) -> tuple:
 
 def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float:
     """E_x[ e^{-p O_{inf, lam}} ]; requires E[X_1] > 0."""
+    require_finite("lt_occupation_inf", "x p lam", x, p, lam)
     ctx0, k, phl, php = _occupation_inf(model, p, lam)
     return clamp_unit(k * z_tilde(ctx0, x, phl, php), "lt_occupation_inf")
 
@@ -329,10 +331,8 @@ def _transform_decay_rate(model: LevyModel) -> float:
 
 def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     """Atom-plus-density law of O_{inf, lam} started from x; requires E[X_1] > 0."""
+    require_finite("occupation_law", "x lam", x, lam)
     model.require_positive_drift("occupation_law")
-    for name, value in (("x", x), ("lam", lam)):
-        if not math.isfinite(value):
-            raise DomainError(f"occupation_law requires a finite {name}, got {value!r}")
     if lam <= 0.0:
         raise DomainError("occupation_law requires lam > 0")
     ctx0 = scale_context(model, 0.0)

@@ -39,7 +39,7 @@ from .scale import (
     scale_context,
     z_tilde,
 )
-from .util import clamp_unit, represented_rate
+from .util import clamp_unit, represented_rate, require_finite
 
 _POLE_TOL = 1e-12
 _TINY = 1e-200  # the Erlang(n) scale sc is folded into the coefficients below this
@@ -72,6 +72,7 @@ def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float
     transform; symmetric in (p, lam).  The Phi_0 = 0 mode of k Z~_0 is exactly 1, so
     for x >= 0 the ruin probability is its decaying part, without cancellation.
     """
+    require_finite("ruin_prob_sum_exp", "x p lam", x, p, lam)
     ctx0, k, phl, php = _occupation_inf(model, p, lam)
     ruin = _decay(ctx0, _lin(1.0, _ONE, -k, _z_tilde_sum(ctx0, phl, php)), x)
     return clamp_unit(ruin, "ruin_prob_sum_exp")
@@ -80,6 +81,7 @@ def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float
 def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
                     lam: float, theta: float) -> float:
     """E_x[ e^{-q rho + theta X_rho} ; rho < tau_b^+ ] for the Exp(p)+Exp(lam) delay."""
+    require_finite("gs_lt_two_sided", "x b q p lam theta", x, b, q, p, lam, theta)
     if x > b:
         raise DomainError("gs_lt_two_sided requires x <= b")
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
@@ -102,6 +104,7 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     lies in [0, 1], so only the decaying mode is kept, as a factored product of
     slopes that does not cancel next to theta = Phi_{q+lam}.
     """
+    require_finite("gs_lt_infinite", "x q p lam theta", x, q, p, lam, theta)
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_infinite requires p > 0, lam > 0, q >= 0, theta >= 0")
     if q == 0.0:
@@ -137,6 +140,7 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
     the ruin level and the ratio is W_q(x)/W_q(b) (the composite is 0/0 on
     Brownian models, where W(0) = 0).
     """
+    require_finite("up_cross_three_barrier", "x b a q p lam", x, b, a, q, p, lam)
     if not (-a <= x <= b):
         raise DomainError("up_cross_three_barrier requires -a <= x <= b")
     if a < 0.0 or p <= 0.0 or lam <= 0.0:
@@ -166,6 +170,7 @@ def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: floa
 def gerber_shiu_density(model: LevyModel, x: float, b: float, q: float, p: float,
                         lam: float, y: float) -> float:
     """Density in y <= 0 of e^{-q rho} 1{X_rho in dy, rho < tau_b^+}, p != lam."""
+    require_finite("gerber_shiu_density", "x b q p lam y", x, b, q, p, lam, y)
     if abs(p - lam) <= 1e-10 * (1.0 + lam):
         raise DomainError(
             "gerber_shiu_density is singular at p = lam; use gs_density_e2 (Erlang(2))"
@@ -262,6 +267,7 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
     value is 1 minus a scale combination that is bounded in x, so for x >= 0 only
     the combination's decaying mode is kept.
     """
+    require_finite("lt_occupation_exp_horizon", "x p q lam", x, p, q, lam)
     if q <= 0.0:
         raise DomainError("lt_occupation_exp_horizon requires q > 0")
     if lam <= 0.0 or p < 0.0:
@@ -317,6 +323,7 @@ def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
                   y: float) -> float:
     """Gerber-Shiu density at Erlang(2, lam) Parisian ruin: the p = lam limit of
     :func:`gerber_shiu_density`, in closed form."""
+    require_finite("gs_density_e2", "x b q lam y", x, b, q, lam, y)
     return _gs_density(model, x, b, q, lam, lam, y, "gs_density_e2")
 
 
@@ -441,35 +448,24 @@ def _erlang(model: LevyModel, setup: tuple, lam: float, n: int, ruin: bool) -> f
 def deficit_transform_t0(model: LevyModel, x: float, lam: float) -> float:
     """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ]: the deficit transform at the first
     Poisson observation below 0, the first stage of the Erlang recursion."""
+    require_finite("deficit_transform_t0", "x lam", x, lam)
     return _erlang(model, _erlang_setup(model, x), lam, 1, False)
 
 
 def deficit_transform_erlang2(model: LevyModel, x: float, lam: float) -> float:
     """E_x[ e^{Phi_lam X_{rho^{(2)}}} ; rho^{(2)} < inf ]: its second stage."""
+    require_finite("deficit_transform_erlang2", "x lam", x, lam)
     return _erlang(model, _erlang_setup(model, x), lam, 2, False)
 
 
-@dataclass(frozen=True)
-class ErlangNResult:
-    """Erlang(n, lam) Parisian ruin probability with its inputs."""
-
-    value: float
-    n: int
-    lam: float
-    x: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> ErlangNResult:
+def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> float:
     """Probability of Parisian ruin with an Erlang(n, lam) delay per excursion, in
     closed form for every n: O(n^2) operations on sums of nonnegative terms."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("ruin_prob_erlang_n requires integer n >= 1")
-    value = clamp_unit(_erlang(model, _erlang_setup(model, x), lam, n, True),
-                       "ruin_prob_erlang_n")
-    return ErlangNResult(value=value, n=n, lam=lam, x=x)
+    require_finite("ruin_prob_erlang_n", "x lam", x, lam)
+    return clamp_unit(_erlang(model, _erlang_setup(model, x), lam, n, True),
+                      "ruin_prob_erlang_n")
 
 
 @dataclass(frozen=True)
@@ -478,9 +474,6 @@ class FixedDelayResult:
     convergence sequence over n in {1, 2, 4, 8, ...} up to the requested n."""
 
     value: float
-    r: float
-    n: int
-    x: float
     sequence: tuple  # ((n_k, value_k), ...)
 
     def __float__(self) -> float:
@@ -489,6 +482,7 @@ class FixedDelayResult:
 
 def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDelayResult:
     """Approximate fixed-delay (kappa_r) Parisian ruin by Erlang(n, n/r) delays."""
+    require_finite("fixed_delay_approx", "x r", x, r)
     if r <= 0.0:
         raise DomainError("fixed_delay_approx requires r > 0")
     if not isinstance(n, int) or n < 1:
@@ -499,7 +493,7 @@ def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDel
     setup = _erlang_setup(model, x)
     seq = tuple((nk, clamp_unit(_erlang(model, setup, nk / r, nk, True), "ruin_prob_erlang_n"))
                 for nk in ns)
-    return FixedDelayResult(value=seq[-1][1], r=r, n=n, x=x, sequence=seq)
+    return FixedDelayResult(value=seq[-1][1], sequence=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +504,7 @@ def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDel
 def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
                 theta: float) -> float:
     """E_x[ e^{-q T_0^- + theta X_{T_0^-}} ; T_0^- < tau_b^+ ]."""
+    require_finite("t0_joint_lt", "x b q lam theta", x, b, q, lam, theta)
     if x > b:
         raise DomainError("t0_joint_lt requires x <= b")
     if lam <= 0.0 or q < 0.0 or theta < 0.0:
@@ -528,6 +523,7 @@ def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
 def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
                                 q: float, lam: float) -> float:
     """E_x[ e^{-q tau_b^+} ; tau_b^+ < T_0^- ^ tau_{-a}^- ]."""
+    require_finite("upcross_before_t0_two_sided", "x b a q lam", x, b, a, q, lam)
     if not (-a <= x <= b):
         raise DomainError("upcross_before_t0_two_sided requires -a <= x <= b")
     if a < 0.0 or lam <= 0.0 or q < 0.0:
@@ -540,6 +536,7 @@ def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
 
 def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float) -> float:
     """E_x[ e^{-q tau_b^+} ; tau_b^+ < T_0^- ]."""
+    require_finite("upcross_before_t0", "x b q lam", x, b, q, lam)
     if x > b:
         raise DomainError("upcross_before_t0 requires x <= b")
     if lam <= 0.0 or q < 0.0:
@@ -551,7 +548,7 @@ def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float
 
 
 def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: float,
-                         lam: float, p: float, z_shift: float) -> float:
+                         lam: float, p: float, z: float) -> float:
     """E_x[ e^{-q T_0^-} W_p(X_{T_0^-} + z) ; T_0^- < tau_b^+ ^ tau_{-a}^- ].
 
     The point p = q + lam is removable: the difference quotients in p become the
@@ -560,9 +557,10 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     counterpart ``T0_w_weight`` and can go negative.  A value too large for a float
     (W_p at a huge p) raises ``OverflowError``.
     """
+    require_finite("delayed_w_functional", "x b a q lam p z", x, b, a, q, lam, p, z)
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
-    if not 0.0 < z_shift <= a:
+    if not 0.0 < z <= a:
         raise DomainError("delayed_w_functional requires 0 < z <= a")
     if a < 0.0 or lam <= 0.0 or q < 0.0 or p < 0.0:
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
@@ -573,18 +571,18 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     # and g the difference quotient in p at length z, or its p-derivative at the pole
     f = _script_w_sum(ctx, ctx_l, a)
     if abs(p - pole) <= 1e-8 * (1.0 + pole):
-        k, g = -lam * math.exp(ctx_l.phi_q * z_shift), _script_w_sum(ctx, ctx_l, z_shift, dp=True)
+        k, g = -lam * math.exp(ctx_l.phi_q * z), _script_w_sum(ctx, ctx_l, z, dp=True)
     else:
         # scriptW^{(q,lam)}(xi, xi + z) less e^{Phi (z - a)} f, Phi = Phi_{q+lam}: its Phi
         # term is that multiple of f's, and the rest, bounded for z <= a, is
         # A'_r e^{r z} (1 - e^{(Phi - r)(z - a)}) Z_q(xi, r) at r = -zeta_{q+lam}, or below
         # xi = -z, where scriptW vanishes, -e^{Phi (z - a)} W_{q+lam}(xi + a)
         (ph, _, _), (r, ar, t) = _roots(ctx_l)
-        c = -ar * math.exp(r * z_shift) * math.expm1((ph - r) * (z_shift - a))
+        c = -ar * math.exp(r * z) * math.expm1((ph - r) * (z - a))
         z_phi, z_zeta = _z_sum(ctx, r, 0, t)[:2] if c else (0.0, 0.0)
-        g_l = (c * z_phi, c * z_zeta, lambda y: c * math.exp(r * y) if y >= -z_shift
-               else -_w_at(ctx_l, y + a, a - z_shift), ())
+        g_l = (c * z_phi, c * z_zeta, lambda y: c * math.exp(r * y) if y >= -z
+               else -_w_at(ctx_l, y + a, a - z), ())
         ctx_p = scale_context(model, p)  # at p itself: q + (p - q) can round p away
-        k, e_p = -lam / (p - pole), math.exp(ctx_p.phi_q * z_shift)
-        g = _lin(e_p, _script_w_sum(ctx, ctx_p, z_shift), -1.0, g_l)
+        k, e_p = -lam / (p - pole), math.exp(ctx_p.phi_q * z)
+        g = _lin(e_p, _script_w_sum(ctx, ctx_p, z), -1.0, g_l)
     return k * _two_sided(ctx, g, f, x, b)

@@ -1,14 +1,25 @@
-"""Flat identity registry: stable names, typed parameters, Monte Carlo bindings.
+"""Flat identity registry: stable names, parameters read from signatures, Monte
+Carlo bindings.
 
-The registry is the single source the CLI dispatches from; each entry knows how
-to evaluate its closed form and (where one exists) how to build the matching
-Monte Carlo functional for validation campaigns.
+The registry is the single source the CLI dispatches from.  Each identity is
+implemented by the function of its lower-cased name in its module; its parameters
+are that function's parameters after ``model``, in order, and those annotated
+``int`` are integers.  ``occupation_law`` and ``fixed_delay_approx`` are implemented
+here, as adapters that return (value, extras).  Where one exists, an entry also
+builds the matching Monte Carlo functional for validation campaigns.
+
+The function is looked up by name at every evaluation, not stored in the entry:
+whatever rebinds the module attribute (a tracer, a test's counting wrapper) is
+then what every evaluation calls.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Callable, Optional
 
 from . import occupation, parisian
@@ -18,193 +29,100 @@ from .models import LevyModel
 
 
 @dataclass(frozen=True)
-class Param:
-    name: str
-    kind: str = "float"  # "float" | "int"
-
-
-@dataclass(frozen=True)
 class Identity:
     name: str
-    params: tuple
-    evaluate: Callable
+    module: ModuleType  # implements it as the function named name.lower()
     mc_functional: Optional[Callable] = None  # (params dict) -> PathFunctional
     informational: bool = False  # validation verdict is informational by design
+    params: tuple = field(init=False)  # the function's parameter names after model
+    attr: str = field(init=False, repr=False, compare=False)  # name.lower()
     # what _coerce_params checks against, compiled once here: the parameter
-    # names, and (name, is_int) in Param order
+    # names, and (name, is_int) in signature order
     names: frozenset = field(init=False, repr=False, compare=False)
     coerce: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "names", frozenset(p.name for p in self.params))
-        object.__setattr__(self, "coerce", tuple((p.name, p.kind == "int") for p in self.params))
+        object.__setattr__(self, "attr", self.name.lower())
+        args = list(inspect.signature(getattr(self.module, self.attr)).parameters.values())[1:]
+        object.__setattr__(self, "params", tuple(a.name for a in args))
+        object.__setattr__(self, "names", frozenset(self.params))
+        object.__setattr__(self, "coerce",
+                           tuple((a.name, a.annotation in (int, "int")) for a in args))
 
 
-def _fn(name, keys, success="ruin", q_key=None, theta_key=None, p_key=None, **fixed):
+_FIELDS = ("success_event", "discount_q", "tilt_theta", "laplace_p")
+
+
+def _fn(name, **binding):
+    # one map from functional param, or PathFunctional field, to the identity param
+    # it reads; a value that names no identity param (a number, a construction, an
+    # event) is fixed
     def build(prm):
-        params = {k: prm[v] for k, v in keys.items()}
-        params.update(fixed)
-        return PathFunctional(
-            name=name,
-            params=params,
-            x0=prm["x"],
-            success_event=success,
-            discount_q=prm[q_key] if q_key else 0.0,
-            tilt_theta=prm[theta_key] if theta_key else 0.0,
-            laplace_p=prm[p_key] if p_key else 0.0,
-        )
+        params = {k: prm.get(v, v) for k, v in binding.items()}
+        fields = {k: params.pop(k) for k in _FIELDS if k in params}
+        return PathFunctional(name=name, params=params, x0=prm["x"], **fields)
 
     return build
 
 
-def _eval_occupation_law(model, prm):
-    law = occupation.occupation_law(model, prm["x"], prm["lam"])
-    return law.density(prm["r"]), {"atom_at_zero": law.atom_at_zero}
+def occupation_law(model: LevyModel, x: float, lam: float, r: float) -> tuple:
+    """The occupation law's density at r, with its atom at 0 as an extra."""
+    law = occupation.occupation_law(model, x, lam)
+    return law.density(r), {"atom_at_zero": law.atom_at_zero}
 
 
-def _eval_fixed_delay(model, prm):
-    res = parisian.fixed_delay_approx(model, prm["x"], prm["r"], prm["n"])
+def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> tuple:
+    """The fixed-delay approximation, with its Erlang(n_k) sequence as an extra."""
+    res = parisian.fixed_delay_approx(model, x, r, n)
     return res.value, {"erlang_sequence": list(res.sequence)}
 
 
-_P = Param
+_HERE = sys.modules[__name__]  # the module of the two adapters above
+_ERLANG2 = {"n": 2.0, "construction": "observation"}
 
-IDENTITIES: dict[str, Identity] = {}
-
-
-def _register(identity: Identity):
-    IDENTITIES[identity.name] = identity
-
-
-_register(Identity(
-    "joint_lt_upcross",
-    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam")),
-    lambda m, p: occupation.joint_lt_upcross(m, p["x"], p["b"], p["q"], p["p"], p["lam"]),
-    _fn("occupation_at_upcross", {"lam": "lam", "b": "b"}, q_key="q", p_key="p"),
-))
-_register(Identity(
-    "lt_occupation_inf",
-    (_P("x"), _P("p"), _P("lam")),
-    lambda m, p: occupation.lt_occupation_inf(m, p["x"], p["p"], p["lam"]),
-    _fn("occupation_poisson", {"lam": "lam"}, p_key="p"),
-))
-_register(Identity(
-    "occupation_law",
-    (_P("x"), _P("lam"), _P("r")),
-    _eval_occupation_law,
-))
-_register(Identity(
-    "ruin_prob_sum_exp",
-    (_P("x"), _P("p"), _P("lam")),
-    lambda m, p: parisian.ruin_prob_sum_exp(m, p["x"], p["p"], p["lam"]),
-    _fn("rho_sum_exp", {"p": "p", "lam": "lam"}),
-))
-_register(Identity(
-    "gs_lt_two_sided",
-    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam"), _P("theta")),
-    lambda m, p: parisian.gs_lt_two_sided(m, p["x"], p["b"], p["q"], p["p"], p["lam"], p["theta"]),
-    _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b"}, q_key="q", theta_key="theta"),
-))
-_register(Identity(
-    "gs_lt_infinite",
-    (_P("x"), _P("q"), _P("p"), _P("lam"), _P("theta")),
-    lambda m, p: parisian.gs_lt_infinite(m, p["x"], p["q"], p["p"], p["lam"], p["theta"]),
-    _fn("rho_sum_exp", {"p": "p", "lam": "lam"}, q_key="q", theta_key="theta"),
-))
-_register(Identity(
-    "up_cross_three_barrier",
-    (_P("x"), _P("b"), _P("a"), _P("q"), _P("p"), _P("lam")),
-    lambda m, p: parisian.up_cross_three_barrier(m, p["x"], p["b"], p["a"], p["q"], p["p"], p["lam"]),
-    _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b", "a": "a"},
-        success="upcross", q_key="q"),
-))
-_register(Identity(
-    "up_cross_before_ruin",
-    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam")),
-    lambda m, p: parisian.up_cross_before_ruin(m, p["x"], p["b"], p["q"], p["p"], p["lam"]),
-    _fn("rho_sum_exp", {"p": "p", "lam": "lam", "b": "b"}, success="upcross", q_key="q"),
-))
-_register(Identity(
-    "gerber_shiu_density",
-    (_P("x"), _P("b"), _P("q"), _P("p"), _P("lam"), _P("y")),
-    lambda m, p: parisian.gerber_shiu_density(m, p["x"], p["b"], p["q"], p["p"], p["lam"], p["y"]),
-))
-_register(Identity(
-    "lt_occupation_exp_horizon",
-    (_P("x"), _P("p"), _P("q"), _P("lam")),
-    lambda m, p: parisian.lt_occupation_exp_horizon(m, p["x"], p["p"], p["q"], p["lam"]),
-    _fn("occupation_poisson", {"lam": "lam", "exp_horizon_rate": "q"}, p_key="p"),
-))
-_register(Identity(
-    "ruin_prob_erlang2",
-    (_P("x"), _P("lam")),
-    lambda m, p: parisian.ruin_prob_erlang2(m, p["x"], p["lam"]),
-    _fn("rho_erlang", {"lam": "lam"}, n=2.0, construction="observation"),
-))
-_register(Identity(
-    "gs_density_e2",
-    (_P("x"), _P("b"), _P("q"), _P("lam"), _P("y")),
-    lambda m, p: parisian.gs_density_e2(m, p["x"], p["b"], p["q"], p["lam"], p["y"]),
-))
-_register(Identity(
-    "gs_lt_two_sided_e2",
-    (_P("x"), _P("b"), _P("q"), _P("lam"), _P("theta")),
-    lambda m, p: parisian.gs_lt_two_sided_e2(m, p["x"], p["b"], p["q"], p["lam"], p["theta"]),
-    _fn("rho_erlang", {"lam": "lam", "b": "b"}, n=2.0, construction="observation",
-        q_key="q", theta_key="theta"),
-))
-_register(Identity(
-    "gs_lt_infinite_e2",
-    (_P("x"), _P("q"), _P("lam"), _P("theta")),
-    lambda m, p: parisian.gs_lt_infinite_e2(m, p["x"], p["q"], p["lam"], p["theta"]),
-    _fn("rho_erlang", {"lam": "lam"}, n=2.0, construction="observation",
-        q_key="q", theta_key="theta"),
-))
-_register(Identity(
-    "up_cross_e2",
-    (_P("x"), _P("b"), _P("q"), _P("lam")),
-    lambda m, p: parisian.up_cross_e2(m, p["x"], p["b"], p["q"], p["lam"]),
-    _fn("rho_erlang", {"lam": "lam", "b": "b"}, n=2.0, construction="observation",
-        success="upcross", q_key="q"),
-))
-_register(Identity(
-    "ruin_prob_erlang_n",
-    (_P("x"), _P("lam"), _P("n", "int")),
-    lambda m, p: parisian.ruin_prob_erlang_n(m, p["x"], p["lam"], p["n"]).value,
-    _fn("rho_erlang", {"lam": "lam", "n": "n"}, construction="observation"),
-))
-_register(Identity(
-    "fixed_delay_approx",
-    (_P("x"), _P("r"), _P("n", "int")),
-    _eval_fixed_delay,
-    _fn("kappa_fixed", {"r": "r"}),
-    informational=True,  # Erlang(n, n/r) approximation vs the exact fixed-delay law
-))
-_register(Identity(
-    "T0_joint_lt",
-    (_P("x"), _P("b"), _P("q"), _P("lam"), _P("theta")),
-    lambda m, p: parisian.t0_joint_lt(m, p["x"], p["b"], p["q"], p["lam"], p["theta"]),
-    _fn("T0_minus", {"lam": "lam", "b": "b"}, q_key="q", theta_key="theta"),
-))
-_register(Identity(
-    "upcross_before_T0_two_sided",
-    (_P("x"), _P("b"), _P("a"), _P("q"), _P("lam")),
-    lambda m, p: parisian.upcross_before_t0_two_sided(m, p["x"], p["b"], p["a"], p["q"], p["lam"]),
-    _fn("T0_minus", {"lam": "lam", "b": "b", "a": "a"}, success="upcross", q_key="q"),
-))
-_register(Identity(
-    "upcross_before_T0",
-    (_P("x"), _P("b"), _P("q"), _P("lam")),
-    lambda m, p: parisian.upcross_before_t0(m, p["x"], p["b"], p["q"], p["lam"]),
-    _fn("T0_minus", {"lam": "lam", "b": "b"}, success="upcross", q_key="q"),
-))
-_register(Identity(
-    "delayed_W_functional",
-    (_P("x"), _P("b"), _P("a"), _P("q"), _P("lam"), _P("p"), _P("z")),
-    lambda m, p: parisian.delayed_w_functional(m, p["x"], p["b"], p["a"], p["q"], p["lam"],
-                                               p["p"], p["z"]),
-    _fn("T0_w_weight", {"lam": "lam", "b": "b", "a": "a", "pw": "p", "shift": "z"}, q_key="q"),
-))
+IDENTITIES: dict[str, Identity] = {ident.name: ident for ident in (
+    Identity("joint_lt_upcross", occupation,
+             _fn("occupation_at_upcross", lam="lam", b="b", discount_q="q", laplace_p="p")),
+    Identity("lt_occupation_inf", occupation,
+             _fn("occupation_poisson", lam="lam", laplace_p="p")),
+    Identity("occupation_law", _HERE),
+    Identity("ruin_prob_sum_exp", parisian, _fn("rho_sum_exp", p="p", lam="lam")),
+    Identity("gs_lt_two_sided", parisian,
+             _fn("rho_sum_exp", p="p", lam="lam", b="b", discount_q="q", tilt_theta="theta")),
+    Identity("gs_lt_infinite", parisian,
+             _fn("rho_sum_exp", p="p", lam="lam", discount_q="q", tilt_theta="theta")),
+    Identity("up_cross_three_barrier", parisian,
+             _fn("rho_sum_exp", p="p", lam="lam", b="b", a="a", success_event="upcross",
+                 discount_q="q")),
+    Identity("up_cross_before_ruin", parisian,
+             _fn("rho_sum_exp", p="p", lam="lam", b="b", success_event="upcross",
+                 discount_q="q")),
+    Identity("gerber_shiu_density", parisian),
+    Identity("lt_occupation_exp_horizon", parisian,
+             _fn("occupation_poisson", lam="lam", exp_horizon_rate="q", laplace_p="p")),
+    Identity("ruin_prob_erlang2", parisian, _fn("rho_erlang", lam="lam", **_ERLANG2)),
+    Identity("gs_density_e2", parisian),
+    Identity("gs_lt_two_sided_e2", parisian,
+             _fn("rho_erlang", lam="lam", b="b", **_ERLANG2, discount_q="q", tilt_theta="theta")),
+    Identity("gs_lt_infinite_e2", parisian,
+             _fn("rho_erlang", lam="lam", **_ERLANG2, discount_q="q", tilt_theta="theta")),
+    Identity("up_cross_e2", parisian,
+             _fn("rho_erlang", lam="lam", b="b", **_ERLANG2, success_event="upcross",
+                 discount_q="q")),
+    Identity("ruin_prob_erlang_n", parisian,
+             _fn("rho_erlang", lam="lam", n="n", construction="observation")),
+    # informational: the Erlang(n, n/r) approximation against the exact fixed-delay law
+    Identity("fixed_delay_approx", _HERE, _fn("kappa_fixed", r="r"),
+             informational=True),
+    Identity("T0_joint_lt", parisian,
+             _fn("T0_minus", lam="lam", b="b", discount_q="q", tilt_theta="theta")),
+    Identity("upcross_before_T0_two_sided", parisian,
+             _fn("T0_minus", lam="lam", b="b", a="a", success_event="upcross", discount_q="q")),
+    Identity("upcross_before_T0", parisian,
+             _fn("T0_minus", lam="lam", b="b", success_event="upcross", discount_q="q")),
+    Identity("delayed_W_functional", parisian,
+             _fn("T0_w_weight", lam="lam", b="b", a="a", pw="p", shift="z", discount_q="q")),
+)}
 
 
 def identity_names() -> list[str]:
@@ -221,12 +139,10 @@ def evaluate_identity(name: str, model: LevyModel, params: dict, mc_config=None)
     Every identity is closed-form, so ``mc_config`` is ignored; it is accepted
     because the benchmark's validate workload passes it with every request.
     """
-    ident = _lookup(name)
-    prm = _coerce_params(ident, params)
-    out = ident.evaluate(model, prm)
-    if isinstance(out, tuple):
-        return out
-    return out, {}
+    ident = IDENTITIES[name]
+    # the coerced params are in signature order, so they pass positionally
+    out = getattr(ident.module, ident.attr)(model, *_coerce_params(ident, params).values())
+    return out if isinstance(out, tuple) else (out, {})
 
 
 def mc_counterpart(name: str, model: LevyModel, params: dict, config: McConfig,
@@ -235,19 +151,11 @@ def mc_counterpart(name: str, model: LevyModel, params: dict, config: McConfig,
 
     Returns (estimate, functional) so reports can record what was simulated.
     """
-    ident = _lookup(name)
+    ident = IDENTITIES[name]
     if ident.mc_functional is None:
         raise KeyError(name)
-    prm = _coerce_params(ident, params)
-    fn = ident.mc_functional(prm)
+    fn = ident.mc_functional(_coerce_params(ident, params))
     return estimate(model, config, fn, workers=workers), fn
-
-
-def _lookup(name: str) -> Identity:
-    try:
-        return IDENTITIES[name]
-    except KeyError:
-        raise KeyError(name) from None
 
 
 def _coerce_params(ident: Identity, params: dict) -> dict:

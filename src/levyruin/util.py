@@ -4,10 +4,25 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 
 _UNIT_SLACK = 1e-9
 _RATE_TOL = 1e-8
+
+
+def require_finite(what: str, names: str, *values: float) -> None:
+    """Raise DomainError unless every value is finite; ``names`` names them, space
+    separated, for the message.
+
+    A nan fails every comparison, so it would pass each domain check and take the
+    branch that a failed comparison selects; an infinite argument has no closed
+    form.  Every public identity checks its arguments here first.
+    """
+    for value in values:
+        if not math.isfinite(value):
+            name, value = next((n, v) for n, v in zip(names.split(), values)
+                               if not math.isfinite(v))
+            raise DomainError(f"{what} requires a finite {name}, got {value!r}")
 
 
 def clamp_unit(value: float, what: str) -> float:

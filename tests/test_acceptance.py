@@ -121,11 +121,11 @@ def test_criterion_05_erlang_recursion(bm, cl):
         ph = phi(model, lam)
         pruine1 = 1.0 - model.mean() * (ph / lam) * z(ctx0, x, ph)
         r1 = ruin_prob_erlang_n(model, x, lam, 1)
-        assert abs(r1.value - pruine1) <= 1e-12
+        assert abs(r1 - pruine1) <= 1e-12
         r2 = ruin_prob_erlang_n(model, x, lam, 2)
-        assert abs(r2.value - ruin_prob_erlang2(model, x, lam)) <= 1e-8
+        assert abs(r2 - ruin_prob_erlang2(model, x, lam)) <= 1e-8
         r3 = ruin_prob_erlang_n(model, x, lam, 3)
-        assert r1.value >= r2.value >= r3.value
+        assert r1 >= r2 >= r3
     _ok(5, "recursion: n=1 matches the exponential-delay closed form to 1e-12, "
            "n=2 matches the Erlang(2) closed form to 1e-8, nonincreasing over n in {1,2,3}")
 

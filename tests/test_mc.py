@@ -347,7 +347,7 @@ def test_registry_functionals_build(bm, cl):
     built_bm = set()
     for name in validatable_names():
         ident = IDENTITIES[name]
-        fn = ident.mc_functional({p.name: base[p.name] for p in ident.params})
+        fn = ident.mc_functional({p: base[p] for p in ident.params})
         build_simulator(cl, fn, cfg)
         try:
             build_simulator(bm, fn, cfg)
@@ -503,7 +503,7 @@ def test_kappa_fixed_cl_between_neighbours(cl):
     est = estimate(cl, cfg_for(cl), PathFunctional("kappa_fixed", {"r": 1.0}, x0=0.5))
     from levyruin import ruin_prob_erlang_n
 
-    lo = ruin_prob_erlang_n(cl, 0.5, 1.0, 1).value  # Exp(1/r) delay: more ruin than fixed r
+    lo = ruin_prob_erlang_n(cl, 0.5, 1.0, 1)  # Exp(1/r) delay: more ruin than fixed r
     assert est.value < lo
     assert est.value > 0.0
 
@@ -511,8 +511,8 @@ def test_kappa_fixed_cl_between_neighbours(cl):
 def test_erlang_recursion_n4_against_rho_erlang(cl):
     from levyruin import ruin_prob_erlang_n
 
-    value = ruin_prob_erlang_n(cl, 0.4, 1.0, 4).value
-    assert 0.0 < value <= ruin_prob_erlang_n(cl, 0.4, 1.0, 3).value
+    value = ruin_prob_erlang_n(cl, 0.4, 1.0, 4)
+    assert 0.0 < value <= ruin_prob_erlang_n(cl, 0.4, 1.0, 3)
     # direct MC of the n = 4 ruin probability agrees with the closed form
     est = estimate(cl, cfg_for(cl), PathFunctional(
         "rho_erlang", {"n": 4, "lam": 1.0, "construction": "observation"}, x0=0.4))

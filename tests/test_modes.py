@@ -297,7 +297,7 @@ def test_complements_and_decaying_parts_match_mpmath(key, x):
         assert_matches(deficit_transform_erlang2(model, x, LAM),
                        mp_deficit_erlang2(model, x, LAM))
         for n in (1, 2, 3):
-            assert_matches(ruin_prob_erlang_n(model, x, LAM, n).value,
+            assert_matches(ruin_prob_erlang_n(model, x, LAM, n),
                            mp_ruin_erlang_n(model, x, LAM, n))
 
 
@@ -316,7 +316,7 @@ def test_erlang_n_ruin_matches_mpmath_recursion(key, x):
             assert abs(t_0[0] - mp_deficit_t0(model, 0, LAM)) <= mpmath.mpf("1e-30")
         series = mp_deficit_series(model, x, LAM, 64)
         for n in (4, 8, 16, 64):
-            assert_matches(ruin_prob_erlang_n(model, x, LAM, n).value,
+            assert_matches(ruin_prob_erlang_n(model, x, LAM, n),
                            mp_ruin_erlang_n(model, x, LAM, n, series))
 
 
@@ -415,7 +415,7 @@ def test_occupation_and_ruin_bounded_and_monotone_in_x(key, x1, x2, p, lam):
     for f, increasing in ((lambda x: lt_occupation_inf(model, x, p, lam), True),
                           (lambda x: lt_occupation_exp_horizon(model, x, p, Q, lam), True),
                           (lambda x: ruin_prob_sum_exp(model, x, p, lam), False),
-                          (lambda x: ruin_prob_erlang_n(model, x, lam, 3).value, False)):
+                          (lambda x: ruin_prob_erlang_n(model, x, lam, 3), False)):
         v_lo, v_hi = f(lo), f(hi)
         assert _in_unit(v_lo) and _in_unit(v_hi)
         if increasing:
@@ -460,7 +460,7 @@ BASE = {"x": 0.5, "b": 2.0, "a": 1.0, "q": 0.1, "p": 0.7, "lam": 1.3, "theta": 0
 def test_huge_rates_finite_or_typed_error(key):
     model = MODELS[key]
     for name, ident in sorted(IDENTITIES.items()):
-        names = [prm.name for prm in ident.params]
+        names = list(ident.params)
         for axis in ("q", "p", "lam"):
             if axis not in names:
                 continue
@@ -477,14 +477,14 @@ def test_huge_rates_finite_or_typed_error(key):
 
 
 ABSORBING = sorted(name for name, ident in IDENTITIES.items()
-                   if {"q", "lam"} <= {prm.name for prm in ident.params})
+                   if {"q", "lam"} <= set(ident.params))
 
 
 @pytest.mark.parametrize("key", MODELS)
 @pytest.mark.parametrize("name", ABSORBING)
 def test_rates_below_the_resolution_of_q_raise(key, name):
     # every identity that forms q + lam (and q + p) raises where q absorbs the rate
-    names = [prm.name for prm in IDENTITIES[name].params]
+    names = list(IDENTITIES[name].params)
     params = {k: BASE[k] for k in names}
     assert math.isfinite(float(evaluate_identity(name, MODELS[key], params)[0]))
     params["q"] = 1e16
@@ -500,7 +500,7 @@ def test_erlang_ruin_at_huge_rates_tends_to_ordinary_ruin(key, n):
     model, x = MODELS[key], 0.5
     ruin = model.eta / (model.c * model.alpha) * math.exp(-(model.alpha - model.eta / model.c) * x)
     for e in range(20, 301, 20):
-        assert ruin_prob_erlang_n(model, x, 10.0 ** e, n).value == pytest.approx(ruin, rel=1e-12)
+        assert ruin_prob_erlang_n(model, x, 10.0 ** e, n) == pytest.approx(ruin, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +512,14 @@ DISCOUNTS = (0.1, 0.3, 1.0, 3.0, 10.0, 20.0, 30.0, 45.0, 60.0, 80.0, 100.0, 150.
 # in lt_occupation_exp_horizon q is the rate of an exponential horizon, not a
 # discount: its value grows with q
 DISCOUNTED = sorted(name for name, ident in IDENTITIES.items()
-                    if "q" in [prm.name for prm in ident.params]
+                    if "q" in ident.params
                     and name != "lt_occupation_exp_horizon")
 
 
 @pytest.mark.parametrize("key", MODELS)
 @pytest.mark.parametrize("name", DISCOUNTED)
 def test_discounted_identities_decrease_in_q(key, name):
-    names = [prm.name for prm in IDENTITIES[name].params]
+    names = list(IDENTITIES[name].params)
     previous = math.inf
     for q in DISCOUNTS:
         params = {k: BASE[k] for k in names}

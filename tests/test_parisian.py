@@ -269,11 +269,11 @@ def test_erlang_recursion_consistency(model):
     ctx0 = scale_context(model, 0.0)
     ph = phi(model, lam)
     pruine1 = 1.0 - model.mean() * (ph / lam) * z(ctx0, x, ph)
-    assert r1.value == pytest.approx(pruine1, abs=1e-12)
+    assert r1 == pytest.approx(pruine1, abs=1e-12)
     r2 = ruin_prob_erlang_n(model, x, lam, 2)
-    assert r2.value == pytest.approx(ruin_prob_erlang2(model, x, lam), abs=1e-8)
+    assert r2 == pytest.approx(ruin_prob_erlang2(model, x, lam), abs=1e-8)
     # a longer delay leaves less ruin, at every n
-    values = [ruin_prob_erlang_n(model, x, lam, n).value for n in range(1, 9)]
+    values = [ruin_prob_erlang_n(model, x, lam, n) for n in range(1, 9)]
     assert all(a >= b for a, b in zip(values, values[1:])), values
 
 
@@ -300,7 +300,7 @@ def test_fixed_delay_examples(bm):
     # n = 1 is exactly exponential-delay Parisian ruin at rate 1/r
     r = 2.0
     res = fixed_delay_approx(bm, 0.5, r, 1)
-    assert res.value == ruin_prob_erlang_n(bm, 0.5, 1.0 / r, 1).value
+    assert res.value == ruin_prob_erlang_n(bm, 0.5, 1.0 / r, 1)
     seq = fixed_delay_approx(bm, 0.5, 1.0, 2).sequence
     assert [n for n, _ in seq] == [1, 2]
 
@@ -312,7 +312,7 @@ def test_fixed_delay_sequence_is_erlang_n_bit_for_bit(model, n, ns):
     for x, r in ((0.5, 1.0), (0.0, 0.3), (-0.4, 2.0)):
         res = fixed_delay_approx(model, x, r, n)
         assert [nk for nk, _ in res.sequence] == ns
-        assert [v for _, v in res.sequence] == [ruin_prob_erlang_n(model, x, nk / r, nk).value
+        assert [v for _, v in res.sequence] == [ruin_prob_erlang_n(model, x, nk / r, nk)
                                                 for nk in ns]
         assert res.value == res.sequence[-1][1]
 
@@ -321,14 +321,14 @@ def test_erlang_n_ruin_below_zero_at_large_rates(cl):
     # Phi / gap = 0.9998: the series of the clock points before tau_0^+ needs more
     # than 65536 terms here, and 1 - head is exact to a few ulp; a 60-digit evaluation
     # of the recursion gives 0.49730828951975532
-    assert ruin_prob_erlang_n(cl, -1e-3, 1e4, 64).value == pytest.approx(
+    assert ruin_prob_erlang_n(cl, -1e-3, 1e4, 64) == pytest.approx(
         0.49730828951975532, rel=1e-13)
     # where 1 - head is not within 1e-14 of the value the series runs, and it is
     # capped: at n = 100 its rounding could reach 6e-15 of 1 against a value of 0.497
     with pytest.raises(NumericalError, match="4096 terms"):
         ruin_prob_erlang_n(cl, -1e-3, 1e4, 100)
     # where the series converges it is still the value (0.5261354643046049 at 60 digits)
-    assert ruin_prob_erlang_n(cl, -0.5, 100.0, 64).value == pytest.approx(
+    assert ruin_prob_erlang_n(cl, -0.5, 100.0, 64) == pytest.approx(
         0.5261354643046044, rel=1e-14)
 
 

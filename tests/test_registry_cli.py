@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from levyruin import UsageError
+from levyruin import DomainError, UsageError
 from levyruin.cli import main
 from levyruin.registry import (
     IDENTITIES,
@@ -101,11 +102,63 @@ def test_coerce_params_pins():
                 _coerce_params(ident, {"x": 0.4, "lam": 1.3, "n": 2, key: bad})
     with pytest.raises(UsageError, match="^parameter n must be an integer$"):
         _coerce_params(ident, {"x": 0.4, "lam": 1.3, "n": 2.5})
-    # numpy floats and numeric strings are accepted; the result keeps Param order
+    # numpy floats and numeric strings are accepted; the result keeps signature order
     out = _coerce_params(ident, {"n": 3.0, "lam": np.float64(1.3), "x": "0.4"})
-    assert list(out) == ["x", "lam", "n"] == [p.name for p in ident.params]
+    assert list(out) == ["x", "lam", "n"] == list(ident.params)
     assert out == {"x": 0.4, "lam": 1.3, "n": 3}
     assert [type(v) for v in out.values()] == [float, float, int]
+
+
+def test_registry_reads_parameters_from_signatures():
+    for name, ident in IDENTITIES.items():
+        fn = getattr(ident.module, name.lower())
+        assert ident.params == tuple(inspect.signature(fn).parameters)[1:], name
+        assert set(ident.params) == set(SAMPLE_PARAMS[name]), name
+
+
+@pytest.mark.parametrize("name", sorted(INTERFACE_NAMES))
+def test_evaluation_looks_the_function_up_at_every_call(name, cl, monkeypatch):
+    # a rebinding of the implementing function is what the next evaluation calls
+    ident = IDENTITIES[name]
+    original, calls = getattr(ident.module, name.lower()), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ident.module, name.lower(), counting)
+    value, _ = evaluate_identity(name, cl, SAMPLE_PARAMS[name])
+    assert calls == [name]
+    assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(INTERFACE_NAMES))
+def test_library_rejects_non_finite_arguments(name, bad, bm, cl):
+    # a nan passes every comparison-based domain check, so each identity checks
+    # finiteness first; called directly, not through the registry's UsageError
+    fn = getattr(IDENTITIES[name].module, name.lower())
+    for model in (bm, cl):
+        for key in SAMPLE_PARAMS[name]:
+            with pytest.raises(DomainError):
+                fn(model, **{**SAMPLE_PARAMS[name], key: bad})
+
+
+def test_erlang_n_returns_a_float(cl):
+    from levyruin import ruin_prob_erlang_n
+
+    assert type(ruin_prob_erlang_n(cl, 0.4, 1.3, 2)) is float
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "model file is not valid JSON"),
+    ('{"kind": "brownian", "mu": 1, "sigma": -1}', "bad model file"),
+])
+def test_cli_bad_model_file_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["eval", "ruin_prob_erlang2", "--model", str(path), "--x=0", "--lam=2"]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
 
 
 def test_mc_counterpart_registry(cl):
@@ -257,7 +310,7 @@ def test_cli_sweep_csv_roundtrip(model_files, capsys, tmp_path, bm):
     from levyruin import ruin_prob_erlang_n
 
     for n, v in zip((1, 2, 3), values):
-        assert v == ruin_prob_erlang_n(bm, 0.5, 2.0, n).value
+        assert v == ruin_prob_erlang_n(bm, 0.5, 2.0, n)
 
 
 def test_cli_erlang_n_is_closed_form_at_every_n(model_files, capsys, tmp_path, cl):
@@ -275,7 +328,7 @@ def test_cli_erlang_n_is_closed_form_at_every_n(model_files, capsys, tmp_path, c
     assert [r[0] for r in rows] == ["1", "2", "4", "8"]
     from levyruin import ruin_prob_erlang_n
 
-    assert [float(r[1]) for r in rows] == [ruin_prob_erlang_n(cl, 0.5, 1.3, n).value
+    assert [float(r[1]) for r in rows] == [ruin_prob_erlang_n(cl, 0.5, 1.3, n)
                                           for n in (1, 2, 4, 8)]
     assert main(["eval", "ruin_prob_erlang_n", "--model", cl_path, "--x=0.5", "--lam=1.3",
                  "--n=8", "--reps", "10"]) == 2
