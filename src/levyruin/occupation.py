@@ -9,8 +9,8 @@ SPA 2011).  Since Phi_p/p = 1/D(Phi_p, 0) and D(u, -zeta_0)/D(u, 0) = u/(u + zet
 E_x[e^{-p O}] = atom + (1 - atom) zeta_0/(Phi_p + zeta_0) for x >= 0, so given O > 0
 the density g depends on the model alone:
 
-* Brownian, a = mu/(sqrt 2 sigma), z = a sqrt r: g(r) = (2a/sqrt r) e^{-z^2} (1/sqrt pi
-  - z erfcx z), the Laplace pair of 1/(sqrt(p + a^2) + a);
+* Brownian, a = mu/(sqrt 2 sigma), z = a sqrt r: g(r) = (2a/sqrt(pi r)) (e^{-z^2} -
+  sqrt(pi) z erfc z), the Laplace pair of 1/(sqrt(p + a^2) + a);
 * Cramer-Lundberg: g = (c zeta_0/2 eta) Hbar, the tail of the M/M/1 busy-period density
   (Kleinrock 1975, ch. 5).
 
@@ -45,6 +45,7 @@ _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
 # from 26, below which math.erfc gives R = 1/(sqrt pi erfcx z) - z to 2 z^4 eps
 _CF_FROM, _CF_DEPTH, _CF_FROM_SHORT, _CF_DEPTH_SHORT = 4.0, 30, 26.0, 6
 _TOL = 1e-9  # relative tolerance of the quadratures
+_U_MAX = 1e154  # below sqrt of the largest float
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -168,28 +169,52 @@ def _busy_period_tail(m: float, kappa: float, decay: float, r: np.ndarray) -> np
     return out
 
 
-def _positive_density(model: LevyModel, zeta0: float, lam: float) -> tuple:
-    """(g, drop): g the density of O given O > 0 from any x >= 0, a function of the
-    model alone, and drop(t) = g(t) - E[g(t + e_lam)] = int_0^inf e^{-lam v} (-g')(t + v)
-    dv, e_lam ~ Exp(lam), both on one t > 0."""
+def _positive_density(model: LevyModel, zeta0: float, k: float) -> Callable[[float], float]:
+    """k g, g the density of O given O > 0 from any x >= 0, a function of the model
+    alone, on one r > 0: the one call a density point makes."""
+    if model.kind == BROWNIAN:
+        # g(r) = (2a/sqrt(pi r)) (e^{-w^2} - sqrt(pi) w erfc w), w = a sqrt r; from w = 4 on
+        # the bracket is e^{-w^2} R/(w + R), free of cancellation
+        a = model.mu / (math.sqrt(2.0) * model.sigma)
+        k2 = 2.0 * a * k / _SQRT_PI
+
+        def g(r: float) -> float:
+            sr = math.sqrt(r)
+            w = a * sr
+            if w < _CF_FROM:
+                return k2 * (math.exp(-w * w) - _SQRT_PI * w * math.erfc(w)) / sr
+            cf = _erfc_cf(w)
+            return k2 * math.exp(-w * w) * cf / ((w + cf) * sr)
+
+        return g
+    m, kappa, decay, scale = _busy_period(model, zeta0)
+    k *= scale
+    return lambda r: k * float(_busy_period_tail(m, kappa, decay, np.array([r]))[0])
+
+
+def _busy_period(model: LevyModel, zeta0: float) -> tuple:
+    # (m, kappa, decay, scale) with g = scale Hbar on Cramer-Lundberg models
+    m = model.eta + model.c * model.alpha
+    kappa = 2.0 * math.sqrt(model.c * model.alpha * model.eta)
+    return m, kappa, _transform_decay_rate(model), model.c * zeta0 / (2.0 * model.eta)
+
+
+def _density_drop(model: LevyModel, zeta0: float, lam: float) -> Callable[[float], float]:
+    """drop(t) = g(t) - E[g(t + e_lam)] = int_0^inf e^{-lam v} (-g')(t + v) dv, e_lam ~
+    Exp(lam), on one t > 0."""
     if model.kind == BROWNIAN:
         # -g'(t) = (a/sqrt pi) t^{-3/2} e^{-a^2 t}: its smoothing is g's form with a sqrt t
         # raised to sqrt((lam + a^2) t) in the bracket
         a = model.mu / (math.sqrt(2.0) * model.sigma)
-
-        def smoothed(t: float, root: float) -> float:
-            return 2.0 * a * math.exp(-a * a * t) * _mills_gap(root * math.sqrt(t)) / math.sqrt(t)
-
         root = math.sqrt(lam + a * a)
-        return (lambda r: smoothed(r, a)), (lambda t: smoothed(t, root))
+        return lambda t: (2.0 * a * math.exp(-a * a * t) * _mills_gap(root * math.sqrt(t))
+                          / math.sqrt(t))
     # -Hbar' is the M/M/1 busy-period density (kappa/t) I_1(kappa t) e^{-m t} =
     # (kappa^2/2) PE(eta t, c alpha t), PE = models._poisson_erlang, which falls like
     # e^{-decay t} times a power of t from t = 1/m on: its smoothing runs over v = h
     # expm1(theta) up to reach = _CUT/(lam + decay), h = min(max(t, 1/m), reach),
     # logarithmic where the reach is long
-    m = model.eta + model.c * model.alpha
-    kappa = 2.0 * math.sqrt(model.c * model.alpha * model.eta)
-    decay, scale = _transform_decay_rate(model), model.c * zeta0 / (2.0 * model.eta)
+    m, kappa, decay, scale = _busy_period(model, zeta0)
     reach = _CUT / (lam + decay)
 
     def drop(t: float) -> float:
@@ -203,7 +228,13 @@ def _positive_density(model: LevyModel, zeta0: float, lam: float) -> tuple:
         return scale * 0.5 * kappa * kappa * gl_pieces(smoothed, (0.0, math.log1p(reach / h)),
                                                        _TOL)
 
-    return (lambda r: scale * float(_busy_period_tail(m, kappa, decay, np.array([r]))[0])), drop
+    return drop
+
+
+def _times(ph: float, y: np.ndarray) -> np.ndarray:
+    # ph y, and inf where that passes 1e308: where f_init takes e^{lam s - ph y} (s <= y/c,
+    # or y >= nu s) the exponent is then far below -746
+    return np.multiply(ph, y, out=np.full_like(y, np.inf), where=y < 1e308 / ph)
 
 
 def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
@@ -217,7 +248,10 @@ def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
 
         def f_init(s: np.ndarray, y: np.ndarray) -> np.ndarray:
             k = sigma * np.sqrt(2.0 * s)
-            u0, u1, u2 = (y - mu * s) / k, (y - nu * s) / k, (y + nu * s) / k
+            # y is capped where u would pass _U_MAX (at s near 0, y > 1e146 overflows u):
+            # every term below has reached its limit there, and u^2 stays finite
+            yu = np.minimum(y, _U_MAX * k)
+            u0, u1, u2 = (yu - mu * s) / k, (yu - nu * s) / k, (yu + nu * s) / k
             a = np.abs(u1)
             rest = _mills_rest(np.concatenate((a, u2)))
             r1, r2 = rest[:len(a)], rest[len(a):]
@@ -227,7 +261,7 @@ def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
             # large arguments
             ex1, ex2 = 1.0 / (_SQRT_PI * (a + r1)), 1.0 / (_SQRT_PI * (u2 + r2))
             e0 = np.exp(-u0 * u0)
-            up = (np.exp(np.minimum(lam * s - ph * y, 0.0)) * (2.0 - np.exp(-a * a) * ex1)
+            up = (np.exp(np.minimum(lam * s - _times(ph, y), 0.0)) * (2.0 - np.exp(-a * a) * ex1)
                   - e0 * ex2)
             down = _SQRT_PI * e0 * (u2 - a + (r2 - r1)) * ex1 * ex2
             return 0.5 * lam * np.where(u1 >= 0.0, up, down)
@@ -255,7 +289,7 @@ def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
     def f_init(s: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.empty_like(s)
         before = s < y / model.c  # here lam s - Phi_lam y <= (lam/c - Phi_lam) y <= 0
-        out[before] = lam * np.exp(lam * s[before] - ph * y[before])
+        out[before] = lam * np.exp(lam * s[before] - _times(ph, y[before]))
         s, y = s[~before], y[~before]
         reach = np.minimum(_CUT, lam * (_CUT + np.maximum(0.0, slope * y - decay * s))
                            / (lam + decay))
@@ -277,26 +311,30 @@ def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0
     mean, var, rate = model.mean(), _psi_second_any(model, 0.0), zeta0 + ph
     jump = model.c if model.kind != BROWNIAN else math.inf
 
-    def mixed(t: float) -> float:
-        # E f_init(t, d + U), U ~ Exp(zeta_0).  Beyond the bulk of tau_0^+ (y above t E[X_1]
-        # + 8 sd), f_init(t, y) is close to lam e^{lam t - Phi_lam y}, so the integrand
-        # falls at rate zeta_0 + Phi_lam; a Cramer-Lundberg f_init jumps at y = c t
+    def density(t: float) -> float:
+        # f_init * g = E f_init(t, d + U) - e^{-Phi_lam d} E f_init(t, U), as g is the law
+        # of tau_0^+ from -U (transform zeta_0/(Phi_p + zeta_0)), and g(t) - E f_init(t, U)
+        # = g(t) - E[g(t + e_lam)] = drop(t): every term below is >= 0.  E f_init(t, d + U)
+        # is one quadrature over U.  Beyond the bulk of tau_0^+ (y above t E[X_1] + 8 sd),
+        # f_init(t, y) is close to lam e^{lam t - Phi_lam y}, so the integrand falls at rate
+        # zeta_0 + Phi_lam; a Cramer-Lundberg f_init jumps at y = c t
         centre, width = mean * t - d, 8.0 * math.sqrt(var * t)
         hi = max(0.0, centre + width) + _CUT / rate
         cuts = sorted({0.0, hi} | {u for u in (centre - width, centre + width, jump * t - d)
                                    if 0.0 < u < hi})
+        head = []  # f_init(t, d), from one more node, u = 0, in the first call
 
         def f(u: np.ndarray) -> np.ndarray:
-            return zeta0 * np.exp(-zeta0 * u) * f_init(np.full_like(u, t), d + u)
+            first = not head
+            y = d + (np.append(u, 0.0) if first else u)
+            vals = f_init(np.full_like(y, t), y)
+            if first:
+                head.append(float(vals[-1]))
+                vals = vals[:-1]
+            return zeta0 * np.exp(-zeta0 * u) * vals
 
-        return gl_pieces(f, cuts, _TOL)
-
-    def density(t: float) -> float:
-        # f_init * g = E f_init(t, d + U) - e^{-Phi_lam d} E f_init(t, U), as g is the law
-        # of tau_0^+ from -U (transform zeta_0/(Phi_p + zeta_0)), and g(t) - E f_init(t, U)
-        # = g(t) - E[g(t + e_lam)] = drop(t): every term below is >= 0
-        head = float(f_init(np.array([t]), np.array([d]))[0])
-        return atom0 * head + q0 * (outside * drop(t) + mixed(t))
+        mixed = gl_pieces(f, cuts, _TOL)
+        return atom0 * head[0] + q0 * (outside * drop(t) + mixed)
 
     return density
 
@@ -346,14 +384,11 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     else:
         excess = model.eta * ph / (model.alpha * (model.alpha + ph))
     q0 = clamp_unit(excess * (ph / lam), "occupation atom complement")
-    g, drop = _positive_density(model, ctx0.zeta_q, lam)
     if x < 0.0:
-        value = _below_zero_density(model, -x, lam, ph, atom0, q0, ctx0.zeta_q, drop)
-    else:
-        scale = q0 * math.exp(-ctx0.zeta_q * x)  # 1 - atom = e^{-zeta_0 x} P_0(O > 0)
-
-        def value(r: float) -> float:
-            return scale * g(r)
+        value = _below_zero_density(model, -x, lam, ph, atom0, q0, ctx0.zeta_q,
+                                    _density_drop(model, ctx0.zeta_q, lam))
+    else:  # 1 - atom = e^{-zeta_0 x} P_0(O > 0)
+        value = _positive_density(model, ctx0.zeta_q, q0 * math.exp(-ctx0.zeta_q * x))
 
     def density(r: float) -> float:
         r = float(r)

@@ -87,12 +87,15 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_two_sided requires p > 0, lam > 0, q >= 0, theta >= 0")
     lam, p = represented_rate(q, lam, "gs_lt_two_sided"), represented_rate(q, p, "gs_lt_two_sided")
+    psi2 = _psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta)
+    if psi2 == math.inf:  # huge theta: X_rho < 0, so e^{theta X_rho} and the value tend to 0
+        return 0.0
     ctx = scale_context(model, q)
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
     val = _two_sided(ctx, _e_script(ctx, lam, theta), _z_tilde_sum(ctx, phi_lq, phi_pq), x, b)
-    return p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta)) * val
+    return p / psi2 * val
 
 
 def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,

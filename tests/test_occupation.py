@@ -328,11 +328,12 @@ def test_occupation_law_rejects_non_finite_inputs(model, bad):
         occupation_law(model, 0.5, bad)
 
 
-@pytest.mark.parametrize("x", [0.5, -0.5])
+@pytest.mark.parametrize("x", [0.5, -0.5, -1e300])
 @pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b", "cl_thin"])
 def test_occupation_law_extreme_inputs(name, x, bm, cl):
-    # extreme rates and times give a finite density >= 0 and an atom in [0, 1]; as
-    # lam -> 0 the density is about lam times a finite function, so it stays > 0 at r = 1
+    # extreme rates, times and starting levels give a finite density >= 0 and an atom in
+    # [0, 1], without an overflow warning; as lam -> 0 the density is about lam times a
+    # finite function, so it stays > 0 at r = 1
     model = {"bm_a": bm, "bm_b": BM_B, "cl_a": cl, "cl_b": CL_B, "cl_thin": CL_THIN}[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -400,6 +401,38 @@ def test_occupation_density_below_zero_matches_mpmath(x, lam, r):
     with mp.workdps(25):
         ref = _below_zero_mpmath_bm(BM_B, x, lam, r)
     assert occupation_law(BM_B, x, lam).density(r) == pytest.approx(float(ref), rel=1e-9)
+
+
+def test_brownian_density_below_zero_takes_start_term_from_the_quadrature(monkeypatch):
+    # the start term f_init(r, d) rides on the first quadrature call over U, so a point
+    # calls f_init once per quadrature level and never on its own
+    from levyruin import occupation
+
+    calls = {"f_init": 0, "levels": 0}
+    make_f_init, gl_pieces = occupation._initial_density, occupation.gl_pieces
+
+    def counted_f_init(*args):
+        f_init = make_f_init(*args)
+
+        def f(s, y):
+            calls["f_init"] += 1
+            return f_init(s, y)
+
+        return f
+
+    def counted_gl_pieces(f, *args, **kwargs):
+        def level(u):
+            calls["levels"] += 1
+            return f(u)
+
+        return gl_pieces(level, *args, **kwargs)
+
+    monkeypatch.setattr(occupation, "_initial_density", counted_f_init)
+    monkeypatch.setattr(occupation, "gl_pieces", counted_gl_pieces)
+    law = occupation_law(BM_B, -0.5, 1.0)
+    for r in (0.01, 1.0, 30.0):
+        law.density(r)
+    assert calls["f_init"] == calls["levels"] >= 6
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5, -2.0])

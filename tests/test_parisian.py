@@ -36,6 +36,7 @@ from levyruin import (
     w,
     z,
 )
+from fixed_delay import fixed_delay_ruin
 from printed_forms import erlang2_ruin_alternative_form
 from test_modes import MODELS
 
@@ -82,6 +83,18 @@ def test_gs_lt_two_sided_pole_errors(cl):
     ph = phi(cl, 0.5 + 1.0)
     with pytest.raises(DomainError):
         gs_lt_two_sided(cl, 0.0, 1.0, 0.5, 1.0, 1.0, ph)
+
+
+@pytest.mark.parametrize("theta", [1e155, 1e300])
+@pytest.mark.parametrize("name", ["bm_a", "bm_b"])
+def test_gs_lt_two_sided_at_huge_theta_is_its_limit(name, theta):
+    # psi(theta) overflows on Brownian models from theta of about 1e155; X_rho < 0, so
+    # the value tends to 0, which theta = 1e154 already gives
+    model = MODELS[name]
+    for x in (0.5, 0.0, -0.5):
+        assert gs_lt_two_sided(model, x, 1.0, 0.5, 1.0, 1.0, 1e154) == 0.0
+        assert gs_lt_two_sided(model, x, 1.0, 0.5, 1.0, 1.0, theta) == 0.0
+        assert gs_lt_two_sided_e2(model, x, 1.0, 0.5, 1.0, theta) == 0.0
 
 
 def test_gs_lt_infinite_q_to_zero_matches_ruin_probability(model):
@@ -315,6 +328,26 @@ def test_fixed_delay_sequence_is_erlang_n_bit_for_bit(model, n, ns):
         assert [v for _, v in res.sequence] == [ruin_prob_erlang_n(model, x, nk / r, nk)
                                                 for nk in ns]
         assert res.value == res.sequence[-1][1]
+
+
+@pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b"])
+def test_fixed_delay_sequence_converges_to_exact_law_at_rate_one_over_n(name):
+    # the Erlang(n, n/r) delays tend to the fixed delay r from above, with an error
+    # about C/n: each doubling of n halves it
+    model = MODELS[name]
+    exact = fixed_delay_ruin(model, 0.5, 1.0)
+    errs = [v - exact for _, v in fixed_delay_approx(model, 0.5, 1.0, 64).sequence]
+    assert all(e > 0.0 for e in errs)
+    ratios = [e / e_next for e, e_next in zip(errs, errs[1:])]
+    assert [abs(q - 2.0) for q in ratios[3:]] == sorted((abs(q - 2.0) for q in ratios[3:]),
+                                                        reverse=True)
+    assert ratios[-1] == pytest.approx(2.0, abs=0.02)
+
+
+def test_fixed_delay_oracle_values(bm, cl):
+    # 30-digit quadrature of the exact law at x = 0.5, r = 1
+    assert fixed_delay_ruin(cl, 0.5, 1.0) == pytest.approx(0.128039742, abs=1e-9)
+    assert fixed_delay_ruin(bm, 0.5, 1.0) == pytest.approx(0.100937283, abs=1e-9)
 
 
 def test_erlang_n_ruin_below_zero_at_large_rates(cl):
