@@ -165,11 +165,15 @@ def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, 
     """Fixed-delay Parisian ruin on an Euler grid (the only grid-based Brownian
     functional; the driver reports the grid-halving gap in the bias bound).
 
-    The walk takes one stream read at a time: the positions X, the times t and
-    the length of the current negative run over a read are sequential
-    accumulations, so every value is the one a step-by-step loop would compute.
-    It stops at the first escape or the first run of J negative steps, the
-    delay clock's crossing of r (``_DelayClock``)."""
+    The walk takes one stream read at a time, the rest of a 512-value block
+    (``Stream.normals``).  The positions X over a read are one sequential
+    accumulation, so every value is the one a step-by-step loop would compute.
+    A read with no negative step needs only its maximum, against the escape
+    level; a read with one also counts the current negative run at each step.
+    The walk stops at the first escape or the first run of J negative steps, the
+    delay clock's crossing of r (``_DelayClock``).  It counts steps, and forms
+    the time only at a ruin, as the loop's step-by-step sum from 0.  Every
+    array it holds has at most ``_BUF + 1`` values, however long the path."""
     mu, sig = model.mu, model.sigma
     pl = plan(model, fn, config)
     value, x0, besc = pl.payoff, pl.x0, pl.besc
@@ -178,39 +182,55 @@ def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, 
     scale = sig * math.sqrt(step)
     clock = _DelayClock(step, pl.delay)
     idx = np.arange(1, _BUF + 1)
+    w = np.empty(_BUF + 1)  # X, then its increments, accumulated in place
+    tw = np.empty(_BUF + 1)  # the time sum, a chunk at a time
+
+    def time_at(m):
+        # 0 + step + ... + step, m terms, summed in order as the loop does
+        t = 0.0
+        while m:
+            c = min(m, _BUF)
+            tw[0] = t
+            tw[1:c + 1] = step
+            np.add.accumulate(tw[:c + 1], out=tw[:c + 1])
+            t = float(tw[c])
+            m -= c
+        return t
 
     def sim(stream):
         X = x0
-        t = 0.0
+        n = 0  # steps taken before this read
         neg = 0  # steps in the current negative run; delay clocks start at entry
         while True:
             z = stream.normals()
             k = z.size
-            # row 0: X then its increments; row 1: t then the steps
-            w = np.empty((2, k + 1))
-            w[0, 0] = X
-            np.multiply(z, scale, out=w[0, 1:])
-            np.add(w[0, 1:], drift, out=w[0, 1:])
-            w[1, 0] = t
-            w[1, 1:] = step
-            np.add.accumulate(w, axis=1, out=w)
-            xs = w[0, 1:]
-            # the negative run at each step counts back to the last X >= 0 (or
-            # into the previous read)
-            last = np.where(xs >= 0.0, idx[:k], -neg)
-            np.maximum.accumulate(last, out=last)
-            runs = idx[:k] - last
-            stop = xs >= besc  # besc > 0, so an escape is never a negative step
-            J = clock.reach(neg + k)  # no run in this read is longer
-            if J is not None:
-                stop |= runs >= J
-            i = int(stop.argmax())
-            if stop[i]:
-                if xs[i] >= 0.0:
+            path = w[:k + 1]
+            xs = path[1:]
+            path[0] = X
+            np.multiply(z, scale, out=xs)
+            np.add(xs, drift, out=xs)
+            np.add.accumulate(path, out=path)
+            if xs.min() >= 0.0:  # no negative step: only an escape can stop the walk
+                if xs.max() >= besc:
                     return value(EV_NONE, 0.0, 0.0, 0.0), 1
-                return value(EV_RUIN, float(w[1, i + 1]), 0.0, 0.0), 0
+                neg = 0
+            else:
+                # the negative run at each step counts back to the last X >= 0 (or
+                # into the previous read)
+                last = np.where(xs >= 0.0, idx[:k], -neg)
+                np.maximum.accumulate(last, out=last)
+                runs = idx[:k] - last
+                stop = xs >= besc  # besc > 0, so an escape is never a negative step
+                J = clock.reach(neg + k)  # no run in this read is longer
+                if J is not None:
+                    stop |= runs >= J
+                i = int(stop.argmax())
+                if stop[i]:
+                    if xs[i] >= 0.0:
+                        return value(EV_NONE, 0.0, 0.0, 0.0), 1
+                    return value(EV_RUIN, time_at(n + i + 1), 0.0, 0.0), 0
+                neg = int(runs[-1])
             X = float(xs[-1])
-            t = float(w[1, -1])
-            neg = int(runs[-1])
+            n += k
 
     return sim

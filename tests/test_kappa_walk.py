@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from levyruin.mc import EscapeLevel, McConfig, PathFunctional, Stream, estimate
+from levyruin.mc import (EscapeLevel, McConfig, PathFunctional, Stream, default_escape_level,
+                         estimate)
 from levyruin.mc import driver
 from levyruin.mc.brownian import _DelayClock, make_kappa_grid_sim
 
@@ -71,8 +72,9 @@ def _both(model, fn, config, dt, reps, seed, antithetic=False, runs=None):
     return out
 
 
-# normal-stream indices where a read ends (32, 64, 128, 256 values, then the
-# rest of the first block) and where a later block starts
+# normal-stream indices where a read of normal() ends (32, 64, 128, 256 values,
+# then the rest of the first block) and where a later block starts, which is
+# where each read of the walk ends
 _READ_ENDS = (32, 96, 224, 480)
 _BLOCK_STARTS = tuple(512 * j for j in range(1, 8))
 
@@ -175,3 +177,14 @@ def test_odd_antithetic_companion_rounds_up(bm, monkeypatch):
     est = estimate(bm, cfg, PathFunctional("kappa_fixed", {"r": 1.0}, x0=0.5))
     assert seen == [(8012, True, None), (2004, True, 0.25)]
     assert np.isfinite(est.truncation_bound) and est.replications == 8012
+
+
+@pytest.mark.filterwarnings("ignore:truncation bound")
+def test_kappa_fixed_bm_validate_campaign_is_pinned(bm):
+    # validate's bm_a fixed_delay_approx campaign: the walk's draws and their
+    # order, and with them every bit of the estimate, stay as they are
+    cfg = McConfig(replications=256, seed=20240120, grid_dt=0.01,
+                   horizon=EscapeLevel(default_escape_level(bm, 1e-6)))
+    est = estimate(bm, cfg, PathFunctional("kappa_fixed", {"r": 1.0}, x0=0.5))
+    assert (est.value.hex(), est.std_error.hex(), est.truncation_bound.hex()) == (
+        "0x1.e000000000000p-4", "0x1.4a02195d7b20ap-6", "0x1.acc814653f864p-5")

@@ -24,12 +24,15 @@ from levyruin.mc import (
     Stream,
     build_simulator,
     classical_ruin_bound,
+    default_escape_level,
     estimate,
     excursion_occupation,
     sample,
 )
 from levyruin.mc import driver
 from levyruin.registry import IDENTITIES, validatable_names
+
+from fixed_delay import fixed_delay_ruin
 
 CL_CFG = McConfig(replications=60_000, seed=424242, horizon=EscapeLevel(13.0))
 BM_CFG = McConfig(replications=60_000, seed=424242, horizon=EscapeLevel(26.0))
@@ -506,6 +509,29 @@ def test_kappa_fixed_cl_between_neighbours(cl):
     lo = ruin_prob_erlang_n(cl, 0.5, 1.0, 1)  # Exp(1/r) delay: more ruin than fixed r
     assert est.value < lo
     assert est.value > 0.0
+
+
+def _exact_law_campaign(model, reps, **kw):
+    # kappa_fixed at x = 0.5, r = 1 against the exact fixed-delay law, with the
+    # escape level of a 1e-6 truncation bound
+    cfg = McConfig(replications=reps, seed=20240120,
+                   horizon=EscapeLevel(default_escape_level(model, 1e-6)), **kw)
+    est = estimate(model, cfg, PathFunctional("kappa_fixed", {"r": 1.0}, x0=0.5))
+    return est, fixed_delay_ruin(model, 0.5, 1.0)
+
+
+def test_kappa_fixed_cl_matches_exact_law(cl):
+    # the event-driven Cramer-Lundberg clock is exact in law: only noise is left
+    est, exact = _exact_law_campaign(cl, 100_000)
+    assert_within(est, exact)
+
+
+@pytest.mark.filterwarnings("ignore:truncation bound")
+def test_kappa_fixed_bm_walk_bound_covers_exact_law(bm):
+    # at validate's grid step the grid-halving gap in the bound covers the Euler
+    # walk's bias against the exact law
+    est, exact = _exact_law_campaign(bm, 16_384, grid_dt=0.01)
+    assert_within(est, exact)
 
 
 def test_erlang_recursion_n4_against_rho_erlang(cl):

@@ -89,10 +89,15 @@ def test_gs_lt_two_sided_pole_errors(cl):
 @pytest.mark.parametrize("name", ["bm_a", "bm_b"])
 def test_gs_lt_two_sided_at_huge_theta_is_its_limit(name, theta):
     # psi(theta) overflows on Brownian models from theta of about 1e155; X_rho < 0, so
-    # the value tends to 0, which theta = 1e154 already gives
+    # the value tends to 0 there.  Below it the value falls as 1/theta^2, and keeps
+    # its digits where psi_{q+lam}(theta) psi_{q+p}(theta) alone overflows (from
+    # theta of about 1e77) down to theta = 1e154, where it is about 1e-309
     model = MODELS[name]
     for x in (0.5, 0.0, -0.5):
-        assert gs_lt_two_sided(model, x, 1.0, 0.5, 1.0, 1.0, 1e154) == 0.0
+        ref = 1e70 ** 2 * gs_lt_two_sided(model, x, 1.0, 0.5, 1.0, 1.0, 1e70)
+        for th in (1e77, 1e100, 1e153, 1e154):
+            got = th * th * gs_lt_two_sided(model, x, 1.0, 0.5, 1.0, 1.0, th)
+            assert got == pytest.approx(ref, rel=1e-9), (x, th)
         assert gs_lt_two_sided(model, x, 1.0, 0.5, 1.0, 1.0, theta) == 0.0
         assert gs_lt_two_sided_e2(model, x, 1.0, 0.5, 1.0, theta) == 0.0
 

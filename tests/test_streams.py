@@ -137,8 +137,9 @@ def test_stream_build_loads_ndtri():
 
 
 def test_normals_hands_out_the_rest_of_a_read():
-    # normals() returns the unread part of the current read and counts it as
-    # drawn; interleaved with normal() and uniform() the values keep the layout
+    # normals() returns every unread normal up to the end of the current block
+    # and counts it as drawn; interleaved with normal() and uniform() the values
+    # keep the layout
     rng = random.Random(4)
     for seed, index, anti in ((7, 3, False), (8, 1, True)):
         stream = Stream(seed, index, anti)
@@ -150,6 +151,7 @@ def test_normals_hands_out_the_rest_of_a_read():
                 assert arr.dtype == np.float64 and 0 < arr.size <= 512
                 got += arr.tolist()
                 kinds += ["n"] * arr.size
+                assert kinds.count("n") % 512 == 0  # the read ends at a block's end
             else:
                 got.append(stream.uniform() if pick == "u" else stream.normal())
                 kinds.append(pick)
