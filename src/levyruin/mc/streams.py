@@ -26,10 +26,10 @@ of ``uniform()`` and ``normal()`` grow geometrically, ``_CHUNK``, 2 ``_CHUNK``,
 ... up to the end of the current block, so a replication that needs five
 uniforms reads 32 values, and one that needs thousands of normals reads whole
 blocks.  Those reads are kept as Python floats, so the simulators' scalar
-arithmetic stays unboxed.  ``normals()`` hands out, as an array, every unread
-normal up to the end of the current block: for a simulator that walks a whole
-read at once, one read per block.  The values are the block's values in order
-whatever the read sizes.
+arithmetic stays unboxed.  ``normals()`` hands out the rest of the current
+normal read as an array instead, and a read it starts runs to the end of its
+block: a simulator that walks a whole read at once makes one read per block.
+The values are the block's values in order whatever the read sizes.
 
 Reuse.  ``reset(seed, index, antithetic)`` re-keys the same stream for the next
 replication by rewriting the key and counter words of kept state dicts; it
@@ -153,17 +153,18 @@ class Stream:
         return self._n[i]
 
     def normals(self) -> np.ndarray:
-        """The unread normals up to the end of the current block (of the next
-        block if it is used up; at most ``_BUF`` values), all counted as drawn:
-        the next ``normal()`` starts the next block."""
-        feed = self._nf
-        feed.size = _BUF  # a read runs to the end of its block
+        """The unread normals of the current read (after a new read if it is used
+        up; at most ``_BUF`` values), all counted as drawn: the next ``normal()``
+        starts the next read.  A read that ``normals()`` starts runs to the end of
+        its block, so a caller that draws only through ``normals()`` reads whole
+        blocks."""
         i = self._ni
         if i == self._nn:
-            self._na, i = self._fill(feed), 0
-        elif feed.pos < _BUF:  # the current read stops short of the block's end
-            self._na, i = np.concatenate((self._na[i:], self._fill(feed))), 0
-        self._ni = self._nn = self._na.size
+            self._nf.size = _BUF
+            self._na = self._fill(self._nf)
+            self._nn = len(self._na)
+            i = 0
+        self._ni = self._nn
         return self._na[i:]
 
     def inverse_gaussian(self, mean: float, shape: float) -> float:

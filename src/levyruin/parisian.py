@@ -87,20 +87,19 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_two_sided requires p > 0, lam > 0, q >= 0, theta >= 0")
     lam, p = represented_rate(q, lam, "gs_lt_two_sided"), represented_rate(q, p, "gs_lt_two_sided")
-    psi_l, psi_p = _psi_q(model, q + lam, theta), _psi_q(model, q + p, theta)
-    if max(psi_l, psi_p) == math.inf:  # huge theta: X_rho < 0, so the value tends to 0
+    psi_l = _psi_q(model, q + lam, theta)
+    if psi_l == math.inf:  # huge theta: X_rho < 0, so the value tends to 0
         return 0.0
     ctx = scale_context(model, q)
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
-    f = _z_tilde_sum(ctx, phi_lq, phi_pq)
-    psi2 = psi_l * psi_p
-    if psi2 == math.inf:  # each factor finite: divide E by psi_{q+lam} before the product
-        e = _lin(lam / psi_l, _z_sum(ctx, theta), -_psi_q(model, q, theta) / psi_l,
-                 _z_sum(ctx, phi_lq))
-        return p / psi_p * _two_sided(ctx, e, f, x, b)
-    return p / psi2 * _two_sided(ctx, _e_script(ctx, lam, theta), f, x, b)
+    # E / psi_{q+lam} before the factor p / psi_{q+p}: the product of the two psi
+    # overflows from theta of about 1e77 on Brownian models while each is finite
+    e = _lin(lam / psi_l, _z_sum(ctx, theta), -_psi_q(model, q, theta) / psi_l,
+             _z_sum(ctx, phi_lq))
+    return (p / _psi_q(model, q + p, theta)
+            * _two_sided(ctx, e, _z_tilde_sum(ctx, phi_lq, phi_pq), x, b))
 
 
 def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,

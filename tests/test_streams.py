@@ -137,13 +137,14 @@ def test_stream_build_loads_ndtri():
 
 
 def test_normals_hands_out_the_rest_of_a_read():
-    # normals() returns every unread normal up to the end of the current block
-    # and counts it as drawn; interleaved with normal() and uniform() the values
-    # keep the layout
+    # normals() returns the unread part of the current read and counts it as
+    # drawn; a read it starts runs to the end of its block.  Interleaved with
+    # normal() and uniform() the values keep the layout
     rng = random.Random(4)
     for seed, index, anti in ((7, 3, False), (8, 1, True)):
         stream = Stream(seed, index, anti)
         got, kinds = [], []
+        starts_read = True  # no normal() since the last normals()
         while len(got) < 3000:
             pick = rng.choice(("u", "n", "many"))
             if pick == "many":
@@ -151,11 +152,16 @@ def test_normals_hands_out_the_rest_of_a_read():
                 assert arr.dtype == np.float64 and 0 < arr.size <= 512
                 got += arr.tolist()
                 kinds += ["n"] * arr.size
-                assert kinds.count("n") % 512 == 0  # the read ends at a block's end
+                if starts_read:
+                    assert kinds.count("n") % 512 == 0  # the read ends at a block's end
+                starts_read = True
             else:
+                starts_read = starts_read and pick == "u"
                 got.append(stream.uniform() if pick == "u" else stream.normal())
                 kinds.append(pick)
         assert got == _reference(seed, index, anti, kinds)
+        stream.reset(seed, index, anti)  # normals() alone: one read per block
+        assert [stream.normals().size for _ in range(3)] == [512] * 3
 
 
 def test_pinned_estimates_and_sample(bm, cl):
