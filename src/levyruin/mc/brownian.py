@@ -26,18 +26,21 @@ inverse-Gaussian first passage to 0 from the trigger's position.  Constructions:
   n - 1 Exp(lam) -- are a budget drawn after the recovery and raced against it:
   ruin comes at trigger + budget when the budget runs out first.  With n = 1
   there is no budget and the clock construction is T0_minus.
+
+numpy, which only the kappa_fixed walk uses, is taken lazily (``util.lazy_module``).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..models import LevyModel
+from ..util import lazy_module
 from .config import McConfig
 from .functionals import EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, plan
 from .streams import _BUF
+
+np = lazy_module("numpy")
 
 
 def _crossed_above(stream, x1, x2, gap, level, sig2) -> bool:

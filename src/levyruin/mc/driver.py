@@ -4,24 +4,35 @@ Replications are grouped into fixed-size blocks; each replication's stream is
 keyed by (seed, replication index) only, and block partial sums are reduced in
 block order, so results are bitwise identical for any worker count.  A block
 runner makes one stream and re-keys it for every replication.
+
+Imports.  numpy is taken lazily (``util.lazy_module``), and the process pool's
+module, with multiprocessing, is imported by the first campaign that runs on
+more than one process: importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from ..models import BROWNIAN, LevyModel
+from ..util import lazy_module
 from . import brownian, cramer_lundberg
 from .config import EscapeLevel, McConfig, McEstimate, classical_ruin_bound
 from .functionals import PathFunctional, loop_of
 from .streams import Stream
 
+np = lazy_module("numpy")
+
 _BLOCK = 4096
 _GRID_SALT = 0x9E3779B97F4A7C15  # seed offset for the grid-halving companion run
+
+
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - tests put an inline pool here
+    """A ``concurrent.futures.ProcessPoolExecutor``, whose module is imported here."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def build_simulator(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):

@@ -14,11 +14,12 @@ a multiple of 2^-53 in [0, 1 - 2^-53], and 1 - 1e-16 == 1 - 2^-53, so only one
 bound can bind: 1e-16 at a plain u = 0, 1 - 1e-16 at a flipped 1 - 0.  Raising
 u to 1e-16 before the flip applies both with one operation.
 
-scipy.  ``scipy.special.ndtri`` is bound when a normal buffer is built, in
+numpy and scipy.  numpy is taken lazily (``util.lazy_module``), and
+``scipy.special.ndtri`` is bound when a normal buffer is built, in
 ``_Feed.__init__``, not at module import, so importing this module (and with it
-``levyruin.mc``, ``registry`` and the CLI) loads no scipy and the closed-form
-path never pays for it.  Building a ``Stream`` loads it before the first draw;
-the fills call the bound function and import nothing.
+``levyruin.mc``, ``registry`` and the CLI) loads neither, and the closed-form
+path never pays for them.  Building a ``Stream`` loads both before the first
+draw; the fills call the bound function and import nothing.
 
 Reads.  Each buffer keeps its own Philox bit generator, positioned at a
 block's first counter when the block is taken.  Within a replication the reads
@@ -41,7 +42,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from ..util import lazy_module
+
+np = lazy_module("numpy")
 
 _BUF = 512  # doubles per stream block
 _CHUNK = 32  # doubles in a buffer's first read of a replication

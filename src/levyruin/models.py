@@ -10,17 +10,22 @@ Two parametric families are supported:
 The module provides the Laplace exponent ``psi``, its derivative, the right-inverse
 ``phi`` (the positive root of psi(th)=q) and the transition law of X_r started at 0.
 psi(th) = q clears to a quadratic, so both of its roots are cancellation-free closed forms.
+Everything here but the transition law is ``math`` alone; numpy is taken lazily
+(``util.lazy_module``), and the Bessel coefficients are tuples built with ``math``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import DomainError
+from .util import lazy_module
+
+np = lazy_module("numpy")
 
 BROWNIAN = "brownian"
 CRAMER_LUNDBERG = "cramer_lundberg"
@@ -155,9 +160,11 @@ def _psi_second_any(model: LevyModel, theta: float, t: Optional[float] = None) -
 
 
 def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0,
-                ta: Optional[float] = None, t2: Optional[float] = None) -> tuple:
+                ta: Optional[float] = None, t2: Optional[float] = None,
+                a2: Optional[float] = None) -> tuple:
     # the divided differences D(a, b) = (psi(a) - psi(b)) / (a - b) at b = b1 and b2 in
-    # closed form (psi'(a) at a = b), or with k = 1 their derivatives in a.  On
+    # closed form (psi'(a) at a = b), or with k = 1 their derivatives in a, or with k = 1
+    # and a2 their divided differences (D(a, b) - D(a2, b)) / (a - a2) in a.  On
     # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha), with ta = a + alpha and
     # t2 = b2 + alpha as in _psi_second_any; t2 = 0 (residue 0 at the pole) gets 0
     if model.kind == BROWNIAN:
@@ -168,7 +175,7 @@ def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0,
     ta = a + model.alpha if ta is None else ta
     ck, g = model.c, model.alpha * model.eta / ta
     if k:
-        ck, g = 0.0, -g / ta
+        ck, g = 0.0, -g / (ta if a2 is None else a2 + model.alpha)
     t2 = b2 + model.alpha if t2 is None else t2
     return ck - g / (b1 + model.alpha), ck - g / t2 if t2 else 0.0
 
@@ -215,10 +222,11 @@ def phi(model: LevyModel, q: float) -> float:
 
 # 2 e^{-z} I_1(z)/z is e^{-z} times a power series in z^2/4 below z = 17, and
 # sqrt(2/(pi z))/z times Hankel's expansion in 1/z above (error below e^{-2z});
-# coefficients from the highest power down
-_I1_SERIES = 1.0 / np.array([float(math.factorial(k) * math.factorial(k + 1))
-                             for k in range(59, -1, -1)])
-_I1_HANKEL = np.cumprod([1.0] + [((2 * k - 1) ** 2 - 4.0) / (8.0 * k) for k in range(1, 26)])[::-1]
+# coefficients from the highest power down, built with math (no numpy at import)
+_I1_SERIES = tuple(1.0 / float(math.factorial(k) * math.factorial(k + 1))
+                   for k in range(59, -1, -1))
+_I1_HANKEL = tuple(accumulate((((2 * k - 1) ** 2 - 4.0) / (8.0 * k) for k in range(1, 26)),
+                              mul, initial=1.0))[::-1]
 
 
 def _poisson_erlang(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,21 +23,26 @@ Exp(zeta_0), so the convolution is a mixture of f_init over the start -(|x| + U)
 e^{-Phi_lam |x|} times the smoothing of g over e_lam; the density is evaluated as a sum
 of nonnegative terms, with one quadrature over U (and, on Cramer-Lundberg models, one
 inside f_init).
+
+The transforms and the Brownian density from x >= 0 are ``math`` alone; the other
+densities load numpy, which is taken lazily (``util.lazy_module``), at their first
+point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError
 from .models import BROWNIAN, LevyModel, _poisson_erlang, _psi_second_any, phi
 from .quadrature import gl_batch, gl_pieces
 from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
-from .util import clamp_unit, represented_rate, require_finite
+from .util import clamp_unit, lazy_module, represented_rate, require_finite
+
+np = lazy_module("numpy")
 
 _SQRT_PI, _HALF_LOG_2PI = math.sqrt(math.pi), 0.5 * math.log(2.0 * math.pi)
 _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
@@ -46,7 +51,12 @@ _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
 _CF_FROM, _CF_DEPTH, _CF_FROM_SHORT, _CF_DEPTH_SHORT = 4.0, 30, 26.0, 6
 _TOL = 1e-9  # relative tolerance of the quadratures
 _U_MAX = 1e154  # below sqrt of the largest float
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+@cache
+def _erfc_ufunc():
+    # math.erfc elementwise, built at its first use: no numpy work at import
+    return np.frompyfunc(math.erfc, 1, 1)
 
 
 def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -107,7 +117,7 @@ def _mills_rest(z: np.ndarray) -> np.ndarray:
     # R(z) = 1/(sqrt pi erfcx z) - z for z >= 0, elementwise: by math.erfc below z = 26,
     # by the short continued fraction from there on
     near = np.minimum(z, _CF_FROM_SHORT)
-    out = np.exp(-near * near) / (_SQRT_PI * _ERFC(near).astype(float)) - near
+    out = np.exp(-near * near) / (_SQRT_PI * _erfc_ufunc()(near).astype(float)) - near
     far = z >= _CF_FROM_SHORT
     if far.any():
         out[far] = _erfc_cf(z[far], _CF_DEPTH_SHORT)

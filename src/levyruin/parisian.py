@@ -23,6 +23,8 @@ from .models import (LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second
                      _psi_slopes, phi)
 from .occupation import _occupation_inf, joint_lt_upcross
 from .scale import (
+    _across,
+    _at,
     _decay,
     _lin,
     _neg,
@@ -59,10 +61,14 @@ def _check_pole(theta: float, pole: float, label: str) -> None:
         )
 
 
-def _e_script(ctx, lam: float, theta: float) -> tuple:
-    # E^{(q,lam)}(., theta) = lam Z_q(., theta) - psi_q(theta) Z_q(., Phi_{lam+q})
-    return _lin(lam, _z_sum(ctx, theta), -_psi_q(ctx.model, ctx.q, theta),
-                _z_sum(ctx, phi(ctx.model, ctx.q + lam)))
+def _e_scaled(ctx, lam: float, theta: float, phi_lq: float) -> tuple:
+    # E^{(q,lam)}(., theta) / psi_{q+lam}(theta), E = lam Z_q(., theta) - psi_q(theta)
+    # Z_q(., Phi_{q+lam}).  As psi_q(Phi_{q+lam}) = lam, E = lam (Z_q(., theta) - Z_q(.,
+    # Phi_{q+lam})) - psi_{q+lam}(theta) Z_q(., Phi_{q+lam}), and psi_{q+lam}(theta) =
+    # (theta - Phi_{q+lam}) D(theta, Phi_{q+lam}): a divided difference of Z_q in theta,
+    # which keeps its digits next to theta = Phi_{q+lam}, where E and psi_{q+lam} vanish
+    slope = _psi_slopes(ctx.model, theta, phi_lq, phi_lq)[0]
+    return _lin(lam / slope, _z_sum(ctx, theta, 1, theta2=phi_lq), -1.0, _z_sum(ctx, phi_lq))
 
 
 def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float:
@@ -80,26 +86,38 @@ def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float
 
 def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
                     lam: float, theta: float) -> float:
-    """E_x[ e^{-q rho + theta X_rho} ; rho < tau_b^+ ] for the Exp(p)+Exp(lam) delay."""
+    """E_x[ e^{-q rho + theta X_rho} ; rho < tau_b^+ ] for the Exp(p)+Exp(lam) delay.
+
+    (p / psi_{q+p}(theta)) times the two-sided combination of E / psi_{q+lam}(theta)
+    against Z~_q(., Phi_{q+lam}, Phi_{q+p}).  On x >= 0, p / psi_{q+p}(theta) times the
+    determinant of the modes is the product p lam psi[theta, Phi_{q+lam}, Phi_{q+p}] /
+    ((Phi_q + zeta_q) D(theta, Phi_{q+lam}) D(theta, Phi_{q+p})), psi[., ., .] the
+    second divided difference of psi: nothing cancels next to theta = Phi_{q+lam} or
+    Phi_{q+p}, where E and both psi vanish.  On x < 0, E / psi_{q+lam}(theta) is a
+    divided difference of Z_q in theta.
+    """
     require_finite("gs_lt_two_sided", "x b q p lam theta", x, b, q, p, lam, theta)
     if x > b:
         raise DomainError("gs_lt_two_sided requires x <= b")
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_two_sided requires p > 0, lam > 0, q >= 0, theta >= 0")
     lam, p = represented_rate(q, lam, "gs_lt_two_sided"), represented_rate(q, p, "gs_lt_two_sided")
-    psi_l = _psi_q(model, q + lam, theta)
-    if psi_l == math.inf:  # huge theta: X_rho < 0, so the value tends to 0
+    psi_p = _psi_q(model, q + p, theta)
+    if psi_p == math.inf:  # huge theta: X_rho < 0, so the value tends to 0
         return 0.0
     ctx = scale_context(model, q)
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     _check_pole(theta, phi_lq, "Phi_{q+lam}")
     _check_pole(theta, phi_pq, "Phi_{q+p}")
-    # E / psi_{q+lam} before the factor p / psi_{q+p}: the product of the two psi
-    # overflows from theta of about 1e77 on Brownian models while each is finite
-    e = _lin(lam / psi_l, _z_sum(ctx, theta), -_psi_q(model, q, theta) / psi_l,
-             _z_sum(ctx, phi_lq))
-    return (p / _psi_q(model, q + p, theta)
-            * _two_sided(ctx, e, _z_tilde_sum(ctx, phi_lq, phi_pq), x, b))
+    f = _z_tilde_sum(ctx, phi_lq, phi_pq)
+    if x < 0.0:
+        return p / psi_p * _two_sided(ctx, _e_scaled(ctx, lam, theta, phi_lq), f, x, b)
+    slope_l, slope_p = _psi_slopes(model, theta, phi_lq, phi_pq)
+    curv = _psi_slopes(model, theta, phi_pq, phi_pq, 1, a2=phi_lq)[0]
+    # the rate factors last, one at a time: slope_l slope_p overflows from theta of
+    # about 1e154, and p lam from rates of 1e154
+    det = curv / ((ctx.phi_q + ctx.zeta_q) * _at(ctx, f, b, b))
+    return _across(ctx, det, x, b) * (p / slope_p) * (lam / slope_l)
 
 
 def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
@@ -125,10 +143,11 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     (slope_q, slope_l), (slope_p, _) = (_psi_slopes(model, theta, phi_q, phi_lq),
                                          _psi_slopes(model, theta, phi_pq, phi_pq))
     if x < 0.0:
-        coeff = slope_q * (phi_lq - theta) * (phi_pq - phi_q) / p
-        pref = p / (_psi_q(model, q + lam, theta) * _psi_q(model, q + p, theta))
-        return pref * (_neg(_e_script(ctx, lam, theta), x)
-                       - coeff * z_tilde(ctx, x, phi_lq, phi_pq))
+        # psi_{q+lam}(theta) = (theta - Phi_{q+lam}) slope_l divides both terms
+        coeff = slope_q * (phi_pq - phi_q) / (p * slope_l)
+        return (p / _psi_q(model, q + p, theta)
+                * (_neg(_e_scaled(ctx, lam, theta, phi_lq), x)
+                   + coeff * z_tilde(ctx, x, phi_lq, phi_pq)))
     # the decaying mode, root r = -zeta_q and residue B: D(th, r) = psi_q(th)/(th - r)
     # turns E and z_tilde into products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
     _, (r, res, _) = _roots(ctx)
@@ -478,7 +497,8 @@ def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> float:
 @dataclass(frozen=True)
 class FixedDelayResult:
     """Erlang(n, n/r) approximation of fixed-delay Parisian ruin, with the
-    convergence sequence over n in {1, 2, 4, 8, ...} up to the requested n."""
+    convergence sequence over n in {1, 2, 4, 8, ...} up to the requested n;
+    :func:`fixed_delay_approx` says where its limit is not the fixed-delay law."""
 
     value: float
     sequence: tuple  # ((n_k, value_k), ...)
@@ -488,7 +508,16 @@ class FixedDelayResult:
 
 
 def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDelayResult:
-    """Approximate fixed-delay (kappa_r) Parisian ruin by Erlang(n, n/r) delays."""
+    """Approximate fixed-delay (kappa_r) Parisian ruin by Erlang(n, n/r) delays.
+
+    The sequence tends to the fixed-delay ruin probability from x >= 0 and from most
+    x < 0, at rate 1/n.  It does not on Cramer-Lundberg models from x = -c r: the
+    first excursion there lasts at least r, with an atom e^{-eta r} at exactly r.  A
+    fixed delay r never ruins an excursion of length exactly r, while the Erlang(n,
+    n/r) clock runs out before it about half the time as n grows.  On cl_a (c = eta
+    = 1, alpha = 2) from x = -0.5 with r = 0.5 the sequence tends to about 0.789
+    (0.78906 at n = 64); the fixed-delay value is 0.582426.
+    """
     require_finite("fixed_delay_approx", "x r", x, r)
     if r <= 0.0:
         raise DomainError("fixed_delay_approx requires r > 0")

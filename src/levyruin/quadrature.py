@@ -1,10 +1,14 @@
-"""Small Gauss-Legendre quadrature helpers for vectorized integrands."""
+"""Small Gauss-Legendre quadrature helpers for vectorized integrands.
+
+numpy is taken lazily (``util.lazy_module``); the node cache fills at first use.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import NumericalError
+from .util import lazy_module
+
+np = lazy_module("numpy")
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -166,8 +166,15 @@ def _two_sided(ctx: ScaleContext, g: tuple, f: tuple, x: float, b: float) -> flo
     fb = _at(ctx, f, b, s)
     if x < 0.0:
         return _neg(g, x) - _neg(f, x) * _at(ctx, g, b, s) / fb
+    return _across(ctx, g[1] * (f[0] / fb) - (f[1] / fb) * g[0], x, b)
+
+
+def _across(ctx: ScaleContext, det: float, x: float, b: float) -> float:
+    """det e^{-zeta_q x} (1 - e^{(Phi_q + zeta_q)(x - b)}) for 0 <= x <= b: the two-sided
+    combination of :func:`_two_sided` from the determinant of its modes over f(b)
+    e^{-Phi_q b}; 0 where the factor underflows."""
     gap = -math.exp(-ctx.zeta_q * x) * math.expm1((ctx.phi_q + ctx.zeta_q) * (x - b))
-    return (g[1] * (f[0] / fb) - (f[1] / fb) * g[0]) * gap if gap else 0.0
+    return det * gap if gap else 0.0
 
 
 def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
@@ -176,15 +183,23 @@ def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
     return _neg(f, x) if x < 0.0 else f[1] * math.exp(-ctx.zeta_q * x)
 
 
-def _z_sum(ctx: ScaleContext, theta: float, k: int = 0, t: float | None = None) -> tuple:
+def _z_sum(ctx: ScaleContext, theta: float, k: int = 0, t: float | None = None,
+           theta2: float | None = None) -> tuple:
     # Z_q(., theta), or with k = 1 its theta-derivative: modes A_r d^k/dtheta^k D(theta, r);
-    # t is theta + alpha where it is known to full precision (theta a root next to -alpha)
-    d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k, t, ctx.t_zeta)
-    return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (theta, k)
+    # t is theta + alpha where it is known to full precision (theta a root next to -alpha).
+    # With k = 1 and theta2 != theta, the divided difference (Z_q(., theta) - Z_q(., theta2))
+    # / (theta - theta2) instead, in closed form: no difference of the two is taken
+    d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k, t, ctx.t_zeta,
+                                theta2)
+    return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (theta, k, theta2)
 
 
-def _z_neg(y: float, theta: float, k: int) -> float:
-    return y ** k * math.exp(theta * y)
+def _z_neg(y: float, theta: float, k: int, theta2: float | None = None) -> float:
+    if theta2 is None:
+        return y ** k * math.exp(theta * y)
+    # (e^{theta y} - e^{theta2 y}) / (theta - theta2) from the larger of the two
+    lo, hi = min(theta, theta2), max(theta, theta2)
+    return math.exp(lo * y) * math.expm1((hi - lo) * y) / (hi - lo)
 
 
 def _z_tilde_sum(ctx: ScaleContext, a: float, b: float) -> tuple:

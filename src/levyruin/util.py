@@ -1,8 +1,11 @@
-"""Shared numeric guards."""
+"""Shared numeric guards, and the lazy import of numpy."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from types import ModuleType
 
 from .errors import DomainError, NumericalError
 
@@ -56,3 +59,28 @@ def represented_rate(q: float, rate: float, what: str) -> float:
     if abs(seen - rate) > _RATE_TOL * rate:
         raise NumericalError(f"{what}: q = {q:g} absorbs the rate {rate:g} in q + {rate:g}")
     return seen
+
+
+def lazy_module(name: str) -> ModuleType:
+    """The module ``name``, executed at its first attribute access (the recipe of
+    :class:`importlib.util.LazyLoader`); a module already imported is returned as is.
+
+    numpy is taken this way by every module that uses it, so that importing the
+    library, the registry, the CLI or the Monte Carlo package loads no numpy, and a
+    closed form, evaluated with ``math`` alone, never pays for it.  None of them may
+    touch numpy at import time.  Whoever touches it first, the library or any other
+    ``import numpy``, loads the one module object that every user then shares.
+    """
+    try:
+        return sys.modules[name]
+    except KeyError:
+        pass
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module

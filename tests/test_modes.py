@@ -24,6 +24,7 @@ from levyruin import (
     delayed_w_functional,
     gerber_shiu_density,
     gs_density_e2,
+    gs_lt_infinite,
     gs_lt_two_sided,
     gs_lt_two_sided_e2,
     joint_lt_upcross,
@@ -276,6 +277,29 @@ def mp_joint_lt_upcross(model, x, b, q, p, lam):
     return ex.z_tilde(x, phl, php) / ex.z_tilde(b, phl, php)
 
 
+def mp_gs_lt_two_sided(model, x, b, q, p, lam, theta):
+    # (p / psi_{q+p}(theta)) (e(x) - f(x) e(b) / f(b)), e = (lam Z_q(., theta) - psi_q(theta)
+    # Z_q(., Phi_{q+lam})) / psi_{q+lam}(theta) and f = Z~_q(., Phi_{q+lam}, Phi_{q+p}), from
+    # the partial fractions of Z_q, which do not cancel at large exponents
+    x, b, q, p, lam, theta = map(mpmath.mpf, (x, b, q, p, lam, theta))
+    ex = Exact(model, q)
+    phl, php = ex.root(q + lam), ex.root(q + p)
+    z = ex.z_modes
+
+    def psi_q(t):
+        return ex.psi(t) - q
+
+    def e(y):
+        return (lam * z(y, theta) - psi_q(theta) * z(y, phl)) / (psi_q(theta) - lam)
+
+    def f(y):
+        if phl == php:
+            return ex.dpsi(phl) * z(y, phl) - psi_q(phl) * mpmath.diff(lambda t: z(y, t), phl)
+        return (psi_q(phl) * z(y, php) - psi_q(php) * z(y, phl)) / (phl - php)
+
+    return p / (psi_q(theta) - p) * (e(x) - f(x) * e(b) / f(b))
+
+
 def assert_matches(got, exact):
     # 1e-10 relative wherever the exact value is above 1e-300
     exact = mpmath.mpf(exact)
@@ -318,6 +342,33 @@ def test_erlang_n_ruin_matches_mpmath_recursion(key, x):
         for n in (4, 8, 16, 64):
             assert_matches(ruin_prob_erlang_n(model, x, LAM, n),
                            mp_ruin_erlang_n(model, x, LAM, n, series))
+
+
+def test_gs_lt_two_sided_keeps_its_digits_next_to_both_poles():
+    # theta = 1000 lies 1e-3 below Phi_{q+lam} = Phi_{q+p}, where E, psi_{q+lam} and
+    # psi_{q+p} all vanish: the value keeps every digit of the 80-digit one
+    with mpmath.workdps(80):
+        exact = mp_gs_lt_two_sided(MODELS["cl_a"], 0.0, 1.0, 0.0, 1000.0, 1000.0, 1000.0)
+    got = gs_lt_two_sided(MODELS["cl_a"], 0.0, 1.0, 0.0, 1000.0, 1000.0, 1000.0)
+    assert abs(got - exact) <= mpmath.mpf("1e-12") * exact, (got, exact)
+
+
+@pytest.mark.parametrize("key", MODELS)
+@pytest.mark.parametrize("lam", [LAM, 1000.0])
+def test_gerber_shiu_transforms_next_to_phi_q_lam_match_mpmath(key, lam):
+    # E / psi_{q+lam}(theta) is a divided difference in theta, so neither transform loses
+    # digits as theta approaches Phi_{q+lam}, from above 0 or below it; the infinite
+    # horizon is the two-sided transform at b = 80, where the rest is below e^{-80}
+    model = MODELS[key]
+    ph = phi(model, Q + lam)
+    for theta in (ph * 1.001, ph * (1.0 + 1e-6), ph * (1.0 - 1e-9)):
+        for x in (0.5, -0.5):
+            with mpmath.workdps(80):
+                two_sided = mp_gs_lt_two_sided(model, x, 2.0, Q, P, lam, theta)
+                infinite = mp_gs_lt_two_sided(model, x, 80.0, Q, P, lam, theta)
+            for got, exact in ((gs_lt_two_sided(model, x, 2.0, Q, P, lam, theta), two_sided),
+                               (gs_lt_infinite(model, x, Q, P, lam, theta), infinite)):
+                assert abs(got - exact) <= mpmath.mpf("1e-12") * exact, (theta, x, got, exact)
 
 
 @pytest.mark.parametrize("key", MODELS)

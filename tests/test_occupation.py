@@ -455,3 +455,41 @@ def test_import_loads_no_scipy():
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout.strip()
         assert out == "[]", module
+
+
+def test_closed_forms_load_no_numpy(tmp_path):
+    # numpy serves the density kernels and the Monte Carlo oracle alone: importing the
+    # library, the registry, the CLI and the mc package, evaluating every closed-form
+    # identity the sweep benchmark covers from above and below 0 on both model
+    # families, and the CLI's eval and sweep, load no numpy module
+    import json
+    import subprocess
+
+    from levyruin.registry import IDENTITIES
+
+    base = {"b": 2.0, "a": 1.0, "q": 0.1, "p": 0.7, "lam": 1.3, "theta": 0.5, "y": -0.5,
+            "z": 0.5, "r": 1.0, "n": 3}
+    names = sorted(set(IDENTITIES) - {"occupation_law"})
+    cl_path = tmp_path / "cl.json"
+    cl_path.write_text(json.dumps({"kind": "cramer_lundberg", "c": 1, "eta": 1, "alpha": 2}))
+    code = f"""
+import math, sys
+import levyruin, levyruin.cli, levyruin.mc, levyruin.registry
+from levyruin.registry import IDENTITIES, evaluate_identity
+for model in (levyruin.LevyModel.cramer_lundberg(1, 1, 2),
+              levyruin.LevyModel.brownian(1, math.sqrt(2))):
+    for x in (0.5, -0.5):
+        for name in {names!r}:
+            params = {{k: x if k == "x" else {base!r}[k] for k in IDENTITIES[name].params}}
+            assert math.isfinite(evaluate_identity(name, model, params)[0]), name
+model = {str(cl_path)!r}
+assert levyruin.cli.main(["eval", "gs_lt_two_sided", "--model", model, "--x=0", "--b=1",
+                          "--q=0", "--p=1000", "--lam=1000", "--theta=1000"]) == 0
+assert levyruin.cli.main(["sweep", "lt_occupation_inf", "--model", model, "--p=2",
+                          "--lam=2", "--grid", "x=-1:1:9"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("numpy.")), file=sys.stderr)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stderr.strip() == "[]"
+    assert "value     0.000769631297558" in out.stdout
