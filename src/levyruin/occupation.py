@@ -14,17 +14,18 @@ the density g depends on the model alone:
 * Cramer-Lundberg: g = (c zeta_0/2 eta) Hbar, the tail of the M/M/1 busy-period density
   (Kleinrock 1975, ch. 5).
 
-From x < 0 the process creeps up to 0, and the strong Markov property at tau = tau_0^+
-splits O into independent parts O_init = (tau - e_lam)^+, e_lam the first observation
-epoch, and O_0, the occupation from 0 with atom atom_0.  So the density is
-e^{-Phi_lam |x|} (1 - atom_0) g + atom_0 f_init + (1 - atom_0) f_init * g, with
-f_init(s) = lam E[e^{-lam (tau - s)}; tau > s].  g is the law of tau from -U, U ~
-Exp(zeta_0), so the convolution is a mixture of f_init over the start -(|x| + U) less
-e^{-Phi_lam |x|} times the smoothing of g over e_lam; the density is evaluated as a sum
-of nonnegative terms, with one quadrature over U (and, on Cramer-Lundberg models, one
-inside f_init).
+From x = -d < 0 the transform is k Z~_0(x, Phi_lam, Phi_p).  On Brownian models it
+splits into two Laplace pairs with erfc-type inverses, so the density is a handful of
+exp and erfcx terms (``_brownian_below_zero``).  On Cramer-Lundberg models the strong
+Markov property at tau = tau_0^+ splits O into independent parts O_init = (tau -
+e_lam)^+, e_lam the first observation epoch, and O_0, the occupation from 0 with atom
+atom_0.  So the density is e^{-Phi_lam d} (1 - atom_0) g + atom_0 f_init + (1 - atom_0)
+f_init * g, with f_init(s) = lam E[e^{-lam (tau - s)}; tau > s].  g is the law of tau
+from -U, U ~ Exp(zeta_0), so the convolution is a mixture of f_init over the start -(d +
+U) less e^{-Phi_lam d} times the smoothing of g over e_lam; the density is evaluated as
+a sum of nonnegative terms, with one quadrature over U and one inside f_init.
 
-The transforms and the Brownian density from x >= 0 are ``math`` alone; the other
+The transforms and the Brownian densities are ``math`` alone; the Cramer-Lundberg
 densities load numpy, which is taken lazily (``util.lazy_module``), at their first
 point.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 from .errors import DomainError
@@ -46,17 +46,9 @@ np = lazy_module("numpy")
 
 _SQRT_PI, _HALF_LOG_2PI = math.sqrt(math.pi), 0.5 * math.log(2.0 * math.pi)
 _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
-# erfc continued fraction: from where, and how deep, for 1e-16: 30 levels from 4, 6
-# from 26, below which math.erfc gives R = 1/(sqrt pi erfcx z) - z to 2 z^4 eps
-_CF_FROM, _CF_DEPTH, _CF_FROM_SHORT, _CF_DEPTH_SHORT = 4.0, 30, 26.0, 6
+# erfc continued fraction: from where, and how deep, for 1e-16
+_CF_FROM, _CF_DEPTH = 4.0, 30
 _TOL = 1e-9  # relative tolerance of the quadratures
-_U_MAX = 1e154  # below sqrt of the largest float
-
-
-@cache
-def _erfc_ufunc():
-    # math.erfc elementwise, built at its first use: no numpy work at import
-    return np.frompyfunc(math.erfc, 1, 1)
 
 
 def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -95,33 +87,29 @@ def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float
     return clamp_unit(k * z_tilde(ctx0, x, phl, php), "lt_occupation_inf")
 
 
-def _erfc_cf(z, depth: int = _CF_DEPTH):
-    # R with sqrt(pi) erfcx(z) = 1/(z + R), Laplace's continued fraction (1/2)/(z + 1/(z +
-    # (3/2)/(z + ...))) of positive levels; on a float or elementwise on an array
+def _erfc_cf(z: float) -> float:
+    # R with sqrt(pi) erfcx(z) = 1/(z + R) for z >= _CF_FROM, Laplace's continued fraction
+    # (1/2)/(z + 1/(z + (3/2)/(z + ...))) of positive levels
     t = 0.0
-    for n in range(depth, 0, -1):
+    for n in range(_CF_DEPTH, 0, -1):
         t = 0.5 * n / (z + t)
     return t
+
+
+def _erfcx(z: float) -> float:
+    # e^{z^2} erfc z for z >= 0, without e^{z^2} alone from _CF_FROM on
+    if z < _CF_FROM:
+        return math.exp(z * z) * math.erfc(z)
+    return 1.0 / (_SQRT_PI * (z + _erfc_cf(z)))
 
 
 def _mills_gap(w: float) -> float:
     # 1/sqrt pi - w erfcx(w) for w >= 0; from w = 4 on as R/(sqrt pi (w + R)), free of
     # cancellation
     if w < _CF_FROM:
-        return 1.0 / _SQRT_PI - w * math.exp(w * w) * math.erfc(w)
+        return 1.0 / _SQRT_PI - w * _erfcx(w)
     cf = _erfc_cf(w)
     return cf / (_SQRT_PI * (w + cf))
-
-
-def _mills_rest(z: np.ndarray) -> np.ndarray:
-    # R(z) = 1/(sqrt pi erfcx z) - z for z >= 0, elementwise: by math.erfc below z = 26,
-    # by the short continued fraction from there on
-    near = np.minimum(z, _CF_FROM_SHORT)
-    out = np.exp(-near * near) / (_SQRT_PI * _erfc_ufunc()(near).astype(float)) - near
-    far = z >= _CF_FROM_SHORT
-    if far.any():
-        out[far] = _erfc_cf(z[far], _CF_DEPTH_SHORT)
-    return out
 
 
 def _stirlerr(n: float) -> float:
@@ -209,16 +197,43 @@ def _busy_period(model: LevyModel, zeta0: float) -> tuple:
     return m, kappa, _transform_decay_rate(model), model.c * zeta0 / (2.0 * model.eta)
 
 
+def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
+                         atom0: float) -> Callable[[float], float]:
+    """Density of O from x = -d < 0 on a Brownian model, on one t > 0, atom0 the atom
+    from 0 (Landriault, Renaud & Zhou, SPA 2011).
+
+    With a = mu/(sqrt 2 sigma), v = sqrt(lam + a^2), s = sigma sqrt(2t), A = (d - nu t)/s,
+    G = e^{-((d - mu t)/s)^2} and E = e^{-Phi_lam d - a^2 t}, the transform's two Laplace
+    pairs give f = atom0 (v - a) [E (1/sqrt pi - v sqrt t erfcx(v sqrt t))/sqrt t +
+    G (v erfcx(-A) - a erfcx((d + mu t)/s))], two terms >= 0.  Where A >= 0, G erfcx(-A)
+    = 2 e^{lam t - Phi_lam d} - G erfcx(A): e^{a^2 t} and e^{lam t} are never formed.
+    """
+    mu, sigma = model.mu, model.sigma
+    a = mu / (math.sqrt(2.0) * sigma)
+    v = math.hypot(math.sqrt(lam), a)
+    delta = lam / (v + a)  # v - a = sigma Phi_lam/sqrt 2, without the subtraction
+    k0, lift = atom0 * delta, sigma * sigma * ph  # lift = nu - mu
+
+    def density(t: float) -> float:
+        rt = math.sqrt(t)
+        s = math.sqrt(2.0) * sigma * rt
+        w, y = (d - mu * t) / s, delta * rt
+        big_a, g = w - y, math.exp(-w * w)  # A = w - y: nu t never formed
+        back = a * _erfcx(a * rt + d / s)
+        if big_a < 0.0:
+            far = g * (v * _erfcx(-big_a) - back)
+        else:  # G e^{A^2} = e^{lam t - Phi_lam d}, an exponent -Phi_lam (d - nu t) - y^2
+            rise = math.exp(-ph * (d - mu * t - lift * t) - y * y)
+            far = v * (2.0 * rise - g * _erfcx(big_a)) - g * back
+        e = math.exp(-ph * d - a * a * t)
+        return k0 * (e * _mills_gap(v * rt) / rt + far)
+
+    return density
+
+
 def _density_drop(model: LevyModel, zeta0: float, lam: float) -> Callable[[float], float]:
     """drop(t) = g(t) - E[g(t + e_lam)] = int_0^inf e^{-lam v} (-g')(t + v) dv, e_lam ~
-    Exp(lam), on one t > 0."""
-    if model.kind == BROWNIAN:
-        # -g'(t) = (a/sqrt pi) t^{-3/2} e^{-a^2 t}: its smoothing is g's form with a sqrt t
-        # raised to sqrt((lam + a^2) t) in the bracket
-        a = model.mu / (math.sqrt(2.0) * model.sigma)
-        root = math.sqrt(lam + a * a)
-        return lambda t: (2.0 * a * math.exp(-a * a * t) * _mills_gap(root * math.sqrt(t))
-                          / math.sqrt(t))
+    Exp(lam), on one t > 0 on a Cramer-Lundberg model."""
     # -Hbar' is the M/M/1 busy-period density (kappa/t) I_1(kappa t) e^{-m t} =
     # (kappa^2/2) PE(eta t, c alpha t), PE = models._poisson_erlang, which falls like
     # e^{-decay t} times a power of t from t = 1/m on: its smoothing runs over v = h
@@ -242,50 +257,23 @@ def _density_drop(model: LevyModel, zeta0: float, lam: float) -> Callable[[float
 
 
 def _times(ph: float, y: np.ndarray) -> np.ndarray:
-    # ph y, and inf where that passes 1e308: where f_init takes e^{lam s - ph y} (s <= y/c,
-    # or y >= nu s) the exponent is then far below -746
+    # ph y, and inf where that passes 1e308: where f_init takes e^{lam s - ph y} (s <= y/c)
+    # the exponent is then far below -746
     return np.multiply(ph, y, out=np.full_like(y, np.inf), where=y < 1e308 / ph)
 
 
 def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
-    """f_init(s, y) = lam E[e^{-lam (tau - s)}; tau > s] for tau = tau_0^+ from -y < 0,
-    elementwise on 1-d arrays s > 0 and y > 0 of one length."""
-    if model.kind == BROWNIAN:
-        # e^{-lam t} P(tau in dt) = e^{-Phi_lam y} times the inverse Gaussian law of
-        # drift nu = psi'(Phi_lam), whose survival function is two erfc terms
-        mu, sigma = model.mu, model.sigma
-        nu = mu + sigma * sigma * ph
-
-        def f_init(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-            k = sigma * np.sqrt(2.0 * s)
-            # y is capped where u would pass _U_MAX (at s near 0, y > 1e146 overflows u):
-            # every term below has reached its limit there, and u^2 stays finite
-            yu = np.minimum(y, _U_MAX * k)
-            u0, u1, u2 = (yu - mu * s) / k, (yu - nu * s) / k, (yu + nu * s) / k
-            a = np.abs(u1)
-            rest = _mills_rest(np.concatenate((a, u2)))
-            r1, r2 = rest[:len(a)], rest[len(a):]
-            # erfcx = 1/(sqrt pi (z + R)).  Where u1 >= 0, lam s - Phi_lam y <= 0 and erfc(-u1)
-            # = 2 - e^{-u1^2} erfcx(u1); elsewhere erfcx(a) - erfcx(u2) is (u2 - a + R(u2) -
-            # R(a)) sqrt pi erfcx(a) erfcx(u2), whose R(u2) - R(a) is small against u2 - a at
-            # large arguments
-            ex1, ex2 = 1.0 / (_SQRT_PI * (a + r1)), 1.0 / (_SQRT_PI * (u2 + r2))
-            e0 = np.exp(-u0 * u0)
-            up = (np.exp(np.minimum(lam * s - _times(ph, y), 0.0)) * (2.0 - np.exp(-a * a) * ex1)
-                  - e0 * ex2)
-            down = _SQRT_PI * e0 * (u2 - a + (r2 - r1)) * ex1 * ex2
-            return 0.5 * lam * np.where(u1 >= 0.0, up, down)
-
-        return f_init
-    # Cramer-Lundberg: tau >= y/c, with an atom there, so below it f_init = lam e^{lam s}
-    # E[e^{-lam tau}].  Beyond it f_init = int_0^inf e^{-v} f_tau(s + v/lam) dv with
-    # Kendall's f_tau(t) = (y/t) P(X_t in dy) = y alpha eta PE(eta t, alpha (c t - y)).
-    # Past the bulk of tau the integrand falls like e^{-(lam + decay) (t - s)}; the bulk
-    # ends where P(tau > t) <= e^{slope y - decay t} (the martingale e^{theta X_t -
-    # psi(theta) t} at the minimiser -slope of psi, where psi = -decay) passes e^{-_CUT}.
-    # The rule runs in theta, v = lam h expm1(theta) with h = min(max(s, 1/m), reach/lam):
-    # nearly linear over a short reach, logarithmic over a long one (lam << decay), across
-    # which f_tau falls like a power of t.
+    """f_init(s, y) = lam E[e^{-lam (tau - s)}; tau > s] for tau = tau_0^+ from -y < 0 on a
+    Cramer-Lundberg model, elementwise on 1-d arrays s > 0 and y > 0 of one length."""
+    # tau >= y/c, with an atom there, so below it f_init = lam e^{lam s} E[e^{-lam tau}].
+    # Beyond it f_init = int_0^inf e^{-v} f_tau(s + v/lam) dv with Kendall's f_tau(t) =
+    # (y/t) P(X_t in dy) = y alpha eta PE(eta t, alpha (c t - y)).  Past the bulk of tau
+    # the integrand falls like e^{-(lam + decay) (t - s)}; the bulk ends where P(tau > t)
+    # <= e^{slope y - decay t} (the martingale e^{theta X_t - psi(theta) t} at the
+    # minimiser -slope of psi, where psi = -decay) passes e^{-_CUT}.  The rule runs in
+    # theta, v = lam h expm1(theta) with h = min(max(s, 1/m), reach/lam): nearly linear
+    # over a short reach, logarithmic over a long one (lam << decay), across which f_tau
+    # falls like a power of t.
     decay, m = _transform_decay_rate(model), model.eta + model.c * model.alpha
     slope = model.alpha - math.sqrt(model.alpha * model.eta / model.c)
 
@@ -313,13 +301,13 @@ def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
 
 
 def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0: float,
-                        q0: float, zeta0: float, drop) -> Callable[[float], float]:
-    """Density of O from x = -d < 0 by the strong-Markov split at tau_0^+, atom0 the atom
-    from 0 and q0 = 1 - atom0."""
+                        q0: float, zeta0: float) -> Callable[[float], float]:
+    """Density of O from x = -d < 0 on a Cramer-Lundberg model by the strong-Markov split
+    at tau_0^+, atom0 the atom from 0 and q0 = 1 - atom0."""
     f_init = _initial_density(model, lam, ph)
+    drop = _density_drop(model, zeta0, lam)
     outside = math.exp(-ph * d)
     mean, var, rate = model.mean(), _psi_second_any(model, 0.0), zeta0 + ph
-    jump = model.c if model.kind != BROWNIAN else math.inf
 
     def density(t: float) -> float:
         # f_init * g = E f_init(t, d + U) - e^{-Phi_lam d} E f_init(t, U), as g is the law
@@ -327,11 +315,12 @@ def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0
         # = g(t) - E[g(t + e_lam)] = drop(t): every term below is >= 0.  E f_init(t, d + U)
         # is one quadrature over U.  Beyond the bulk of tau_0^+ (y above t E[X_1] + 8 sd),
         # f_init(t, y) is close to lam e^{lam t - Phi_lam y}, so the integrand falls at rate
-        # zeta_0 + Phi_lam; a Cramer-Lundberg f_init jumps at y = c t
+        # zeta_0 + Phi_lam; f_init jumps at y = c t.  The weight e^{-zeta_0 u} has its own
+        # piece up to _CUT/rate, which the bulk misses where d is large
         centre, width = mean * t - d, 8.0 * math.sqrt(var * t)
         hi = max(0.0, centre + width) + _CUT / rate
-        cuts = sorted({0.0, hi} | {u for u in (centre - width, centre + width, jump * t - d)
-                                   if 0.0 < u < hi})
+        cuts = sorted({0.0, hi} | {u for u in (centre - width, centre + width, model.c * t - d,
+                                               _CUT / rate) if 0.0 < u < hi})
         head = []  # f_init(t, d), from one more node, u = 0, in the first call
 
         def f(u: np.ndarray) -> np.ndarray:
@@ -394,9 +383,10 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     else:
         excess = model.eta * ph / (model.alpha * (model.alpha + ph))
     q0 = clamp_unit(excess * (ph / lam), "occupation atom complement")
-    if x < 0.0:
-        value = _below_zero_density(model, -x, lam, ph, atom0, q0, ctx0.zeta_q,
-                                    _density_drop(model, ctx0.zeta_q, lam))
+    if x < 0.0 and model.kind == BROWNIAN:
+        value = _brownian_below_zero(model, -x, lam, ph, atom0)
+    elif x < 0.0:
+        value = _below_zero_density(model, -x, lam, ph, atom0, q0, ctx0.zeta_q)
     else:  # 1 - atom = e^{-zeta_0 x} P_0(O > 0)
         value = _positive_density(model, ctx0.zeta_q, q0 * math.exp(-ctx0.zeta_q * x))
 

@@ -35,8 +35,15 @@ def test_occupation_densities_touch_numpy_first():
     setup = "from levyruin import occupation_law"
     assert _fresh(setup, "occupation_law(cl_a, 0.5, 1).density(1.0)") == [
         occupation_law(CL_A, 0.5, 1.0).density(1.0).hex()]
-    assert _fresh(setup, "occupation_law(bm_a, -0.5, 1).density(1.0)") == [
-        occupation_law(BM_A, -0.5, 1.0).density(1.0).hex()]
+    # the Brownian densities are math alone, from above and below 0
+    code = (f"import sys\n{_MODELS}\n{setup}\n"
+            "values = (occupation_law(bm_a, 0.5, 1).density(1.0),\n"
+            "          occupation_law(bm_a, -0.5, 1).density(1.0))\n"
+            "assert not [m for m in sys.modules if m.startswith('numpy.')]\n"
+            "print(*(v.hex() for v in values))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == [occupation_law(BM_A, x, 1.0).density(1.0).hex() for x in (0.5, -0.5)]
 
 
 def test_stream_touches_numpy_first():

@@ -403,7 +403,7 @@ def test_occupation_density_below_zero_matches_mpmath(x, lam, r):
     assert occupation_law(BM_B, x, lam).density(r) == pytest.approx(float(ref), rel=1e-9)
 
 
-def test_brownian_density_below_zero_takes_start_term_from_the_quadrature(monkeypatch):
+def test_cl_density_below_zero_takes_start_term_from_the_quadrature(monkeypatch, cl):
     # the start term f_init(r, d) rides on the first quadrature call over U, so a point
     # calls f_init once per quadrature level and never on its own
     from levyruin import occupation
@@ -429,10 +429,22 @@ def test_brownian_density_below_zero_takes_start_term_from_the_quadrature(monkey
 
     monkeypatch.setattr(occupation, "_initial_density", counted_f_init)
     monkeypatch.setattr(occupation, "gl_pieces", counted_gl_pieces)
-    law = occupation_law(BM_B, -0.5, 1.0)
+    # the drop term runs a quadrature of its own, which calls no f_init
+    monkeypatch.setattr(occupation, "_density_drop", lambda *args: lambda t: 0.0)
+    law = occupation_law(cl, -0.5, 1.0)
     for r in (0.01, 1.0, 30.0):
         law.density(r)
     assert calls["f_init"] == calls["levels"] >= 6
+
+
+@pytest.mark.parametrize("d", [1e8, 1e10, 1e12])
+def test_occupation_density_far_below_zero_is_the_clt_peak(model, d):
+    # from x = -d, O is about tau_0^+ ~ N(d/mu, psi''(0) d/mu^3) for large d, so the
+    # density at d/mu is the normal peak to O(1/d)
+    mu = model.mean()
+    var = model.sigma ** 2 if model.kind == "brownian" else 2.0 * model.eta / model.alpha ** 2
+    peak = 1.0 / math.sqrt(2.0 * math.pi * var * d / mu ** 3)
+    assert occupation_law(model, -d, 1.0).density(d / mu) == pytest.approx(peak, rel=1e-3)
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5, -2.0])
