@@ -4,11 +4,12 @@ Monte Carlo oracle.
 
 Imports.  The closed-form identities use ``math`` alone.  numpy is loaded at the
 first array operation (a transition density, a quadrature, an occupation-law
-density other than the Brownian one from x >= 0, or a Monte Carlo campaign), and
-scipy when a Monte Carlo stream is built; importing this package, the registry,
-the CLI or :mod:`levyruin.mc` loads neither.  So no module may touch numpy at
-import time: each takes it through :func:`levyruin.util.lazy_module` and builds its
-constants with ``math`` or at their first use.
+density other than a Brownian one, or a Monte Carlo campaign), and scipy at a
+Monte Carlo stream's first normal draw, which only Brownian campaigns make;
+importing this package, the registry, the CLI or :mod:`levyruin.mc` loads
+neither.  So no module may touch numpy at import time: each takes it through
+:func:`levyruin.util.lazy_module` and builds its constants with ``math`` or at
+their first use.
 """
 
 from .errors import DomainError, NumericalError, UnsupportedFunctional, UsageError

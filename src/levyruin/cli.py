@@ -71,6 +71,8 @@ def _fmt(v: float) -> str:
 def _mc_config(model, args) -> McConfig:
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.b_esc is not None:
         horizon = EscapeLevel(args.b_esc)
     else:

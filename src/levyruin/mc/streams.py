@@ -14,12 +14,15 @@ a multiple of 2^-53 in [0, 1 - 2^-53], and 1 - 1e-16 == 1 - 2^-53, so only one
 bound can bind: 1e-16 at a plain u = 0, 1 - 1e-16 at a flipped 1 - 0.  Raising
 u to 1e-16 before the flip applies both with one operation.
 
-numpy and scipy.  numpy is taken lazily (``util.lazy_module``), and
-``scipy.special.ndtri`` is bound when a normal buffer is built, in
-``_Feed.__init__``, not at module import, so importing this module (and with it
-``levyruin.mc``, ``registry`` and the CLI) loads neither, and the closed-form
-path never pays for them.  Building a ``Stream`` loads both before the first
-draw; the fills call the bound function and import nothing.
+numpy and scipy.  numpy is taken lazily (``util.lazy_module``), so importing
+this module (and with it ``levyruin.mc``, ``registry`` and the CLI) loads
+neither, and the closed-form path never pays for them.  Building a ``Stream``
+loads numpy.  The normal buffer, and with it ``scipy.special.ndtri``, is built at
+the stream's first normal draw, which only Brownian simulators make: a
+Cramer-Lundberg campaign draws exponentials alone and never loads scipy.  A
+normal buffer built late has no block yet, so its first read takes the next
+free block, as one built with the stream would; the draws are the same.  The
+fills call the bound function and import nothing.
 
 Reads.  Each buffer keeps its own Philox bit generator, positioned at a
 block's first counter when the block is taken.  Within a replication the reads
@@ -55,7 +58,8 @@ _LO = 1e-16  # lower clamp; 1 - _LO rounds to 1 - 2^-53, the upper one
 
 class _Feed:
     """One buffer's Philox generator, its block, the position read within it, the
-    length of its next read and, for the normal buffer, ``ndtri``."""
+    length of its next read and, for the normal buffer, ``ndtri``, whose binding
+    imports ``scipy.special``.  A feed starts with no block."""
 
     __slots__ = ("gen", "state", "block", "pos", "size", "ndtri")
 
@@ -76,7 +80,7 @@ class _Feed:
         }
         self.ndtri = ndtri
         self.block = 0
-        self.pos = 0
+        self.pos = _BUF  # no block yet: reset() gives the uniforms block 0
         self.size = _CHUNK
 
 
@@ -90,7 +94,7 @@ class Stream:
     def __init__(self, seed: int, index: int, antithetic: bool = False):
         self._key = [0, 0]
         self._uf = _Feed(self._key, normal=False)
-        self._nf = _Feed(self._key, normal=True)
+        self._nf = None  # built at the first normal draw
         self.reset(seed, index, antithetic)
 
     def reset(self, seed: int, index: int, antithetic: bool = False) -> None:
@@ -101,11 +105,17 @@ class Stream:
         self._anti = antithetic
         self._uf.block = 0
         self._uf.pos = 0
-        self._nf.pos = _BUF  # no block yet
-        self._uf.size = self._nf.size = _CHUNK
+        self._uf.size = _CHUNK
+        if self._nf is not None:
+            self._nf.pos = _BUF  # no block yet
+            self._nf.size = _CHUNK
         self._next = 1
         self._u = self._n = ()
         self._ui = self._un = self._ni = self._nn = 0
+
+    def _normal_feed(self) -> _Feed:
+        self._nf = _Feed(self._key, normal=True)
+        return self._nf
 
     def _fill(self, feed: _Feed) -> np.ndarray:
         if feed.pos == _BUF:  # block used up: take the next one
@@ -148,7 +158,7 @@ class Stream:
     def normal(self) -> float:
         i = self._ni
         if i == self._nn:
-            self._na = self._fill(self._nf)
+            self._na = self._fill(self._nf or self._normal_feed())
             self._n = self._na.tolist()
             self._nn = len(self._n)
             i = 0
@@ -163,8 +173,9 @@ class Stream:
         blocks."""
         i = self._ni
         if i == self._nn:
-            self._nf.size = _BUF
-            self._na = self._fill(self._nf)
+            feed = self._nf or self._normal_feed()
+            feed.size = _BUF
+            self._na = self._fill(feed)
             self._nn = len(self._na)
             i = 0
         self._ni = self._nn

@@ -221,7 +221,11 @@ def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
         big_a, g = w - y, math.exp(-w * w)  # A = w - y: nu t never formed
         back = a * _erfcx(a * rt + d / s)
         if big_a < 0.0:
-            far = g * (v * _erfcx(-big_a) - back)
+            # v erfcx(-A), from _CF_FROM on as (v/sqrt pi)/(-A + R): sqrt(pi) (-A + R)
+            # overflows next to the float edge
+            z = -big_a
+            near = v * _erfcx(z) if z < _CF_FROM else v / _SQRT_PI / (z + _erfc_cf(z))
+            far = g * (near - back)
         else:  # G e^{A^2} = e^{lam t - Phi_lam d}, an exponent -Phi_lam (d - nu t) - y^2
             rise = math.exp(-ph * (d - mu * t - lift * t) - y * y)
             far = v * (2.0 * rise - g * _erfcx(big_a)) - g * back

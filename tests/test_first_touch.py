@@ -52,14 +52,31 @@ def test_stream_touches_numpy_first():
     assert Stream(1, 0).normal().hex() == "-0x1.83179f98d2d8cp+0"
 
 
-def test_estimate_touches_numpy_first():
-    setup = ("from levyruin.mc import EscapeLevel, McConfig, PathFunctional, estimate\n"
+_ESTIMATE = ("from levyruin.mc import EscapeLevel, McConfig, PathFunctional, estimate\n"
              "config = McConfig(replications=1000, seed=7, horizon=EscapeLevel(12.0))\n"
              "fn = PathFunctional('rho_sum_exp', {'p': 0.7, 'lam': 1.3}, x0=0.5)")
+
+
+def _warm_estimate() -> list:
     warm = estimate(CL_A, McConfig(replications=1000, seed=7, horizon=EscapeLevel(12.0)),
                     PathFunctional("rho_sum_exp", {"p": 0.7, "lam": 1.3}, x0=0.5))
-    assert _fresh(setup, "*(lambda e: (e.value, e.std_error))(estimate(cl_a, config, fn))"
-                  ) == [warm.value.hex(), warm.std_error.hex()]
+    return [warm.value.hex(), warm.std_error.hex()]
+
+
+def test_estimate_touches_numpy_first():
+    assert _fresh(_ESTIMATE, "*(lambda e: (e.value, e.std_error))(estimate(cl_a, config, fn))"
+                  ) == _warm_estimate()
+
+
+def test_cramer_lundberg_estimate_loads_no_scipy():
+    # a Cramer-Lundberg campaign draws no normal, so its streams never bind ndtri
+    code = (f"import sys\n{_MODELS}\n{_ESTIMATE}\n"
+            "e = estimate(cl_a, config, fn)\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+            "print(e.value.hex(), e.std_error.hex())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == _warm_estimate()
 
 
 def test_quadrature_and_transition_touch_numpy_first():

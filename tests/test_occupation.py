@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -346,6 +347,24 @@ def test_occupation_law_extreme_inputs(name, x, bm, cl):
                 assert val > 0.0
 
 
+@pytest.mark.parametrize("name", ["bm_a", "bm_b"])
+def test_brownian_density_below_zero_at_the_float_edge(name, bm):
+    # d, lam and t at the largest floats give a finite density >= 0 without a warning;
+    # at d = t = 1.7e308 on bm_a (t = d/mu) it is the normal peak of tau_0^+
+    model = {"bm_a": bm, "bm_b": BM_B}[name]
+    edge = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, lam, t in itertools.product((edge, 1.0), repeat=3):
+            val = occupation_law(model, -d, lam).density(t)
+            assert math.isfinite(val) and val >= 0.0, (d, lam, t, val)
+    if name == "bm_a":
+        peak = 1.0 / (math.sqrt(2.0 * math.pi * model.sigma ** 2) * math.sqrt(edge))
+        for lam in (edge, 1.0):
+            assert occupation_law(model, -edge, lam).density(edge) == pytest.approx(
+                peak, rel=1e-3)
+
+
 def _g_mpmath(model, r):
     # density of O given O > 0 from x >= 0, at 30 digits: the erfc form on Brownian
     # models, the tail of the M/M/1 busy-period density (a Bessel integral) otherwise
@@ -457,8 +476,9 @@ def test_occupation_density_matches_kendall_oracle(model, x):
 
 
 def test_import_loads_no_scipy():
-    # scipy serves the Monte Carlo oracle alone (its streams bind ndtri when built),
-    # so no import of the library, the registry, the CLI or the mc package loads it
+    # scipy serves the Monte Carlo oracle alone (a stream binds ndtri at its first
+    # normal draw, which only Brownian campaigns make), so no import of the library,
+    # the registry, the CLI or the mc package loads it
     import subprocess
 
     for module in ("levyruin", "levyruin.registry", "levyruin.cli", "levyruin.mc"):

@@ -209,6 +209,21 @@ def test_cli_exit_codes(model_files, capsys):
                  "--lam=1", "--reps", "0"]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_cli_validate_rejects_workers_below_one(model_files, capsys, monkeypatch, workers):
+    # a usage error (exit 2) before any campaign: no pool is started
+    from levyruin.mc import driver
+
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", no_pool)
+    _, cl_path = model_files
+    assert main(["validate", "ruin_prob_sum_exp", "--model", cl_path, "--x=0.5", "--p=1",
+                 "--lam=1", "--reps", "1000", "--workers", workers]) == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit_code(model_files, capsys):
     _, cl_path = model_files
     # delayed_W_functional at q = 150 is a value (an 80-digit evaluation gives

@@ -119,21 +119,44 @@ def test_one_sided_clamp_matches_two_sided(anti):
         block[rng.choice(512, 60, replace=False)] = np.resize(edge, 60)
         raw[kind] = block
     stream = Stream(1, 0, anti)
-    stream._uf.gen, stream._nf.gen = _RawGen(raw["u"]), _RawGen(raw["n"])
+    stream._uf.gen, stream._normal_feed().gen = _RawGen(raw["u"]), _RawGen(raw["n"])
     assert [stream.uniform() for _ in range(512)] == list(_clamp(raw["u"], anti))
     assert [stream.normal() for _ in range(512)] == list(ndtri(_clamp(raw["n"], anti)))
 
 
-def test_stream_build_loads_ndtri():
-    # importing the streams loads no scipy; building one binds ndtri, and the
-    # first normal of stream (1, 0) is the one it always was
-    code = ("import sys; from levyruin.mc import Stream; "
-            "before = 'scipy.special' in sys.modules; stream = Stream(1, 0); "
-            "print(before, 'scipy.special' in sys.modules, stream.normal().hex())")
+def test_first_normal_loads_ndtri():
+    # importing the streams, building one and drawing uniforms load no scipy; the
+    # first normal binds ndtri, and the first normal of stream (1, 0) is the one it
+    # always was
+    code = ("import sys; from levyruin.mc import Stream; stream = Stream(1, 0); "
+            "stream.uniform(); before = any(m.startswith('scipy') for m in sys.modules); "
+            "value = stream.normal(); "
+            "print(before, 'scipy.special' in sys.modules, value.hex())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == ["False", "True", "-0x1.83179f98d2d8cp+0"]
-    assert _reference(1, 0, False, ["n"])[0].hex() == out[2]
+    assert _reference(1, 0, False, ["u", "n"])[1].hex() == out[2]
+
+
+def test_normal_buffer_built_late_keeps_the_layout():
+    # uniform-only replications, across resets and past a uniform block boundary,
+    # build no normal buffer; the one the first normal builds takes the next free
+    # block, so the draws are those of the reference layout
+    stream = Stream(3, 0)
+    for index in range(4):
+        stream.reset(3, index, index % 2 == 1)
+        assert _draw(stream, ["u"] * 700) == _reference(3, index, index % 2 == 1, ["u"] * 700)
+    assert stream._nf is None
+    kinds = ["u"] * 600 + _pattern(11, 1500)
+    stream.reset(3, 9, True)
+    assert _draw(stream, kinds) == _reference(3, 9, True, kinds)
+    for index in (10, 11):  # and a built buffer is rewound by reset
+        stream.reset(3, index)
+        assert _draw(stream, kinds) == _reference(3, index, False, kinds)
+    # normals() builds it the same way, and its first read is a whole block
+    late = Stream(3, 12)
+    assert _draw(late, ["u"] * 600) + list(late.normals()) == _reference(
+        3, 12, False, ["u"] * 600 + ["n"] * 512)
 
 
 def test_normals_hands_out_the_rest_of_a_read():
