@@ -16,14 +16,20 @@ the density g depends on the model alone:
 
 From x = -d < 0 the transform is k Z~_0(x, Phi_lam, Phi_p).  On Brownian models it
 splits into two Laplace pairs with erfc-type inverses, so the density is a handful of
-exp and erfcx terms (``_brownian_below_zero``).  On Cramer-Lundberg models the strong
-Markov property at tau = tau_0^+ splits O into independent parts O_init = (tau -
-e_lam)^+, e_lam the first observation epoch, and O_0, the occupation from 0 with atom
-atom_0.  So the density is e^{-Phi_lam d} (1 - atom_0) g + atom_0 f_init + (1 - atom_0)
-f_init * g, with f_init(s) = lam E[e^{-lam (tau - s)}; tau > s].  g is the law of tau
-from -U, U ~ Exp(zeta_0), so the convolution is a mixture of f_init over the start -(d +
-U) less e^{-Phi_lam d} times the smoothing of g over e_lam; the density is evaluated as
-a sum of nonnegative terms, with one quadrature over U and one inside f_init.
+exp and erfcx terms (``_brownian_below_zero``).  On Cramer-Lundberg models
+Phi_p/p = (1/c)(1 + (eta/c)/(Phi_p + zeta_0)) and (e^{-Phi_p d} - e^{-Phi_lam d})/(Phi_lam
+- Phi_p) = int_0^d e^{-Phi_p y - Phi_lam (d - y)} dy, so the transform is e^{-Phi_lam d}
+E_0[e^{-p O}] + E[X_1] Phi_lam int_0^inf e^{-Phi_p y} nu(y) dy, with m = min(y, d) and
+
+  c nu(y) = e^{-Phi_lam (d - y)} 1{y < d}
+            + (eta/c) e^{-Phi_lam (d - m) - zeta_0 (y - m)} (1 - e^{-(Phi_lam + zeta_0) m})
+              / (Phi_lam + zeta_0).
+
+e^{-Phi_p y} is the transform of tau_0^+ from -y: by Kendall's identity an atom
+e^{-eta y/c} at y/c plus the density y alpha eta PE(eta t, alpha (c t - y)), PE =
+``models._poisson_erlang``.  So the density is e^{-Phi_lam d} (1 - atom_0) g(t) +
+E[X_1] Phi_lam [c nu(ct) e^{-eta t} + alpha eta int_0^{ct} y nu(y) PE(eta t, alpha (ct -
+y)) dy], every term >= 0: one quadrature over the first-passage level y.
 
 The transforms and the Brownian densities are ``math`` alone; the Cramer-Lundberg
 densities load numpy, which is taken lazily (``util.lazy_module``), at their first
@@ -37,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
-from .models import BROWNIAN, LevyModel, _poisson_erlang, _psi_second_any, phi
-from .quadrature import gl_batch, gl_pieces
+from .models import BROWNIAN, LevyModel, _poisson_erlang, phi
+from .quadrature import gl_pieces
 from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
 from .util import clamp_unit, lazy_module, represented_rate, require_finite
 
@@ -185,16 +191,11 @@ def _positive_density(model: LevyModel, zeta0: float, k: float) -> Callable[[flo
             return k2 * math.exp(-w * w) * cf / ((w + cf) * sr)
 
         return g
-    m, kappa, decay, scale = _busy_period(model, zeta0)
-    k *= scale
-    return lambda r: k * float(_busy_period_tail(m, kappa, decay, np.array([r]))[0])
-
-
-def _busy_period(model: LevyModel, zeta0: float) -> tuple:
-    # (m, kappa, decay, scale) with g = scale Hbar on Cramer-Lundberg models
+    # g = (c zeta_0/2 eta) Hbar on Cramer-Lundberg models
     m = model.eta + model.c * model.alpha
     kappa = 2.0 * math.sqrt(model.c * model.alpha * model.eta)
-    return m, kappa, _transform_decay_rate(model), model.c * zeta0 / (2.0 * model.eta)
+    decay, k = _transform_decay_rate(model), k * (model.c * zeta0 / (2.0 * model.eta))
+    return lambda r: k * float(_busy_period_tail(m, kappa, decay, np.array([r]))[0])
 
 
 def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
@@ -235,109 +236,41 @@ def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
     return density
 
 
-def _density_drop(model: LevyModel, zeta0: float, lam: float) -> Callable[[float], float]:
-    """drop(t) = g(t) - E[g(t + e_lam)] = int_0^inf e^{-lam v} (-g')(t + v) dv, e_lam ~
-    Exp(lam), on one t > 0 on a Cramer-Lundberg model."""
-    # -Hbar' is the M/M/1 busy-period density (kappa/t) I_1(kappa t) e^{-m t} =
-    # (kappa^2/2) PE(eta t, c alpha t), PE = models._poisson_erlang, which falls like
-    # e^{-decay t} times a power of t from t = 1/m on: its smoothing runs over v = h
-    # expm1(theta) up to reach = _CUT/(lam + decay), h = min(max(t, 1/m), reach),
-    # logarithmic where the reach is long
-    m, kappa, decay, scale = _busy_period(model, zeta0)
-    reach = _CUT / (lam + decay)
+def _below_zero_density(model: LevyModel, d: float, ph: float, q0: float,
+                        zeta0: float) -> Callable[[float], float]:
+    """Density of O from x = -d < 0 on a Cramer-Lundberg model, q0 = 1 - atom_0 with
+    atom_0 the atom from 0: e^{-Phi_lam d} q0 g(t) plus the law of tau_0^+ mixed over
+    its start -y by E[X_1] Phi_lam nu(y) dy (module docstring), one quadrature in
+    v = y - d, so that nu's exponents are exact for any d."""
+    c, eta, alpha, mean = model.c, model.eta, model.alpha, model.mean()
+    g = _positive_density(model, zeta0, q0 * math.exp(-ph * d))
+    # E[X_1] Phi_lam nu at y = d + v is e^{Phi_lam min(v, 0) - zeta_0 max(v, 0)} times
+    # (k 1{v < 0} + k_mix (1 - e^{-rate (d + min(v, 0))})).  e^{-746} rounds to 0 and
+    # 1 - e^{-_CUT} to 1, so the exponents are clipped there: every product stays finite
+    # and no value changes
+    rate = ph + zeta0
+    k = mean * ph / c
+    k_mix, floor, cap = k * eta / (c * rate), -746.0 / ph, _CUT / rate
 
-    def drop(t: float) -> float:
-        h = min(max(t, 1.0 / m), reach)
-
-        def smoothed(th: np.ndarray) -> np.ndarray:
-            v = h * np.expm1(th)
-            return (h * np.exp(th - lam * v)
-                    * _poisson_erlang(model.eta * (t + v), model.c * model.alpha * (t + v)))
-
-        return scale * 0.5 * kappa * kappa * gl_pieces(smoothed, (0.0, math.log1p(reach / h)),
-                                                       _TOL)
-
-    return drop
-
-
-def _times(ph: float, y: np.ndarray) -> np.ndarray:
-    # ph y, and inf where that passes 1e308: where f_init takes e^{lam s - ph y} (s <= y/c)
-    # the exponent is then far below -746
-    return np.multiply(ph, y, out=np.full_like(y, np.inf), where=y < 1e308 / ph)
-
-
-def _initial_density(model: LevyModel, lam: float, ph: float) -> Callable:
-    """f_init(s, y) = lam E[e^{-lam (tau - s)}; tau > s] for tau = tau_0^+ from -y < 0 on a
-    Cramer-Lundberg model, elementwise on 1-d arrays s > 0 and y > 0 of one length."""
-    # tau >= y/c, with an atom there, so below it f_init = lam e^{lam s} E[e^{-lam tau}].
-    # Beyond it f_init = int_0^inf e^{-v} f_tau(s + v/lam) dv with Kendall's f_tau(t) =
-    # (y/t) P(X_t in dy) = y alpha eta PE(eta t, alpha (c t - y)).  Past the bulk of tau
-    # the integrand falls like e^{-(lam + decay) (t - s)}; the bulk ends where P(tau > t)
-    # <= e^{slope y - decay t} (the martingale e^{theta X_t - psi(theta) t} at the
-    # minimiser -slope of psi, where psi = -decay) passes e^{-_CUT}.  The rule runs in
-    # theta, v = lam h expm1(theta) with h = min(max(s, 1/m), reach/lam): nearly linear
-    # over a short reach, logarithmic over a long one (lam << decay), across which f_tau
-    # falls like a power of t.
-    decay, m = _transform_decay_rate(model), model.eta + model.c * model.alpha
-    slope = model.alpha - math.sqrt(model.alpha * model.eta / model.c)
-
-    def integrand(s: np.ndarray, y: np.ndarray, lh: np.ndarray, th: np.ndarray) -> np.ndarray:
-        v = lh * np.expm1(th)
-        t = s + v / lam
-        b = np.maximum(model.alpha * (model.c * t - y), 0.0)
-        return (lh * np.exp(th - v) * y * model.alpha * model.eta
-                * _poisson_erlang(model.eta * t, b))
-
-    def f_init(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s)
-        before = s < y / model.c  # here lam s - Phi_lam y <= (lam/c - Phi_lam) y <= 0
-        out[before] = lam * np.exp(lam * s[before] - _times(ph, y[before]))
-        s, y = s[~before], y[~before]
-        reach = np.minimum(_CUT, lam * (_CUT + np.maximum(0.0, slope * y - decay * s))
-                           / (lam + decay))
-        lh = lam * np.minimum(np.maximum(s, 1.0 / m), reach / lam)
-        out[~before] = gl_batch(
-            lambda rows, th: integrand(s[rows, None], y[rows, None], lh[rows, None], th),
-            np.log1p(reach / lh), _TOL)
-        return out
-
-    return f_init
-
-
-def _below_zero_density(model: LevyModel, d: float, lam: float, ph: float, atom0: float,
-                        q0: float, zeta0: float) -> Callable[[float], float]:
-    """Density of O from x = -d < 0 on a Cramer-Lundberg model by the strong-Markov split
-    at tau_0^+, atom0 the atom from 0 and q0 = 1 - atom0."""
-    f_init = _initial_density(model, lam, ph)
-    drop = _density_drop(model, zeta0, lam)
-    outside = math.exp(-ph * d)
-    mean, var, rate = model.mean(), _psi_second_any(model, 0.0), zeta0 + ph
+    def nu(v):
+        below = np.minimum(v, 0.0)
+        shape = np.exp(ph * np.maximum(below, floor) - zeta0 * np.maximum(v, 0.0))
+        return shape * (k * (v < 0.0) - k_mix * np.expm1(-rate * np.minimum(below + d, cap)))
 
     def density(t: float) -> float:
-        # f_init * g = E f_init(t, d + U) - e^{-Phi_lam d} E f_init(t, U), as g is the law
-        # of tau_0^+ from -U (transform zeta_0/(Phi_p + zeta_0)), and g(t) - E f_init(t, U)
-        # = g(t) - E[g(t + e_lam)] = drop(t): every term below is >= 0.  E f_init(t, d + U)
-        # is one quadrature over U.  Beyond the bulk of tau_0^+ (y above t E[X_1] + 8 sd),
-        # f_init(t, y) is close to lam e^{lam t - Phi_lam y}, so the integrand falls at rate
-        # zeta_0 + Phi_lam; f_init jumps at y = c t.  The weight e^{-zeta_0 u} has its own
-        # piece up to _CUT/rate, which the bulk misses where d is large
-        centre, width = mean * t - d, 8.0 * math.sqrt(var * t)
-        hi = max(0.0, centre + width) + _CUT / rate
-        cuts = sorted({0.0, hi} | {u for u in (centre - width, centre + width, model.c * t - d,
-                                               _CUT / rate) if 0.0 < u < hi})
-        head = []  # f_init(t, d), from one more node, u = 0, in the first call
+        # the atom e^{-eta t} of tau_0^+ at t from -ct, and Kendall's density y alpha eta
+        # PE(eta t, alpha (ct - y)) from every start -y above -ct; cuts where nu's
+        # exponentials run out and around the bulk of X_t
+        a, hi = eta * t, c * t - d
+        centre, width = mean * t - d, 8.0 * math.sqrt(2.0 * a) / alpha
+        cuts = sorted({-d, hi} | {v for v in (min(hi, 0.0) - _CUT / ph, 0.0, _CUT / zeta0,
+                                              centre - width, centre + width) if -d < v < hi})
 
-        def f(u: np.ndarray) -> np.ndarray:
-            first = not head
-            y = d + (np.append(u, 0.0) if first else u)
-            vals = f_init(np.full_like(y, t), y)
-            if first:
-                head.append(float(vals[-1]))
-                vals = vals[:-1]
-            return zeta0 * np.exp(-zeta0 * u) * vals
+        def f(v: np.ndarray) -> np.ndarray:
+            return (d + v) * nu(v) * _poisson_erlang(a, alpha * np.maximum(hi - v, 0.0))
 
-        mixed = gl_pieces(f, cuts, _TOL)
-        return atom0 * head[0] + q0 * (outside * drop(t) + mixed)
+        return (g(t) + c * math.exp(-a) * float(nu(hi))
+                + alpha * eta * gl_pieces(f, cuts, _TOL))
 
     return density
 
@@ -390,7 +323,7 @@ def occupation_law(model: LevyModel, x: float, lam: float) -> OccupationLaw:
     if x < 0.0 and model.kind == BROWNIAN:
         value = _brownian_below_zero(model, -x, lam, ph, atom0)
     elif x < 0.0:
-        value = _below_zero_density(model, -x, lam, ph, atom0, q0, ctx0.zeta_q)
+        value = _below_zero_density(model, -x, ph, q0, ctx0.zeta_q)
     else:  # 1 - atom = e^{-zeta_0 x} P_0(O > 0)
         value = _positive_density(model, ctx0.zeta_q, q0 * math.exp(-ctx0.zeta_q * x))
 

@@ -58,24 +58,3 @@ def gl_pieces(f, cuts, tol_rel: float, n0: int = 16, nmax: int = 1024,
                 f"pieces did not converge by {n} nodes a piece: last two iterates {prev!r} "
                 f"and {cur!r}")
         prev, n = cur, 2 * n
-
-
-def gl_batch(f, hi: np.ndarray, tol_rel: float, n0: int = 16, nmax: int = 1024) -> np.ndarray:
-    """Node-doubling Gauss-Legendre integrals over [0, hi_i] for a batch of rows i:
-    ``f(rows, v)`` evaluates the integrands of ``rows`` at their nodes ``v`` (one row
-    of nodes each), and a row stops once two levels agree to ``tol_rel``."""
-    out = np.zeros(len(hi))
-    rows, prev, n = np.flatnonzero(hi > 0.0), None, n0
-    while rows.size:
-        xs, ws = _gl_nodes(n)
-        half = 0.5 * hi[rows]
-        cur = half * (f(rows, half[:, None] * (xs + 1.0)) @ ws)
-        if prev is not None:
-            done = np.abs(cur - prev) <= tol_rel * np.abs(cur)
-            out[rows[done]] = cur[done]
-            rows, cur = rows[~done], cur[~done]
-            if rows.size and 2 * n > nmax:
-                raise NumericalError(f"{rows.size} Gauss-Legendre integrals, over [0, "
-                                     f"{hi[rows[0]]:g}] and more, did not converge by {n} nodes")
-        prev, n = cur, 2 * n
-    return out

@@ -259,14 +259,6 @@ def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     return _at(ctx, _script_w_sum(ctx, ctx_p, x - a), a) * math.exp(ctx_p.phi_q * (x - a))
 
 
-def _script_w_dp(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
-    # derivative of script_w(ctx, p_extra, a, x) in p_extra
-    a, ctx_p = max(a, 0.0), scale_context(ctx.model, ctx.q + p_extra)
-    if x <= a:
-        return 0.0
-    return _at(ctx, _script_w_sum(ctx, ctx_p, x - a, True), a) * math.exp(ctx_p.phi_q * (x - a))
-
-
 def _script_w_sum(ctx: ScaleContext, ctx_p: ScaleContext, length: float,
                   dp: bool = False) -> tuple:
     # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its

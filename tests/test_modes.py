@@ -42,8 +42,8 @@ from levyruin import (
 )
 from levyruin.models import BROWNIAN, _psi_slopes
 from levyruin.registry import IDENTITIES, evaluate_identity
-from levyruin.scale import _script_w_dp, _z_sum, _z_tilde_sum, script_w
-from test_scale import CLOSED_FORM_POINTS, CLOSED_FORM_RATES
+from levyruin.scale import _z_sum, _z_tilde_sum, script_w
+from test_scale import CLOSED_FORM_POINTS, CLOSED_FORM_RATES, _script_w_dp
 
 MODELS = {
     "bm_a": LevyModel.brownian(1.0, math.sqrt(2.0)),

@@ -291,7 +291,8 @@ def test_occupation_law_laplace_consistency_thin_cl():
 
 @pytest.mark.parametrize("kind", ["bm", "cl"])
 def test_occupation_law_laplace_consistency_below_zero(kind, bm, cl):
-    # the strong-Markov split at the first passage to 0, with the convolution quadrature
+    # the closed form on Brownian models, the mixture over the first-passage level on
+    # Cramer-Lundberg models
     _check_laplace_consistency(bm if kind == "bm" else cl, -0.5, 1.0)
 
 
@@ -422,54 +423,66 @@ def test_occupation_density_below_zero_matches_mpmath(x, lam, r):
     assert occupation_law(BM_B, x, lam).density(r) == pytest.approx(float(ref), rel=1e-9)
 
 
-def test_cl_density_below_zero_takes_start_term_from_the_quadrature(monkeypatch, cl):
-    # the start term f_init(r, d) rides on the first quadrature call over U, so a point
-    # calls f_init once per quadrature level and never on its own
+def test_cl_density_below_zero_is_one_quadrature(monkeypatch, cl):
+    # a point from x < 0 is one quadrature over the first-passage level, with no inner
+    # quadrature and no second one beside it
     from levyruin import occupation
 
-    calls = {"f_init": 0, "levels": 0}
-    make_f_init, gl_pieces = occupation._initial_density, occupation.gl_pieces
+    calls, gl_pieces = [], occupation.gl_pieces
 
-    def counted_f_init(*args):
-        f_init = make_f_init(*args)
+    def counted_gl_pieces(*args, **kwargs):
+        calls.append(1)
+        return gl_pieces(*args, **kwargs)
 
-        def f(s, y):
-            calls["f_init"] += 1
-            return f_init(s, y)
-
-        return f
-
-    def counted_gl_pieces(f, *args, **kwargs):
-        def level(u):
-            calls["levels"] += 1
-            return f(u)
-
-        return gl_pieces(level, *args, **kwargs)
-
-    monkeypatch.setattr(occupation, "_initial_density", counted_f_init)
     monkeypatch.setattr(occupation, "gl_pieces", counted_gl_pieces)
-    # the drop term runs a quadrature of its own, which calls no f_init
-    monkeypatch.setattr(occupation, "_density_drop", lambda *args: lambda t: 0.0)
     law = occupation_law(cl, -0.5, 1.0)
-    for r in (0.01, 1.0, 30.0):
+    for n, r in enumerate((0.01, 0.3, 1.0, 30.0), 1):
         law.density(r)
-    assert calls["f_init"] == calls["levels"] >= 6
+        assert len(calls) == n
 
 
-@pytest.mark.parametrize("d", [1e8, 1e10, 1e12])
-def test_occupation_density_far_below_zero_is_the_clt_peak(model, d):
+# Cramer-Lundberg densities from x < 0 as the strong-Markov split at tau_0^+ (two nested
+# quadratures) gave them: (model, x, lam, r, density), away from the jump at r = -x/c
+SPLIT_PINS = [
+    ("cl_a", -0.5, 1.0, 0.1, 0.5185366915409346),
+    ("cl_a", -0.1, 30.0, 1.0, 0.15196373016526604),
+    ("cl_a", -2.0, 3.0, 10.0, 0.018181725643383852),
+    ("cl_a", -6.0, 0.5, 100.0, 2.263151026552332e-09),
+    ("cl_a", -6.0, 30.0, 3.0, 4.656011500127047e-41),
+    ("cl_b", -0.1, 0.5, 0.01, 0.40261628689724427),
+    ("cl_b", -0.5, 30.0, 3.0, 0.060168960710336825),
+    ("cl_b", -2.0, 1.0, 30.0, 0.00678578901252894),
+    ("cl_b", -6.0, 3.0, 0.3, 8.317141760010825e-08),
+    ("cl_thin", -0.1, 1.0, 0.03, 0.19994040349833397),
+    ("cl_thin", -0.5, 30.0, 1.0, 0.05663296576747964),
+    ("cl_thin", -2.0, 0.5, 20.0, 0.008626917614970963),
+    ("cl_thin", -6.0, 3.0, 100.0, 0.0030471127689108294),
+]
+
+
+@pytest.mark.parametrize("name, x, lam, r, value", SPLIT_PINS,
+                         ids=[f"{n}-{x}-{lam}-{r}" for n, x, lam, r, _ in SPLIT_PINS])
+def test_cl_density_below_zero_matches_the_strong_markov_split(name, x, lam, r, value, cl):
+    model = {"cl_a": cl, "cl_b": CL_B, "cl_thin": CL_THIN}[name]
+    assert occupation_law(model, x, lam).density(r) == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [1e8, 1e10, 1e12, 1e15])
+@pytest.mark.parametrize("name", ["bm", "cl", "bm_b", "cl_b", "cl_thin"])
+def test_occupation_density_far_below_zero_is_the_clt_peak(name, d, bm, cl):
     # from x = -d, O is about tau_0^+ ~ N(d/mu, psi''(0) d/mu^3) for large d, so the
-    # density at d/mu is the normal peak to O(1/d)
+    # density at d/mu is the normal peak to O(1/d): at most 4.4e-8 off at d = 1e8
+    model = {"bm": bm, "cl": cl, "bm_b": BM_B, "cl_b": CL_B, "cl_thin": CL_THIN}[name]
     mu = model.mean()
     var = model.sigma ** 2 if model.kind == "brownian" else 2.0 * model.eta / model.alpha ** 2
     peak = 1.0 / math.sqrt(2.0 * math.pi * var * d / mu ** 3)
-    assert occupation_law(model, -d, 1.0).density(d / mu) == pytest.approx(peak, rel=1e-3)
+    assert occupation_law(model, -d, 1.0).density(d / mu) == pytest.approx(peak, rel=1e-6)
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5, -2.0])
 def test_occupation_density_matches_kendall_oracle(model, x):
     # the paper's Kendall convolution (tests/kendall.py, about 1e-6 accurate) agrees
-    # with the closed form on x >= 0 and with the strong-Markov split on x < 0
+    # with the density on either side of 0
     law = occupation_law(model, x, 1.0)
     for r in (0.3, 1.0, 4.0):
         assert law.density(r) == pytest.approx(kendall_density(model, x, 1.0, r), rel=1e-5)

@@ -19,7 +19,15 @@ from levyruin import (
     z,
     z_tilde,
 )
-from levyruin.scale import _at, _script_w_dp, _w_dq, _z_sum
+from levyruin.scale import _at, _script_w_sum, _w_dq, _z_sum
+
+
+def _script_w_dp(ctx, p_extra, a, x):
+    # derivative of script_w(ctx, p_extra, a, x) in p_extra, from the library's dp modes
+    a, ctx_p = max(a, 0.0), scale_context(ctx.model, ctx.q + p_extra)
+    if x <= a:
+        return 0.0
+    return _at(ctx, _script_w_sum(ctx, ctx_p, x - a, True), a) * math.exp(ctx_p.phi_q * (x - a))
 
 
 def w0_closed_brownian(m, x):
