@@ -8,15 +8,14 @@ consecutive-observation Erlang ruin and budget-clock ruin times are all exact in
 law; the pure fine-grid fallback is kept only for the fixed-delay time kappa_r,
 where the excursion-age clock is not observation-driven.
 
-Three event loops: the excursion core, one bridge-checked first passage
-(tau_b^+ and tau_level^-) and the kappa_fixed Euler walk.  Each reads its
-constants and its payoff from :func:`~.functionals.plan`; which functional
+Two event loops: the excursion core and the kappa_fixed Euler walk.  Each reads
+its constants and its payoff from :func:`~.functionals.plan`; which functional
 takes which construction is in :data:`~.functionals.CATALOGUE`.
 
-The Parisian and occupation functionals share the excursion core.  An
-excursion's trigger is the n-th consecutive negative observation with the bridge
-below 0 in between (n is the ``n`` param, default 1); its recovery is the
-inverse-Gaussian first passage to 0 from the trigger's position.  Constructions:
+The excursion core runs every other functional.  An excursion's trigger is
+the n-th consecutive negative observation with the bridge below 0 in between (n
+is the ``n`` param, default 1); its recovery is the inverse-Gaussian first
+passage to 0 from the trigger's position.  Constructions:
 
 * "observation" (also the functionals that take no construction): a ruin
   functional stops at the trigger; an occupation functional accrues
@@ -26,6 +25,10 @@ inverse-Gaussian first passage to 0 from the trigger's position.  Constructions:
   n - 1 Exp(lam) -- are a budget drawn after the recovery and raced against it:
   ruin comes at trigger + budget when the budget runs out first.  With n = 1
   there is no budget and the clock construction is T0_minus.
+
+The first passages tau_b^+ and tau_level^- have no trigger (n = 0): a skeleton
+of rate 1 whose negative points start no excursion, bridge-checked against b or
+the level between skeleton points.
 
 numpy, which only the kappa_fixed walk uses, is taken lazily (``util.lazy_module``).
 """
@@ -37,7 +40,7 @@ import math
 from ..models import LevyModel
 from ..util import lazy_module
 from .config import McConfig
-from .functionals import EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, plan
+from .functionals import EV_LOWER, EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, plan
 from .streams import _BUF
 
 np = lazy_module("numpy")
@@ -50,16 +53,12 @@ def _crossed_above(stream, x1, x2, gap, level, sig2) -> bool:
     return stream.uniform() < math.exp(-2.0 * (level - x1) * (level - x2) / (sig2 * gap))
 
 
-def _touched_zero(stream, x1, x2, gap, sig2) -> bool:
-    # both endpoints below 0: did the bridge reach 0?
-    return stream.uniform() < math.exp(-2.0 * x1 * x2 / (sig2 * gap))
-
-
 def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     mu, sig = model.mu, model.sigma
     sig2 = sig * sig
     pl = plan(model, fn, config)
-    value, x0, b, besc, tmax, exp_rate = pl.payoff, pl.x0, pl.b, pl.besc, pl.tmax, pl.exp_rate
+    value, x0, b, floor, besc = pl.payoff, pl.x0, pl.b, pl.floor, pl.besc
+    tmax, exp_rate = pl.tmax, pl.exp_rate
     lam, n, budget = pl.lam, pl.n, pl.budget
     stop = not pl.accrue and budget is None  # ruin at the trigger itself
 
@@ -69,6 +68,8 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
         occ = 0.0
         consec = 0
         horizon = tmax if exp_rate is None else stream.exponential(exp_rate)
+        if floor is not None and X < floor:
+            return value(EV_LOWER, 0.0, 0.0, occ), 0
         if b is not None and X >= b:
             return value(EV_UPCROSS, 0.0, 0.0, occ), 0
         while True:
@@ -79,11 +80,14 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
             Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
             if b is not None and _crossed_above(stream, X, Xn, gap, b, sig2):
                 return value(EV_UPCROSS, 0.0, 0.0, occ), 0
-            if Xn < 0.0:
+            # the crossing of the floor from above is that of -floor by -X from below
+            if floor is not None and _crossed_above(stream, -X, -Xn, gap, -floor, sig2):
+                return value(EV_LOWER, 0.0, 0.0, occ), 0
+            if Xn < 0.0 and n:
                 # consec counts a run of negative observations that the bridge
                 # joins below 0 (a run starts anew after X >= 0); its n-th
                 # member is the excursion's trigger
-                if X < 0.0 and consec >= 1 and not _touched_zero(stream, X, Xn, gap, sig2):
+                if X < 0.0 and consec >= 1 and not _crossed_above(stream, X, Xn, gap, 0.0, sig2):
                     consec += 1
                 else:
                     consec = 1
@@ -110,32 +114,6 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                 t, X = tn, Xn
                 if X >= besc:
                     return value(EV_NONE, 0.0, 0.0, occ), 1
-
-    return sim
-
-
-def make_first_passage_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    """tau_b^+ or tau_level^-, bridge-checked between skeleton points (q = 0 only)."""
-    mu, sig = model.mu, model.sigma
-    sig2 = sig * sig
-    pl = plan(model, fn, config)
-    value, x0, besc = pl.payoff, pl.x0, pl.besc
-    up = pl.b is not None  # tau_b^+: the crossing is X >= b, else X < level
-    level, event = (pl.b, EV_UPCROSS) if up else (pl.floor, EV_RUIN)
-
-    def sim(stream):
-        X = x0
-        if (X >= level) == up:
-            return value(event, 0.0, 0.0, 0.0), 0
-        while True:
-            gap = stream.exponential(1.0)  # skeleton rate; any rate is exact via bridges
-            Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if (Xn >= level) == up or (
-                    stream.uniform() < math.exp(-2.0 * (X - level) * (Xn - level) / (sig2 * gap))):
-                return value(event, 0.0, 0.0, 0.0), 0
-            X = Xn
-            if X >= besc:
-                return value(EV_NONE, 0.0, 0.0, 0.0), 1
 
     return sim
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,6 +44,9 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for name in ("replications", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if self.antithetic and self.replications % 2 != 0:

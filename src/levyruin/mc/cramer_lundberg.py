@@ -6,15 +6,14 @@ exactly; the only randomness is claim arrivals/sizes, observation epochs and
 the delay clocks.  There is no discretization bias; the only bias source is the
 escape-level horizon, whose residual is bounded in closed form by the driver.
 
-Two event loops: the excursion core and one first passage (tau_b^+ and
-tau_level^-).  Each reads its constants and its payoff from
-:func:`~.functionals.plan`; which functional takes which construction is in
-:data:`~.functionals.CATALOGUE`.
+One event loop, the excursion core, runs every functional.  It reads its
+constants and its payoff from :func:`~.functionals.plan`; which functional
+takes which construction is in :data:`~.functionals.CATALOGUE`.
 
-The Parisian and occupation functionals share the excursion core.  An excursion
-below 0 starts a clock (at the claim instant that took the surplus below 0, or
-at time 0 for a negative start) whose n-th point is the excursion's trigger; the
-excursion ends at its recovery, the up-crossing of 0.  Constructions:
+An excursion below 0 starts a clock (at the claim instant that took the surplus
+below 0, or at time 0 for a negative start) whose n-th point is the excursion's
+trigger; the excursion ends at its recovery, the up-crossing of 0.
+Constructions:
 
 * "clock": one draw of the whole delay -- Exp(p)+Exp(lam), Erlang(n, lam) or
   the fixed r -- is the clock's first gap and n = 1, so the trigger is the
@@ -25,11 +24,11 @@ excursion ends at its recovery, the up-crossing of 0.  Constructions:
 
 Ruin functionals stop at the first trigger before recovery; occupation
 functionals accrue recovery - trigger (:func:`excursion_occupation`) and run on.
+The first passages tau_b^+ and tau_level^- have no trigger (n = 0): their path
+takes the claim step of X >= 0 at every level and ends at b or below the level.
 """
 
 from __future__ import annotations
-
-import math
 
 from ..models import LevyModel
 from .config import McConfig
@@ -62,7 +61,7 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
         if b is not None and X >= b:
             return value(EV_UPCROSS, 0.0, 0.0, occ), 0
         while True:
-            if X >= 0.0:
+            if X >= 0.0 or not n:
                 if X >= besc:
                     return value(EV_NONE, 0.0, 0.0, occ), 1
                 e = exp_(eta)
@@ -110,33 +109,3 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
 
     return sim
 
-
-def make_first_passage_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    """tau_b^+ or tau_level^-: the claim loop of the excursion core, stopped at
-    the first passage."""
-    c, eta, alpha = model.c, model.eta, model.alpha
-    pl = plan(model, fn, config)
-    value, x0, besc = pl.payoff, pl.x0, pl.besc
-    b = math.inf if pl.b is None else pl.b
-    level = -math.inf if pl.floor is None else pl.floor
-
-    def sim(stream):
-        exp_ = stream.exponential
-        t = 0.0
-        X = x0
-        if X >= b:
-            return value(EV_UPCROSS, 0.0, 0.0, 0.0), 0
-        if X < level:
-            return value(EV_RUIN, 0.0, X, 0.0), 0
-        while True:
-            if X >= besc:
-                return value(EV_NONE, 0.0, 0.0, 0.0), 1
-            e = exp_(eta)
-            if X + c * e >= b:
-                return value(EV_UPCROSS, t + (b - X) / c, 0.0, 0.0), 0
-            t += e
-            X += c * e - exp_(alpha)
-            if X < level:
-                return value(EV_RUIN, t, X, 0.0), 0
-
-    return sim

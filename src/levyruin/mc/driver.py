@@ -37,14 +37,13 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - tests put an inline p
 
 def build_simulator(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
     """The replication closure of ``fn`` on ``model``: the event loop that
-    ``loop_of`` names, which checks ``fn`` against the catalogue (``plan``).
-    ``dt`` overrides the Euler grid step of a grid functional."""
-    loop = loop_of(model, fn)
-    if loop == "grid":
+    ``loop_of`` names, the Brownian Euler walk or the model's excursion core,
+    which checks ``fn`` against the catalogue (``plan``).  ``dt`` overrides the
+    Euler grid step of a grid functional."""
+    if loop_of(model, fn) == "grid":
         return brownian.make_kappa_grid_sim(model, fn, config, dt=dt)
     sims = brownian if model.kind == BROWNIAN else cramer_lundberg
-    make = sims.make_first_passage_sim if loop == "passage" else sims.make_excursion_sim
-    return make(model, fn, config)
+    return sims.make_excursion_sim(model, fn, config)
 
 
 def _run_blocks(model, fn, config, block_lo, block_hi, seed, dt):

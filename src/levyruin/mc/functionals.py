@@ -16,7 +16,8 @@ the n-th point of a clock started at the excursion's start, and a *recovery*,
 its next up-crossing of 0.  A ruin functional stops at the first trigger that
 comes before its excursion's recovery; an occupation functional accrues
 recovery - trigger and runs on.  This is the link between Parisian ruin and
-Poissonian occupation times that the identities rest on.
+Poissonian occupation times that the identities rest on.  The classical first
+passages run in the same core with no trigger (n = 0).
 
 The params of each functional, the delay constructions each simulator accepts
 and the fields and barriers its path reads are in :data:`CATALOGUE`.
@@ -29,9 +30,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from ..errors import UnsupportedFunctional
+from ..errors import DomainError, UnsupportedFunctional
 from ..models import BROWNIAN, LevyModel
 from ..scale import scale_context, w
+from ..util import require_finite
 from .config import EscapeLevel, McConfig
 
 EV_NONE = 0
@@ -59,7 +61,7 @@ class Entry(NamedTuple):
     bm: Optional[tuple]  # the same on Brownian models; None: the simulator does not run it
     reads: str  # the fields and barriers its path reads
     grid: bool = False  # on Brownian models an Euler walk, which reads discount_q alone
-    passage: bool = False  # a classical first passage, with no excursions
+    passage: bool = False  # a classical first passage: the excursion core with no trigger
 
 
 _OCC = "laplace_p discount_q b"  # discount_q only with b: otherwise no stopping time
@@ -86,21 +88,19 @@ CATALOGUE = {
     "T0_minus": Entry("lam", (), (), _RUIN),
     # e^{-q T_0^-} W_pw(X + shift) on {T_0^- first}
     "T0_w_weight": Entry("lam b a pw shift", (), None, _RUIN),
-    # classical first passages (sanity checks)
+    # classical first passages: the excursion core run with no trigger, so their
+    # closed forms check the core's claim, skeleton and bridge steps themselves
     "tau_b_plus": Entry("b", (), (), "discount_q b", passage=True),
     "tau_level_minus": Entry("level", (), (), "tilt_theta discount_q", passage=True),
 }
 
 
 def loop_of(model: LevyModel, fn: PathFunctional) -> str:
-    """The event loop that runs ``fn`` on ``model``: "grid", "passage" or
-    "excursion" (also for a name that the plan rejects)."""
+    """The event loop that runs ``fn`` on ``model``: "grid", the Brownian
+    kappa_fixed Euler walk, or "excursion", the model's excursion core (every
+    other functional, the first passages too, and a name that the plan rejects)."""
     entry = CATALOGUE.get(fn.name)
-    if entry is None:
-        return "excursion"
-    if entry.grid and model.kind == BROWNIAN:
-        return "grid"
-    return "passage" if entry.passage else "excursion"
+    return "grid" if entry is not None and entry.grid and model.kind == BROWNIAN else "excursion"
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,19 @@ class Plan:
     besc: float  # escape level, inf where b or the horizon ends the path
     tmax: Optional[float]  # fixed horizon
     exp_rate: Optional[float]  # rate of an Exp horizon
-    n: int  # the trigger is the n-th point of the clock
+    n: int  # the trigger is the n-th point of the clock; 0: no trigger (a first passage)
     delay: float  # constant part of the clock's first gap; kappa_fixed's r
     rates: tuple  # Exp rates summed into the clock's first gap
-    lam: Optional[float]  # rate of the clock's later gaps, the observations
+    lam: Optional[float]  # rate of the clock's later gaps; the Brownian skeleton's rate
     budget: Optional[tuple]  # Brownian: Exp rates of a budget raced against the recovery
 
 
 def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
     """Check ``fn`` on ``model`` under ``config`` against :data:`CATALOGUE` and
     return its :class:`Plan`; a request the simulator cannot run raises
-    :class:`UnsupportedFunctional`, and one that needs positive drift on a model
-    without it raises ``DomainError``."""
+    :class:`UnsupportedFunctional`; a non-finite start, field or param (but
+    kappa_fixed's r = inf, a delay no path outlives), or one that needs positive
+    drift on a model without it, raises ``DomainError``."""
     brownian = model.kind == BROWNIAN
     simulator = "Brownian" if brownian else "Cramer-Lundberg"
     entry = CATALOGUE.get(fn.name)
@@ -148,10 +149,11 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
             f"{fn.name} on the {simulator} simulator takes {takes}, not {kind!r}"
         )
     # the params column, the barriers (checked against reads below), the
-    # construction and, on the excursion loop, an Exp horizon
+    # construction and, on the excursion loop but for a first passage, an Exp horizon
+    grid = brownian and entry.grid
     needs = set(entry.params.split())
     takes = needs | {"a", "b", "construction"}
-    if loop_of(model, fn) == "excursion":
+    if not (grid or entry.passage):
         takes.add("exp_horizon_rate")
     missing = needs - prm.keys()
     if missing or prm.keys() - takes:
@@ -161,8 +163,22 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
     if fn.success_event not in ("ruin", "upcross"):
         raise UnsupportedFunctional(
             f"success_event is 'ruin' or 'upcross', not {fn.success_event!r}")
+    # a nan or infinite number would hang a path (an infinite b switches the
+    # escape level off) or give a silent nan; kappa_fixed's r = inf is a delay
+    # that no path outlives.  A rate <= 0 would hang a path or divide by zero,
+    # and n = 0 is the plan's first passage, with no trigger
+    values = {"x0": fn.x0, "discount_q": fn.discount_q, "tilt_theta": fn.tilt_theta,
+              "laplace_p": fn.laplace_p}
+    values.update((k, float(v)) for k, v in prm.items()
+                  if k != "construction" and not (k == "r" and v == math.inf))
+    require_finite(fn.name, " ".join(values), *values.values())
+    for name in ("lam", "p", "exp_horizon_rate"):
+        if name in prm and float(prm[name]) <= 0.0:
+            raise DomainError(f"{fn.name} requires {name} > 0, got {prm[name]!r}")
+    count = float(prm.get("n", 1))
+    if count != int(count) or count < 1:
+        raise DomainError(f"{fn.name} requires an integer n >= 1, got {prm['n']!r}")
 
-    grid = brownian and entry.grid
     accrue = fn.name.startswith("occupation")
     upcross = fn.success_event == "upcross"
     b = prm.get("b")
@@ -182,14 +198,17 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
 
     # the trigger clock of each excursion
     n, delay, rates, lam, budget = 1, 0.0, (), None, None
-    if fn.name == "kappa_fixed":
+    if entry.passage:
+        # no trigger; on Brownian models a skeleton of rate 1 (the bridges make any rate exact)
+        n, lam = 0, 1.0
+    elif fn.name == "kappa_fixed":
         delay = float(prm["r"])
     elif kind == "clock" and not brownian:  # the whole delay, drawn at the excursion's start
         if fn.name == "rho_sum_exp":
             rates = (float(prm["p"]), float(prm["lam"]))
         else:
             rates = (float(prm["lam"]),) * int(prm["n"])
-    elif not entry.passage:  # the observations, every Exp(lam)
+    else:  # the observations, every Exp(lam)
         lam = float(prm["lam"])
         n, rates = int(prm.get("n", 1)), (lam,)
         # Brownian: the first observation, then a budget for the delay's other stages
@@ -213,7 +232,7 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
 
     # the horizon: only occupation runs to a fixed time, and an escape level
     # needs positive drift unless an Exp horizon ends the path
-    exp_rate = None if entry.passage or grid else prm.get("exp_horizon_rate")
+    exp_rate = prm.get("exp_horizon_rate")
     exp_rate = None if exp_rate is None else float(exp_rate)
     if isinstance(config.horizon, EscapeLevel):
         besc, tmax = config.horizon.b_esc, None
@@ -231,7 +250,7 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
         besc = math.inf  # the path ends at b or at the horizon instead
 
     if fn.name == "tau_level_minus":
-        floor, success = float(prm["level"]), EV_RUIN
+        floor, success = float(prm["level"]), EV_LOWER
     else:
         floor = None if accrue or prm.get("a") is None else -float(prm["a"])
         success = EV_UPCROSS if upcross or fn.name == "tau_b_plus" else EV_RUIN

@@ -119,6 +119,15 @@ def test_grid_step_must_be_finite_and_positive(dt):
         McConfig(replications=10, seed=1, horizon=EscapeLevel(5.0), grid_dt=dt)
 
 
+def test_config_counts_must_be_integers():
+    # a float count once ended in a TypeError from inside the driver
+    for kw, field in ((dict(replications=1000.0, seed=1), "replications"),
+                      (dict(replications=1000, seed=1.5), "seed")):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            McConfig(horizon=EscapeLevel(5.0), **kw)
+    McConfig(replications=np.int64(10), seed=np.uint64(2**64 - 1), horizon=EscapeLevel(5.0))
+
+
 def test_clt_scaling(cl):
     fn = PathFunctional("rho_sum_exp", {"p": 1.0, "lam": 1.0}, x0=0.5)
     small = estimate(cl, McConfig(replications=20_000, seed=5, horizon=EscapeLevel(12.0)), fn)
@@ -136,13 +145,18 @@ def test_degenerate_event_has_zero_std_error(cl, bm):
 
 
 def test_classical_ruin_cl(cl):
-    est = estimate(cl, cfg_for(cl), PathFunctional("tau_level_minus", {"level": 0.0}, x0=0.0))
-    assert_within(est, 0.5)
+    # psi(u) = eta/(c alpha) e^{-(alpha - eta/c) u}, u the distance to the level
+    for level, x0 in ((0.0, 0.0), (-0.5, 0.3)):
+        est = estimate(cl, cfg_for(cl), PathFunctional("tau_level_minus", {"level": level}, x0=x0))
+        u = x0 - level
+        assert_within(est, cl.eta / (cl.c * cl.alpha) * math.exp(-(cl.alpha - cl.eta / cl.c) * u))
 
 
 def test_classical_ruin_bm(bm):
-    est = estimate(bm, cfg_for(bm), PathFunctional("tau_level_minus", {"level": 0.0}, x0=0.5))
-    assert_within(est, math.exp(-2.0 * bm.mu * 0.5 / bm.sigma ** 2))
+    # below a negative level the skeleton's negative points start no excursion
+    for level, x0 in ((0.0, 0.5), (-0.5, 0.3)):
+        est = estimate(bm, cfg_for(bm), PathFunctional("tau_level_minus", {"level": level}, x0=x0))
+        assert_within(est, math.exp(-2.0 * bm.mu * (x0 - level) / bm.sigma ** 2))
 
 
 def test_occupation_union_matches_transform_literal_does_not(cl):
@@ -573,6 +587,54 @@ def test_plan_checks_params_against_catalogue(key, bm, cl):
         for k in extra:
             with pytest.raises(UnsupportedFunctional, match=f"unknown \\['{k}'\\]"):
                 plan(model, PathFunctional(name, {**params, k: 3}, x0=0.5), cfg)
+
+
+@pytest.mark.parametrize("key", ["bm", "cl"])
+def test_plan_rejects_non_finite_inputs(key, bm, cl):
+    # each hung (x0 = nan, lam = inf, b = inf, which switches the escape level
+    # off) or returned a silent 0 or nan before plan checked them; plan is called
+    # directly, so a regression fails instead of hanging
+    from levyruin.mc.functionals import plan
+
+    model = {"bm": bm, "cl": cl}[key]
+    cfg = McConfig(replications=4, seed=1, horizon=EscapeLevel(12.0))
+    occ = ("occupation_poisson", {"lam": 1.0})
+    rho = ("rho_sum_exp", {"p": 1.0, "lam": 1.0})
+    bad = ((occ, dict(x0=math.nan), "x0"), (("occupation_poisson", {"lam": math.inf}), {}, "lam"),
+           (("rho_sum_exp", {"p": 1.0, "lam": 1.0, "b": math.inf}), {}, "b"),
+           (("tau_b_plus", {"b": math.inf}), {}, "b"),
+           (("rho_sum_exp", {"p": 1.0, "lam": math.nan}), {}, "lam"),
+           (rho, dict(x0=math.nan), "x0"), (rho, dict(discount_q=math.nan), "discount_q"),
+           (occ, dict(laplace_p=math.inf), "laplace_p"),
+           (("tau_level_minus", {"level": -math.inf}), {}, "level"),
+           (("kappa_fixed", {"r": math.nan}), {}, "r"))
+    if key == "cl":
+        bad += ((rho, dict(tilt_theta=-math.inf), "tilt_theta"),)
+    for (name, params), kw, field in bad:
+        with pytest.raises(DomainError, match=f"requires a finite {field}, got"):
+            plan(model, PathFunctional(name, params, **{"x0": 0.5, **kw}), cfg)
+    # r = inf is kappa_fixed's delay that no path outlives
+    plan(model, PathFunctional("kappa_fixed", {"r": math.inf}, x0=0.5), cfg)
+
+
+@pytest.mark.parametrize("key", ["bm", "cl"])
+def test_plan_rejects_clocks_out_of_range(key, bm, cl):
+    # a rate of 0 divided by zero on the path, lam = -1 hung on Cramer-Lundberg
+    # models, p = -1 gave a value, and n = 0 is the plan's first passage, whose
+    # path never triggers
+    from levyruin.mc.functionals import plan
+
+    model = {"bm": bm, "cl": cl}[key]
+    cfg = McConfig(replications=4, seed=1, horizon=EscapeLevel(12.0))
+    for name, params, match in (
+            ("occupation_poisson", {"lam": 0.0}, "lam > 0"),
+            ("occupation_poisson", {"lam": -1.0}, "lam > 0"),
+            ("occupation_poisson", {"lam": 1.0, "exp_horizon_rate": 0.0}, "exp_horizon_rate > 0"),
+            ("rho_sum_exp", {"p": -1.0, "lam": 1.0}, "p > 0"),
+            ("rho_erlang", {"n": 0, "lam": 1.0}, "integer n >= 1"),
+            ("occupation_poisson_n", {"n": 2.5, "lam": 1.0}, "integer n >= 1")):
+        with pytest.raises(DomainError, match=match):
+            plan(model, PathFunctional(name, params, x0=0.5), cfg)
 
 
 def test_plan_rejects_reproduced_param_mistakes(cl):

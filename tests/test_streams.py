@@ -273,6 +273,8 @@ _PATHS = {
     "cl-tau_b_plus": ("cl", "tau_b_plus", {"b": 1.0}, dict(x0=0.0, discount_q=0.2), None, 1000),
     "cl-tau_level_minus-tilt": ("cl", "tau_level_minus", {"level": 0.0},
                                 dict(x0=0.5, discount_q=0.1, tilt_theta=0.5), None, 1000),
+    "cl-tau_level_minus-below": ("cl", "tau_level_minus", {"level": -0.5},
+                                 dict(x0=0.3, discount_q=0.1, tilt_theta=0.5), None, 1000),
     # Brownian: occupation accrual
     "bm-occupation": ("bm", "occupation_poisson", {"lam": 2.0}, dict(x0=0.0, laplace_p=2.0), None, 1000),
     "bm-occupation-exp_horizon": ("bm", "occupation_poisson", {"lam": 1.0, "exp_horizon_rate": 0.5},
@@ -309,6 +311,7 @@ _PATHS = {
     # Brownian: first passages and the fixed-delay grid
     "bm-tau_b_plus": ("bm", "tau_b_plus", {"b": 1.0}, dict(x0=0.0), None, 1000),
     "bm-tau_level_minus": ("bm", "tau_level_minus", {"level": 0.0}, dict(x0=0.5), None, 1000),
+    "bm-tau_level_minus-below": ("bm", "tau_level_minus", {"level": -0.5}, dict(x0=0.3), None, 1000),
     "bm-kappa_fixed": ("bm", "kappa_fixed", {"r": 0.25}, dict(x0=0.5, discount_q=0.1), None, 200),
 }
 _PINS = {
@@ -331,6 +334,7 @@ _PINS = {
     "bm-rho_sum_exp-b-upcross": "0x1.b900000000000p+9",
     "bm-tau_b_plus": "0x1.f400000000000p+9",
     "bm-tau_level_minus": "0x1.2780000000000p+9",
+    "bm-tau_level_minus-below": "0x1.bd00000000000p+8",
     "cl-T0_minus-ab-upcross": "0x1.65122866c7dc6p+9",
     "cl-T0_minus-b-tilt": "0x1.990ec8cbc71b8p+6",
     "cl-T0_w_weight": "0x1.7b0a200a080a3p+7",
@@ -353,6 +357,7 @@ _PINS = {
     "cl-rho_sum_exp-ab-upcross": "0x1.6ddf006fe7dc1p+9",
     "cl-rho_sum_exp-b-tilt": "0x1.e56350374ae17p+5",
     "cl-tau_b_plus": "0x1.60960430291cep+9",
+    "cl-tau_level_minus-below": "0x1.c36d4a37b9e58p+6",
     "cl-tau_level_minus-tilt": "0x1.990d956c019fcp+7",
 }
 
