@@ -150,12 +150,10 @@ def _psi_prime_any(model: LevyModel, theta: float) -> float:
         return model.c - model.alpha * model.eta / (t * t)
 
 
-def _psi_second_any(model: LevyModel, theta: float, t: Optional[float] = None) -> float:
+def _psi_second_any(model: LevyModel, theta: float) -> float:
     if model.kind == BROWNIAN:
         return model.sigma ** 2
-    # t: theta + alpha where the caller knows it to full relative precision (a root next
-    # to the pole -alpha); t * t * t rounds to inf where t ** 3 raises OverflowError
-    t = theta + model.alpha if t is None else t
+    t = theta + model.alpha  # t * t * t rounds to inf where t ** 3 raises OverflowError
     return 2.0 * model.alpha * model.eta / (t * t * t)
 
 
@@ -165,8 +163,8 @@ def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0,
     # the divided differences D(a, b) = (psi(a) - psi(b)) / (a - b) at b = b1 and b2 in
     # closed form (psi'(a) at a = b), or with k = 1 their derivatives in a, or with k = 1
     # and a2 their divided differences (D(a, b) - D(a2, b)) / (a - a2) in a.  On
-    # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha), with ta = a + alpha and
-    # t2 = b2 + alpha as in _psi_second_any; t2 = 0 (residue 0 at the pole) gets 0
+    # Cramer-Lundberg models D(a, b) = c_k - g_k / (b + alpha), ta = a + alpha and t2 = b2 +
+    # alpha to full precision next to the pole -alpha; t2 = 0 (residue 0 at the pole) gets 0
     if model.kind == BROWNIAN:
         half = 0.5 * model.sigma ** 2
         if k:
@@ -178,6 +176,18 @@ def _psi_slopes(model: LevyModel, a: float, b1: float, b2: float, k: int = 0,
         ck, g = 0.0, -g / (ta if a2 is None else a2 + model.alpha)
     t2 = b2 + model.alpha if t2 is None else t2
     return ck - g / (b1 + model.alpha), ck - g / t2 if t2 else 0.0
+
+
+def _rate_slopes(model: LevyModel, t1: float, t2: float, a1: float, a2: float) -> tuple:
+    # (psi[r_1, r_2], (A_1 - A_2) / (q_1 - q_2)) for the roots r_i = t_i - alpha of psi = q_i
+    # on one branch, residues A_i: -A_1 A_2 psi'[r_1, r_2] / psi[r_1, r_2], with A_i / t_i =
+    # 1 / (c t_i - alpha eta / t_i) from t_i, lest a residue underflow next to the pole
+    if model.kind == BROWNIAN:
+        s = model.mu + 0.5 * model.sigma ** 2 * (t1 + t2)
+        return s, -a1 * a2 * model.sigma ** 2 / s
+    ae, c = model.alpha * model.eta, model.c
+    s = c - ae / t1 / t2
+    return s, -ae * (1.0 / t1 + 1.0 / t2) / (c * t1 - ae / t1) / (c * t2 - ae / t2) / s
 
 
 def psi(model: LevyModel, theta: float) -> float:

@@ -3,13 +3,15 @@
 Every identity is closed-form in the two-mode scale quantities of
 :mod:`levyruin.scale`: ratios and two-sided combinations factor out e^{Phi_q b},
 and bounded quantities and ruin probabilities keep their decaying mode.
-Removable singularities (p = lam, theta at Phi_q or Phi_{q+lam}) go through
-confluent branches or analytic limits, never naive evaluation next to the pole.
-The Erlang(2, lam) identities are the p = lam case of their Exp(p) + Exp(lam)
-parents, whose confluences take closed-form p-derivatives of scriptW.  Erlang(n)
-ruin and its deficit transforms are closed-form for every n: a recursion over the
-delay's stages in which every term has one sign, so no Monte Carlo enters and
-nothing cancels, in O(n^2) operations.
+The Exp(p) + Exp(lam) identities are difference quotients, with removable points at
+p = lam and p = q + lam in the rate, and at theta = Phi_{q+lam} in theta.  Each is
+evaluated as a divided difference of root-mode terms (:func:`levyruin.scale._mode_dd`,
+and in theta :func:`levyruin.scale._dd_exp`), which is its derivative at the removable
+point itself: one formula, with no tolerance band and no separate confluent branch.
+So the Erlang(2, lam) identities are their parents at p = lam.  Erlang(n) ruin and
+its deficit transforms are closed-form for every n: a recursion over the delay's
+stages in which every term has one sign, so no Monte Carlo enters and nothing
+cancels, in O(n^2) operations.
 """
 
 from __future__ import annotations
@@ -22,25 +24,9 @@ from .errors import DomainError, NumericalError
 from .models import (LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any,
                      _psi_slopes, phi)
 from .occupation import _occupation_inf, joint_lt_upcross
-from .scale import (
-    _across,
-    _at,
-    _decay,
-    _lin,
-    _neg,
-    _ratio,
-    _roots,
-    _script_w_sum,
-    _two_sided,
-    _w_at,
-    _w_dq,
-    _w_tilde_dp_sum,
-    _w_tilde_sum,
-    _z_sum,
-    _z_tilde_sum,
-    scale_context,
-    z_tilde,
-)
+from .scale import (_across, _at, _dd_exp, _decay, _lin, _mode_dd, _neg, _pairs, _ratio, _roots,
+                    _script_w_sum, _shifted, _two_sided, _w_at, _w_tilde_sum, _z_neg, _z_sum,
+                    _z_terms, _z_tilde_sum, scale_context, z_tilde)
 from .util import clamp_unit, represented_rate, require_finite
 
 _POLE_TOL = 1e-12
@@ -53,12 +39,11 @@ def _psi_q(model: LevyModel, q: float, theta: float) -> float:
     return _psi_any(model, theta) - q
 
 
-def _check_pole(theta: float, pole: float, label: str) -> None:
+def _check_pole(theta: float, pole: float) -> None:
+    # from x < 0 theta = Phi_{q+p} needs a third divided difference, which is not taken
     if abs(theta - pole) <= _POLE_TOL * (1.0 + abs(pole)):
-        raise DomainError(
-            f"theta = {theta:g} hits the removable point {label} = {pole:g}; "
-            "use the dedicated confluent entry point"
-        )
+        raise DomainError(f"theta = {theta:g} hits the removable point Phi_{{q+p}} = {pole:g}, "
+                          "not covered from x < 0")
 
 
 def _e_scaled(ctx, lam: float, theta: float, phi_lq: float) -> tuple:
@@ -67,8 +52,8 @@ def _e_scaled(ctx, lam: float, theta: float, phi_lq: float) -> tuple:
     # Phi_{q+lam})) - psi_{q+lam}(theta) Z_q(., Phi_{q+lam}), and psi_{q+lam}(theta) =
     # (theta - Phi_{q+lam}) D(theta, Phi_{q+lam}): a divided difference of Z_q in theta,
     # which keeps its digits next to theta = Phi_{q+lam}, where E and psi_{q+lam} vanish
-    slope = _psi_slopes(ctx.model, theta, phi_lq, phi_lq)[0]
-    return _lin(lam / slope, _z_sum(ctx, theta, 1, theta2=phi_lq), -1.0, _z_sum(ctx, phi_lq))
+    k = lam / _psi_slopes(ctx.model, theta, phi_lq, phi_lq)[0]
+    return _z_terms(ctx, ((k, theta, None, phi_lq, None), (-1.0, phi_lq, None, None, None)))
 
 
 def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float:
@@ -94,7 +79,8 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
     ((Phi_q + zeta_q) D(theta, Phi_{q+lam}) D(theta, Phi_{q+p})), psi[., ., .] the
     second divided difference of psi: nothing cancels next to theta = Phi_{q+lam} or
     Phi_{q+p}, where E and both psi vanish.  On x < 0, E / psi_{q+lam}(theta) is a
-    divided difference of Z_q in theta.
+    divided difference of Z_q in theta, but p / psi_{q+p}(theta) is not, so theta =
+    Phi_{q+p} raises ``DomainError`` there.
     """
     require_finite("gs_lt_two_sided", "x b q p lam theta", x, b, q, p, lam, theta)
     if x > b:
@@ -107,10 +93,9 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
         return 0.0
     ctx = scale_context(model, q)
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
-    _check_pole(theta, phi_lq, "Phi_{q+lam}")
-    _check_pole(theta, phi_pq, "Phi_{q+p}")
     f = _z_tilde_sum(ctx, phi_lq, phi_pq)
     if x < 0.0:
+        _check_pole(theta, phi_pq)
         return p / psi_p * _two_sided(ctx, _e_scaled(ctx, lam, theta, phi_lq), f, x, b)
     slope_l, slope_p = _psi_slopes(model, theta, phi_lq, phi_pq)
     curv = _psi_slopes(model, theta, phi_pq, phi_pq, 1, a2=phi_lq)[0]
@@ -127,7 +112,7 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     psi_q(theta)/(theta - Phi_q) is the slope of psi between Phi_q and theta, regular
     at theta = Phi_q (so q = 0, theta = 0 under positive drift).  For x >= 0 the value
     lies in [0, 1], so only the decaying mode is kept, as a factored product of
-    slopes that does not cancel next to theta = Phi_{q+lam}.
+    slopes that does not cancel next to theta = Phi_{q+lam} or Phi_{q+p}.
     """
     require_finite("gs_lt_infinite", "x q p lam theta", x, q, p, lam, theta)
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
@@ -138,11 +123,10 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     ctx = scale_context(model, q)
     phi_q = ctx.phi_q
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
-    _check_pole(theta, phi_lq, "Phi_{q+lam}")
-    _check_pole(theta, phi_pq, "Phi_{q+p}")
     (slope_q, slope_l), (slope_p, _) = (_psi_slopes(model, theta, phi_q, phi_lq),
                                          _psi_slopes(model, theta, phi_pq, phi_pq))
     if x < 0.0:
+        _check_pole(theta, phi_pq)
         # psi_{q+lam}(theta) = (theta - Phi_{q+lam}) slope_l divides both terms
         coeff = slope_q * (phi_pq - phi_q) / (p * slope_l)
         return (p / _psi_q(model, q + p, theta)
@@ -161,10 +145,10 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
     """E_x[ e^{-q tau_b^+} ; tau_b^+ < rho ^ tau_{-a}^- ] as a ratio of composite
     scale functions, taken mode by mode.
 
-    The composite vanishes identically at p = lam, so the ratio is taken as the
-    ratio of its closed-form p-derivatives there.  At a = 0 the lower barrier is
-    the ruin level and the ratio is W_q(x)/W_q(b) (the composite is 0/0 on
-    Brownian models, where W(0) = 0).
+    The composite vanishes identically at p = lam, so the ratio is taken between its
+    divided differences in p, which at p = lam are its p-derivatives.  At a = 0 the
+    lower barrier is the ruin level and the ratio is W_q(x)/W_q(b) (the composite is
+    0/0 on Brownian models, where W(0) = 0).
     """
     require_finite("up_cross_three_barrier", "x b a q p lam", x, b, a, q, p, lam)
     if not (-a <= x <= b):
@@ -179,11 +163,7 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
         return clamp_unit(_w_at(ctx, x, s) / _w_at(ctx, b, s), "up_cross_three_barrier")
     p = represented_rate(q, p, "up_cross_three_barrier")
     lam = represented_rate(q, lam, "up_cross_three_barrier")
-    if abs(p - lam) > 1e-8 * (1.0 + lam):
-        f = _w_tilde_sum(ctx, p, lam, a)
-    else:
-        f = _w_tilde_dp_sum(ctx, lam, a)
-    return clamp_unit(_ratio(ctx, f, x, b), "up_cross_three_barrier")
+    return clamp_unit(_ratio(ctx, _w_tilde_sum(ctx, p, lam, a), x, b), "up_cross_three_barrier")
 
 
 def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -195,94 +175,66 @@ def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: floa
 
 def gerber_shiu_density(model: LevyModel, x: float, b: float, q: float, p: float,
                         lam: float, y: float) -> float:
-    """Density in y <= 0 of e^{-q rho} 1{X_rho in dy, rho < tau_b^+}, p != lam."""
+    """Density in y <= 0 of e^{-q rho} 1{X_rho in dy, rho < tau_b^+}; p = lam is the
+    Erlang(2, lam) delay.
+
+    p times the two-sided combination, against f = Z~_q(., Phi_{q+lam}, Phi_{q+p}), of
+    [h], the divided difference from rate q + lam to q + p of h(rho) = A_rho e^{r_rho L}
+    (lam Z_q(., r_rho) - rho Z_q(., Phi_{q+lam})), L = -y, over the decaying roots r_rho =
+    -zeta_{q+rho} with residues A_rho; the growing root terms are 0 or multiples of f.
+    """
     require_finite("gerber_shiu_density", "x b q p lam y", x, b, q, p, lam, y)
-    if abs(p - lam) <= 1e-10 * (1.0 + lam):
-        raise DomainError(
-            "gerber_shiu_density is singular at p = lam; use gs_density_e2 (Erlang(2))"
-        )
-    return _gs_density(model, x, b, q, p, lam, y, "gerber_shiu_density")
-
-
-def _gs_density(model: LevyModel, x: float, b: float, q: float, p: float, lam: float,
-                y: float, name: str) -> float:
-    # Gerber-Shiu density for the Exp(p)+Exp(lam) delay, p == lam its confluent
-    # (Erlang(2)) limit: p times the two-sided combination, against
-    # f = Z~_q(., Phi_{q+lam}, Phi_{q+p}), of a xi-factor made of scriptW at length
-    # L = -y, sums over the roots r of psi = q + lam and q + p.  Its r = Phi_{q+lam} term
-    # is identically 0, and its r = Phi_{q+p} term is k0 e^{Phi_{q+p} L} f with
-    # k0 = -A'_{Phi_{q+p}} / D(Phi_{q+lam}, Phi_{q+p}), which the combination maps to 0.
-    # The decaying root terms c e^{s} Z_q^{(k)}(., theta), s = rL, are kept alone.
     if y > 0.0:
-        raise DomainError(f"{name} requires y <= 0")
+        raise DomainError("gerber_shiu_density requires y <= 0")
     if x > b:
-        raise DomainError(f"{name} requires x <= b")
+        raise DomainError("gerber_shiu_density requires x <= b")
     if p <= 0.0 or lam <= 0.0 or q < 0.0:
-        raise DomainError(f"{name} requires delay rates > 0 and q >= 0")
+        raise DomainError("gerber_shiu_density requires delay rates > 0 and q >= 0")
     # the rates as the roots see them, through q + lam and q + p
-    lam, p = represented_rate(q, lam, name), represented_rate(q, p, name)
+    lam, p = (represented_rate(q, rate, "gerber_shiu_density") for rate in (lam, p))
     ctx, length = scale_context(model, q), -y
-    ctx_l, ctx_p = scale_context(model, q + lam), scale_context(model, q + p)
-    (phi_l, _, t_l), (r_l, a_l, u_l) = _roots(ctx_l)
-    (phi_p, a_phi_p, _), (r_p, a_p, u_p) = _roots(ctx_p)
-    s_l, s_p = r_l * length, r_p * length
-    # The terms' values at L = 0 sum to -W_q(0) Z_q(., Phi_{q+lam}) modulo f; on
-    # Brownian models W_q(0) = 0, so e^{s_p} times them is dropped (keep = False), which
-    # leaves the zero at y = 0 exact and no cancellation at any L
-    keep, e_l, e_p = ctx.w0 != 0.0, math.exp(s_l), math.exp(s_p)
-    if p == lam:
-        # -d/dp at p = lam of the p part's term A'_r e^{rL} (p Z(Phi_{q+lam}) - lam Z(r)),
-        # r = -zeta_{q+p}, which the lam part cancels there; dr/dp = A' and
-        # dA'/dp = -psi''(r) A'^3.  The weights go like lam A'^2 ~ lam^-3 on
-        # Cramer-Lundberg models, and underflow past lam ~ 1e100
-        if abs(lam * a_l * a_l) < sys.float_info.min:
-            raise NumericalError(
-                f"{name}: at q + lam = {q + lam:g} the root -zeta_{{q+lam}} lies within "
-                f"{u_l:.3g} of the pole -alpha of psi, and its terms leave the float range")
-        la, e_c = lam * a_l, e_l if keep else 0.0
-        hl = _psi_second_any(model, r_l, u_l) * a_l * la
-        terms = ((a_l * (hl - 1.0), s_l, phi_l, t_l, 0, e_c), (-a_l * hl, s_l, r_l, u_l, 0, e_c),
-                 (la * a_l, s_l, r_l, u_l, 1, e_c), (-la * a_l * length, s_l, phi_l, t_l, 0, e_l),
-                 (la * a_l * length, s_l, r_l, u_l, 0, e_l))
-    else:
-        c_l, c_p = lam / (lam - p) * a_l, a_p / (lam - p)
-        if not keep:  # (e^{s_l} - e^{s_p}) times the lam part
-            e_l = -e_l * math.expm1(s_p - s_l) if s_l >= s_p else e_p * math.expm1(s_l - s_p)
-            e_p = 0.0
-        # a residue 0, at a root rounded to the pole, drops its term
-        terms = tuple(tm for tm in ((c_l, s_l, r_l, u_l, 0, e_l), (-c_l, s_l, phi_l, t_l, 0, e_l),
-                                    (p * c_p, s_p, phi_l, t_l, 0, e_p),
-                                    (-lam * c_p, s_p, r_p, u_p, 0, e_p)) if tm[0])
-    c_phi = c_zeta = 0.0
-    for c, _, theta, t, k, e in terms:
-        if e:
-            z_phi, z_zeta = _z_sum(ctx, theta, k, t)[:2]
-            c_phi, c_zeta = c_phi + c * e * z_phi, c_zeta + c * e * z_zeta
-    # On x < 0 the factor is the same multiple of f off the full one as on x >= 0.  The
-    # r = Phi_{q+p} term is k0 e^{Phi_{q+p} L} f, D = D(Phi_{q+lam}, Phi_{q+p}); dropping
-    # the L-constant terms drops k0 e^{s_p} f more.  Below -L, where scriptW vanishes, the
-    # full factor less that term is lam/(lam-p) (W_{q+p}(L) e^{Phi_{q+p} y} - W_{q+lam}(L)
-    # e^{Phi_{q+lam} y}) - A'_{r_p} e^{s_p} / D f(y), and on Brownian models, where
-    # A'_{r_p} = -A'_{Phi_{q+p}}, the dropped part cancels its f term
-    f, d = _z_tilde_sum(ctx, phi_l, phi_p), _psi_slopes(model, phi_l, phi_p, phi_p)[0]
-    k_drop, k_zeta = (0.0, -a_p * e_p / d) if keep else (-a_phi_p * math.exp(s_p) / d, 0.0)
-    g = (c_phi, c_zeta, _gs_neg, (terms, length, k_drop, k_zeta, f, ctx_l, ctx_p, p, lam))
+    pf, pr = _pairs(scale_context(model, q + lam), scale_context(model, q + p))
+    phi_l, a_fl, t_l, phi_p, a_fp, _, s_f = pf[:7]
+    r_l, a_l, u_l, r_p, a_p, u_p, s_r, da = pr
+    keep = ctx.w0 != 0.0
+    if keep and abs(da) < sys.float_info.min:  # [A] ~ rate^-3 next to the pole
+        raise NumericalError(f"gerber_shiu_density: at q + lam = {q + lam:g}, q + p = {q + p:g} "
+                             f"the roots -zeta lie within {max(u_l, u_p):.3g} of the pole")
+    e_l, e_p = math.exp(r_l * length), math.exp(r_p * length)
+    la_de = lam * a_l * _dd_exp(r_l, r_p, length) / s_r
+    # [h] = [e^{r L}] A_lam K_lam + e^{r_p L} [A K], and [A K] by the product rule with the
+    # smaller residue times [K], so that no two large terms cancel next to the pole.  On
+    # Brownian models e^{r_p L} [A K] is e^{r_p L} A_{Phi_{q+p}} / s_f f on x >= 0 and is
+    # dropped there: the zero at y = 0 stays exact
+    big = abs(a_l) >= abs(a_p)
+    r_b, u_b, a_s, rate_b = (r_l, u_l, a_p, lam) if big else (r_p, u_p, a_l, p)
+    terms = ((la_de, r_l, u_l, None, None), (-la_de, phi_l, t_l, None, None))
+    if keep:
+        terms += ((-e_p * (a_s + rate_b * da), phi_l, t_l, None, None),
+                  (e_p * lam * da, r_b, u_b, None, None),
+                  (e_p * lam * a_s / s_r, r_l, u_l, r_p, u_p))
+    k_drop = 0.0 if keep else -a_fp * e_p / s_f
+    k_zeta = -a_p * e_p / s_f if keep else 0.0
+    f = _z_tilde_sum(ctx, phi_l, phi_p)
+    g = _z_terms(ctx, terms)[:2] + (_gs_neg, (length, pf, pr, lam, (
+        a_s * (e_p if big else e_l), rate_b, ctx.w0), k_drop, k_zeta, f))
     return p * _two_sided(ctx, g, f, x, b)
 
 
-def _gs_neg(y: float, terms: tuple, length: float, k_drop: float, k_zeta: float, f: tuple,
-            ctx_l, ctx_p, p: float, lam: float) -> float:
-    # the xi-factor at y < 0: on [-L, 0) the terms with Z_q(y, theta) = e^{theta y} and
-    # weights e^{rL}, plus k_drop f; below -L the W terms, whose limit at p = lam is
-    # -lam d/dp (W_{q+p}(L) e^{Phi_{q+p} y}), plus k_zeta f
+def _gs_neg(y: float, length: float, pf: tuple, pr: tuple, lam: float, small: tuple,
+            k_drop: float, k_zeta: float, f: tuple) -> float:
+    # [h] at y < 0, plus the multiple of f that the modes drop: on [-L, 0),
+    # lam [A e^{r (L + y)}] - [rho A e^{r L}] e^{Phi_{q+lam} y}; below -L, where scriptW
+    # vanishes, -lam [W(L) e^{Phi y}], W(L) = A_Phi e^{Phi L} + A_r expm1(r L) + W(0) - A_Phi
+    # (exactly W(0) at L = 0)
+    u_s, rate_b, w0 = small
     if y >= -length:
-        return (sum(c * y ** k * math.exp(theta * y + s) for c, s, theta, _, k, _ in terms)
-                + k_drop * _neg(f, y))
-    if p == lam:
-        val = -lam * (_w_dq(ctx_l, length, -y) + y * ctx_l.coeff_a * _w_at(ctx_l, length, -y))
-    else:
-        val = lam / (lam - p) * (_w_at(ctx_p, length, -y) - _w_at(ctx_l, length, -y))
-    return val + k_zeta * _neg(f, y)
+        return (lam * _mode_dd(pr, length + y)
+                - (u_s + rate_b * _mode_dd(pr, length)) * math.exp(pf[0] * y) + k_drop * _neg(f, y))
+    w_ly = (pr[1] * math.expm1(pr[0] * length) + w0) * _dd_exp(pf[0], pf[3], y) / pf[6]
+    return (-lam * (_mode_dd(pf, length + y) - _mode_dd(pf, y)
+                    + (_mode_dd(pr, length) - pr[7]) * math.exp(pf[3] * y) + w_ly)
+            + k_zeta * _neg(f, y))
 
 
 def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
@@ -308,7 +260,7 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
     # q phi_lq (phi_pq - phi_q) / phi_q, with q / phi_q and p / (phi_pq - phi_q) as slopes
     slope_0, slope_p = _psi_slopes(model, phi_q, 0.0, phi_pq)
     k = phi_lq * p * slope_0 / slope_p
-    e0 = _lin(lam, _z_sum(ctx, 0.0), q, _z_sum(ctx, phi_lq))
+    e0 = _z_terms(ctx, ((lam, 0.0, None, None, None), (q, phi_lq, None, None, None)))
     combined = _lin(p, e0, -k, _z_tilde_sum(ctx, phi_lq, phi_pq))
     val = 1.0 - _decay(ctx, combined, x) / ((lam + q) * (p + q))
     return clamp_unit(val, "lt_occupation_exp_horizon")
@@ -347,10 +299,9 @@ def gs_lt_infinite_e2(model: LevyModel, x: float, q: float, lam: float,
 
 def gs_density_e2(model: LevyModel, x: float, b: float, q: float, lam: float,
                   y: float) -> float:
-    """Gerber-Shiu density at Erlang(2, lam) Parisian ruin: the p = lam limit of
-    :func:`gerber_shiu_density`, in closed form."""
-    require_finite("gs_density_e2", "x b q lam y", x, b, q, lam, y)
-    return _gs_density(model, x, b, q, lam, lam, y, "gs_density_e2")
+    """Gerber-Shiu density at Erlang(2, lam) Parisian ruin: :func:`gerber_shiu_density`
+    at p = lam."""
+    return gerber_shiu_density(model, x, b, q, lam, lam, y)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +490,10 @@ def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDel
 
 def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
                 theta: float) -> float:
-    """E_x[ e^{-q T_0^- + theta X_{T_0^-}} ; T_0^- < tau_b^+ ]."""
+    """E_x[ e^{-q T_0^- + theta X_{T_0^-}} ; T_0^- < tau_b^+ ]: lam / (lam - psi_q(theta))
+    times the two-sided combination of Z_q(., theta) against f = Z_q(., Phi_{q+lam}), taken
+    as -lam / psi[theta, Phi_{q+lam}] times that of the divided difference of Z_q in
+    theta to Phi_{q+lam}, as the combination maps f to 0: theta = Phi_{q+lam} is regular."""
     require_finite("t0_joint_lt", "x b q lam theta", x, b, q, lam, theta)
     if x > b:
         raise DomainError("t0_joint_lt requires x <= b")
@@ -547,13 +501,9 @@ def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
         raise DomainError("t0_joint_lt requires lam > 0, q >= 0, theta >= 0")
     lam = represented_rate(q, lam, "t0_joint_lt")
     ctx = scale_context(model, q)
-    denom = lam - _psi_q(model, q, theta)
-    if abs(denom) <= _POLE_TOL * (1.0 + lam):
-        raise DomainError(
-            "theta satisfies psi_q(theta) = lam (theta = Phi_{q+lam}), a removable point"
-        )
     ph = phi(model, q + lam)
-    return (lam / denom) * _two_sided(ctx, _z_sum(ctx, theta), _z_sum(ctx, ph), x, b)
+    return (-lam / _psi_slopes(model, theta, ph, ph)[0]
+            * _two_sided(ctx, _z_sum(ctx, theta, theta2=ph), _z_sum(ctx, ph), x, b))
 
 
 def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
@@ -585,14 +535,12 @@ def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float
 
 def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: float,
                          lam: float, p: float, z: float) -> float:
-    """E_x[ e^{-q T_0^-} W_p(X_{T_0^-} + z) ; T_0^- < tau_b^+ ^ tau_{-a}^- ].
-
-    The point p = q + lam is removable: the difference quotients in p become the
-    closed-form p-derivatives of the second-generation scale function there.
-    z > a is rejected: there the formula disagrees with its Monte Carlo
-    counterpart ``T0_w_weight`` and can go negative.  A value too large for a float
-    (W_p at a huge p) raises ``OverflowError``.
-    """
+    """E_x[ e^{-q T_0^-} W_p(X_{T_0^-} + z) ; T_0^- < tau_b^+ ^ tau_{-a}^- ]: -lam times the
+    two-sided combination, against scriptW^{(q,lam)}(., . + a), of the divided difference
+    of scriptW^{(q, rho - q)}(., . + z) in the total rate rho from p to q + lam, which is
+    regular at p = q + lam.  z > a is rejected: there the formula disagrees with its Monte
+    Carlo counterpart ``T0_w_weight`` and can go negative.  A value too large for a float
+    (W_p at a huge p) raises ``OverflowError``."""
     require_finite("delayed_w_functional", "x b a q lam p z", x, b, a, q, lam, p, z)
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
@@ -602,23 +550,28 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
         raise DomainError("delayed_w_functional requires a, q >= 0, p >= 0, lam > 0")
     lam = represented_rate(q, lam, "delayed_w_functional")
     ctx, ctx_l = scale_context(model, q), scale_context(model, q + lam)
-    pole = q + lam
-    # lam / (p - pole) (f(x) g(b) / f(b) - g(x)) with f = script_w(ctx, lam, ., . + a)
-    # and g the difference quotient in p at length z, or its p-derivative at the pole
-    f = _script_w_sum(ctx, ctx_l, a)
-    if abs(p - pole) <= 1e-8 * (1.0 + pole):
-        k, g = -lam * math.exp(ctx_l.phi_q * z), _script_w_sum(ctx, ctx_l, z, dp=True)
-    else:
-        # scriptW^{(q,lam)}(xi, xi + z) less e^{Phi (z - a)} f, Phi = Phi_{q+lam}: its Phi
-        # term is that multiple of f's, and the rest, bounded for z <= a, is
-        # A'_r e^{r z} (1 - e^{(Phi - r)(z - a)}) Z_q(xi, r) at r = -zeta_{q+lam}, or below
-        # xi = -z, where scriptW vanishes, -e^{Phi (z - a)} W_{q+lam}(xi + a)
-        (ph, _, _), (r, ar, t) = _roots(ctx_l)
-        c = -ar * math.exp(r * z) * math.expm1((ph - r) * (z - a))
-        z_phi, z_zeta = _z_sum(ctx, r, 0, t)[:2] if c else (0.0, 0.0)
-        g_l = (c * z_phi, c * z_zeta, lambda y: c * math.exp(r * y) if y >= -z
-               else -_w_at(ctx_l, y + a, a - z), ())
-        ctx_p = scale_context(model, p)  # at p itself: q + (p - q) can round p away
-        k, e_p = -lam / (p - pole), math.exp(ctx_p.phi_q * z)
-        g = _lin(e_p, _script_w_sum(ctx, ctx_p, z), -1.0, g_l)
-    return k * _two_sided(ctx, g, f, x, b)
+    # at p itself: q + (p - q) can round p away
+    pf, pr = _pairs(scale_context(model, p), ctx_l)
+    php, a_fp, t_fp, phl, a_fl, t_fl, s_f = pf[:7]
+    rp, a_rp, t_rp, rl, a_rl, t_rl, s_r = pr[:7]
+    hi = max(php, phl)
+    # By the product rule g = sum_s [E_s] Z_q(., s) + E_s [Z_q(., s)], E_s = A'_s e^{s z}
+    # over the roots s = Phi, r, with Z_q at the lower rate for r (farther from the pole).
+    # Modulo f = sum_s E^lam_s(a) Z_q(., s^lam), [E_Phi] Z_q(., Phi^lam) is -[E_Phi]
+    # E^lam_r(a) / E^lam_Phi(a) Z_q(., r^lam), bounded as z <= a; below -z, where scriptW
+    # vanishes, g is -[E_Phi] / E^lam_Phi(a) f.  All is times e^{-Phi_p z}
+    d_phi = _mode_dd(pf, z, hi * z) / a_fl
+    c_l = -d_phi * a_rl * math.exp((hi - php) * z + (rl - phl) * a)
+    c_f, c_r = a_fp / s_f, _mode_dd(pr, z, php * z)
+    r_lo, t_lo, e_hi = (rl, t_rl, a_rp * math.exp((rp - php) * z)) if php > phl else (
+        rp, t_rp, a_rl * math.exp((rl - php) * z))
+    c_z = e_hi / s_r
+    terms = ((c_l, rl, t_rl, None, None), (c_f, php, t_fp, phl, t_fl),
+             (c_r, r_lo, t_lo, None, None), (c_z, rp, t_rp, rl, t_rl))
+    c_phi, c_zeta, _, _, moments = _z_terms(ctx, terms)
+    g = (c_phi, c_zeta, lambda y: _z_neg(y, terms) if y >= -z
+         else -d_phi * _w_at(ctx_l, y + a, a - (hi - php) * z / phl), (), moments)
+    f = _z_terms(ctx, ((a_fl, phl, t_fl, None, None), (a_rl * math.exp((rl - phl) * a), rl, t_rl,
+                                                         None, None)))
+    f = f[:2] + (_shifted, (ctx_l, a), f[4])  # W_{q+lam}(. + a) e^{-Phi_{q+lam} a} below 0
+    return -lam * math.exp(php * z) * _two_sided(ctx, g, f, x, b)

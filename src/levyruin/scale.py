@@ -9,21 +9,20 @@ differences D(theta, r) = (psi(theta) - psi(r)) / (theta - r), regular at
 theta = r (Kuznetsov, Kyprianou & Rivero, 2012):
 
     W_q(x)          c_r = A_r
-    Z_q(x, theta)   c_r = A_r D(theta, r)    (its theta-derivative: A_r dD/dtheta)
+    Z_q(x, theta)   c_r = A_r D(theta, r)    (in theta, divided differences of D)
     Z~_q(x, a, b)   c_r = A_r D(a, r) D(b, r)
 
 On x < 0, Z_q(x, theta) = e^{theta x}.  The second-generation scale function
 W_q(xi + L) + p int_xi^{xi+L} W_{q+p}(xi + L - y) W_q(y) dy equals, for xi >= 0,
 sum_r e^{r L} Z_q(xi, r) A'_r over the roots r of psi(r) = q + p with residues A'_r
-(Loeffen, Renaud & Zhou, 2014).  So it is two-mode in xi again, and so are its
-derivative in p (from dr/dp = A'_r) and the three-barrier composite.  Since
-psi(r) - psi(s) = p at the roots s of psi_q, sum_r A'_r D(r, s) = 1, and e^{r L}
-enters as expm1(r L): W_q(0) stays exact at L = 0, and short windows do not cancel.
-Its modes carry the scale e^{-Phi_{q+p} L} (the composite, both of its rates'), which
-ratios and two-sided combinations do not see, so any rate stays finite; the public
-values multiply it back.  A two-sided combination against f maps every multiple of
-f to 0, so the Gerber-Shiu densities and delayed_W_functional drop their growing root
-terms, identically 0 or multiples of f, and keep the decaying ones.
+(Loeffen, Renaud & Zhou, 2014): two-mode in xi again.  Since psi(r) - psi(s) = p at
+the roots s of psi_q, sum_r A'_r D(r, s) = 1, and e^{r L} enters as expm1(r L).  Its
+modes carry the scale e^{-Phi_{q+p} L}, which ratios and two-sided combinations do not
+see, so any rate stays finite.  The difference quotients in a rate (the three-barrier
+composite, the Gerber-Shiu densities, delayed_W_functional) are divided differences
+of root-mode terms A' e^{r L} between two rates, :func:`_mode_dd`: as the rates differ
+by (r_1 - r_2) psi[r_1, r_2], each is the exponential's divided difference over that
+slope, with no tolerance, and the derivative in the rate where the two coincide.
 
 Three operations act on the modes, each in one place: :func:`_at` evaluates;
 :func:`_ratio` takes f(x)/f(b) and :func:`_two_sided` g(x) - f(x) g(b)/f(b) with
@@ -39,8 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .models import (BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second_any,
-                     _psi_slopes)
+from .models import (BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_slopes,
+                     _rate_slopes)
 from .models import phi  # noqa: F401 - part of the levyruin.scale namespace
 
 
@@ -123,8 +122,37 @@ def _roots(ctx: ScaleContext) -> tuple:
             (-ctx.zeta_q, ctx.coeff_b, ctx.t_zeta))
 
 
-# A scale quantity f is a tuple (c_Phi, c_zeta, neg, args): its modes on x >= 0, and
-# neg(y, *args), its value at y < 0, which is called only there.
+def _dd_exp(r1: float, r2: float, y: float, shift: float = 0.0) -> float:
+    """(e^{r1 y} - e^{r2 y}) / (r1 - r2) e^{-shift}, y e^{r1 y - shift} at r1 == r2: taken as
+    e^{r y} expm1(d y) / d from the larger r y, so that expm1 lies in (-1, 0] and nothing
+    cancels or overflows (McCurdy, Ng & Parlett, Math. Comp. 43, 1984)."""
+    if r1 * y < r2 * y:
+        r1, r2 = r2, r1
+    d = r2 - r1
+    return math.exp(r1 * y - shift) * (math.expm1(d * y) / d if d else y)
+
+
+def _pairs(ctx_1: ScaleContext, ctx_2: ScaleContext) -> tuple:
+    # the roots of psi = q_1 and psi = q_2 by branch, Phi first, as (r_1, A_1, t_1, r_2, A_2,
+    # t_2, s, dA): s = psi[r_1, r_2] = (q_1 - q_2) / (r_1 - r_2), dA = (A_1 - A_2) / (q_1 - q_2)
+    m, ta, tb = ctx_1.model, ctx_1.phi_q + ctx_1.model.alpha, ctx_2.phi_q + ctx_2.model.alpha
+    return ((ctx_1.phi_q, ctx_1.coeff_a, ta, ctx_2.phi_q, ctx_2.coeff_a, tb)
+            + _rate_slopes(m, ta, tb, ctx_1.coeff_a, ctx_2.coeff_a),
+            (-ctx_1.zeta_q, ctx_1.coeff_b, ctx_1.t_zeta, -ctx_2.zeta_q, ctx_2.coeff_b, ctx_2.t_zeta)
+            + _rate_slopes(m, ctx_1.t_zeta, ctx_2.t_zeta, ctx_1.coeff_b, ctx_2.coeff_b))
+
+
+def _mode_dd(pair: tuple, y: float, shift: float = 0.0) -> float:
+    """The divided difference in the rate of a root-mode term, (A_1 e^{r_1 y} - A_2
+    e^{r_2 y}) / (q_1 - q_2) e^{-shift}, for a pair of :func:`_pairs`: as q_1 - q_2 =
+    (r_1 - r_2) psi[r_1, r_2], it is A_1 [e^{r y}] / psi[r_1, r_2] + [A] e^{r_2 y}, with
+    [e^{r y}] from :func:`_dd_exp`, and at q_1 = q_2 the q-derivative."""
+    r1, a1, _, r2, _, _, s, da = pair
+    return a1 * _dd_exp(r1, r2, y, shift) / s + da * math.exp(r2 * y - shift)
+
+
+# A scale quantity f is a tuple (c_Phi, c_zeta, neg, args[, moments]): its modes on x >= 0,
+# and neg(y, *args), its value at y < 0, which is called only there.
 
 
 def _neg(f: tuple, y: float) -> float:
@@ -159,13 +187,20 @@ def _two_sided(ctx: ScaleContext, g: tuple, f: tuple, x: float, b: float) -> flo
 
     On x >= 0 the modes combine into (g_zeta f_Phi - f_zeta g_Phi) e^{-zeta_q x}
     (1 - e^{(Phi_q + zeta_q)(x - b)}) / (f(b) e^{-Phi_q b}): no growing mode is
-    evaluated, and only the determinant of the coefficients can cancel.  Where the
-    last factors underflow the value is 0.
+    evaluated, and only the determinant of the coefficients can cancel; taken from the
+    moments of :func:`_z_terms`, a large multiple of f in g does not cancel in it.  Where
+    the last factors underflow the value is 0.
     """
     s = max(b, 0.0)
     fb = _at(ctx, f, b, s)
     if x < 0.0:
         return _neg(g, x) - _neg(f, x) * _at(ctx, g, b, s) / fb
+    if len(g) == len(f) == 5:  # both carry moments (W, F): see _z_terms
+        (w_g, f_g), (w_f, f_f) = g[4], f[4]
+        # A_Phi A_zeta (u_zeta v_Phi - v_zeta u_Phi) is 1 or -alpha eta / c over Phi_q + zeta_q
+        m = ctx.model
+        k = (1.0 if m.kind == BROWNIAN else -m.alpha * m.eta / m.c) / (ctx.phi_q + ctx.zeta_q)
+        return _across(ctx, k * ((w_g * f_f - f_g * w_f) / fb), x, b)
     return _across(ctx, g[1] * (f[0] / fb) - (f[1] / fb) * g[0], x, b)
 
 
@@ -183,23 +218,40 @@ def _decay(ctx: ScaleContext, f: tuple, x: float) -> float:
     return _neg(f, x) if x < 0.0 else f[1] * math.exp(-ctx.zeta_q * x)
 
 
-def _z_sum(ctx: ScaleContext, theta: float, k: int = 0, t: float | None = None,
-           theta2: float | None = None) -> tuple:
-    # Z_q(., theta), or with k = 1 its theta-derivative: modes A_r d^k/dtheta^k D(theta, r);
-    # t is theta + alpha where it is known to full precision (theta a root next to -alpha).
-    # With k = 1 and theta2 != theta, the divided difference (Z_q(., theta) - Z_q(., theta2))
-    # / (theta - theta2) instead, in closed form: no difference of the two is taken
-    d_phi, d_zeta = _psi_slopes(ctx.model, theta, ctx.phi_q, -ctx.zeta_q, k, t, ctx.t_zeta,
-                                theta2)
-    return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (theta, k, theta2)
+def _z_sum(ctx: ScaleContext, theta: float, t: float | None = None,
+           theta2: float | None = None, t2: float | None = None) -> tuple:
+    # Z_q(., theta), or its divided difference in theta to theta2: a one-term _z_terms
+    return _z_terms(ctx, ((1.0, theta, t, theta2, t2),))
 
 
-def _z_neg(y: float, theta: float, k: int, theta2: float | None = None) -> float:
-    if theta2 is None:
-        return y ** k * math.exp(theta * y)
-    # (e^{theta y} - e^{theta2 y}) / (theta - theta2) from the larger of the two
-    lo, hi = min(theta, theta2), max(theta, theta2)
-    return math.exp(lo * y) * math.expm1((hi - lo) * y) / (hi - lo)
+def _z_terms(ctx: ScaleContext, terms: tuple) -> tuple:
+    # sum over (c, theta, t, theta2, t2) of c Z_q(., theta), or with theta2 of c (Z_q(., theta)
+    # - Z_q(., theta2)) / (theta - theta2) (at theta2 = theta the derivative); t, t2: theta +
+    # alpha, theta2 + alpha where known to full precision (a root next to -alpha).  As
+    # D(theta, s) = u_s + v_s phi(theta + alpha), phi(t) = t (Brownian) or 1/t, the modes are
+    # A_s (u_s W + v_s F) in the moments W = sum c, F = sum c phi(t) (phi[t, t2], no weight,
+    # for a divided difference), which are returned for _two_sided
+    m, w, f = ctx.model, 0.0, 0.0
+    if m.kind == BROWNIAN:  # u_s = mu + s sigma^2/2, v_s = sigma^2/2, t = theta
+        for c, theta, _, theta2, _ in terms:
+            w, f = (w + c, f + c * theta) if theta2 is None else (w, f + c)
+        h = 0.5 * m.sigma ** 2
+        d_phi, d_zeta = (m.mu + h * ctx.phi_q) * w + h * f, (m.mu - h * ctx.zeta_q) * w + h * f
+    else:  # u_s = c, v_s = -alpha eta / (s + alpha)
+        al = m.alpha
+        for c, theta, t, theta2, t2 in terms:
+            t = theta + al if t is None else t
+            w, f = (w + c, f + c / t) if theta2 is None else (
+                w, f - c / t / (theta2 + al if t2 is None else t2))
+        ae = al * m.eta
+        d_phi, d_zeta = m.c * w - ae / (ctx.phi_q + al) * f, m.c * w - ae / ctx.t_zeta * f
+    return ctx.coeff_a * d_phi, ctx.coeff_b * d_zeta, _z_neg, (terms,), (w, f)
+
+
+def _z_neg(y: float, terms: tuple) -> float:
+    # Z_q(y, theta) = e^{theta y} below 0
+    return sum(c * (math.exp(theta * y) if theta2 is None else _dd_exp(theta, theta2, y))
+               for c, theta, _, theta2, _ in terms)
 
 
 def _z_tilde_sum(ctx: ScaleContext, a: float, b: float) -> tuple:
@@ -213,13 +265,11 @@ def _z_tilde_sum(ctx: ScaleContext, a: float, b: float) -> tuple:
 
 
 def _z_tilde_neg(y: float, m: LevyModel, q: float, a: float, b: float) -> float:
-    # the divided difference of psi_q(theta) e^{theta y}; its derivative at confluence
+    # (psi_q(a) e^{b y} - psi_q(b) e^{a y}) / (a - b) = -psi_q(lo) [e^{. y}] + psi[lo, hi]
+    # e^{lo y}, with [e^{. y}] the divided difference of the exponential between lo and hi
     lo, hi = min(a, b), max(a, b)
-    if hi - lo <= 1e-8 * (1.0 + lo):
-        mid = 0.5 * (lo + hi)
-        return (_psi_prime_any(m, mid) - (_psi_any(m, mid) - q) * y) * math.exp(mid * y)
-    return ((_psi_any(m, lo) - q) * math.exp(hi * y)
-            - (_psi_any(m, hi) - q) * math.exp(lo * y)) / (lo - hi)
+    return (_psi_slopes(m, lo, hi, hi)[0] * math.exp(lo * y)
+            - (_psi_any(m, lo) - q) * _dd_exp(hi, lo, y))
 
 
 def z(ctx: ScaleContext, x: float, theta: float) -> float:
@@ -259,82 +309,64 @@ def script_w(ctx: ScaleContext, p_extra: float, a: float, x: float) -> float:
     return _at(ctx, _script_w_sum(ctx, ctx_p, x - a), a) * math.exp(ctx_p.phi_q * (x - a))
 
 
-def _script_w_sum(ctx: ScaleContext, ctx_p: ScaleContext, length: float,
-                  dp: bool = False) -> tuple:
-    # script_w(ctx, p_extra, xi, xi + length) as a function of xi, or with dp its
-    # p_extra-derivative, times e^{-Phi length}, where ctx_p is the context of the
-    # total rate q + p_extra (taken as given, so that a rate below the float
-    # resolution of q is not lost to q + p_extra - q) and Phi = Phi_{q+p_extra}: the modes
-    # B_s sum_r A'_r D(r, s) e^{(r - Phi) length} over the roots r of psi = q + p_extra,
-    # with residues A'_r = dr/dp_extra and B = (A, -A) on Brownian models, so that
-    # W_q(0) = 0 stays exact.  sum_r A'_r D(r, s) = 1 for every p_extra, so e^{r length}
-    # enters as expm1, which does not cancel at short lengths.  A root next to the pole
-    # of a Cramer-Lundberg psi' has a residue that rounds to 0 and is skipped
+def _script_w_sum(ctx: ScaleContext, ctx_p: ScaleContext, length: float) -> tuple:
+    # script_w(ctx, p_extra, xi, xi + length) as a function of xi, times e^{-Phi length},
+    # where ctx_p is the context of the total rate q + p_extra (taken as given, so that a
+    # rate below the float resolution of q is not lost to q + p_extra - q) and
+    # Phi = Phi_{q+p_extra}: the modes B_s sum_r A'_r D(r, s) e^{(r - Phi) length} over the
+    # roots r of psi = q + p_extra, with residues A'_r = dr/dp_extra and B = (A, -A) on
+    # Brownian models, so that W_q(0) = 0 stays exact.  sum_r A'_r D(r, s) = 1 for every
+    # p_extra, so e^{r length} enters as expm1, which does not cancel at short lengths.  A
+    # root next to the pole of a Cramer-Lundberg psi' has a residue that rounds to 0 and
+    # is skipped
     model, s_phi, s_zeta, t_zeta = ctx.model, ctx.phi_q, -ctx.zeta_q, ctx.t_zeta
     ph = ctx_p.phi_q
     scale = math.exp(-ph * length)
-    c_phi = c_zeta = 0.0 if dp else scale
+    c_phi = c_zeta = scale
     for r, ar, tr in _roots(ctx_p):
-        u = ar * ar if dp else ar
-        if not u:
+        if not ar:
             continue
         # (e^{r length} - 1) e^{-Phi length}; r > 0 is Phi itself
         em = -math.expm1(-r * length) if r > 0.0 else math.expm1(r * length) * scale
         d_phi, d_zeta = _psi_slopes(model, r, s_phi, s_zeta, 0, tr, t_zeta)
-        if dp:
-            k_phi, k_zeta = _psi_slopes(model, r, s_phi, s_zeta, 1, tr, t_zeta)
-            h, e = _psi_second_any(model, r, tr) * ar, length * math.exp((r - ph) * length)
-            c_phi += u * (em * (k_phi - h * d_phi) + e * d_phi)
-            c_zeta += u * (em * (k_zeta - h * d_zeta) + e * d_zeta)
-        else:
-            c_phi += u * d_phi * em
-            c_zeta += u * d_zeta * em
+        c_phi += ar * d_phi * em
+        c_zeta += ar * d_zeta * em
     return (ctx.coeff_a * c_phi, (ctx.coeff_b if ctx.w0 else -ctx.coeff_a) * c_zeta, _shifted,
-            (_w_dq if dp else _w_at, ctx_p, length))
+            (ctx_p, length))
 
 
-def _shifted(y: float, fn, ctx_p: ScaleContext, length: float) -> float:
-    # script_w or its p_extra-derivative from y < 0 to y + length times its scale:
-    # W_{q+p_extra}(y + length), or with fn = _w_dq its q-derivative
-    return fn(ctx_p, y + length, length)
+def _shifted(y: float, ctx_p: ScaleContext, length: float) -> float:
+    # script_w from y < 0 to y + length times its scale: W_{q+p_extra}(y + length)
+    return _w_at(ctx_p, y + length, length)
 
 
 def _w_tilde_sum(ctx: ScaleContext, p: float, lam: float, a: float) -> tuple:
-    # the three-barrier composite lam W_{q+lam}(a) scriptW^{(q,p)}(xi, xi + a)
-    # - p W_{q+p}(a) scriptW^{(q,lam)}(xi, xi + a) as a function of xi, times
-    # e^{-(Phi_{q+p} + Phi_{q+lam}) a}
+    # the three-barrier composite lam W_{q+lam}(a) scriptW^{(q,p)}(xi, xi + a) - p W_{q+p}(a)
+    # scriptW^{(q,lam)}(xi, xi + a) over p - lam, times e^{-(Phi_{q+p} + Phi_{q+lam}) a}: with
+    # [.] the divided difference in the rate, W = sum_s E_s and scriptW = sum_s E_s Z_q(., s),
+    # E_s = A'_s e^{s a}, it is lam W^lam [scriptW] - [rho W] scriptW^lam = sum_s c_s
+    # Z_q(., s^lo) + d_s [Z_q(., s)] by the product rule, on Z_q at the lower rate (moderate
+    # modes), with c_Phi = -lam M - W^p E^lam_Phi, c_r = lam M - W^p E^lam_r, d_s = rho^lo W^lo
+    # E^hi_s and M = E^lam_Phi [E_r] - [E_Phi] E^lam_r: the products E_s [E_s] cancel unformed
     m = ctx.model
     ctx_l, ctx_p = scale_context(m, ctx.q + lam), scale_context(m, ctx.q + p)
-    return _lin(lam * _w_at(ctx_l, a, a), _script_w_sum(ctx, ctx_p, a),
-                -p * _w_at(ctx_p, a, a), _script_w_sum(ctx, ctx_l, a))
-
-
-def _w_tilde_dp_sum(ctx: ScaleContext, lam: float, a: float) -> tuple:
-    # d/dp of _w_tilde_sum at p = lam, times e^{-2 Phi a}, Phi = Phi_{q+lam}: with
-    # W_{q+lam}(a) = W = sum E_s and scriptW^{(q,lam)} = sum E_s Z_q(., s), E_s = A'_s e^{s a}
-    # over the roots s of psi = q + lam, it is lam (M (Z_q(., r) - Z_q(., Phi)) + W sum E_s
-    # A'_s dZ_q/dtheta(., s)) - W scriptW^{(q,lam)}, r = -zeta_{q+lam}, M = E_Phi E'_r -
-    # E'_Phi E_r, E' = dE/dp: lam (W d/dp scriptW - dW/dq scriptW) without its E_s E'_s
-    # terms, which cancel
-    m, ctx_l = ctx.model, scale_context(ctx.model, ctx.q + lam)
-    (ph, a_ph, t_ph), (r, a_r, t_r) = _roots(ctx_l)
-    w_l, decay, z_ph = _w_at(ctx_l, a, a), math.exp((r - ph) * a), _z_sum(ctx, ph, 0, t_ph)
-    f = _lin(lam * w_l * a_ph * a_ph, _z_sum(ctx, ph, 1, t_ph), -w_l, _script_w_sum(ctx, ctx_l, a))
-    if not a_r * a_r * decay:
-        return f  # the r terms are below the rounding of the others
-    mm = a_ph * a_r * decay * (a_r * (a - _psi_second_any(m, r, t_r) * a_r)
-                               - a_ph * (a - _psi_second_any(m, ph, t_ph) * a_ph))
-    return _lin(1.0, f, lam, _lin(mm, _lin(1.0, _z_sum(ctx, r, 0, t_r), -1.0, z_ph),
-                                  w_l * a_r * a_r * decay, _z_sum(ctx, r, 1, t_r)))
-
-
-def _w_dq(ctx: ScaleContext, x: float, shift: float = 0.0) -> float:
-    # derivative of W_q(x) in q, times e^{-Phi_q shift}; W_q(0) does not depend on q.  A
-    # root next to the pole of a Cramer-Lundberg psi' has a residue that squares to 0
-    if x <= 0.0:
-        return 0.0
-    return sum(ar * ar * (x - _psi_second_any(ctx.model, r, t) * ar)
-               * math.exp(r * x - ctx.phi_q * shift) for r, ar, t in _roots(ctx) if ar * ar)
+    pf, pr = _pairs(ctx_p, ctx_l)
+    php, a_fp, t_fp, phl, a_fl, t_fl, s_f = pf[:7]
+    rp, a_rp, t_rp, rl, a_rl, t_rl, s_r = pr[:7]
+    hi = max(php, phl)
+    e_rp, e_rl = a_rp * math.exp((rp - php) * a), a_rl * math.exp((rl - phl) * a)
+    mm = (lam * a_fl * _mode_dd(pr, a, php * a)
+          - lam * _mode_dd(pf, a, hi * a) * a_rl * math.exp((hi - php + rl - phl) * a))
+    w_l, w_p = _w_at(ctx_l, a, a), _w_at(ctx_p, a, a)
+    w_lo, e_f, e_r, ph_lo, t_flo, r_lo, t_rlo = (p * w_p, a_fl, e_rl, php, t_fp, rp, t_rp) if (
+        p < lam) else (lam * w_l, a_fp, e_rp, phl, t_fl, rl, t_rl)
+    c_phi, c_zeta, neg, args, _ = _z_terms(ctx, ((mm - w_p * e_rl, r_lo, t_rlo, None, None),
+                                                 (-mm - w_p * a_fl, ph_lo, t_flo, None, None),
+                                                 (w_lo * e_f / s_f, php, t_fp, phl, t_fl),
+                                                 (w_lo * e_r / s_r, rp, t_rp, rl, t_rl)))
+    # at xi = 0 the composite is (lam - p) W_{q+lam}(a) W_{q+p}(a); on Brownian models the
+    # decaying mode is taken from that value, so that W_q(0) = 0 keeps it exact at short a
+    return c_phi, -w_l * w_p - c_phi if not ctx.w0 else c_zeta, neg, args
 
 
 def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float) -> float:
@@ -347,4 +379,4 @@ def w_tilde(model: LevyModel, q: float, p: float, lam: float, x: float, a: float
         raise DomainError("w_tilde requires p > 0 and lam > 0")
     ctx = scale_context(model, q)
     scale = scale_context(model, q + p).phi_q + scale_context(model, q + lam).phi_q
-    return _at(ctx, _w_tilde_sum(ctx, p, lam, a), x) * math.exp(scale * a)
+    return (p - lam) * _at(ctx, _w_tilde_sum(ctx, p, lam, a), x) * math.exp(scale * a)

@@ -34,11 +34,13 @@ from levyruin import (
     ruin_prob_erlang_n,
     ruin_prob_sum_exp,
     scale_context,
+    t0_joint_lt,
     upcross_before_t0,
     upcross_before_t0_two_sided,
     up_cross_three_barrier,
     w,
     z,
+    z_tilde,
 )
 from levyruin.models import BROWNIAN, _psi_slopes
 from levyruin.registry import IDENTITIES, evaluate_identity
@@ -149,14 +151,39 @@ class Exact:
         return p * (e(x) - f(x) * e(b) / f(b))
 
     def gs_density_e2(self, x, b, lam, y):
-        # the p = lam limit, as the mean of the two sides at p = lam (1 +- 10^(-dps/3))
-        lam = mpmath.mpf(lam)
-        eps = lam * mpmath.mpf(10) ** (-(mpmath.mp.dps // 3))
-        return (self.gs_density(x, b, lam + eps, lam, y) + self.gs_density(x, b, lam - eps, lam, y)) / 2
+        # the p = lam limit
+        return limit(lambda v: self.gs_density(x, b, v, lam, y), mpmath.mpf(lam))
+
+    def three_barrier(self, x, b, a, p, lam):
+        # lam W_{q+lam}(a) scriptW^{(q,p)}(xi, xi + a) - p W_{q+p}(a) scriptW^{(q,lam)}(xi, xi + a)
+        # at xi = x over its value at xi = b; at p = lam the mean of the two sides
+        x, b, a, p, lam = map(mpmath.mpf, (x, b, a, p, lam))
+        if p == lam:
+            return limit(lambda v: self.three_barrier(x, b, a, v, lam), p)
+        q = self.q
+
+        def f(xi):
+            return (lam * self.w_rate(q + lam, a) * self.script_w(p, xi, a)
+                    - p * self.w_rate(q + p, a) * self.script_w(lam, xi, a))
+
+        return f(x) / f(b)
+
+    def t0_joint_lt(self, x, b, lam, theta):
+        # lam / (lam - psi_q(theta)) (Z_q(x, theta) - Z_q(x, Phi) Z_q(b, theta) / Z_q(b, Phi)),
+        # Phi = Phi_{q+lam}; at theta = Phi the mean of the two sides
+        x, b, lam, theta = map(mpmath.mpf, (x, b, lam, theta))
+        ph = self.root(self.q + lam)
+        if theta == ph:
+            return limit(lambda v: self.t0_joint_lt(x, b, lam, v), theta)
+        z = self.z_modes
+        return (lam / (lam - self.psi(theta) + self.q)
+                * (z(x, theta) - z(x, ph) * z(b, theta) / z(b, ph)))
 
     def delayed_w(self, x, b, a, lam, p, z_shift):
         x, b, a, lam, p, z_shift = map(mpmath.mpf, (x, b, a, lam, p, z_shift))
         q = self.q
+        if p == q + lam:
+            return limit(lambda v: self.delayed_w(x, b, a, lam, v, z_shift), p)
 
         def g(xi):
             return self.script_w(p - q, xi, z_shift) - self.script_w(lam, xi, z_shift)
@@ -165,6 +192,13 @@ class Exact:
             return self.script_w(lam, xi, a)
 
         return -lam / (p - q - lam) * (g(x) - f(x) * g(b) / f(b))
+
+
+def limit(f, v):
+    # f at a removable point v, as the mean of f at v (1 +- 10^(-dps/3)): off by the
+    # second derivative times 10^(-2 dps/3)
+    eps = v * mpmath.mpf(10) ** (-(mpmath.mp.dps // 3))
+    return (f(v + eps) + f(v - eps)) / 2
 
 
 def digits(model, level):
@@ -361,7 +395,7 @@ def test_gerber_shiu_transforms_next_to_phi_q_lam_match_mpmath(key, lam):
     # horizon is the two-sided transform at b = 80, where the rest is below e^{-80}
     model = MODELS[key]
     ph = phi(model, Q + lam)
-    for theta in (ph * 1.001, ph * (1.0 + 1e-6), ph * (1.0 - 1e-9)):
+    for theta in (ph * 1.001, ph * (1.0 + 1e-6), ph * (1.0 - 1e-9), ph):
         for x in (0.5, -0.5):
             with mpmath.workdps(80):
                 two_sided = mp_gs_lt_two_sided(model, x, 2.0, Q, P, lam, theta)
@@ -648,6 +682,64 @@ def test_delayed_w_functional_matches_mpmath(key, x, b, a, q, lam, p, zs, value)
         exact = float(Exact(model, q).delayed_w(x, b, a, lam, p, zs))
     assert exact == pytest.approx(value, rel=1e-11)
     assert delayed_w_functional(model, x, b, a, q, lam, p, zs) == pytest.approx(exact, rel=1e-11)
+
+
+# relative offsets s from each removable point: p = lam (1 + s), p = (q + lam)(1 + s),
+# theta = Phi_{q+lam} (1 + s) or b = a (1 + s)
+OFFSETS = (0.0,) + tuple(sign * 10.0 ** -e for e in (13, 11, 9, 7, 5, 3) for sign in (1, -1))
+# (x, extra): the start, and the level the identity adds (b, y or z); from x < 0 both
+# sides of -y and -z
+RATE_POINTS = {
+    "up_cross_three_barrier": ((0.5, None), (-0.5, None)),
+    "gerber_shiu_density": ((0.5, -0.3), (-0.5, -0.3), (-0.5, -2.0)),
+    "delayed_W_functional": ((0.5, 0.5), (-0.3, 0.5), (-0.8, 0.5)),
+    "T0_joint_lt": ((0.5, None), (-0.5, None)),
+    "z_tilde": ((-0.5, None), (-2.0, None)),
+}
+
+
+def _at_offset(name, model, ex, x, extra, s):
+    # (library value, 50-digit value) at relative offset s from the removable point
+    b, a, q, lam = 2.0, 1.0, Q, LAM
+    if name == "up_cross_three_barrier":
+        p = lam * (1.0 + s)
+        return (up_cross_three_barrier(model, x, b, a, q, p, lam),
+                ex.three_barrier(x, b, a, p, lam))
+    if name == "gerber_shiu_density":
+        p = lam * (1.0 + s)
+        got = gerber_shiu_density(model, x, b, q, p, lam, extra)
+        return got, ex.gs_density(x, b, p, lam, extra) if s else ex.gs_density_e2(x, b, lam, extra)
+    if name == "delayed_W_functional":
+        p = (q + lam) * (1.0 + s)
+        return (delayed_w_functional(model, x, b, a, q, lam, p, extra),
+                ex.delayed_w(x, b, a, lam, p, extra))
+    if name == "T0_joint_lt":
+        theta = phi(model, q + lam) * (1.0 + s)
+        return t0_joint_lt(model, x, b, q, lam, theta), ex.t0_joint_lt(x, b, lam, theta)
+    b = a * (1.0 + s)
+    return (z_tilde(scale_context(model, q), x, a, b),
+            ex.z_tilde(mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(b)))
+
+
+@pytest.mark.parametrize("key", MODELS)
+@pytest.mark.parametrize("name", RATE_POINTS)
+def test_removable_points_by_divided_differences_match_mpmath(key, name):
+    # each identity with a removable point keeps 12 digits on both sides of it and at it
+    model = MODELS[key]
+    with mpmath.workdps(50):
+        ex = Exact(model, Q)
+        for x, extra in RATE_POINTS[name]:
+            for s in OFFSETS:
+                got, exact = _at_offset(name, model, ex, x, extra, s)
+                assert abs(got - exact) <= mpmath.mpf("1e-12") * abs(exact), (x, extra, s, got)
+
+
+@pytest.mark.parametrize("key", MODELS)
+def test_gerber_shiu_density_at_p_equal_lam_is_gs_density_e2(key):
+    model = MODELS[key]
+    for x, y in ((0.5, -0.5), (-0.5, -0.3), (-0.5, -2.0), (0.5, 0.0)):
+        e2 = gs_density_e2(model, x, 2.0, Q, LAM, y)
+        assert abs(gerber_shiu_density(model, x, 2.0, Q, LAM, LAM, y) - e2) <= 1e-14 * abs(e2)
 
 
 @pytest.mark.parametrize("key", ["cl_a", "cl_b"])

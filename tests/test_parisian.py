@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -38,6 +39,7 @@ from levyruin import (
 )
 from fixed_delay import fixed_delay_ruin
 from printed_forms import erlang2_ruin_alternative_form
+from test_modes import Exact
 from test_modes import MODELS
 
 
@@ -80,9 +82,13 @@ def test_gs_lt_two_sided_p_large_matches_t0_identity(cl):
 
 
 def test_gs_lt_two_sided_pole_errors(cl):
+    # theta = Phi_{q+p} is removable from x >= 0 and raises from x < 0
     ph = phi(cl, 0.5 + 1.0)
-    with pytest.raises(DomainError):
-        gs_lt_two_sided(cl, 0.0, 1.0, 0.5, 1.0, 1.0, ph)
+    with pytest.raises(DomainError, match="removable"):
+        gs_lt_two_sided(cl, -0.5, 1.0, 0.5, 1.0, 1.0, ph)
+    near = [gs_lt_two_sided(cl, 0.0, 1.0, 0.5, 1.0, 1.0, ph * (1.0 + s)) for s in (-1e-7, 1e-7)]
+    at_pole = gs_lt_two_sided(cl, 0.0, 1.0, 0.5, 1.0, 1.0, ph)
+    assert at_pole == pytest.approx(sum(near) / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [1e155, 1e300])
@@ -171,8 +177,9 @@ def test_gerber_shiu_density_contracts(cl):
         for x in (0.5, -0.5) if model.sigma > 0.0 else ():
             assert gerber_shiu_density(model, x, 2.0, 0.1, 0.7, 1.3, 0.0) == 0.0, key
             assert gs_density_e2(model, x, 2.0, 0.1, 1.3, 0.0) == 0.0, key
-    with pytest.raises(DomainError):
-        gerber_shiu_density(cl, 0.5, 2.0, 0.1, 1.3, 1.3, -0.5)  # p = lam redirects
+    # p = lam is the Erlang(2) delay
+    assert gerber_shiu_density(cl, 0.5, 2.0, 0.1, 1.3, 1.3, -0.5) == gs_density_e2(
+        cl, 0.5, 2.0, 0.1, 1.3, -0.5)
     with pytest.raises(DomainError):
         gerber_shiu_density(cl, 0.5, 2.0, 0.1, 0.7, 1.3, 0.5)  # y > 0
 
@@ -388,9 +395,12 @@ def test_appendix_trivial_and_limits(model):
 
 
 def test_t0_joint_lt_pole(cl):
+    # theta = Phi_{q+lam} is removable: the value there is the theta-derivative form
     ph = phi(cl, 0.3 + 1.0)
-    with pytest.raises(DomainError):
-        t0_joint_lt(cl, 0.5, 2.0, 0.3, 1.0, ph)
+    with mpmath.workdps(50):
+        for x in (0.5, -0.5):
+            exact = Exact(cl, 0.3).t0_joint_lt(x, 2.0, 1.0, ph)
+            assert t0_joint_lt(cl, x, 2.0, 0.3, 1.0, ph) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_delayed_w_functional_confluence(model):

@@ -184,7 +184,7 @@ def test_cli_exit_codes(model_files, capsys):
     assert main(["eval", "ruin_prob_erlang2", "--model", bm_path, "--x=0", "--lam=2",
                  "--oops=1"]) == 2
     # domain error (pole): 3, naming the removable point
-    assert main(["eval", "gs_lt_two_sided", "--model", cl_path, "--x=0", "--b=1", "--q=0.5",
+    assert main(["eval", "gs_lt_two_sided", "--model", cl_path, "--x=-0.5", "--b=1", "--q=0.5",
                  "--p=1", "--lam=1", "--theta=2.0"]) == 3
     err = capsys.readouterr().err
     assert "removable" in err

@@ -19,15 +19,24 @@ from levyruin import (
     z,
     z_tilde,
 )
-from levyruin.scale import _at, _script_w_sum, _w_dq, _z_sum
+from levyruin.scale import _at, _mode_dd, _pairs, _z_sum
 
 
 def _script_w_dp(ctx, p_extra, a, x):
-    # derivative of script_w(ctx, p_extra, a, x) in p_extra, from the library's dp modes
+    # derivative of script_w(ctx, p_extra, a, x) = sum_r A'_r e^{r (x - a)} Z_q(a, r) in
+    # p_extra, from the library's divided difference in the rate at equal rates: by the
+    # product rule [A' e^{r L}] Z_q(a, r) + A'_r e^{r L} dZ_q/dtheta(a, r) / psi'(r)
     a, ctx_p = max(a, 0.0), scale_context(ctx.model, ctx.q + p_extra)
     if x <= a:
         return 0.0
-    return _at(ctx, _script_w_sum(ctx, ctx_p, x - a, True), a) * math.exp(ctx_p.phi_q * (x - a))
+    return sum(_mode_dd(pair, x - a) * _at(ctx, _z_sum(ctx, r, t), a)
+               + ar * math.exp(r * (x - a)) * _at(ctx, _z_sum(ctx, r, t, r, t), a) / slope
+               for pair in _pairs(ctx_p, ctx_p) for r, ar, t, *_, slope, _ in (pair,))
+
+
+def _w_dq(ctx, x):
+    # derivative of W_q(x) in q, from the same divided difference at equal rates
+    return sum(_mode_dd(pair, x) for pair in _pairs(ctx, ctx)) if x >= 0.0 else 0.0
 
 
 def w0_closed_brownian(m, x):
@@ -138,7 +147,7 @@ def test_cm1_exponential_ratio_limit(model):
 
 def _z_dtheta(ctx, x, theta):
     # derivative of Z_q in its second argument, no positivity contract
-    return _at(ctx, _z_sum(ctx, theta, 1), x)
+    return _at(ctx, _z_sum(ctx, theta, theta2=theta), x)
 
 
 def test_z_prime_theta(bm, cl):
