@@ -574,4 +574,4 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     f = _z_terms(ctx, ((a_fl, phl, t_fl, None, None), (a_rl * math.exp((rl - phl) * a), rl, t_rl,
                                                          None, None)))
     f = f[:2] + (_shifted, (ctx_l, a), f[4])  # W_{q+lam}(. + a) e^{-Phi_{q+lam} a} below 0
-    return -lam * math.exp(php * z) * _two_sided(ctx, g, f, x, b)
+    return -lam * math.exp(php * z) * _two_sided(ctx, g, f, x, b) + 0.0  # an underflow is +0
