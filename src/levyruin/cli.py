@@ -82,7 +82,6 @@ def _mc_config(model, args) -> McConfig:
         replications=args.reps,
         seed=args.seed,
         horizon=horizon,
-        grid_dt=args.grid_dt,
         antithetic=args.antithetic,
     )
 
@@ -268,7 +267,6 @@ def _build_parser():
             p.add_argument("--workers", type=int, default=1)
             p.add_argument("--b-esc", dest="b_esc", type=float, default=None,
                            help="escape-level horizon (default: from the target bias bound)")
-            p.add_argument("--grid-dt", dest="grid_dt", type=float, default=0.01)
             p.add_argument("--antithetic", action="store_true")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 

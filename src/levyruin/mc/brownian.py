@@ -1,15 +1,14 @@
-"""Hybrid exact-in-law simulation of the Brownian risk model.
+"""Exact-in-law simulation of the Brownian risk model.
 
 Only the path skeleton the functionals can see is simulated: Gaussian increments
 at the Poisson observation epochs, exact inverse-Gaussian recovery times from a
 negative observation to the next up-crossing of 0, and Brownian-bridge crossing
 indicators between skeleton points.  Occupation times, observation deficits,
-consecutive-observation Erlang ruin and budget-clock ruin times are all exact in
-law; the pure fine-grid fallback is kept only for the fixed-delay time kappa_r,
-where the excursion-age clock is not observation-driven.
+consecutive-observation Erlang ruin, budget-clock ruin times and fixed-delay
+ruin times are all exact in law.
 
-Two event loops: the excursion core and the kappa_fixed Euler walk.  Each reads
-its constants and its payoff from :func:`~.functionals.plan`; which functional
+Two event loops: the excursion core and the fixed-delay loop.  Each reads its
+constants and its payoff from :func:`~.functionals.plan`; which functional
 takes which construction is in :data:`~.functionals.CATALOGUE`.
 
 The excursion core runs every other functional.  An excursion's trigger is
@@ -30,7 +29,9 @@ The first passages tau_b^+ and tau_level^- have no trigger (n = 0): a skeleton
 of rate 1 whose negative points start no excursion, bridge-checked against b or
 the level between skeleton points.
 
-numpy, which only the kappa_fixed walk uses, is taken lazily (``util.lazy_module``).
+The fixed-delay loop runs kappa_fixed, whose clock is an excursion's age, not a
+count of observations: steps of length r from 0 and exact returns to 0 from
+above (:func:`make_fixed_delay_sim`).
 """
 
 from __future__ import annotations
@@ -38,12 +39,8 @@ from __future__ import annotations
 import math
 
 from ..models import LevyModel
-from ..util import lazy_module
 from .config import McConfig
 from .functionals import EV_LOWER, EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, plan
-from .streams import _BUF
-
-np = lazy_module("numpy")
 
 
 def _crossed_above(stream, x1, x2, gap, level, sig2) -> bool:
@@ -118,100 +115,57 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     return sim
 
 
-class _DelayClock:
-    """The delay clock of a negative run, ``run += step`` once a step, summed
-    only as far as the runs met so far reach.  ``J`` is the first run length
-    whose clock exceeds r: the smallest j whose j-fold float sum of ``step`` is
-    above r.  A delay that no path outlives (a huge r, inf or nan) then costs no
-    more steps than the walk itself takes."""
+def make_fixed_delay_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
+    """Fixed-delay Parisian ruin, exact in law: ruin at g + r for the first
+    excursion below 0, started at g, that lasts longer than r.
 
-    __slots__ = ("step", "r", "run", "n", "J")
-
-    def __init__(self, step: float, r: float):
-        self.step, self.r = step, r
-        self.run, self.n = 0.0, 0
-        self.J = None
-
-    def reach(self, length: int):
-        """Sum the clock to ``length`` steps unless J is found first; J or None."""
-        while self.J is None and self.n < length:
-            self.run += self.step
-            self.n += 1
-            if self.run > self.r:
-                self.J = self.n
-        return self.J
-
-
-def make_kappa_grid_sim(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
-    """Fixed-delay Parisian ruin on an Euler grid (the only grid-based Brownian
-    functional; the driver reports the grid-halving gap in the bias bound).
-
-    The walk takes one stream read at a time, the rest of a 512-value block
-    (``Stream.normals``).  The positions X over a read are one sequential
-    accumulation, so every value is the one a step-by-step loop would compute.
-    A read with no negative step needs only its maximum, against the escape
-    level; a read with one also counts the current negative run at each step.
-    The walk stops at the first escape or the first run of J negative steps, the
-    delay clock's crossing of r (``_DelayClock``).  It counts steps, and forms
-    the time only at a ruin, as the loop's step-by-step sum from 0.  Every
-    array it holds has at most ``_BUF + 1`` values, however long the path."""
+    From X > 0 the path returns to 0 with probability e^{-2 mu X / sigma^2},
+    after an IG(X / mu, X^2 / sigma^2) time; otherwise it never ruins.  From 0
+    it takes one step of length r, so every excursion longer than r holds a step
+    end.  A negative end -d lies in an excursion of age r d^2 / (d^2 + r sigma^2
+    nu^2) (nu ~ N(0, 1)), the last zero of the bridge from 0, and of remaining
+    length IG(d / mu, d^2 / sigma^2).  From x0 < 0 the clock runs from time 0.
+    Nothing is truncated, so no path escapes."""
     mu, sig = model.mu, model.sigma
+    sig2 = sig * sig
     pl = plan(model, fn, config)
-    value, x0, besc = pl.payoff, pl.x0, pl.besc
-    step = config.grid_dt if dt is None else dt
-    drift = mu * step
-    scale = sig * math.sqrt(step)
-    clock = _DelayClock(step, pl.delay)
-    idx = np.arange(1, _BUF + 1)
-    w = np.empty(_BUF + 1)  # X, then its increments, accumulated in place
-    tw = np.empty(_BUF + 1)  # the time sum, a chunk at a time
+    value, x0, r = pl.payoff, pl.x0, pl.delay
+    none = value(EV_NONE, 0.0, 0.0, 0.0)
+    if r == math.inf:  # a delay no excursion outlives
+        return lambda stream: (none, 0)
+    drift, spread = mu * r, sig * math.sqrt(r)
 
-    def time_at(m):
-        # 0 + step + ... + step, m terms, summed in order as the loop does
-        t = 0.0
-        while m:
-            c = min(m, _BUF)
-            tw[0] = t
-            tw[1:c + 1] = step
-            np.add.accumulate(tw[:c + 1], out=tw[:c + 1])
-            t = float(tw[c])
-            m -= c
-        return t
+    def passage(stream, d):
+        # IG(d / mu, d^2 / sigma^2) for d > 0 by Michael-Schucany-Haas, its smaller
+        # root in the conjugate form m / (1 + f/2 + sqrt(f + f^2/4)): no d^2 to
+        # underflow and no cancellation, so a small d (a small r or |x0|) keeps
+        # its digits where Stream.inverse_gaussian loses them
+        m = d / mu
+        f = stream.normal() ** 2 * (sig2 / mu) / d
+        x = m / (1.0 + 0.5 * f + math.sqrt(f) * math.sqrt(1.0 + 0.25 * f))
+        return x if stream.uniform() * (m + x) <= m else m * m / x
 
     def sim(stream):
-        X = x0
-        n = 0  # steps taken before this read
-        neg = 0  # steps in the current negative run; delay clocks start at entry
+        t, X = 0.0, x0
+        if X < 0.0:
+            t = passage(stream, -X)
+            if t > r:
+                return value(EV_RUIN, r, 0.0, 0.0), 0
+            X = 0.0
         while True:
-            z = stream.normals()
-            k = z.size
-            path = w[:k + 1]
-            xs = path[1:]
-            path[0] = X
-            np.multiply(z, scale, out=xs)
-            np.add(xs, drift, out=xs)
-            np.add.accumulate(path, out=path)
-            if xs.min() >= 0.0:  # no negative step: only an escape can stop the walk
-                if xs.max() >= besc:
-                    return value(EV_NONE, 0.0, 0.0, 0.0), 1
-                neg = 0
-            else:
-                # the negative run at each step counts back to the last X >= 0 (or
-                # into the previous read)
-                last = np.where(xs >= 0.0, idx[:k], -neg)
-                np.maximum.accumulate(last, out=last)
-                runs = idx[:k] - last
-                stop = xs >= besc  # besc > 0, so an escape is never a negative step
-                J = clock.reach(neg + k)  # no run in this read is longer
-                if J is not None:
-                    stop |= runs >= J
-                i = int(stop.argmax())
-                if stop[i]:
-                    if xs[i] >= 0.0:
-                        return value(EV_NONE, 0.0, 0.0, 0.0), 1
-                    return value(EV_RUIN, time_at(n + i + 1), 0.0, 0.0), 0
-                neg = int(runs[-1])
-            X = float(xs[-1])
-            n += k
+            if X > 0.0:
+                if stream.uniform() >= math.exp(-2.0 * mu * X / sig2):
+                    return none, 0
+                t += passage(stream, X)
+            t += r
+            X = drift + spread * stream.normal()
+            if X < 0.0:
+                w = spread * stream.normal() / X
+                age = r / (1.0 + w * w)
+                rest = passage(stream, -X)
+                if age + rest > r:
+                    return value(EV_RUIN, t - age + r, 0.0, 0.0), 0
+                t += rest
+                X = 0.0
 
     return sim

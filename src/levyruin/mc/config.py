@@ -40,7 +40,6 @@ class McConfig:
     replications: int
     seed: int
     horizon: Horizon
-    grid_dt: float = 0.01
     antithetic: bool = False
 
     def __post_init__(self):
@@ -51,15 +50,12 @@ class McConfig:
             raise DomainError("replications must be >= 1")
         if self.antithetic and self.replications % 2 != 0:
             raise DomainError("antithetic campaigns need an even replication count")
-        if not math.isfinite(self.grid_dt) or self.grid_dt <= 0.0:
-            raise DomainError("grid_dt must be finite and > 0")
 
 
 @dataclass(frozen=True)
 class McEstimate:
     """Point estimate with its standard error and a bound on truncation bias
-    (escape-level residual plus, for grid-based Brownian functionals, the
-    observed grid-halving gap)."""
+    (the escape-level residual)."""
 
     value: float
     std_error: float

@@ -25,7 +25,6 @@ from .streams import Stream
 np = lazy_module("numpy")
 
 _BLOCK = 4096
-_GRID_SALT = 0x9E3779B97F4A7C15  # seed offset for the grid-halving companion run
 
 
 def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - tests put an inline pool here
@@ -37,22 +36,22 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - tests put an inline p
 
 def build_simulator(model: LevyModel, fn: PathFunctional, config: McConfig, dt=None):
     """The replication closure of ``fn`` on ``model``: the event loop that
-    ``loop_of`` names, the Brownian Euler walk or the model's excursion core,
-    which checks ``fn`` against the catalogue (``plan``).  ``dt`` overrides the
-    Euler grid step of a grid functional."""
-    if loop_of(model, fn) == "grid":
-        return brownian.make_kappa_grid_sim(model, fn, config, dt=dt)
+    ``loop_of`` names, the Brownian fixed-delay loop or the model's excursion
+    core, which checks ``fn`` against the catalogue (``plan``).  ``dt`` is
+    ignored (no loop has a time step); it is kept for callers that pass one."""
+    if loop_of(model, fn) == "delay":
+        return brownian.make_fixed_delay_sim(model, fn, config)
     sims = brownian if model.kind == BROWNIAN else cramer_lundberg
     return sims.make_excursion_sim(model, fn, config)
 
 
-def _run_blocks(model, fn, config, block_lo, block_hi, seed, dt):
+def _run_blocks(model, fn, config, block_lo, block_hi, seed):
     """Replication values of blocks [block_lo, block_hi): (block, values, escapes).
 
     Replication ``idx`` draws from stream (seed, idx); in antithetic campaigns
     replications 2k and 2k + 1 are the plain and flipped members of pair k.
     """
-    sim = build_simulator(model, fn, config, dt=dt)
+    sim = build_simulator(model, fn, config)
     stream = Stream(seed, 0)
     reset = stream.reset
     anti = config.antithetic
@@ -74,17 +73,17 @@ def _run_blocks(model, fn, config, block_lo, block_hi, seed, dt):
     return out
 
 
-def _blocks(model, fn, config, workers, seed, dt=None):
+def _blocks(model, fn, config, workers, seed):
     """Every block of a campaign, in block order, run on up to ``workers`` processes."""
     n_blocks = (config.replications + _BLOCK - 1) // _BLOCK
     if workers <= 1 or n_blocks == 1:
-        return _run_blocks(model, fn, config, 0, n_blocks, seed, dt)
+        return _run_blocks(model, fn, config, 0, n_blocks, seed)
     bounds = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
     # one process per block range: under fork a pool starts all its workers at
     # the first submit
     with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
         futs = [
-            pool.submit(_run_blocks, model, fn, config, int(lo), int(hi), seed, dt)
+            pool.submit(_run_blocks, model, fn, config, int(lo), int(hi), seed)
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
@@ -93,13 +92,13 @@ def _blocks(model, fn, config, workers, seed, dt=None):
     return parts
 
 
-def _collect(model, fn, config, workers, seed, dt=None):
+def _collect(model, fn, config, workers, seed):
     # an antithetic pair is one observation, the mean of its two members
     s = 0.0
     s2 = 0.0
     nv = 0
     nesc = 0
-    for _, vals, bne in _blocks(model, fn, config, workers, seed, dt):
+    for _, vals, bne in _blocks(model, fn, config, workers, seed):
         if config.antithetic:
             vals = [0.5 * (v1 + v2) for v1, v2 in zip(vals[::2], vals[1::2])]
         bs = 0.0
@@ -132,30 +131,12 @@ def estimate(model: LevyModel, config: McConfig, fn: PathFunctional,
              workers: int = 1) -> McEstimate:
     """Estimate a path functional; deterministic in (seed, config, functional).
 
-    For grid-based Brownian functionals (kappa_fixed) a companion run at half the
-    grid step is performed and the observed halving gap is added to the reported
-    truncation bound.
+    Every simulator is exact in law, so the truncation bound is the escape-level
+    residual alone: the classical ruin tail from the escape level, times the
+    share of paths that escaped.
     """
     s, s2, nv, nesc = _collect(model, fn, config, workers, config.seed)
     value, se, bound = _finish(model, config, s, s2, nv, nesc)
-
-    if loop_of(model, fn) == "grid":
-        half_reps = max(config.replications // 4, min(config.replications, 2000))
-        if config.antithetic:
-            half_reps += half_reps & 1  # whole antithetic pairs
-        half_cfg = McConfig(
-            replications=half_reps,
-            seed=config.seed,
-            horizon=config.horizon,
-            grid_dt=config.grid_dt,
-            antithetic=config.antithetic,
-        )
-        hs, hs2, hnv, hnesc = _collect(
-            model, fn, half_cfg, workers, config.seed ^ _GRID_SALT, dt=config.grid_dt / 2.0
-        )
-        hvalue, hse, _ = _finish(model, half_cfg, hs, hs2, hnv, hnesc)
-        bound += abs(value - hvalue) + hse
-
     if isinstance(config.horizon, EscapeLevel) and se > 0.0 and bound > 0.1 * se:
         warnings.warn(
             f"truncation bound {bound:.2e} exceeds 10% of the standard error "

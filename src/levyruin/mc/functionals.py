@@ -11,7 +11,9 @@ together with the payoff applied to the raw path outcome:
 
 (occupation functionals pay at every terminal event; ``T0_w_weight`` multiplies
 by W_pw(deficit + shift)).  Both simulators run the Parisian and occupation
-functionals through one excursion core: each excursion below 0 has a *trigger*,
+functionals through one excursion core, all but the Brownian kappa_fixed, whose
+clock is an excursion's age and which has a loop of its own (``mc.brownian``).
+In the core each excursion below 0 has a *trigger*,
 the n-th point of a clock started at the excursion's start, and a *recovery*,
 its next up-crossing of 0.  A ruin functional stops at the first trigger that
 comes before its excursion's recovery; an occupation functional accrues
@@ -60,7 +62,7 @@ class Entry(NamedTuple):
     cl: Optional[tuple]  # delay constructions on Cramer-Lundberg models, default first
     bm: Optional[tuple]  # the same on Brownian models; None: the simulator does not run it
     reads: str  # the fields and barriers its path reads
-    grid: bool = False  # on Brownian models an Euler walk, which reads discount_q alone
+    delay_loop: bool = False  # on Brownian models the fixed-delay loop: reads discount_q alone
     passage: bool = False  # a classical first passage: the excursion core with no trigger
 
 
@@ -83,7 +85,7 @@ CATALOGUE = {
     # Parisian ruin, delay Erlang(n, lam)
     "rho_erlang": Entry("n lam", ("clock", "observation"), ("observation", "clock"), _RUIN),
     # Parisian ruin with deterministic delay r
-    "kappa_fixed": Entry("r", ("clock",), (), _RUIN, grid=True),
+    "kappa_fixed": Entry("r", ("clock",), (), _RUIN, delay_loop=True),
     # first Poisson observation below 0
     "T0_minus": Entry("lam", (), (), _RUIN),
     # e^{-q T_0^-} W_pw(X + shift) on {T_0^- first}
@@ -96,11 +98,12 @@ CATALOGUE = {
 
 
 def loop_of(model: LevyModel, fn: PathFunctional) -> str:
-    """The event loop that runs ``fn`` on ``model``: "grid", the Brownian
-    kappa_fixed Euler walk, or "excursion", the model's excursion core (every
-    other functional, the first passages too, and a name that the plan rejects)."""
+    """The event loop that runs ``fn`` on ``model``: "delay", the Brownian
+    fixed-delay loop, or "excursion", the model's excursion core (every other
+    functional, the first passages too, and a name that the plan rejects)."""
     entry = CATALOGUE.get(fn.name)
-    return "grid" if entry is not None and entry.grid and model.kind == BROWNIAN else "excursion"
+    delay = entry is not None and entry.delay_loop and model.kind == BROWNIAN
+    return "delay" if delay else "excursion"
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,8 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
     """Check ``fn`` on ``model`` under ``config`` against :data:`CATALOGUE` and
     return its :class:`Plan`; a request the simulator cannot run raises
     :class:`UnsupportedFunctional`; a non-finite start, field or param (but
-    kappa_fixed's r = inf, a delay no path outlives), or one that needs positive
-    drift on a model without it, raises ``DomainError``."""
+    kappa_fixed's r = inf, a delay no path outlives), a rate or delay <= 0, or one
+    that needs positive drift on a model without it, raises ``DomainError``."""
     brownian = model.kind == BROWNIAN
     simulator = "Brownian" if brownian else "Cramer-Lundberg"
     entry = CATALOGUE.get(fn.name)
@@ -150,10 +153,10 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
         )
     # the params column, the barriers (checked against reads below), the
     # construction and, on the excursion loop but for a first passage, an Exp horizon
-    grid = brownian and entry.grid
+    delay_loop = brownian and entry.delay_loop
     needs = set(entry.params.split())
     takes = needs | {"a", "b", "construction"}
-    if not (grid or entry.passage):
+    if not (delay_loop or entry.passage):
         takes.add("exp_horizon_rate")
     missing = needs - prm.keys()
     if missing or prm.keys() - takes:
@@ -165,14 +168,15 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
             f"success_event is 'ruin' or 'upcross', not {fn.success_event!r}")
     # a nan or infinite number would hang a path (an infinite b switches the
     # escape level off) or give a silent nan; kappa_fixed's r = inf is a delay
-    # that no path outlives.  A rate <= 0 would hang a path or divide by zero,
+    # that no path outlives.  A rate <= 0 would hang a path or divide by zero, a
+    # delay r <= 0 would step by 0 forever or discount a ruin at a negative time,
     # and n = 0 is the plan's first passage, with no trigger
     values = {"x0": fn.x0, "discount_q": fn.discount_q, "tilt_theta": fn.tilt_theta,
               "laplace_p": fn.laplace_p}
     values.update((k, float(v)) for k, v in prm.items()
                   if k != "construction" and not (k == "r" and v == math.inf))
     require_finite(fn.name, " ".join(values), *values.values())
-    for name in ("lam", "p", "exp_horizon_rate"):
+    for name in ("lam", "p", "exp_horizon_rate", "r"):
         if name in prm and float(prm[name]) <= 0.0:
             raise DomainError(f"{fn.name} requires {name} > 0, got {prm[name]!r}")
     count = float(prm.get("n", 1))
@@ -183,7 +187,7 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
     upcross = fn.success_event == "upcross"
     b = prm.get("b")
     b = None if b is None else float(b)
-    reads = {"discount_q"} if grid else set(entry.reads.split())
+    reads = {"discount_q"} if delay_loop else set(entry.reads.split())
     if upcross:
         reads.discard("tilt_theta")
     if accrue and b is None:
@@ -226,7 +230,7 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
                 (th != 0.0 and budget is not None, "the deficit at a mid-excursion Parisian ruin"),
                 (fn.name == "tau_level_minus" and (q != 0.0 or th != 0.0),
                  "more of tau_level^- than its bare indicator"),
-                (grid and upcross, "an up-crossing on the kappa_fixed grid")):
+                (delay_loop and upcross, "an up-crossing in the fixed-delay loop")):
             if unsamplable:
                 raise UnsupportedFunctional(f"{what} is not exactly samplable on a Brownian model")
 

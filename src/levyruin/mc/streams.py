@@ -30,10 +30,8 @@ of ``uniform()`` and ``normal()`` grow geometrically, ``_CHUNK``, 2 ``_CHUNK``,
 ... up to the end of the current block, so a replication that needs five
 uniforms reads 32 values, and one that needs thousands of normals reads whole
 blocks.  Those reads are kept as Python floats, so the simulators' scalar
-arithmetic stays unboxed.  ``normals()`` hands out the rest of the current
-normal read as an array instead, and a read it starts runs to the end of its
-block: a simulator that walks a whole read at once makes one read per block.
-The values are the block's values in order whatever the read sizes.
+arithmetic stays unboxed.  The values are the block's values in order whatever
+the read sizes.
 
 Reuse.  ``reset(seed, index, antithetic)`` re-keys the same stream for the next
 replication by rewriting the key and counter words of kept state dicts; it
@@ -88,8 +86,7 @@ class Stream:
     """The draws of one replication: uniforms, exponentials, normals and
     inverse-Gaussian variates from the stream keyed (seed, index)."""
 
-    __slots__ = ("_u", "_ui", "_un", "_n", "_na", "_ni", "_nn", "_anti", "_key", "_next",
-                 "_uf", "_nf")
+    __slots__ = ("_u", "_ui", "_un", "_n", "_ni", "_nn", "_anti", "_key", "_next", "_uf", "_nf")
 
     def __init__(self, seed: int, index: int, antithetic: bool = False):
         self._key = [0, 0]
@@ -158,28 +155,11 @@ class Stream:
     def normal(self) -> float:
         i = self._ni
         if i == self._nn:
-            self._na = self._fill(self._nf or self._normal_feed())
-            self._n = self._na.tolist()
+            self._n = self._fill(self._nf or self._normal_feed()).tolist()
             self._nn = len(self._n)
             i = 0
         self._ni = i + 1
         return self._n[i]
-
-    def normals(self) -> np.ndarray:
-        """The unread normals of the current read (after a new read if it is used
-        up; at most ``_BUF`` values), all counted as drawn: the next ``normal()``
-        starts the next read.  A read that ``normals()`` starts runs to the end of
-        its block, so a caller that draws only through ``normals()`` reads whole
-        blocks."""
-        i = self._ni
-        if i == self._nn:
-            feed = self._nf or self._normal_feed()
-            feed.size = _BUF
-            self._na = self._fill(feed)
-            self._nn = len(self._na)
-            i = 0
-        self._ni = self._nn
-        return self._na[i:]
 
     def inverse_gaussian(self, mean: float, shape: float) -> float:
         # Michael-Schucany-Haas; exact first-passage times of drifted Brownian motion

@@ -113,12 +113,6 @@ def test_pool_has_one_process_per_block_range(cl, monkeypatch):
     assert _InlinePool.sizes == [2, 2]
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
-def test_grid_step_must_be_finite_and_positive(dt):
-    with pytest.raises(DomainError, match="grid_dt"):
-        McConfig(replications=10, seed=1, horizon=EscapeLevel(5.0), grid_dt=dt)
-
-
 def test_config_counts_must_be_integers():
     # a float count once ended in a TypeError from inside the driver
     for kw, field in ((dict(replications=1000.0, seed=1), "replications"),
@@ -433,8 +427,8 @@ def test_horizon_matrix(key, bm, cl):
 
 
 def test_brownian_kappa_fixed_rejects_b(bm, cl):
-    # the Euler walk has no upper barrier; the Cramer-Lundberg path stops at tau_b^+
-    cfg = McConfig(replications=4000, seed=1, horizon=EscapeLevel(10.0), grid_dt=0.05)
+    # the fixed-delay loop has no upper barrier; the Cramer-Lundberg path stops at tau_b^+
+    cfg = McConfig(replications=4000, seed=1, horizon=EscapeLevel(10.0))
     fn = PathFunctional("kappa_fixed", {"r": 0.25, "b": 0.6}, x0=0.5)
     with pytest.raises(UnsupportedFunctional, match="never reads b"):
         estimate(bm, cfg, fn)
@@ -478,21 +472,6 @@ def test_brownian_recovery_needs_positive_drift(bm):
     assert set(vals) <= {0.0, 1.0} and 0.0 < vals.mean() < 1.0
 
 
-@pytest.mark.filterwarnings("ignore:truncation bound")
-def test_kappa_fixed_grid_bm_reports_halving_bound(bm):
-    # classical-limit sanity: tiny delay approaches tau_0^- ruin
-    cfg = McConfig(replications=20_000, seed=13, horizon=EscapeLevel(10.0), grid_dt=0.02)
-    fn = PathFunctional("kappa_fixed", {"r": 0.25}, x0=0.5)
-    est = estimate(bm, cfg, fn)
-    assert est.truncation_bound > 0.0  # includes the observed halving gap
-    assert 0.0 < est.value < 1.0
-    # halving convergence: dt vs dt/2 campaigns agree within twice the combined error
-    half = McConfig(replications=20_000, seed=13, horizon=EscapeLevel(10.0), grid_dt=0.01)
-    est_half = estimate(bm, half, fn)
-    combined = math.hypot(est.std_error, est_half.std_error)
-    assert abs(est.value - est_half.value) <= 2.0 * combined + 0.01
-
-
 def test_up_cross_e2_mc_brownian(bm):
     from levyruin import up_cross_e2
 
@@ -525,13 +504,13 @@ def test_kappa_fixed_cl_between_neighbours(cl):
     assert est.value > 0.0
 
 
-def _exact_law_campaign(model, reps, **kw):
-    # kappa_fixed at x = 0.5, r = 1 against the exact fixed-delay law, with the
-    # escape level of a 1e-6 truncation bound
+def _exact_law_campaign(model, reps, x=0.5, r=1.0):
+    # kappa_fixed against the exact fixed-delay law, with the escape level of a
+    # 1e-6 truncation bound
     cfg = McConfig(replications=reps, seed=20240120,
-                   horizon=EscapeLevel(default_escape_level(model, 1e-6)), **kw)
-    est = estimate(model, cfg, PathFunctional("kappa_fixed", {"r": 1.0}, x0=0.5))
-    return est, fixed_delay_ruin(model, 0.5, 1.0)
+                   horizon=EscapeLevel(default_escape_level(model, 1e-6)))
+    est = estimate(model, cfg, PathFunctional("kappa_fixed", {"r": r}, x0=x))
+    return est, fixed_delay_ruin(model, x, r)
 
 
 def test_kappa_fixed_cl_matches_exact_law(cl):
@@ -540,12 +519,15 @@ def test_kappa_fixed_cl_matches_exact_law(cl):
     assert_within(est, exact)
 
 
-@pytest.mark.filterwarnings("ignore:truncation bound")
-def test_kappa_fixed_bm_walk_bound_covers_exact_law(bm):
-    # at validate's grid step the grid-halving gap in the bound covers the Euler
-    # walk's bias against the exact law
-    est, exact = _exact_law_campaign(bm, 16_384, grid_dt=0.01)
-    assert_within(est, exact)
+@pytest.mark.parametrize("key", ["bm_a", "bm_b"])
+@pytest.mark.parametrize("x, r", [(0.5, 1.0), (0.0, 2.0), (-0.5, 0.5)])
+def test_kappa_fixed_bm_matches_exact_law(key, x, r, bm):
+    # the Brownian fixed-delay loop is exact in law and truncates nothing: only
+    # noise is left, from above 0, at 0 and from below
+    model = bm if key == "bm_a" else type(bm).brownian(0.3, 1.0)
+    est, exact = _exact_law_campaign(model, 24_576, x, r)
+    assert est.truncation_bound == 0.0
+    assert abs(est.value - exact) <= 3.0 * est.std_error
 
 
 def test_erlang_recursion_n4_against_rho_erlang(cl):
@@ -582,7 +564,7 @@ def test_plan_checks_params_against_catalogue(key, bm, cl):
                 plan(model, PathFunctional(name, rest, x0=0.5), cfg)
         extra = [k for k in ("n", "p", "r", "lam", "level", "exp_horizon_rate", "bogus")
                  if k not in entry.params.split()]
-        if not (entry.passage or (entry.grid and key == "bm")):
+        if not (entry.passage or (entry.delay_loop and key == "bm")):
             extra.remove("exp_horizon_rate")  # the excursion loop's Exp horizon
         for k in extra:
             with pytest.raises(UnsupportedFunctional, match=f"unknown \\['{k}'\\]"):
@@ -635,6 +617,36 @@ def test_plan_rejects_clocks_out_of_range(key, bm, cl):
             ("occupation_poisson_n", {"n": 2.5, "lam": 1.0}, "integer n >= 1")):
         with pytest.raises(DomainError, match=match):
             plan(model, PathFunctional(name, params, x0=0.5), cfg)
+
+
+@pytest.mark.parametrize("key", ["bm", "cl"])
+def test_kappa_fixed_delay_must_be_positive(key, bm, cl):
+    # r = 0 would step by 0 forever in the Brownian loop, and r = -1 gave e^q with
+    # se 0 on Cramer-Lundberg models; r = inf is a delay no path outlives, which
+    # the Brownian loop pays 0 for without a draw
+    from levyruin.mc.functionals import plan
+
+    model = {"bm": bm, "cl": cl}[key]
+    cfg = McConfig(replications=4, seed=1, horizon=EscapeLevel(12.0))
+    for r in (0.0, -1.0):
+        with pytest.raises(DomainError, match="r > 0"):
+            plan(model, PathFunctional("kappa_fixed", {"r": r}, x0=0.5, discount_q=1.0), cfg)
+    if key == "bm":
+        fn = PathFunctional("kappa_fixed", {"r": math.inf}, x0=-0.5)
+        assert build_simulator(bm, fn, cfg)(None) == (0.0, 0)
+        est = estimate(bm, cfg, fn)
+        assert (est.value, est.std_error, est.truncation_bound) == (0.0, 0.0, 0.0)
+
+
+def test_kappa_fixed_bm_tiny_delay_and_start(bm):
+    # the loop's first passages and ages form no d^2, which underflows to 0 for a
+    # distance d below 1e-154: a subnormal delay, or a start next to 0, gives ruin
+    # at once, as the classical ruin from 0 does
+    cfg = McConfig(replications=200, seed=3, horizon=EscapeLevel(10.0))
+    for r in (1e-12, 5e-324):
+        for x in (1e-200, -1e-200, -5e-324):
+            est = estimate(bm, cfg, PathFunctional("kappa_fixed", {"r": r}, x0=x))
+            assert (est.value, est.std_error) == (1.0, 0.0), (r, x)
 
 
 def test_plan_rejects_reproduced_param_mistakes(cl):

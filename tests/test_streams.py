@@ -25,7 +25,6 @@ from levyruin.mc import (
     estimate,
     sample,
 )
-from levyruin.mc.driver import _GRID_SALT
 
 
 def _clamp(u, antithetic):
@@ -81,9 +80,9 @@ def test_reset_reproduces_block_layout():
 
 def test_keys_are_exact_uint64():
     # keys >= 2^63 were once rounded through float64 to a multiple of 2048, so
-    # the grid-halving companions of neighbouring seeds drew one stream
-    companions = [Stream(s ^ _GRID_SALT, 0).uniform() for s in (20240101, 20240102, 20240130)]
-    assert len(set(companions)) == 3
+    # neighbouring seeds offset past 2^63 drew one stream
+    offset = [Stream(s ^ 0x9E3779B97F4A7C15, 0).uniform() for s in (20240101, 20240102, 20240130)]
+    assert len(set(offset)) == 3
     assert Stream(2**64 - 1, 0).uniform() != Stream(2**64 - 2048, 0).uniform()
     assert Stream(-1, 0).uniform() == Stream(2**64 - 1, 0).uniform()  # keys are mod 2^64
     kinds = _pattern(5, 600)
@@ -153,38 +152,6 @@ def test_normal_buffer_built_late_keeps_the_layout():
     for index in (10, 11):  # and a built buffer is rewound by reset
         stream.reset(3, index)
         assert _draw(stream, kinds) == _reference(3, index, False, kinds)
-    # normals() builds it the same way, and its first read is a whole block
-    late = Stream(3, 12)
-    assert _draw(late, ["u"] * 600) + list(late.normals()) == _reference(
-        3, 12, False, ["u"] * 600 + ["n"] * 512)
-
-
-def test_normals_hands_out_the_rest_of_a_read():
-    # normals() returns the unread part of the current read and counts it as
-    # drawn; a read it starts runs to the end of its block.  Interleaved with
-    # normal() and uniform() the values keep the layout
-    rng = random.Random(4)
-    for seed, index, anti in ((7, 3, False), (8, 1, True)):
-        stream = Stream(seed, index, anti)
-        got, kinds = [], []
-        starts_read = True  # no normal() since the last normals()
-        while len(got) < 3000:
-            pick = rng.choice(("u", "n", "many"))
-            if pick == "many":
-                arr = stream.normals()
-                assert arr.dtype == np.float64 and 0 < arr.size <= 512
-                got += arr.tolist()
-                kinds += ["n"] * arr.size
-                if starts_read:
-                    assert kinds.count("n") % 512 == 0  # the read ends at a block's end
-                starts_read = True
-            else:
-                starts_read = starts_read and pick == "u"
-                got.append(stream.uniform() if pick == "u" else stream.normal())
-                kinds.append(pick)
-        assert got == _reference(seed, index, anti, kinds)
-        stream.reset(seed, index, anti)  # normals() alone: one read per block
-        assert [stream.normals().size for _ in range(3)] == [512] * 3
 
 
 def test_pinned_estimates_and_sample(bm, cl):
@@ -308,7 +275,7 @@ _PATHS = {
                                      dict(x0=-0.1), None, 1000),
     "bm-T0_minus-b-upcross": ("bm", "T0_minus", {"lam": 0.5, "b": 1.5},
                               dict(x0=0.3, success_event="upcross"), None, 1000),
-    # Brownian: first passages and the fixed-delay grid
+    # Brownian: first passages and the fixed-delay loop
     "bm-tau_b_plus": ("bm", "tau_b_plus", {"b": 1.0}, dict(x0=0.0), None, 1000),
     "bm-tau_level_minus": ("bm", "tau_level_minus", {"level": 0.0}, dict(x0=0.5), None, 1000),
     "bm-tau_level_minus-below": ("bm", "tau_level_minus", {"level": -0.5}, dict(x0=0.3), None, 1000),
@@ -316,7 +283,7 @@ _PATHS = {
 }
 _PINS = {
     "bm-T0_minus-b-upcross": "0x1.aa00000000000p+9",
-    "bm-kappa_fixed": "0x1.9002a7dd9c773p+5",
+    "bm-kappa_fixed": "0x1.960910e6a44ccp+5",
     "bm-occupation": "0x1.7cf7084f29e98p+9",
     "bm-occupation-exp_horizon": "0x1.c48c4c6648394p+9",
     "bm-occupation-fixed_time": "0x1.b8e4613e7d950p+9",
@@ -365,6 +332,6 @@ _PINS = {
 @pytest.mark.parametrize("case", sorted(_PATHS))
 def test_pinned_simulator_paths(case, request):
     model, name, params, kw, horizon, reps = _PATHS[case]
-    cfg = McConfig(replications=reps, seed=len(case), horizon=horizon or _ESC[model], grid_dt=0.05)
+    cfg = McConfig(replications=reps, seed=len(case), horizon=horizon or _ESC[model])
     vals = sample(request.getfixturevalue(model), cfg, PathFunctional(name, params, **kw))
     assert math.fsum(vals).hex() == _PINS[case]
