@@ -43,11 +43,12 @@ from .config import McConfig
 from .functionals import EV_LOWER, EV_NONE, EV_RUIN, EV_UPCROSS, PathFunctional, plan
 
 
-def _crossed_above(stream, x1, x2, gap, level, sig2) -> bool:
-    # bridge crossing of `level` from below on one skeleton segment
+def _crossed_above(u, x1, x2, gap, level, sig2) -> bool:
+    # bridge crossing of `level` from below on one skeleton segment; u is the
+    # stream's next_u
     if x2 >= level:
         return True
-    return stream.uniform() < math.exp(-2.0 * (level - x1) * (level - x2) / (sig2 * gap))
+    return u() < math.exp(-2.0 * (level - x1) * (level - x2) / (sig2 * gap))
 
 
 def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
@@ -56,35 +57,41 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     pl = plan(model, fn, config)
     value, x0, b, floor, besc = pl.payoff, pl.x0, pl.b, pl.floor, pl.besc
     tmax, exp_rate = pl.tmax, pl.exp_rate
-    lam, n, budget = pl.lam, pl.n, pl.budget
+    n, budget = pl.n, pl.budget
     stop = not pl.accrue and budget is None  # ruin at the trigger itself
+    # an Exp(rate) draw is log1p(-u) / -rate (Stream.exponential), made inline
+    nlam = -pl.lam
+    nexp_rate = None if exp_rate is None else -exp_rate
+    nbudget = None if budget is None else tuple(-rate for rate in budget)
 
     def sim(stream):
+        u, nrm = stream.next_u, stream.next_n
+        log1p, sqrt = math.log1p, math.sqrt
         t = 0.0
         X = x0
         occ = 0.0
         consec = 0
-        horizon = tmax if exp_rate is None else stream.exponential(exp_rate)
+        horizon = tmax if nexp_rate is None else log1p(-u()) / nexp_rate
         if floor is not None and X < floor:
             return value(EV_LOWER, 0.0, 0.0, occ), 0
         if b is not None and X >= b:
             return value(EV_UPCROSS, 0.0, 0.0, occ), 0
         while True:
-            gap = stream.exponential(lam)
+            gap = log1p(-u()) / nlam
             tn = t + gap
             if horizon is not None and tn >= horizon:
                 return value(EV_NONE, 0.0, 0.0, occ), 0
-            Xn = X + mu * gap + sig * math.sqrt(gap) * stream.normal()
-            if b is not None and _crossed_above(stream, X, Xn, gap, b, sig2):
+            Xn = X + mu * gap + sig * sqrt(gap) * nrm()
+            if b is not None and _crossed_above(u, X, Xn, gap, b, sig2):
                 return value(EV_UPCROSS, 0.0, 0.0, occ), 0
             # the crossing of the floor from above is that of -floor by -X from below
-            if floor is not None and _crossed_above(stream, -X, -Xn, gap, -floor, sig2):
+            if floor is not None and _crossed_above(u, -X, -Xn, gap, -floor, sig2):
                 return value(EV_LOWER, 0.0, 0.0, occ), 0
             if Xn < 0.0 and n:
                 # consec counts a run of negative observations that the bridge
                 # joins below 0 (a run starts anew after X >= 0); its n-th
                 # member is the excursion's trigger
-                if X < 0.0 and consec >= 1 and not _crossed_above(stream, X, Xn, gap, 0.0, sig2):
+                if X < 0.0 and consec >= 1 and not _crossed_above(u, X, Xn, gap, 0.0, sig2):
                     consec += 1
                 else:
                     consec = 1
@@ -95,10 +102,10 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                     return value(EV_RUIN, tn, Xn, occ), 0
                 depth = -Xn
                 rec = stream.inverse_gaussian(depth / mu, depth * depth / sig2)
-                if budget is not None:
+                if nbudget is not None:
                     spent = 0.0
-                    for rate in budget:
-                        spent += stream.exponential(rate)
+                    for nrate in nbudget:
+                        spent += log1p(-u()) / nrate
                     if rec > spent:
                         return value(EV_RUIN, tn + spent, 0.0, occ), 0
                 elif horizon is not None and tn + rec >= horizon:
@@ -135,34 +142,35 @@ def make_fixed_delay_sim(model: LevyModel, fn: PathFunctional, config: McConfig)
         return lambda stream: (none, 0)
     drift, spread = mu * r, sig * math.sqrt(r)
 
-    def passage(stream, d):
+    def passage(u, nrm, d):
         # IG(d / mu, d^2 / sigma^2) for d > 0 by Michael-Schucany-Haas, its smaller
         # root in the conjugate form m / (1 + f/2 + sqrt(f + f^2/4)): no d^2 to
         # underflow and no cancellation, so a small d (a small r or |x0|) keeps
         # its digits where Stream.inverse_gaussian loses them
         m = d / mu
-        f = stream.normal() ** 2 * (sig2 / mu) / d
+        f = nrm() ** 2 * (sig2 / mu) / d
         x = m / (1.0 + 0.5 * f + math.sqrt(f) * math.sqrt(1.0 + 0.25 * f))
-        return x if stream.uniform() * (m + x) <= m else m * m / x
+        return x if u() * (m + x) <= m else m * m / x
 
     def sim(stream):
+        u, nrm = stream.next_u, stream.next_n
         t, X = 0.0, x0
         if X < 0.0:
-            t = passage(stream, -X)
+            t = passage(u, nrm, -X)
             if t > r:
                 return value(EV_RUIN, r, 0.0, 0.0), 0
             X = 0.0
         while True:
             if X > 0.0:
-                if stream.uniform() >= math.exp(-2.0 * mu * X / sig2):
+                if u() >= math.exp(-2.0 * mu * X / sig2):
                     return none, 0
-                t += passage(stream, X)
+                t += passage(u, nrm, X)
             t += r
-            X = drift + spread * stream.normal()
+            X = drift + spread * nrm()
             if X < 0.0:
-                w = spread * stream.normal() / X
+                w = spread * nrm() / X
                 age = r / (1.0 + w * w)
-                rest = passage(stream, -X)
+                rest = passage(u, nrm, -X)
                 if age + rest > r:
                     return value(EV_RUIN, t - age + r, 0.0, 0.0), 0
                 t += rest

@@ -30,6 +30,8 @@ takes the claim step of X >= 0 at every level and ends at b or below the level.
 
 from __future__ import annotations
 
+import math
+
 from ..models import LevyModel
 from .config import McConfig
 from .functionals import (
@@ -44,18 +46,24 @@ from .functionals import (
 
 
 def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
-    c, eta, alpha = model.c, model.eta, model.alpha
+    c = model.c
     pl = plan(model, fn, config)
     value, x0, accrue, mode = pl.payoff, pl.x0, pl.accrue, pl.mode
     b, floor, besc, tmax, exp_rate = pl.b, pl.floor, pl.besc, pl.tmax, pl.exp_rate
-    n, gap0, gap_rates, lam = pl.n, pl.delay, pl.rates, pl.lam
+    n, gap0 = pl.n, pl.delay
+    # an Exp(rate) draw is log1p(-u) / -rate (Stream.exponential), made inline
+    neta, nalpha = -model.eta, -model.alpha
+    nlam = None if pl.lam is None else -pl.lam  # None: the first clock point is the trigger
+    ngap_rates = tuple(-rate for rate in pl.rates)
+    nexp_rate = None if exp_rate is None else -exp_rate
 
     def sim(stream):
-        exp_ = stream.exponential
+        u = stream.next_u
+        log1p = math.log1p
         t = 0.0
         X = x0
         occ = 0.0
-        horizon = tmax if exp_rate is None else exp_(exp_rate)
+        horizon = tmax if nexp_rate is None else log1p(-u()) / nexp_rate
         if floor is not None and X < floor:
             return value(EV_LOWER, 0.0, X, occ), 0
         if b is not None and X >= b:
@@ -64,7 +72,7 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
             if X >= 0.0 or not n:
                 if X >= besc:
                     return value(EV_NONE, 0.0, 0.0, occ), 1
-                e = exp_(eta)
+                e = log1p(-u()) / neta
                 if b is not None and X + c * e >= b:
                     tb = t + (b - X) / c
                     if horizon is None or tb <= horizon:
@@ -73,18 +81,18 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                 if horizon is not None and t + e >= horizon:
                     return value(EV_NONE, 0.0, 0.0, occ), 0
                 t += e
-                X += c * e - exp_(alpha)
+                X += c * e - log1p(-u()) / nalpha
                 if floor is not None and X < floor:
                     return value(EV_LOWER, t, X, occ), 0
             else:
                 # an excursion below 0: its clock starts now
                 obs = []
                 gap = gap0
-                for rate in gap_rates:
-                    gap += exp_(rate)
+                for nrate in ngap_rates:
+                    gap += log1p(-u()) / nrate
                 next_obs = t + gap
                 while True:
-                    e = exp_(eta)
+                    e = log1p(-u()) / neta
                     t_rec = t + (0.0 - X) / c
                     t_claim = t + e
                     t_next = t_rec if t_rec <= t_claim else t_claim
@@ -92,7 +100,7 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                         obs.append(next_obs)
                         if len(obs) == n and not accrue:
                             return value(EV_RUIN, next_obs, X + c * (next_obs - t), occ), 0
-                        next_obs += exp_(lam)
+                        next_obs += log1p(-u()) / nlam
                     if horizon is not None and horizon <= t_next:
                         occ += excursion_occupation(obs, horizon, mode, n_consec=n)
                         return value(EV_NONE, 0.0, 0.0, occ), 0
@@ -103,9 +111,8 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                         X = 0.0
                         break
                     t = t_claim
-                    X += c * e - exp_(alpha)
+                    X += c * e - log1p(-u()) / nalpha
                     if floor is not None and X < floor:
                         return value(EV_LOWER, t, X, occ), 0
 
     return sim
-

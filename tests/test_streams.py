@@ -92,7 +92,8 @@ def test_keys_are_exact_uint64():
 
 class _RawGen:
     """Stands in for a buffer's Philox generator: hands out the given raw
-    uniforms in order and ignores seeks."""
+    uniforms in order and ignores seeks.  ``into(feed)`` binds it where the feed
+    reads: its ``random`` and its ``bit_generator``."""
 
     def __init__(self, raw):
         self.raw = raw
@@ -102,6 +103,9 @@ class _RawGen:
     def random(self, n):
         self.pos += n
         return self.raw[self.pos - n:self.pos].copy()
+
+    def into(self, feed):
+        feed.random, feed.bit_generator = self.random, self.bit_generator
 
 
 @pytest.mark.parametrize("anti", [False, True])
@@ -118,9 +122,74 @@ def test_one_sided_clamp_matches_two_sided(anti):
         block[rng.choice(512, 60, replace=False)] = np.resize(edge, 60)
         raw[kind] = block
     stream = Stream(1, 0, anti)
-    stream._uf.gen, stream._normal_feed().gen = _RawGen(raw["u"]), _RawGen(raw["n"])
+    _RawGen(raw["u"]).into(stream._uf)
+    _RawGen(raw["n"]).into(stream._normal_feed())
     assert [stream.uniform() for _ in range(512)] == list(_clamp(raw["u"], anti))
     assert [stream.normal() for _ in range(512)] == list(ndtri(_clamp(raw["n"], anti)))
+
+
+def test_inline_exponential_is_the_stream_exponential():
+    # the cores draw Exp(rate) inline as log1p(-u) / -rate; at the edge uniforms
+    # it is Stream.exponential(rate), and -log1p(-u) / rate, bit for bit
+    edge = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])  # the raw 0 clamps to 1e-16
+    us = [1e-16, 2.0**-53, 1.0 - 2.0**-53]
+    for rate in (1.0, 1.3, 0.7, 2.0, 1e-300, 1e300):
+        stream = Stream(1, 0)
+        _RawGen(edge).into(stream._uf)
+        nrate = -rate
+        for u in us:
+            inline = math.log1p(-u) / nrate
+            assert inline.hex() == stream.exponential(rate).hex()
+            assert inline.hex() == (-math.log1p(-u) / rate).hex()
+
+
+@pytest.mark.parametrize("stop", [(1, 0), (5, 3), (31, 1), (32, 32), (33, 70), (600, 513)])
+def test_reset_mid_read_continues_at_the_new_key(stop):
+    # a replication that stops mid-read (or on a read or block boundary, in
+    # either buffer): after reset, the iterators bound before it draw the new
+    # key's block layout
+    stream = Stream(8, 1)
+    u, n = stream.next_u, stream.next_n
+    assert [u() for _ in range(stop[0])] == _reference(8, 1, False, ["u"] * stop[0])
+    [n() for _ in range(stop[1])]
+    for seed, index, anti in ((8, 2, False), (8, 3, True)):
+        kinds = _pattern(seed + index + sum(stop), 1500)
+        stream.reset(seed, index, anti)
+        assert [u() if k == "u" else n() for k in kinds] == _reference(seed, index, anti, kinds)
+        [u() for _ in range(stop[0])]  # leave this replication mid-read too
+
+
+# depths of a first passage, the last two with mean^2 subnormal and 0
+_DEPTHS = (1e-3, 1e-6, 1e-9, 1e-160, 1e-170)
+
+
+@pytest.mark.parametrize("d", _DEPTHS)
+def test_inverse_gaussian_at_tiny_depths(bm, d):
+    # IG(d / mu, d^2 / sigma^2) by Michael-Schucany-Haas: where the smaller root
+    # cancels to <= 0 or the shape underflows to 0, the value is the root in its
+    # conjugate form, with the stream's own normal and uniform
+    mu, sig2 = bm.mu, bm.sigma**2
+    mean, shape = d / mu, d * d / sig2
+    fired = 0
+    for index in range(400):
+        value = Stream(5, index).inverse_gaussian(mean, shape)
+        assert math.isfinite(value) and value >= 0.0
+        twin = Stream(5, index)
+        y = twin.normal() ** 2
+        u = twin.uniform()
+        if shape > 0.0:
+            diff = mean + mean * mean * y / (2.0 * shape) - (mean / (2.0 * shape)) * math.sqrt(
+                4.0 * mean * shape * y + (mean * y) ** 2)
+            if diff > 0.0:
+                continue
+            f = mean * y / shape
+            root = mean / (1.0 + 0.5 * f + math.sqrt(f) * math.sqrt(1.0 + 0.25 * f))
+        else:
+            root = 0.0
+        fired += 1
+        expect = root if u <= mean / (mean + root) else mean * mean / root
+        assert abs(value - expect) <= 1e-12 * expect
+    assert (fired > 0) == (d < 1e-6)
 
 
 def test_first_normal_loads_ndtri():
