@@ -17,6 +17,7 @@ Everything here but the transition law is ``math`` alone; numpy is taken lazily
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -239,16 +240,23 @@ _I1_HANKEL = tuple(accumulate((((2 * k - 1) ** 2 - 4.0) / (8.0 * k) for k in ran
                               mul, initial=1.0))[::-1]
 
 
-def _poisson_erlang(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_{j>=0} e^{-a-b} a^j b^j/(j! (j+1)!) = e^{-a-b} I_1(2 sqrt(ab))/sqrt(ab) for
-    a, b >= 0, as e^{-(sqrt a - sqrt b)^2} 2 e^{-z} I_1(z)/z at z = 2 sqrt(ab)."""
-    z = 2.0 * np.sqrt(a) * np.sqrt(b)
+def _poisson_erlang(a: np.ndarray, b: np.ndarray, diff: Optional[np.ndarray] = None,
+                    scale: float = 1.0) -> np.ndarray:
+    """scale sum_{j>=0} e^{-a-b} a^j b^j/(j! (j+1)!) = scale e^{-a-b} I_1(2 sqrt(ab))/sqrt(ab)
+    for a, b >= 0, as e^{-(sqrt a - sqrt b)^2} 2 e^{-z} I_1(z)/z at z = 2 sqrt(ab).
+    ``diff`` is a - b where the caller forms it without the subtraction of two large
+    terms: sqrt a - sqrt b is then diff / (sqrt a + sqrt b).  ``scale`` enters before
+    the divisions by z, so that a value below the float range (about z^{-3/2} at large
+    z) is not lost where the scaled value is in range."""
+    sa, sb = np.sqrt(a), np.sqrt(b)
+    z = 2.0 * sa * sb
     ratio = np.empty_like(z)
     small = z < 17.0
-    ratio[small] = np.exp(-z[small]) * np.polyval(_I1_SERIES, 0.25 * z[small] ** 2)
+    ratio[small] = scale * np.exp(-z[small]) * np.polyval(_I1_SERIES, 0.25 * z[small] ** 2)
     zl = z[~small]
-    ratio[~small] = np.polyval(_I1_HANKEL, 1.0 / zl) / zl / np.sqrt(0.5 * math.pi * zl)
-    return np.exp(-(np.sqrt(a) - np.sqrt(b)) ** 2) * ratio
+    ratio[~small] = np.polyval(_I1_HANKEL, 1.0 / zl) / (zl / scale) / np.sqrt(0.5 * math.pi * zl)
+    gap = sa - sb if diff is None else diff / np.maximum(sa + sb, sys.float_info.min)
+    return np.exp(-gap ** 2) * ratio
 
 
 @dataclass(frozen=True)

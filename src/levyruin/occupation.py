@@ -42,10 +42,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .models import BROWNIAN, LevyModel, _poisson_erlang, phi
 from .quadrature import gl_pieces
-from .scale import _ratio, _z_tilde_sum, scale_context, z, z_tilde
+from .scale import _at, _ratio, _z_tilde_sum, rate_part, scale_context, z
 from .util import clamp_unit, lazy_module, represented_rate, require_finite
 
 np = lazy_module("numpy")
@@ -55,6 +55,19 @@ _CUT = 40.0  # series windows and integration ranges drop terms below e^{-_CUT}
 # erfc continued fraction: from where, and how deep, for 1e-16
 _CF_FROM, _CF_DEPTH = 4.0, 30
 _TOL = 1e-9  # relative tolerance of the quadratures
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit mantissa into two halves
+
+
+def _joint_lt_modes(model: LevyModel, q: float, p: float, lam: float) -> tuple:
+    # (ctx, Z~_q(., Phi_{lam+q}, Phi_{p+q})): joint_lt_upcross less its level
+    if lam <= 0.0:
+        raise DomainError("joint_lt_upcross requires lam > 0")
+    if p < 0.0 or q < 0.0:
+        raise DomainError("joint_lt_upcross requires p >= 0 and q >= 0")
+    lam = represented_rate(q, lam, "joint_lt_upcross")
+    p = represented_rate(q, p, "joint_lt_upcross")
+    ctx = scale_context(model, q)
+    return ctx, _z_tilde_sum(ctx, phi(model, lam + q), phi(model, p + q))
 
 
 def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -64,16 +77,8 @@ def joint_lt_upcross(model: LevyModel, x: float, b: float, q: float, p: float,
     require_finite("joint_lt_upcross", "x b q p lam", x, b, q, p, lam)
     if x > b:
         raise DomainError("joint_lt_upcross requires x <= b")
-    if lam <= 0.0:
-        raise DomainError("joint_lt_upcross requires lam > 0")
-    if p < 0.0 or q < 0.0:
-        raise DomainError("joint_lt_upcross requires p >= 0 and q >= 0")
-    lam = represented_rate(q, lam, "joint_lt_upcross")
-    p = represented_rate(q, p, "joint_lt_upcross")
-    ctx = scale_context(model, q)
-    a1 = phi(model, lam + q)
-    a2 = phi(model, p + q)
-    return clamp_unit(_ratio(ctx, _z_tilde_sum(ctx, a1, a2), x, b), "joint_lt_upcross")
+    ctx, f = rate_part(_joint_lt_modes, model, q, p, lam)
+    return clamp_unit(_ratio(ctx, f, x, b), "joint_lt_upcross")
 
 
 def _occupation_inf(model: LevyModel, p: float, lam: float) -> tuple:
@@ -86,11 +91,38 @@ def _occupation_inf(model: LevyModel, p: float, lam: float) -> tuple:
     return scale_context(model, 0.0), model.mean() * (php / p) * (phl / lam), phl, php
 
 
+def _occupation_inf_modes(model: LevyModel, p: float, lam: float) -> tuple:
+    # (ctx0, k, Z~_0(., Phi_lam, Phi_p)): lt_occupation_inf less its level
+    ctx0, k, phl, php = _occupation_inf(model, p, lam)
+    return ctx0, k, _z_tilde_sum(ctx0, phl, php)
+
+
 def lt_occupation_inf(model: LevyModel, x: float, p: float, lam: float) -> float:
     """E_x[ e^{-p O_{inf, lam}} ]; requires E[X_1] > 0."""
     require_finite("lt_occupation_inf", "x p lam", x, p, lam)
-    ctx0, k, phl, php = _occupation_inf(model, p, lam)
-    return clamp_unit(k * z_tilde(ctx0, x, phl, php), "lt_occupation_inf")
+    ctx0, k, f = rate_part(_occupation_inf_modes, model, p, lam)
+    return clamp_unit(k * _at(ctx0, f, x), "lt_occupation_inf")
+
+
+def _two_product(a: float, b: float) -> tuple:
+    # (p, e) with p = a b rounded and, where p is finite, p + e = a b exactly: Dekker's
+    # TwoProduct (Numer. Math. 18, 1971), on the mantissas, so that no split overflows
+    p = a * b
+    if not (p and math.isfinite(p)):
+        return p, 0.0
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    sa, sb = _SPLIT * ma, _SPLIT * mb
+    ah, bh = sa - (sa - ma), sb - (sb - mb)
+    al, bl = ma - ah, mb - bh
+    m = ma * mb
+    return p, math.ldexp(((ah * bh - m) + ah * bl + al * bh) + al * bl, ea + eb)
+
+
+def _exact_dot(*pairs: tuple) -> float:
+    # sum of a b over the pairs (a, b), rounded once (math.fsum of the exact parts of
+    # each product); a product beyond the float range enters as +-inf, and fsum raises
+    # ValueError on opposite infinities and OverflowError where a partial sum overflows
+    return math.fsum(part for a, b in pairs for part in _two_product(a, b))
 
 
 def _erfc_cf(z: float) -> float:
@@ -208,6 +240,8 @@ def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
     pairs give f = atom0 (v - a) [E (1/sqrt pi - v sqrt t erfcx(v sqrt t))/sqrt t +
     G (v erfcx(-A) - a erfcx((d + mu t)/s))], two terms >= 0.  Where A >= 0, G erfcx(-A)
     = 2 e^{lam t - Phi_lam d} - G erfcx(A): e^{a^2 t} and e^{lam t} are never formed.
+    d - mu t and d - nu t are formed exactly: far below 0 the law of tau_0^+ spreads over
+    sqrt d, which the rounding of mu t at the scale of d would swamp.
     """
     mu, sigma = model.mu, model.sigma
     a = mu / (math.sqrt(2.0) * sigma)
@@ -218,7 +252,7 @@ def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
     def density(t: float) -> float:
         rt = math.sqrt(t)
         s = math.sqrt(2.0) * sigma * rt
-        w, y = (d - mu * t) / s, delta * rt
+        w, y = _exact_dot((1.0, d), (-mu, t)) / s, delta * rt
         big_a, g = w - y, math.exp(-w * w)  # A = w - y: nu t never formed
         back = a * _erfcx(a * rt + d / s)
         if big_a < 0.0:
@@ -228,7 +262,7 @@ def _brownian_below_zero(model: LevyModel, d: float, lam: float, ph: float,
             near = v * _erfcx(z) if z < _CF_FROM else v / _SQRT_PI / (z + _erfc_cf(z))
             far = g * (near - back)
         else:  # G e^{A^2} = e^{lam t - Phi_lam d}, an exponent -Phi_lam (d - nu t) - y^2
-            rise = math.exp(-ph * (d - mu * t - lift * t) - y * y)
+            rise = math.exp(-ph * _exact_dot((1.0, d), (-mu, t), (-lift, t)) - y * y)
             far = v * (2.0 * rise - g * _erfcx(big_a)) - g * back
         e = math.exp(-ph * d - a * a * t)
         return k0 * (e * _mills_gap(v * rt) / rt + far)
@@ -241,8 +275,13 @@ def _below_zero_density(model: LevyModel, d: float, ph: float, q0: float,
     """Density of O from x = -d < 0 on a Cramer-Lundberg model, q0 = 1 - atom_0 with
     atom_0 the atom from 0: e^{-Phi_lam d} q0 g(t) plus the law of tau_0^+ mixed over
     its start -y by E[X_1] Phi_lam nu(y) dy (module docstring), one quadrature in
-    v = y - d, so that nu's exponents are exact for any d."""
+    v = y - d, so that nu's exponents are exact for any d.  The Poisson-Erlang kernel
+    takes a - b = eta t - alpha (ct - y) = alpha (y - E[X_1] t) as k + alpha v, with
+    k = alpha d + eta t - alpha c t formed exactly, so that nothing rounds at the scale
+    of d inside the sqrt d spread of tau_0^+; where k leaves the float range, that is
+    a numerical error."""
     c, eta, alpha, mean = model.c, model.eta, model.alpha, model.mean()
+    ac = _two_product(alpha, c)
     g = _positive_density(model, zeta0, q0 * math.exp(-ph * d))
     # E[X_1] Phi_lam nu at y = d + v is e^{Phi_lam min(v, 0) - zeta_0 max(v, 0)} times
     # (k 1{v < 0} + k_mix (1 - e^{-rate (d + min(v, 0))})).  e^{-746} rounds to 0 and
@@ -262,12 +301,19 @@ def _below_zero_density(model: LevyModel, d: float, ph: float, q0: float,
         # PE(eta t, alpha (ct - y)) from every start -y above -ct; cuts where nu's
         # exponentials run out and around the bulk of X_t
         a, hi = eta * t, c * t - d
-        centre, width = mean * t - d, 8.0 * math.sqrt(2.0 * a) / alpha
+        try:
+            k_ab = _exact_dot((alpha, d), (eta, t), (-ac[0], t), (-ac[1], t))
+        except (ValueError, OverflowError):
+            raise NumericalError(f"occupation density from x = {-d:g} at t = {t:g}: "
+                                 "E[X_1] t - d leaves the float range") from None
+        centre, width = -k_ab / alpha, 8.0 * math.sqrt(2.0 * a) / alpha
         cuts = sorted({-d, hi} | {v for v in (min(hi, 0.0) - _CUT / ph, 0.0, _CUT / zeta0,
                                               centre - width, centre + width) if -d < v < hi})
 
         def f(v: np.ndarray) -> np.ndarray:
-            return (d + v) * nu(v) * _poisson_erlang(a, alpha * np.maximum(hi - v, 0.0))
+            # (d + v) PE as (d + v)/a times a PE: PE alone underflows from d of about 1e200
+            return ((d + v) / a * nu(v)
+                    * _poisson_erlang(a, alpha * np.maximum(hi - v, 0.0), k_ab + alpha * v, a))
 
         return (g(t) + c * math.exp(-a) * float(nu(hi))
                 + alpha * eta * gl_pieces(f, cuts, _TOL))

@@ -26,7 +26,7 @@ from .models import (LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_second
 from .occupation import _occupation_inf, joint_lt_upcross
 from .scale import (_across, _at, _dd_exp, _decay, _lin, _mode_dd, _neg, _pairs, _ratio, _roots,
                     _script_w_sum, _shifted, _two_sided, _w_at, _w_tilde_sum, _z_neg, _z_sum,
-                    _z_terms, _z_tilde_sum, scale_context, z_tilde)
+                    _z_terms, _z_tilde_sum, rate_part, scale_context)
 from .util import clamp_unit, represented_rate, require_finite
 
 _POLE_TOL = 1e-12
@@ -64,9 +64,13 @@ def ruin_prob_sum_exp(model: LevyModel, x: float, p: float, lam: float) -> float
     for x >= 0 the ruin probability is its decaying part, without cancellation.
     """
     require_finite("ruin_prob_sum_exp", "x p lam", x, p, lam)
+    ctx0, f = rate_part(_ruin_sum_exp_modes, model, p, lam)
+    return clamp_unit(_decay(ctx0, f, x), "ruin_prob_sum_exp")
+
+
+def _ruin_sum_exp_modes(model: LevyModel, p: float, lam: float) -> tuple:
     ctx0, k, phl, php = _occupation_inf(model, p, lam)
-    ruin = _decay(ctx0, _lin(1.0, _ONE, -k, _z_tilde_sum(ctx0, phl, php)), x)
-    return clamp_unit(ruin, "ruin_prob_sum_exp")
+    return ctx0, _lin(1.0, _ONE, -k, _z_tilde_sum(ctx0, phl, php))
 
 
 def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -85,24 +89,40 @@ def gs_lt_two_sided(model: LevyModel, x: float, b: float, q: float, p: float,
     require_finite("gs_lt_two_sided", "x b q p lam theta", x, b, q, p, lam, theta)
     if x > b:
         raise DomainError("gs_lt_two_sided requires x <= b")
+    below = x < 0.0
+    modes = rate_part(_gs_two_sided_modes, model, below, q, p, lam, theta)
+    if modes is None:  # huge theta: X_rho < 0, so the value tends to 0
+        return 0.0
+    if below:
+        ctx, k, e, f = modes
+        return k * _two_sided(ctx, e, f, x, b)
+    ctx, f, curv, gap, k_p, k_l = modes
+    det = curv / (gap * _at(ctx, f, b, b))
+    return _across(ctx, det, x, b) * k_p * k_l
+
+
+def _gs_two_sided_modes(model: LevyModel, below: bool, q: float, p: float, lam: float,
+                        theta: float) -> tuple | None:
+    # None where psi_{q+p}(theta) is inf; from x < 0 (ctx, p / psi_{q+p}(theta), E /
+    # psi_{q+lam}(theta), f), from x >= 0 (ctx, f, curv, Phi_q + zeta_q, p / slope_p,
+    # lam / slope_l)
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_two_sided requires p > 0, lam > 0, q >= 0, theta >= 0")
     lam, p = represented_rate(q, lam, "gs_lt_two_sided"), represented_rate(q, p, "gs_lt_two_sided")
     psi_p = _psi_q(model, q + p, theta)
-    if psi_p == math.inf:  # huge theta: X_rho < 0, so the value tends to 0
-        return 0.0
+    if psi_p == math.inf:
+        return None
     ctx = scale_context(model, q)
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     f = _z_tilde_sum(ctx, phi_lq, phi_pq)
-    if x < 0.0:
+    if below:
         _check_pole(theta, phi_pq)
-        return p / psi_p * _two_sided(ctx, _e_scaled(ctx, lam, theta, phi_lq), f, x, b)
+        return ctx, p / psi_p, _e_scaled(ctx, lam, theta, phi_lq), f
     slope_l, slope_p = _psi_slopes(model, theta, phi_lq, phi_pq)
     curv = _psi_slopes(model, theta, phi_pq, phi_pq, 1, a2=phi_lq)[0]
     # the rate factors last, one at a time: slope_l slope_p overflows from theta of
     # about 1e154, and p lam from rates of 1e154
-    det = curv / ((ctx.phi_q + ctx.zeta_q) * _at(ctx, f, b, b))
-    return _across(ctx, det, x, b) * (p / slope_p) * (lam / slope_l)
+    return ctx, f, curv, ctx.phi_q + ctx.zeta_q, p / slope_p, lam / slope_l
 
 
 def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
@@ -115,6 +135,19 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     slopes that does not cancel next to theta = Phi_{q+lam} or Phi_{q+p}.
     """
     require_finite("gs_lt_infinite", "x q p lam theta", x, q, p, lam, theta)
+    below = x < 0.0
+    modes = rate_part(_gs_infinite_modes, model, below, q, p, lam, theta)
+    if below:
+        ctx, k, e, coeff, f = modes
+        return k * (_neg(e, x) + coeff * _at(ctx, f, x))
+    ctx, f = modes
+    return _decay(ctx, f, x)
+
+
+def _gs_infinite_modes(model: LevyModel, below: bool, q: float, p: float, lam: float,
+                       theta: float) -> tuple:
+    # from x < 0 (ctx, p / psi_{q+p}(theta), E / psi_{q+lam}(theta), coeff, Z~_q(.,
+    # Phi_{q+lam}, Phi_{q+p})), from x >= 0 (ctx, the decaying mode)
     if p <= 0.0 or lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("gs_lt_infinite requires p > 0, lam > 0, q >= 0, theta >= 0")
     if q == 0.0:
@@ -125,19 +158,18 @@ def gs_lt_infinite(model: LevyModel, x: float, q: float, p: float, lam: float,
     phi_lq, phi_pq = phi(model, q + lam), phi(model, q + p)
     (slope_q, slope_l), (slope_p, _) = (_psi_slopes(model, theta, phi_q, phi_lq),
                                          _psi_slopes(model, theta, phi_pq, phi_pq))
-    if x < 0.0:
+    if below:
         _check_pole(theta, phi_pq)
         # psi_{q+lam}(theta) = (theta - Phi_{q+lam}) slope_l divides both terms
         coeff = slope_q * (phi_pq - phi_q) / (p * slope_l)
-        return (p / _psi_q(model, q + p, theta)
-                * (_neg(_e_scaled(ctx, lam, theta, phi_lq), x)
-                   + coeff * z_tilde(ctx, x, phi_lq, phi_pq)))
+        return (ctx, p / _psi_q(model, q + p, theta), _e_scaled(ctx, lam, theta, phi_lq), coeff,
+                _z_tilde_sum(ctx, phi_lq, phi_pq))
     # the decaying mode, root r = -zeta_q and residue B: D(th, r) = psi_q(th)/(th - r)
     # turns E and z_tilde into products, and (Phi_{q+lam} - th)/psi_{q+lam}(th) into -1/slope
     _, (r, res, _) = _roots(ctx)
     c = (-res * slope_q * (phi_q - r) / (theta - r) * (p / (phi_pq - r))
          * (lam / (phi_lq - r)) / (slope_l * slope_p))
-    return _decay(ctx, (0.0, c, None, ()), x)
+    return ctx, (0.0, c, None, ())
 
 
 def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: float,
@@ -153,17 +185,25 @@ def up_cross_three_barrier(model: LevyModel, x: float, b: float, a: float, q: fl
     require_finite("up_cross_three_barrier", "x b a q p lam", x, b, a, q, p, lam)
     if not (-a <= x <= b):
         raise DomainError("up_cross_three_barrier requires -a <= x <= b")
-    if a < 0.0 or p <= 0.0 or lam <= 0.0:
-        raise DomainError("up_cross_three_barrier requires a >= 0, p > 0 and lam > 0")
-    ctx = scale_context(model, q)
-    if a == 0.0:
+    ctx, f = rate_part(_three_barrier_modes, model, a, q, p, lam)
+    if f is None:
         # e^{Phi_q b} is factored out only where it would overflow, so that the ratio
         # is otherwise the plain W_q(x)/W_q(b)
         s = b if ctx.phi_q * b > 700.0 else 0.0
         return clamp_unit(_w_at(ctx, x, s) / _w_at(ctx, b, s), "up_cross_three_barrier")
+    return clamp_unit(_ratio(ctx, f, x, b), "up_cross_three_barrier")
+
+
+def _three_barrier_modes(model: LevyModel, a: float, q: float, p: float, lam: float) -> tuple:
+    # (ctx, the composite's modes), with None for them at a = 0
+    if a < 0.0 or p <= 0.0 or lam <= 0.0:
+        raise DomainError("up_cross_three_barrier requires a >= 0, p > 0 and lam > 0")
+    ctx = scale_context(model, q)
+    if a == 0.0:
+        return ctx, None
     p = represented_rate(q, p, "up_cross_three_barrier")
     lam = represented_rate(q, lam, "up_cross_three_barrier")
-    return clamp_unit(_ratio(ctx, _w_tilde_sum(ctx, p, lam, a), x, b), "up_cross_three_barrier")
+    return ctx, _w_tilde_sum(ctx, p, lam, a)
 
 
 def up_cross_before_ruin(model: LevyModel, x: float, b: float, q: float, p: float,
@@ -188,6 +228,12 @@ def gerber_shiu_density(model: LevyModel, x: float, b: float, q: float, p: float
         raise DomainError("gerber_shiu_density requires y <= 0")
     if x > b:
         raise DomainError("gerber_shiu_density requires x <= b")
+    ctx, p, g, f = rate_part(_gs_density_modes, model, q, p, lam, y)
+    return p * _two_sided(ctx, g, f, x, b)
+
+
+def _gs_density_modes(model: LevyModel, q: float, p: float, lam: float, y: float) -> tuple:
+    # (ctx, p, [h] with the multiple of f its modes drop, f)
     if p <= 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError("gerber_shiu_density requires delay rates > 0 and q >= 0")
     # the rates as the roots see them, through q + lam and q + p
@@ -218,7 +264,7 @@ def gerber_shiu_density(model: LevyModel, x: float, b: float, q: float, p: float
     f = _z_tilde_sum(ctx, phi_l, phi_p)
     g = _z_terms(ctx, terms)[:2] + (_gs_neg, (length, pf, pr, lam, (
         a_s * (e_p if big else e_l), rate_b, ctx.w0), k_drop, k_zeta, f))
-    return p * _two_sided(ctx, g, f, x, b)
+    return ctx, p, g, f
 
 
 def _gs_neg(y: float, length: float, pf: tuple, pr: tuple, lam: float, small: tuple,
@@ -246,12 +292,21 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
     the combination's decaying mode is kept.
     """
     require_finite("lt_occupation_exp_horizon", "x p q lam", x, p, q, lam)
+    modes = rate_part(_exp_horizon_modes, model, p, q, lam)
+    if modes is None:
+        return 1.0
+    ctx, combined, scale = modes
+    return clamp_unit(1.0 - _decay(ctx, combined, x) / scale, "lt_occupation_exp_horizon")
+
+
+def _exp_horizon_modes(model: LevyModel, p: float, q: float, lam: float) -> tuple | None:
+    # (ctx, the combination, (lam + q) (p + q)); None at p = 0, where the value is 1
     if q <= 0.0:
         raise DomainError("lt_occupation_exp_horizon requires q > 0")
     if lam <= 0.0 or p < 0.0:
         raise DomainError("lt_occupation_exp_horizon requires lam > 0 and p >= 0")
     if p == 0.0:
-        return 1.0
+        return None
     lam = represented_rate(q, lam, "lt_occupation_exp_horizon")
     p = represented_rate(q, p, "lt_occupation_exp_horizon")
     ctx = scale_context(model, q)
@@ -261,9 +316,7 @@ def lt_occupation_exp_horizon(model: LevyModel, x: float, p: float, q: float,
     slope_0, slope_p = _psi_slopes(model, phi_q, 0.0, phi_pq)
     k = phi_lq * p * slope_0 / slope_p
     e0 = _z_terms(ctx, ((lam, 0.0, None, None, None), (q, phi_lq, None, None, None)))
-    combined = _lin(p, e0, -k, _z_tilde_sum(ctx, phi_lq, phi_pq))
-    val = 1.0 - _decay(ctx, combined, x) / ((lam + q) * (p + q))
-    return clamp_unit(val, "lt_occupation_exp_horizon")
+    return ctx, _lin(p, e0, -k, _z_tilde_sum(ctx, phi_lq, phi_pq)), (lam + q) * (p + q)
 
 
 def ruin_prob_erlang2(model: LevyModel, x: float, lam: float) -> float:
@@ -329,6 +382,16 @@ def _erlang_rates(model: LevyModel, lam: float) -> tuple:
     return lam, ph, zeta, lam / gap / dpsi, gap * _psi_second_any(model, ph) / (2.0 * dpsi)
 
 
+def _erlang_core(model: LevyModel, lam: float, n: int, ctx0=None) -> tuple:
+    # (rates, (ruin, T_n) from x = 0, zeta_0): all that x >= 0 reads but e^{-zeta_0 x};
+    # ctx0, Z_0's context, where the caller has checked the drift
+    if ctx0 is None:
+        model.require_positive_drift("the Erlang(n) recursion")
+        ctx0 = scale_context(model, 0.0)
+    rates = _erlang_rates(model, lam)
+    return rates, _erlang_origin(model, ctx0, rates, n), ctx0.zeta_q
+
+
 def _erlang_origin(model: LevyModel, ctx0, rates: tuple, n: int) -> tuple:
     # (ruin, T_n) from x = 0.  N_k(.; 0) is a polynomial in v without constant term, so
     # T_k(0) is its value at v = 1 and ruin its value at theta = 0, v = 1 / w,
@@ -379,14 +442,7 @@ def _erlang_below(rates: tuple, x: float, n: int, size: int) -> tuple:
     return coef, head
 
 
-def _erlang_setup(model: LevyModel, x: float) -> tuple:
-    # what every (lam, n) from x shares: the drift check, Z_0's context and e^{-zeta_0 x}
-    model.require_positive_drift("the Erlang(n) recursion")
-    ctx0 = scale_context(model, 0.0)
-    return ctx0, x, math.exp(-ctx0.zeta_q * x) if x >= 0.0 else 0.0
-
-
-def _erlang(model: LevyModel, setup: tuple, lam: float, n: int, ruin: bool) -> float:
+def _erlang(core: tuple, x: float, n: int, ruin: bool) -> float:
     # The ruin probability, or the deficit transform T_n.  From x >= 0 the law of the
     # deficit below 0 does not depend on x (the process creeps, or a memoryless claim
     # takes it there): the x = 0 value times e^{-zeta_0 x}.  From x < 0 the process
@@ -394,12 +450,11 @@ def _erlang(model: LevyModel, setup: tuple, lam: float, n: int, ruin: bool) -> f
     # times the x = 0 value.  At theta = 0 L^n e^{theta x} is 1 - head, to some ulp of
     # 1; where that is not within 1e-14 of the value its series is summed instead, to
     # twice as many coefficients until the last is below the rounding of the sum, and
-    # past 4096 coefficients (Phi / gap near 1) it is a numerical error
-    ctx0, x, decay = setup
-    rates = _erlang_rates(model, lam)
-    at_0 = _erlang_origin(model, ctx0, rates, n)[0 if ruin else 1]
+    # past 4096 coefficients (Phi / gap near 1) it is a numerical error.  core: _erlang_core
+    rates, origin, zeta0 = core
+    at_0 = origin[0 if ruin else 1]
     if x >= 0.0:
-        return at_0 * decay
+        return at_0 * math.exp(-zeta0 * x)
     coef, head = _erlang_below(rates, x, n, 1)
     if not ruin:
         return coef[0] + head * at_0
@@ -417,7 +472,7 @@ def _erlang(model: LevyModel, setup: tuple, lam: float, n: int, ruin: bool) -> f
             return first + head * at_0
         if size >= _MAX_TERMS:
             raise NumericalError(
-                f"Erlang({n}) ruin from x = {x:g} at lam = {lam:g}: the series of the "
+                f"Erlang({n}) ruin from x = {x:g} at lam = {rates[0]:g}: the series of the "
                 f"clock points before tau_0^+ has not converged in {_MAX_TERMS} terms")
         size = min(2 * size, _MAX_TERMS)
 
@@ -426,13 +481,13 @@ def deficit_transform_t0(model: LevyModel, x: float, lam: float) -> float:
     """E_x[ e^{Phi_lam X_{T_0^-}} ; T_0^- < inf ]: the deficit transform at the first
     Poisson observation below 0, the first stage of the Erlang recursion."""
     require_finite("deficit_transform_t0", "x lam", x, lam)
-    return _erlang(model, _erlang_setup(model, x), lam, 1, False)
+    return _erlang(rate_part(_erlang_core, model, lam, 1), x, 1, False)
 
 
 def deficit_transform_erlang2(model: LevyModel, x: float, lam: float) -> float:
     """E_x[ e^{Phi_lam X_{rho^{(2)}}} ; rho^{(2)} < inf ]: its second stage."""
     require_finite("deficit_transform_erlang2", "x lam", x, lam)
-    return _erlang(model, _erlang_setup(model, x), lam, 2, False)
+    return _erlang(rate_part(_erlang_core, model, lam, 2), x, 2, False)
 
 
 def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> float:
@@ -441,7 +496,7 @@ def ruin_prob_erlang_n(model: LevyModel, x: float, lam: float, n: int) -> float:
     if not isinstance(n, int) or n < 1:
         raise DomainError("ruin_prob_erlang_n requires integer n >= 1")
     require_finite("ruin_prob_erlang_n", "x lam", x, lam)
-    return clamp_unit(_erlang(model, _erlang_setup(model, x), lam, n, True),
+    return clamp_unit(_erlang(rate_part(_erlang_core, model, lam, n), x, n, True),
                       "ruin_prob_erlang_n")
 
 
@@ -470,6 +525,13 @@ def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDel
     (0.78906 at n = 64); the fixed-delay value is 0.582426.
     """
     require_finite("fixed_delay_approx", "x r", x, r)
+    seq = tuple((nk, clamp_unit(_erlang(core, x, nk, True), "ruin_prob_erlang_n"))
+                for nk, core in rate_part(_fixed_delay_cores, model, r, n))
+    return FixedDelayResult(value=seq[-1][1], sequence=seq)
+
+
+def _fixed_delay_cores(model: LevyModel, r: float, n: int) -> tuple:
+    # ((n_k, the Erlang(n_k, n_k/r) core), ...): one key for the whole sequence
     if r <= 0.0:
         raise DomainError("fixed_delay_approx requires r > 0")
     if not isinstance(n, int) or n < 1:
@@ -477,10 +539,9 @@ def fixed_delay_approx(model: LevyModel, x: float, r: float, n: int) -> FixedDel
     ns = [1 << k for k in range(n.bit_length())]
     if ns[-1] != n:
         ns.append(n)
-    setup = _erlang_setup(model, x)
-    seq = tuple((nk, clamp_unit(_erlang(model, setup, nk / r, nk, True), "ruin_prob_erlang_n"))
-                for nk in ns)
-    return FixedDelayResult(value=seq[-1][1], sequence=seq)
+    model.require_positive_drift("the Erlang(n) recursion")
+    ctx0 = scale_context(model, 0.0)
+    return tuple((nk, _erlang_core(model, nk / r, nk, ctx0)) for nk in ns)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +558,19 @@ def t0_joint_lt(model: LevyModel, x: float, b: float, q: float, lam: float,
     require_finite("t0_joint_lt", "x b q lam theta", x, b, q, lam, theta)
     if x > b:
         raise DomainError("t0_joint_lt requires x <= b")
+    ctx, k, g, f = rate_part(_t0_joint_modes, model, q, lam, theta)
+    return k * _two_sided(ctx, g, f, x, b)
+
+
+def _t0_joint_modes(model: LevyModel, q: float, lam: float, theta: float) -> tuple:
+    # (ctx, -lam / psi[theta, Phi_{q+lam}], the divided difference of Z_q, f)
     if lam <= 0.0 or q < 0.0 or theta < 0.0:
         raise DomainError("t0_joint_lt requires lam > 0, q >= 0, theta >= 0")
     lam = represented_rate(q, lam, "t0_joint_lt")
     ctx = scale_context(model, q)
     ph = phi(model, q + lam)
-    return (-lam / _psi_slopes(model, theta, ph, ph)[0]
-            * _two_sided(ctx, _z_sum(ctx, theta, theta2=ph), _z_sum(ctx, ph), x, b))
+    return (ctx, -lam / _psi_slopes(model, theta, ph, ph)[0], _z_sum(ctx, theta, theta2=ph),
+            _z_sum(ctx, ph))
 
 
 def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
@@ -512,12 +579,17 @@ def upcross_before_t0_two_sided(model: LevyModel, x: float, b: float, a: float,
     require_finite("upcross_before_t0_two_sided", "x b a q lam", x, b, a, q, lam)
     if not (-a <= x <= b):
         raise DomainError("upcross_before_t0_two_sided requires -a <= x <= b")
+    ctx, f = rate_part(_t0_two_sided_modes, model, a, q, lam)
+    return clamp_unit(_ratio(ctx, f, x, b), "upcross_before_t0_two_sided")
+
+
+def _t0_two_sided_modes(model: LevyModel, a: float, q: float, lam: float) -> tuple:
+    # (ctx, scriptW^{(q,lam)}(., . + a))
     if a < 0.0 or lam <= 0.0 or q < 0.0:
         raise DomainError("upcross_before_t0_two_sided requires a >= 0, lam > 0, q >= 0")
     lam = represented_rate(q, lam, "upcross_before_t0_two_sided")
     ctx = scale_context(model, q)
-    return clamp_unit(_ratio(ctx, _script_w_sum(ctx, scale_context(model, q + lam), a), x, b),
-                      "upcross_before_t0_two_sided")
+    return ctx, _script_w_sum(ctx, scale_context(model, q + lam), a)
 
 
 def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float) -> float:
@@ -525,12 +597,17 @@ def upcross_before_t0(model: LevyModel, x: float, b: float, q: float, lam: float
     require_finite("upcross_before_t0", "x b q lam", x, b, q, lam)
     if x > b:
         raise DomainError("upcross_before_t0 requires x <= b")
+    ctx, f = rate_part(_t0_upcross_modes, model, q, lam)
+    return clamp_unit(_ratio(ctx, f, x, b), "upcross_before_t0")
+
+
+def _t0_upcross_modes(model: LevyModel, q: float, lam: float) -> tuple:
+    # (ctx, Z_q(., Phi_{q+lam}))
     if lam <= 0.0 or q < 0.0:
         raise DomainError("upcross_before_t0 requires lam > 0 and q >= 0")
     lam = represented_rate(q, lam, "upcross_before_t0")
     ctx = scale_context(model, q)
-    ph = phi(model, q + lam)
-    return clamp_unit(_ratio(ctx, _z_sum(ctx, ph), x, b), "upcross_before_t0")
+    return ctx, _z_sum(ctx, phi(model, q + lam))
 
 
 def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: float,
@@ -544,6 +621,13 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     require_finite("delayed_w_functional", "x b a q lam p z", x, b, a, q, lam, p, z)
     if not (-a <= x <= b):
         raise DomainError("delayed_w_functional requires -a <= x <= b")
+    ctx, k, g, f = rate_part(_delayed_w_modes, model, a, q, lam, p, z)
+    return k * _two_sided(ctx, g, f, x, b) + 0.0  # an underflow is +0
+
+
+def _delayed_w_modes(model: LevyModel, a: float, q: float, lam: float, p: float,
+                     z: float) -> tuple:
+    # (ctx, -lam e^{Phi_p z}, g, f) of the two-sided combination
     if not 0.0 < z <= a:
         raise DomainError("delayed_w_functional requires 0 < z <= a")
     if a < 0.0 or lam <= 0.0 or q < 0.0 or p < 0.0:
@@ -574,4 +658,4 @@ def delayed_w_functional(model: LevyModel, x: float, b: float, a: float, q: floa
     f = _z_terms(ctx, ((a_fl, phl, t_fl, None, None), (a_rl * math.exp((rl - phl) * a), rl, t_rl,
                                                          None, None)))
     f = f[:2] + (_shifted, (ctx_l, a), f[4])  # W_{q+lam}(. + a) e^{-Phi_{q+lam} a} below 0
-    return -lam * math.exp(php * z) * _two_sided(ctx, g, f, x, b) + 0.0  # an underflow is +0
+    return ctx, -lam * math.exp(php * z), g, f

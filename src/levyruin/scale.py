@@ -28,14 +28,18 @@ Three operations act on the modes, each in one place: :func:`_at` evaluates;
 :func:`_ratio` takes f(x)/f(b) and :func:`_two_sided` g(x) - f(x) g(b)/f(b) with
 e^{Phi_q b} factored out, so that large levels do not overflow; :func:`_decay`
 keeps the decaying part of a bounded quantity or a complement, whose growing
-mode cancels.  On x < 0 they evaluate the quantity directly.
+mode cancels.  On x < 0 they evaluate the quantity directly.  Every identity builds
+what it passes to them, which reads neither x nor b, once per rate tuple through
+:func:`rate_part`, so that a sweep along x or b repeats only the operation itself.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .errors import DomainError
 from .models import (BROWNIAN, LevyModel, _phi_zeta, _psi_any, _psi_prime_any, _psi_slopes,
@@ -57,7 +61,14 @@ class ScaleContext:
     t_zeta: float  # alpha - zeta_q to full relative precision (-zeta_q on Brownian models)
 
 
-@lru_cache(maxsize=1 << 15)
+# The bounds of the two caches: scale_context holds one small context per (model, q);
+# rate_part holds an identity's modes (0.4-3.3 kB) per rate tuple, as many as an inner
+# grid of rates in a sweep along x or b is likely to need and few enough to stay warm
+CONTEXT_CACHE = 1 << 15
+RATE_PART_CACHE = 1 << 6
+
+
+@lru_cache(maxsize=CONTEXT_CACHE)
 def scale_context(model: LevyModel, q: float) -> ScaleContext:
     """Build (and cache) the scale-function context for killing rate ``q``.
 
@@ -88,6 +99,25 @@ def scale_context(model: LevyModel, q: float) -> ScaleContext:
     w0 = 0.0 if model.sigma > 0.0 else 1.0 / model.c
     return ScaleContext(model=model, q=q, phi_q=p, zeta_q=zeta, coeff_a=a, coeff_b=b, w0=w0,
                         t_zeta=t)
+
+
+def _call(make: Callable, *args) -> object:
+    return make(*args)
+
+
+# operator.call (Python 3.11) calls make from C, without a frame of its own
+rate_part = lru_cache(maxsize=RATE_PART_CACHE, typed=True)(getattr(operator, "call", _call))
+rate_part.__doc__ = """``rate_part(make, model, *params)``: ``make(model, *params)``, cached:
+the part of an identity that reads no level.
+
+Each identity has a function ``make``, private to its module, that builds everything
+reading neither x nor b (the domain checks of its other parameters, their roots and
+residues, its modes and constant factors), and a level step, which checks that every
+parameter is finite, checks x and b, takes the rate part from here and applies one
+of the operations above.  A hit returns the object the miss built, so the level step
+sees the same bits; an exception is raised again at every call, as nothing is stored
+for it.  ``typed``: an int and a float of equal value, whose arithmetic can differ,
+are separate keys; 0.0 and -0.0 share one."""
 
 
 def w(ctx: ScaleContext, x: float) -> float:

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from kendall import _gamma_comp, gamma_lambda, kendall_density, lambda_prime
 from levyruin import (
     DomainError,
     LevyModel,
+    NumericalError,
     joint_lt_upcross,
     lt_occupation_inf,
     occupation_law,
@@ -477,6 +479,39 @@ def test_occupation_density_far_below_zero_is_the_clt_peak(name, d, bm, cl):
     var = model.sigma ** 2 if model.kind == "brownian" else 2.0 * model.eta / model.alpha ** 2
     peak = 1.0 / math.sqrt(2.0 * math.pi * var * d / mu ** 3)
     assert occupation_law(model, -d, 1.0).density(d / mu) == pytest.approx(peak, rel=1e-6)
+
+
+@pytest.mark.parametrize("name, d, t", [
+    ("bm_b", 1e37, None), ("bm_b", 1e52, None), ("bm_b", 0.3 * 2.0 ** 174, 2.0 ** 174),
+    ("cl_b", 1e28, None), ("cl_b", 1e37, None), ("cl_a", 1e215, None), ("cl_a", 1e300, None),
+    ("cl_thin", 1e28, None)])
+def test_occupation_density_far_below_zero_is_the_normal_law(name, d, t, cl):
+    # far below 0 O is tau_0^+ ~ N(d/m, v d/m^3) to O(1/d), m and v the mean and variance
+    # of X_1 of the float parameters in exact arithmetic.  At t = d/E[X_1], rounded, t
+    # can lie many spreads from d/m: 16 on bm_b at d = 1e37, where E[X_1] t rounds back
+    # to d.  Where d and t are exact (cl_a, and bm_b at t = 2^174) it is the normal peak
+    model = {"bm_b": BM_B, "cl_b": CL_B, "cl_a": cl, "cl_thin": CL_THIN}[name]
+    if model.kind == "brownian":
+        m, v = Fraction(model.mu), Fraction(model.sigma) ** 2
+    else:
+        m = Fraction(model.c) - Fraction(model.eta) / Fraction(model.alpha)
+        v = 2 * Fraction(model.eta) / Fraction(model.alpha) ** 2
+    t = d / model.mean() if t is None else t
+    var = v * Fraction(d) / m ** 3
+    offset = float((Fraction(t) - Fraction(d) / m) ** 2 / (2 * var))
+    peak = 1.0 / math.sqrt(2.0 * math.pi * float(var))
+    assert Fraction(t) != Fraction(d) / m or offset == 0.0
+    value = occupation_law(model, -d, 1.0).density(t)
+    assert value == pytest.approx(peak * math.exp(-offset), rel=1e-9, abs=1e-300)
+
+
+def test_cl_density_where_its_level_terms_overflow_is_a_numerical_error(cl):
+    # alpha d and alpha c t both overflow at d = t = 1e308: a typed error, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range"):
+            occupation_law(cl, -1e308, 1.0).density(1e308)
+        assert occupation_law(cl, -1e308, 1.0).density(1.0) == 0.0
 
 
 @pytest.mark.parametrize("x", [0.5, -0.5, -2.0])
