@@ -3,7 +3,6 @@ functionals, with counter-based reproducible streams."""
 
 from .config import (
     EscapeLevel,
-    FixedTime,
     McConfig,
     McEstimate,
     classical_ruin_bound,
@@ -16,13 +15,11 @@ from .functionals import (
     EV_RUIN,
     EV_UPCROSS,
     PathFunctional,
-    excursion_occupation,
 )
 from .streams import Stream
 
 __all__ = [
     "EscapeLevel",
-    "FixedTime",
     "McConfig",
     "McEstimate",
     "PathFunctional",
@@ -31,7 +28,6 @@ __all__ = [
     "classical_ruin_bound",
     "default_escape_level",
     "estimate",
-    "excursion_occupation",
     "sample",
     "EV_NONE",
     "EV_RUIN",

@@ -56,12 +56,11 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     sig2 = sig * sig
     pl = plan(model, fn, config)
     value, x0, b, floor, besc = pl.payoff, pl.x0, pl.b, pl.floor, pl.besc
-    tmax, exp_rate = pl.tmax, pl.exp_rate
     n, budget = pl.n, pl.budget
     stop = not pl.accrue and budget is None  # ruin at the trigger itself
     # an Exp(rate) draw is log1p(-u) / -rate (Stream.exponential), made inline
     nlam = -pl.lam
-    nexp_rate = None if exp_rate is None else -exp_rate
+    nexp_rate = None if pl.exp_rate is None else -pl.exp_rate
     nbudget = None if budget is None else tuple(-rate for rate in budget)
 
     def sim(stream):
@@ -71,7 +70,7 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
         X = x0
         occ = 0.0
         consec = 0
-        horizon = tmax if nexp_rate is None else log1p(-u()) / nexp_rate
+        horizon = None if nexp_rate is None else log1p(-u()) / nexp_rate
         if floor is not None and X < floor:
             return value(EV_LOWER, 0.0, 0.0, occ), 0
         if b is not None and X >= b:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
 
 from ..errors import DomainError
 from ..models import BROWNIAN, LevyModel
@@ -24,22 +23,10 @@ class EscapeLevel:
 
 
 @dataclass(frozen=True)
-class FixedTime:
-    t_max: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t_max) or self.t_max <= 0.0:
-            raise DomainError("fixed horizon must be finite and > 0")
-
-
-Horizon = Union[EscapeLevel, FixedTime]
-
-
-@dataclass(frozen=True)
 class McConfig:
     replications: int
     seed: int
-    horizon: Horizon
+    horizon: EscapeLevel
     antithetic: bool = False
 
     def __post_init__(self):
@@ -48,6 +35,8 @@ class McConfig:
                 raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if not isinstance(self.horizon, EscapeLevel):
+            raise DomainError(f"the horizon must be an EscapeLevel, got {self.horizon!r}")
         if self.antithetic and self.replications % 2 != 0:
             raise DomainError("antithetic campaigns need an even replication count")
 

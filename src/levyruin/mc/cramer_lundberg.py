@@ -23,7 +23,8 @@ Constructions:
   trigger is the n-th observation inside the excursion.
 
 Ruin functionals stop at the first trigger before recovery; occupation
-functionals accrue recovery - trigger (:func:`excursion_occupation`) and run on.
+functionals accrue recovery - trigger (horizon - trigger where an Exp horizon
+ends the excursion first) and run on.
 The first passages tau_b^+ and tau_level^- have no trigger (n = 0): their path
 takes the claim step of X >= 0 at every level and ends at b or below the level.
 """
@@ -40,7 +41,6 @@ from .functionals import (
     EV_RUIN,
     EV_UPCROSS,
     PathFunctional,
-    excursion_occupation,
     plan,
 )
 
@@ -48,14 +48,14 @@ from .functionals import (
 def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
     c = model.c
     pl = plan(model, fn, config)
-    value, x0, accrue, mode = pl.payoff, pl.x0, pl.accrue, pl.mode
-    b, floor, besc, tmax, exp_rate = pl.b, pl.floor, pl.besc, pl.tmax, pl.exp_rate
+    value, x0, accrue = pl.payoff, pl.x0, pl.accrue
+    b, floor, besc = pl.b, pl.floor, pl.besc
     n, gap0 = pl.n, pl.delay
     # an Exp(rate) draw is log1p(-u) / -rate (Stream.exponential), made inline
     neta, nalpha = -model.eta, -model.alpha
     nlam = None if pl.lam is None else -pl.lam  # None: the first clock point is the trigger
     ngap_rates = tuple(-rate for rate in pl.rates)
-    nexp_rate = None if exp_rate is None else -exp_rate
+    nexp_rate = None if pl.exp_rate is None else -pl.exp_rate
 
     def sim(stream):
         u = stream.next_u
@@ -63,7 +63,7 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
         t = 0.0
         X = x0
         occ = 0.0
-        horizon = tmax if nexp_rate is None else log1p(-u()) / nexp_rate
+        horizon = None if nexp_rate is None else log1p(-u()) / nexp_rate
         if floor is not None and X < floor:
             return value(EV_LOWER, 0.0, X, occ), 0
         if b is not None and X >= b:
@@ -85,8 +85,9 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                 if floor is not None and X < floor:
                     return value(EV_LOWER, t, X, occ), 0
             else:
-                # an excursion below 0: its clock starts now
-                obs = []
+                # an excursion below 0: its clock starts now; seen counts its points,
+                # all before the recovery, and the n-th is the trigger
+                seen = 0
                 gap = gap0
                 for nrate in ngap_rates:
                     gap += log1p(-u()) / nrate
@@ -97,16 +98,19 @@ def make_excursion_sim(model: LevyModel, fn: PathFunctional, config: McConfig):
                     t_claim = t + e
                     t_next = t_rec if t_rec <= t_claim else t_claim
                     while next_obs < t_next and (horizon is None or next_obs < horizon):
-                        obs.append(next_obs)
-                        if len(obs) == n and not accrue:
-                            return value(EV_RUIN, next_obs, X + c * (next_obs - t), occ), 0
+                        seen += 1
+                        if seen == n:
+                            if not accrue:
+                                return value(EV_RUIN, next_obs, X + c * (next_obs - t), occ), 0
+                            trigger = next_obs
                         next_obs += log1p(-u()) / nlam
                     if horizon is not None and horizon <= t_next:
-                        occ += excursion_occupation(obs, horizon, mode, n_consec=n)
+                        if seen >= n:
+                            occ += horizon - trigger
                         return value(EV_NONE, 0.0, 0.0, occ), 0
                     if t_rec <= t_claim:
-                        if accrue:
-                            occ += excursion_occupation(obs, t_rec, mode, n_consec=n)
+                        if seen >= n:
+                            occ += t_rec - trigger
                         t = t_rec
                         X = 0.0
                         break

@@ -18,7 +18,7 @@ import warnings
 from ..models import BROWNIAN, LevyModel
 from ..util import lazy_module
 from . import brownian, cramer_lundberg
-from .config import EscapeLevel, McConfig, McEstimate, classical_ruin_bound
+from .config import McConfig, McEstimate, classical_ruin_bound
 from .functionals import PathFunctional, loop_of
 from .streams import Stream
 
@@ -121,7 +121,7 @@ def _finish(model, config, s, s2, nv, nesc):
     else:
         se = 0.0
     bound = 0.0
-    if isinstance(config.horizon, EscapeLevel) and nesc > 0:
+    if nesc > 0:
         frac = nesc / config.replications
         bound = frac * classical_ruin_bound(model, config.horizon.b_esc)
     return value, se, bound
@@ -137,7 +137,7 @@ def estimate(model: LevyModel, config: McConfig, fn: PathFunctional,
     """
     s, s2, nv, nesc = _collect(model, fn, config, workers, config.seed)
     value, se, bound = _finish(model, config, s, s2, nv, nesc)
-    if isinstance(config.horizon, EscapeLevel) and se > 0.0 and bound > 0.1 * se:
+    if se > 0.0 and bound > 0.1 * se:
         warnings.warn(
             f"truncation bound {bound:.2e} exceeds 10% of the standard error "
             f"{se:.2e}; raise the escape level"

@@ -17,9 +17,12 @@ In the core each excursion below 0 has a *trigger*,
 the n-th point of a clock started at the excursion's start, and a *recovery*,
 its next up-crossing of 0.  A ruin functional stops at the first trigger that
 comes before its excursion's recovery; an occupation functional accrues
-recovery - trigger and runs on.  This is the link between Parisian ruin and
-Poissonian occupation times that the identities rest on.  The classical first
-passages run in the same core with no trigger (n = 0).
+recovery - trigger (horizon - trigger where an Exp horizon ends the path first)
+and runs on, so each excursion counts once, from its trigger (for
+occupation_poisson the first observation that finds the surplus negative) until
+it recovers to 0.  This is the link between Parisian ruin and Poissonian
+occupation times that the identities rest on.  The classical first passages run
+in the same core with no trigger (n = 0).
 
 The params of each functional, the delay constructions each simulator accepts
 and the fields and barriers its path reads are in :data:`CATALOGUE`.
@@ -36,7 +39,7 @@ from ..errors import DomainError, UnsupportedFunctional
 from ..models import BROWNIAN, LevyModel
 from ..scale import scale_context, w
 from ..util import require_finite
-from .config import EscapeLevel, McConfig
+from .config import McConfig
 
 EV_NONE = 0
 EV_RUIN = 1
@@ -72,10 +75,6 @@ _RUIN = "tilt_theta a discount_q b"  # tilt_theta only at ruin: an up-crossing h
 CATALOGUE = {
     # total occupation, accrued once per excursion
     "occupation_poisson": Entry("lam", (), (), _OCC),
-    # every negative observation adds its full remaining recovery time: the
-    # verbatim summation formula, kept although it does NOT match the closed-form
-    # identities (see tests); it needs the in-excursion path after a recovery
-    "occupation_poisson_literal": Entry("lam", (), None, _OCC),
     # accrual from the n-th consecutive negative observation
     "occupation_poisson_n": Entry("lam n", (), (), _OCC),
     # occupation accrued up to tau_b^+
@@ -108,18 +107,16 @@ def loop_of(model: LevyModel, fn: PathFunctional) -> str:
 
 @dataclass(frozen=True)
 class Plan:
-    """What an event loop reads: the start, the barriers, the horizon, the
-    excursions' trigger clock and the payoff (``payoff(event, time, deficit,
-    occupation)``)."""
+    """What an event loop reads: the start, the barriers, the escape level, the
+    Exp horizon, the excursions' trigger clock and the payoff (``payoff(event,
+    time, deficit, occupation)``)."""
 
     payoff: Callable
     x0: float
     accrue: bool  # an occupation functional: accrues and runs on past triggers
-    mode: str  # occupation accrual, "union" or "literal" (excursion_occupation)
     b: Optional[float]  # upper barrier; tau_b_plus's level
     floor: Optional[float]  # lower barrier -a; tau_level_minus's level
-    besc: float  # escape level, inf where b or the horizon ends the path
-    tmax: Optional[float]  # fixed horizon
+    besc: float  # escape level, inf where b or the Exp horizon ends the path
     exp_rate: Optional[float]  # rate of an Exp horizon
     n: int  # the trigger is the n-th point of the clock; 0: no trigger (a first passage)
     delay: float  # constant part of the clock's first gap; kappa_fixed's r
@@ -234,20 +231,12 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
             if unsamplable:
                 raise UnsupportedFunctional(f"{what} is not exactly samplable on a Brownian model")
 
-    # the horizon: only occupation runs to a fixed time, and an escape level
-    # needs positive drift unless an Exp horizon ends the path
+    # an escape level needs positive drift unless an Exp horizon ends the path
     exp_rate = prm.get("exp_horizon_rate")
     exp_rate = None if exp_rate is None else float(exp_rate)
-    if isinstance(config.horizon, EscapeLevel):
-        besc, tmax = config.horizon.b_esc, None
-        if exp_rate is None:
-            model.require_positive_drift("escape-level Monte Carlo horizon")
-    elif accrue:
-        besc, tmax = math.inf, config.horizon.t_max
-    else:
-        raise UnsupportedFunctional(f"{fn.name} needs an escape-level horizon")
-    if fn.name == "occupation_poisson_literal" and (tmax is not None or exp_rate is not None):
-        raise UnsupportedFunctional("literal occupation has no finite-horizon reading")
+    besc = config.horizon.b_esc
+    if exp_rate is None:
+        model.require_positive_drift("escape-level Monte Carlo horizon")
     if brownian and (accrue or budget is not None):
         model.require_positive_drift("the inverse-Gaussian recovery")
     if b is not None or exp_rate is not None:
@@ -272,25 +261,6 @@ def plan(model: LevyModel, fn: PathFunctional, config: McConfig) -> Plan:
             out *= w(weight, df + shift)
         return out
 
-    mode = "literal" if fn.name == "occupation_poisson_literal" else "union"
-    return Plan(payoff=payoff, x0=fn.x0, accrue=accrue, mode=mode, b=b, floor=floor, besc=besc,
-                tmax=tmax, exp_rate=exp_rate, n=n, delay=delay, rates=rates, lam=lam,
-                budget=budget)
+    return Plan(payoff=payoff, x0=fn.x0, accrue=accrue, b=b, floor=floor, besc=besc,
+                exp_rate=exp_rate, n=n, delay=delay, rates=rates, lam=lam, budget=budget)
 
-
-def excursion_occupation(obs_times, recovery, mode="union", n_consec=1):
-    """Occupation contributed by one negative excursion.
-
-    ``obs_times``: observation epochs strictly inside the excursion, in order.
-    ``recovery``: the excursion's up-crossing time of 0, or the horizon when the
-    excursion outlives it.
-    ``mode``: "union" accrues from the n_consec-th observation until recovery
-    (every observation inside one excursion extends the same run, so the n-th
-    observation in the list is the n-th consecutive negative one); "literal" sums
-    the full remaining recovery time over every observation, counting overlaps.
-    """
-    if mode == "literal":
-        return sum(recovery - s for s in obs_times)
-    if len(obs_times) < n_consec:
-        return 0.0
-    return max(recovery - obs_times[n_consec - 1], 0.0)

@@ -278,8 +278,9 @@ def _below_zero_density(model: LevyModel, d: float, ph: float, q0: float,
     v = y - d, so that nu's exponents are exact for any d.  The Poisson-Erlang kernel
     takes a - b = eta t - alpha (ct - y) = alpha (y - E[X_1] t) as k + alpha v, with
     k = alpha d + eta t - alpha c t formed exactly, so that nothing rounds at the scale
-    of d inside the sqrt d spread of tau_0^+; where k leaves the float range, that is
-    a numerical error."""
+    of d inside the sqrt d spread of tau_0^+; where k or the kernel's arguments (up to
+    alpha c t and 2 sqrt(alpha c eta) t) leave the float range, that is a numerical
+    error."""
     c, eta, alpha, mean = model.c, model.eta, model.alpha, model.mean()
     ac = _two_product(alpha, c)
     g = _positive_density(model, zeta0, q0 * math.exp(-ph * d))
@@ -315,8 +316,13 @@ def _below_zero_density(model: LevyModel, d: float, ph: float, q0: float,
             return ((d + v) / a * nu(v)
                     * _poisson_erlang(a, alpha * np.maximum(hi - v, 0.0), k_ab + alpha * v, a))
 
-        return (g(t) + c * math.exp(-a) * float(nu(hi))
-                + alpha * eta * gl_pieces(f, cuts, _TOL))
+        try:
+            with np.errstate(over="raise"):
+                mixed = alpha * eta * gl_pieces(f, cuts, _TOL)
+        except FloatingPointError:
+            raise NumericalError(f"occupation density from x = {-d:g} at t = {t:g}: the "
+                                 "Poisson-Erlang kernel's arguments leave the float range") from None
+        return g(t) + c * math.exp(-a) * float(nu(hi)) + mixed
 
     return density
 
@@ -340,6 +346,10 @@ class OccupationLaw:
     decay_rate: float = 0.0
 
     def suggested_r_max(self, tail_eps: float = 1e-3) -> float:
+        """The tail-truncation rule r_max = (ln(1/tail_eps) + 5)/decay_rate, for
+        0 < tail_eps < 1."""
+        if not 0.0 < tail_eps < 1.0:
+            raise DomainError(f"suggested_r_max requires 0 < tail_eps < 1, got {tail_eps!r}")
         return (math.log(1.0 / tail_eps) + 5.0) / self.decay_rate
 
 

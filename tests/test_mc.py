@@ -18,7 +18,6 @@ from levyruin import (
 )
 from levyruin.mc import (
     EscapeLevel,
-    FixedTime,
     McConfig,
     PathFunctional,
     Stream,
@@ -26,7 +25,6 @@ from levyruin.mc import (
     classical_ruin_bound,
     default_escape_level,
     estimate,
-    excursion_occupation,
     sample,
 )
 from levyruin.mc import driver
@@ -48,15 +46,6 @@ def assert_within(est, target, k=3.0):
         f"estimate {est.value} vs {target}: |z| = "
         f"{abs(est.value - target) / max(est.std_error, 1e-300):.2f}"
     )
-
-
-def test_frozen_skeleton_occupation_accrual():
-    # one negative excursion, recovery at 5, observed negative at 1 and 2
-    obs = [1.0, 2.0]
-    assert excursion_occupation(obs, 5.0, "literal") == pytest.approx(7.0)  # overlaps summed
-    assert excursion_occupation(obs, 5.0, "union") == pytest.approx(4.0)
-    assert excursion_occupation(obs, 5.0, "union", n_consec=2) == pytest.approx(3.0)
-    assert excursion_occupation([], 5.0, "union") == 0.0
 
 
 def test_stream_determinism_and_antithetics():
@@ -154,17 +143,27 @@ def test_classical_ruin_bm(bm):
 
 
 def test_occupation_union_matches_transform_literal_does_not(cl):
-    # the once-per-excursion accrual matches the closed form; the literal
-    # overlapping sum is biased low by construction (documented open question)
+    # the once-per-excursion accrual (the union of the observations' recovery
+    # runs) matches the closed form; the literal overlapping sum, which does not,
+    # is no longer simulated (README, "Occupation accrual")
     x, p, lam = 0.0, 1.0, 1.0
     target = lt_occupation_inf(cl, x, p, lam)
     union = estimate(cl, cfg_for(cl), PathFunctional(
         "occupation_poisson", {"lam": lam}, x0=x, laplace_p=p))
-    literal = estimate(cl, cfg_for(cl), PathFunctional(
-        "occupation_poisson_literal", {"lam": lam}, x0=x, laplace_p=p))
     assert_within(union, target)
-    assert target - literal.value > 6.0 * literal.std_error
-    assert literal.value < union.value
+
+
+def test_literal_occupation_is_not_a_functional(bm, cl):
+    for model in (bm, cl):
+        with pytest.raises(UnsupportedFunctional, match="occupation_poisson_literal"):
+            build_simulator(model, PathFunctional("occupation_poisson_literal", {"lam": 1.0},
+                                                  x0=0.0), cfg_for(model))
+
+
+@pytest.mark.parametrize("horizon", [None, 4.0, (12.0,), "escape"])
+def test_horizon_must_be_an_escape_level(horizon):
+    with pytest.raises(DomainError, match="EscapeLevel"):
+        McConfig(replications=10, seed=1, horizon=horizon)
 
 
 def test_t0_joint_transform_both_models(bm, cl):
@@ -228,17 +227,6 @@ def test_deficit_transform_t0_mc(cl):
     assert_within(est, target)
 
 
-def test_finite_time_horizon_occupation(cl):
-    # fixed-time occupation is bounded by t_max; sanity of the FixedTime mode
-    cfg = McConfig(replications=4000, seed=11, horizon=FixedTime(3.0))
-    vals = sample(cl, cfg, PathFunctional("occupation_poisson", {"lam": 1.0}, x0=-0.5))
-    occ = -np.log(np.maximum(vals, 1e-300))  # laplace_p = 0 -> values all 1
-    assert np.all(vals == 1.0)
-    est = estimate(cl, cfg, PathFunctional("occupation_poisson", {"lam": 1.0}, x0=-0.5,
-                                           laplace_p=1.0))
-    assert 0.0 < est.value < 1.0
-
-
 def test_antithetic_campaign_runs(cl):
     fn = PathFunctional("occupation_poisson", {"lam": 1.0}, x0=0.0, laplace_p=1.0)
     cfg = McConfig(replications=20_000, seed=3, horizon=EscapeLevel(12.0), antithetic=True)
@@ -269,8 +257,6 @@ def test_unsupported_brownian_functionals(bm):
     cfg = cfg_for(bm)
     with pytest.raises(UnsupportedFunctional):
         estimate(bm, cfg, PathFunctional("rho_sum_exp", {"p": 1.0, "lam": 1.0, "a": 1.0}, x0=0.0))
-    with pytest.raises(UnsupportedFunctional):
-        estimate(bm, cfg, PathFunctional("occupation_poisson_literal", {"lam": 1.0}, x0=0.0))
     with pytest.raises(UnsupportedFunctional):
         estimate(bm, cfg, PathFunctional("rho_sum_exp", {"p": 1.0, "lam": 1.0}, x0=0.0,
                                          tilt_theta=0.5))
@@ -324,11 +310,10 @@ _IGNORED = {
     ("cl", "laplace_p"): _RUIN + _FIRST_PASSAGE + (
         ("T0_w_weight", {"lam": 1.0, "b": 2.0, "a": 1.0, "pw": 0.7, "shift": 0.5}),),
     ("bm", "laplace_p"): _RUIN + _FIRST_PASSAGE,
-    ("cl", "tilt_theta"): _OCCUPATION + _UPCROSS + (
-        ("occupation_poisson_literal", {"lam": 1.0}),),
+    ("cl", "tilt_theta"): _OCCUPATION + _UPCROSS,
     ("bm", "tilt_theta"): _OCCUPATION + _UPCROSS + (("kappa_fixed", {"r": 1.0}),),
-    ("cl", "a"): _OCCUPATION + (("occupation_poisson_literal", {"lam": 1.0}),),
-    ("cl", "discount_q"): _NO_STOP + (("occupation_poisson_literal", {"lam": 1.0}),),
+    ("cl", "a"): _OCCUPATION,
+    ("cl", "discount_q"): _NO_STOP,
     ("bm", "discount_q"): _NO_STOP,
 }
 
@@ -373,8 +358,7 @@ def test_registry_functionals_build(bm, cl):
     }
 
 
-# every functional each simulator runs, with in-domain params; literal occupation
-# runs on Cramer-Lundberg models only, and only to an escape level
+# every functional each simulator runs, with in-domain params
 _STOPPING = {
     "bm": (("rho_sum_exp", {"p": 1.0, "lam": 1.0}), ("rho_erlang", {"n": 2, "lam": 1.0}),
            ("rho_erlang", {"n": 2, "lam": 1.0, "construction": "clock"}),
@@ -395,22 +379,10 @@ _ACCRUING = (("occupation_poisson", {"lam": 1.0}),
 
 @pytest.mark.parametrize("key", ["bm", "cl"])
 def test_horizon_matrix(key, bm, cl):
-    # under a fixed horizon only the occupation functionals run; every other one
-    # needs an escape level, and an escape level needs positive drift unless an
-    # Exp horizon ends the path
+    # an escape level needs positive drift unless an Exp horizon ends the path:
+    # at zero drift only the Exp-horizon occupation runs, on Cramer-Lundberg
+    # models (a Brownian recovery needs positive drift under any horizon)
     model = {"bm": bm, "cl": cl}[key]
-    fixed = McConfig(replications=8, seed=1, horizon=FixedTime(4.0))
-    for name, params in _STOPPING[key]:
-        with pytest.raises(UnsupportedFunctional, match="escape-level horizon"):
-            build_simulator(model, PathFunctional(name, params, x0=0.5), fixed)
-    for name, params in _ACCRUING:
-        fn = PathFunctional(name, params, x0=0.5, laplace_p=1.0)
-        assert np.all(np.isfinite(sample(model, fixed, fn)))
-    literal = PathFunctional("occupation_poisson_literal", {"lam": 1.0}, x0=0.5)
-    with pytest.raises(UnsupportedFunctional):
-        build_simulator(model, literal, fixed)
-    # zero drift: an escape level does not run; on Cramer-Lundberg models a fixed
-    # or Exp horizon still does
     flat = type(model).brownian(0.0, 1.0) if key == "bm" else type(model).cramer_lundberg(
         1.0, 2.0, 2.0)
     escape = McConfig(replications=8, seed=1, horizon=EscapeLevel(10.0))
@@ -421,9 +393,9 @@ def test_horizon_matrix(key, bm, cl):
                 build_simulator(flat, fn, escape)
         elif key == "cl":
             build_simulator(flat, fn, escape)
-    if key == "cl":
-        for name, params in _ACCRUING:
-            build_simulator(flat, PathFunctional(name, params, x0=0.5), fixed)
+        else:
+            with pytest.raises(DomainError, match="inverse-Gaussian recovery"):
+                build_simulator(flat, fn, escape)
 
 
 def test_brownian_kappa_fixed_rejects_b(bm, cl):
@@ -457,15 +429,15 @@ def test_unknown_success_event_rejected(bm, cl):
 
 
 def test_brownian_recovery_needs_positive_drift(bm):
-    # the inverse-Gaussian recovery from below 0 exists only for mu > 0, under
-    # any horizon; a ruin at the trigger itself samples none
+    # the inverse-Gaussian recovery from below 0 exists only for mu > 0, even
+    # where an Exp horizon ends the path; a ruin at the trigger itself samples none
     sink = type(bm).brownian(-0.2, 1.0)
-    fixed = McConfig(replications=50, seed=1, horizon=FixedTime(4.0))
     escape = McConfig(replications=50, seed=1, horizon=EscapeLevel(10.0))
     exp_horizon = {"lam": 1.0, "exp_horizon_rate": 0.5}
     for name, params in _ACCRUING:
         with pytest.raises(DomainError, match="inverse-Gaussian recovery"):
-            build_simulator(sink, PathFunctional(name, params, x0=0.5), fixed)
+            build_simulator(sink, PathFunctional(name, {**params, **exp_horizon}, x0=0.5),
+                            escape)
     with pytest.raises(DomainError, match="inverse-Gaussian recovery"):
         build_simulator(sink, PathFunctional("rho_sum_exp", {"p": 1.0, **exp_horizon}), escape)
     vals = sample(sink, escape, PathFunctional("T0_minus", exp_horizon, x0=0.5))

@@ -514,6 +514,41 @@ def test_cl_density_where_its_level_terms_overflow_is_a_numerical_error(cl):
         assert occupation_law(cl, -1e308, 1.0).density(1.0) == 0.0
 
 
+def test_cl_density_where_its_kernel_overflows_is_a_numerical_error(cl):
+    # the normal peak of tau_0^+ from d = 4e307 sits at t = 8e307, where 2 sqrt(ab) of
+    # the Poisson-Erlang kernel overflows: a typed error, where an overflow to inf used
+    # to give 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="kernel's arguments"):
+            occupation_law(cl, -4e307, 1.0).density(8e307)
+
+
+@pytest.mark.parametrize("name", ["bm_a", "bm_b", "cl_a", "cl_b", "cl_thin"])
+def test_occupation_density_contract(name, bm, cl):
+    # every (x, lam, r) at the float edges gives a finite density >= 0 or a typed
+    # error, without a warning
+    model = {"bm_a": bm, "bm_b": BM_B, "cl_a": cl, "cl_b": CL_B, "cl_thin": CL_THIN}[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, lam, r in itertools.product(
+                (1e300, -1e300, 0.5, -0.5, -1e-300, 0.0), (1e-300, 1.0, 1e300),
+                (1e-300, 1e-10, 1.0, 1e10, 1e300, 1.7e308)):
+            try:
+                val = occupation_law(model, x, lam).density(r)
+            except (DomainError, NumericalError):
+                continue
+            assert math.isfinite(val) and val >= 0.0, (x, lam, r, val)
+
+
+@pytest.mark.parametrize("tail_eps", [0.0, -1.0, 1.0, 1e3, math.nan, math.inf])
+def test_suggested_r_max_rejects_tail_eps_outside_the_unit_interval(tail_eps, model):
+    law = occupation_law(model, 0.5, 1.0)
+    with pytest.raises(DomainError, match="tail_eps"):
+        law.suggested_r_max(tail_eps)
+    assert 0.0 < law.suggested_r_max(0.999) < law.suggested_r_max(1e-300) < math.inf
+
+
 @pytest.mark.parametrize("x", [0.5, -0.5, -2.0])
 def test_occupation_density_matches_kendall_oracle(model, x):
     # the paper's Kendall convolution (tests/kendall.py, about 1e-6 accurate) agrees

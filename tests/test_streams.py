@@ -17,7 +17,6 @@ from scipy.special import ndtri
 
 from levyruin.mc import (
     EscapeLevel,
-    FixedTime,
     McConfig,
     PathFunctional,
     Stream,
@@ -260,104 +259,89 @@ def test_antithetic_worker_invariance_across_blocks(cl):
 # Every simulator path, pinned by the exact sum of its replication values; the
 # sums were recorded with the per-functional event loops that the excursion
 # cores replaced.  Each case is seeded with the length of its name.
-# (model, functional name, params, functional keywords, horizon, replications)
+# (model, functional name, params, functional keywords, replications)
 _ESC = {"cl": EscapeLevel(12.0), "bm": EscapeLevel(10.0)}
 _PATHS = {
     # Cramer-Lundberg: occupation accrual
-    "cl-occupation": ("cl", "occupation_poisson", {"lam": 1.0}, dict(x0=0.3, laplace_p=1.0), None, 1000),
+    "cl-occupation": ("cl", "occupation_poisson", {"lam": 1.0}, dict(x0=0.3, laplace_p=1.0), 1000),
     "cl-occupation-exp_horizon": ("cl", "occupation_poisson", {"lam": 1.0, "exp_horizon_rate": 0.5},
-                                  dict(x0=-0.2, laplace_p=1.5), None, 1000),
-    "cl-occupation-fixed_time": ("cl", "occupation_poisson", {"lam": 2.0}, dict(x0=0.0, laplace_p=1.0),
-                                 FixedTime(4.0), 1000),
-    "cl-occupation-literal": ("cl", "occupation_poisson_literal", {"lam": 1.0},
-                              dict(x0=-0.5, laplace_p=1.0), None, 1000),
+                                  dict(x0=-0.2, laplace_p=1.5), 1000),
     "cl-occupation-n2": ("cl", "occupation_poisson_n", {"lam": 2.0, "n": 2}, dict(x0=0.0, laplace_p=1.0),
-                         None, 1000),
-    "cl-occupation-n3-fixed_time": ("cl", "occupation_poisson_n", {"lam": 3.0, "n": 3},
-                                    dict(x0=-0.3, laplace_p=2.0), FixedTime(5.0), 1000),
+                         1000),
     "cl-occupation-upcross": ("cl", "occupation_at_upcross", {"lam": 2.0, "b": 1.5},
-                              dict(x0=0.2, discount_q=0.2, laplace_p=1.0), None, 1000),
-    "cl-occupation-upcross-fixed_time": ("cl", "occupation_at_upcross", {"lam": 2.0, "b": 1.5},
-                                         dict(x0=0.2, discount_q=0.2, laplace_p=1.0), FixedTime(3.0), 1000),
+                              dict(x0=0.2, discount_q=0.2, laplace_p=1.0), 1000),
     # Cramer-Lundberg: delay clocks
-    "cl-rho_sum_exp": ("cl", "rho_sum_exp", {"p": 1.0, "lam": 1.0}, dict(x0=0.5), None, 1000),
+    "cl-rho_sum_exp": ("cl", "rho_sum_exp", {"p": 1.0, "lam": 1.0}, dict(x0=0.5), 1000),
     "cl-rho_sum_exp-b-tilt": ("cl", "rho_sum_exp", {"p": 1.0, "lam": 2.0, "b": 1.5},
-                              dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), None, 1000),
+                              dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), 1000),
     "cl-rho_sum_exp-ab-upcross": ("cl", "rho_sum_exp", {"p": 2.0, "lam": 1.0, "b": 1.5, "a": 1.0},
-                                  dict(x0=0.3, success_event="upcross", discount_q=0.1), None, 1000),
-    "cl-rho_erlang-clock-n1": ("cl", "rho_erlang", {"n": 1, "lam": 1.0}, dict(x0=0.4), None, 1000),
+                                  dict(x0=0.3, success_event="upcross", discount_q=0.1), 1000),
+    "cl-rho_erlang-clock-n1": ("cl", "rho_erlang", {"n": 1, "lam": 1.0}, dict(x0=0.4), 1000),
     "cl-rho_erlang-clock-n3-ab": ("cl", "rho_erlang", {"n": 3, "lam": 2.0, "b": 2.0, "a": 1.5},
-                                  dict(x0=0.0, discount_q=0.1, tilt_theta=0.3), None, 1000),
-    "cl-kappa_fixed": ("cl", "kappa_fixed", {"r": 1.0}, dict(x0=0.5), None, 1000),
+                                  dict(x0=0.0, discount_q=0.1, tilt_theta=0.3), 1000),
+    "cl-kappa_fixed": ("cl", "kappa_fixed", {"r": 1.0}, dict(x0=0.5), 1000),
     "cl-kappa_fixed-b-upcross": ("cl", "kappa_fixed", {"r": 0.5, "b": 1.0},
-                                 dict(x0=-0.2, success_event="upcross", discount_q=0.3), None, 1000),
+                                 dict(x0=-0.2, success_event="upcross", discount_q=0.3), 1000),
     # Cramer-Lundberg: consecutive observations
     "cl-rho_erlang-observation-n1": ("cl", "rho_erlang", {"n": 1, "lam": 1.0, "construction": "observation"},
-                                     dict(x0=0.4), None, 1000),
+                                     dict(x0=0.4), 1000),
     "cl-rho_erlang-observation-n2-b-tilt": ("cl", "rho_erlang",
                                             {"n": 2, "lam": 1.0, "b": 1.5, "construction": "observation"},
-                                            dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), None, 1000),
+                                            dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), 1000),
     "cl-rho_erlang-observation-n3": ("cl", "rho_erlang", {"n": 3, "lam": 2.0, "construction": "observation"},
-                                     dict(x0=-0.1), None, 1000),
+                                     dict(x0=-0.1), 1000),
     "cl-T0_minus-b-tilt": ("cl", "T0_minus", {"lam": 1.0, "b": 1.5},
-                           dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), None, 1000),
+                           dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), 1000),
     "cl-T0_minus-ab-upcross": ("cl", "T0_minus", {"lam": 0.5, "b": 1.5, "a": 1.0},
-                               dict(x0=0.3, success_event="upcross", discount_q=0.1), None, 1000),
+                               dict(x0=0.3, success_event="upcross", discount_q=0.1), 1000),
     "cl-T0_w_weight": ("cl", "T0_w_weight", {"lam": 1.0, "b": 1.5, "a": 1.0, "pw": 0.5, "shift": 1.2},
-                       dict(x0=0.3, discount_q=0.1), None, 1000),
+                       dict(x0=0.3, discount_q=0.1), 1000),
     # Cramer-Lundberg: first passages
-    "cl-tau_b_plus": ("cl", "tau_b_plus", {"b": 1.0}, dict(x0=0.0, discount_q=0.2), None, 1000),
+    "cl-tau_b_plus": ("cl", "tau_b_plus", {"b": 1.0}, dict(x0=0.0, discount_q=0.2), 1000),
     "cl-tau_level_minus-tilt": ("cl", "tau_level_minus", {"level": 0.0},
-                                dict(x0=0.5, discount_q=0.1, tilt_theta=0.5), None, 1000),
+                                dict(x0=0.5, discount_q=0.1, tilt_theta=0.5), 1000),
     "cl-tau_level_minus-below": ("cl", "tau_level_minus", {"level": -0.5},
-                                 dict(x0=0.3, discount_q=0.1, tilt_theta=0.5), None, 1000),
+                                 dict(x0=0.3, discount_q=0.1, tilt_theta=0.5), 1000),
     # Brownian: occupation accrual
-    "bm-occupation": ("bm", "occupation_poisson", {"lam": 2.0}, dict(x0=0.0, laplace_p=2.0), None, 1000),
+    "bm-occupation": ("bm", "occupation_poisson", {"lam": 2.0}, dict(x0=0.0, laplace_p=2.0), 1000),
     "bm-occupation-exp_horizon": ("bm", "occupation_poisson", {"lam": 1.0, "exp_horizon_rate": 0.5},
-                                  dict(x0=-0.2, laplace_p=1.5), None, 1000),
-    "bm-occupation-fixed_time": ("bm", "occupation_poisson", {"lam": 2.0}, dict(x0=0.3, laplace_p=1.0),
-                                 FixedTime(4.0), 1000),
+                                  dict(x0=-0.2, laplace_p=1.5), 1000),
     "bm-occupation-n2": ("bm", "occupation_poisson_n", {"lam": 2.0, "n": 2}, dict(x0=0.0, laplace_p=1.0),
-                         None, 1000),
-    "bm-occupation-n3-fixed_time": ("bm", "occupation_poisson_n", {"lam": 3.0, "n": 3},
-                                    dict(x0=-0.3, laplace_p=2.0), FixedTime(5.0), 1000),
+                         1000),
     "bm-occupation-upcross": ("bm", "occupation_at_upcross", {"lam": 2.0, "b": 1.0},
-                              dict(x0=0.2, laplace_p=2.0), None, 1000),
+                              dict(x0=0.2, laplace_p=2.0), 1000),
     # Brownian: observation budgets
-    "bm-rho_sum_exp": ("bm", "rho_sum_exp", {"p": 1.0, "lam": 1.0}, dict(x0=0.5, discount_q=0.1),
-                       None, 1000),
+    "bm-rho_sum_exp": ("bm", "rho_sum_exp", {"p": 1.0, "lam": 1.0}, dict(x0=0.5, discount_q=0.1), 1000),
     "bm-rho_sum_exp-b-upcross": ("bm", "rho_sum_exp", {"p": 1.0, "lam": 2.0, "b": 1.5},
-                                 dict(x0=0.3, success_event="upcross"), None, 1000),
+                                 dict(x0=0.3, success_event="upcross"), 1000),
     "bm-rho_sum_exp-b-ruin": ("bm", "rho_sum_exp", {"p": 2.0, "lam": 1.0, "b": 1.5},
-                              dict(x0=0.3, discount_q=0.2), None, 1000),
+                              dict(x0=0.3, discount_q=0.2), 1000),
     "bm-rho_erlang-clock-n1-b-tilt": ("bm", "rho_erlang", {"n": 1, "lam": 1.0, "b": 1.5, "construction": "clock"},
-                                      dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), None, 1000),
+                                      dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), 1000),
     "bm-rho_erlang-clock-n2": ("bm", "rho_erlang", {"n": 2, "lam": 1.0, "construction": "clock"},
-                               dict(x0=0.0, discount_q=0.1), None, 1000),
+                               dict(x0=0.0, discount_q=0.1), 1000),
     "bm-rho_erlang-clock-n3": ("bm", "rho_erlang", {"n": 3, "lam": 2.0, "construction": "clock"},
-                               dict(x0=-0.2), None, 1000),
+                               dict(x0=-0.2), 1000),
     # Brownian: consecutive observations
-    "bm-rho_erlang-observation-n1": ("bm", "rho_erlang", {"n": 1, "lam": 1.0}, dict(x0=0.4), None, 1000),
+    "bm-rho_erlang-observation-n1": ("bm", "rho_erlang", {"n": 1, "lam": 1.0}, dict(x0=0.4), 1000),
     "bm-rho_erlang-observation-n2-b-tilt": ("bm", "rho_erlang", {"n": 2, "lam": 1.0, "b": 1.5},
-                                            dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), None, 1000),
+                                            dict(x0=0.3, discount_q=0.2, tilt_theta=0.5), 1000),
     "bm-rho_erlang-observation-n3": ("bm", "rho_erlang", {"n": 3, "lam": 2.0, "construction": "observation"},
-                                     dict(x0=-0.1), None, 1000),
+                                     dict(x0=-0.1), 1000),
     "bm-T0_minus-b-upcross": ("bm", "T0_minus", {"lam": 0.5, "b": 1.5},
-                              dict(x0=0.3, success_event="upcross"), None, 1000),
+                              dict(x0=0.3, success_event="upcross"), 1000),
     # Brownian: first passages and the fixed-delay loop
-    "bm-tau_b_plus": ("bm", "tau_b_plus", {"b": 1.0}, dict(x0=0.0), None, 1000),
-    "bm-tau_level_minus": ("bm", "tau_level_minus", {"level": 0.0}, dict(x0=0.5), None, 1000),
-    "bm-tau_level_minus-below": ("bm", "tau_level_minus", {"level": -0.5}, dict(x0=0.3), None, 1000),
-    "bm-kappa_fixed": ("bm", "kappa_fixed", {"r": 0.25}, dict(x0=0.5, discount_q=0.1), None, 200),
+    "bm-tau_b_plus": ("bm", "tau_b_plus", {"b": 1.0}, dict(x0=0.0), 1000),
+    "bm-tau_level_minus": ("bm", "tau_level_minus", {"level": 0.0}, dict(x0=0.5), 1000),
+    "bm-tau_level_minus-below": ("bm", "tau_level_minus", {"level": -0.5}, dict(x0=0.3), 1000),
+    "bm-kappa_fixed": ("bm", "kappa_fixed", {"r": 0.25}, dict(x0=0.5, discount_q=0.1), 200),
 }
 _PINS = {
     "bm-T0_minus-b-upcross": "0x1.aa00000000000p+9",
     "bm-kappa_fixed": "0x1.960910e6a44ccp+5",
     "bm-occupation": "0x1.7cf7084f29e98p+9",
     "bm-occupation-exp_horizon": "0x1.c48c4c6648394p+9",
-    "bm-occupation-fixed_time": "0x1.b8e4613e7d950p+9",
     "bm-occupation-n2": "0x1.baf33cf96be15p+9",
-    "bm-occupation-n3-fixed_time": "0x1.96b4abc45cc1fp+9",
     "bm-occupation-upcross": "0x1.b63f87fb1c1bdp+9",
     "bm-rho_erlang-clock-n1-b-tilt": "0x1.0c3b78988d784p+7",
     "bm-rho_erlang-clock-n2": "0x1.cbbf07671b118p+6",
@@ -378,12 +362,8 @@ _PINS = {
     "cl-kappa_fixed-b-upcross": "0x1.bf29d82e30319p+8",
     "cl-occupation": "0x1.b7150c8150b76p+9",
     "cl-occupation-exp_horizon": "0x1.b2f1c5295295dp+9",
-    "cl-occupation-fixed_time": "0x1.a011720aa1615p+9",
-    "cl-occupation-literal": "0x1.3955658ab291fp+9",
     "cl-occupation-n2": "0x1.a91c6acc934a9p+9",
-    "cl-occupation-n3-fixed_time": "0x1.850ab1c747491p+9",
     "cl-occupation-upcross": "0x1.21e3cbb07956dp+9",
-    "cl-occupation-upcross-fixed_time": "0x1.54c171c99e2e1p+9",
     "cl-rho_erlang-clock-n1": "0x1.a400000000000p+7",
     "cl-rho_erlang-clock-n3-ab": "0x1.09390c94d7917p+6",
     "cl-rho_erlang-observation-n1": "0x1.6c00000000000p+7",
@@ -400,7 +380,7 @@ _PINS = {
 
 @pytest.mark.parametrize("case", sorted(_PATHS))
 def test_pinned_simulator_paths(case, request):
-    model, name, params, kw, horizon, reps = _PATHS[case]
-    cfg = McConfig(replications=reps, seed=len(case), horizon=horizon or _ESC[model])
+    model, name, params, kw, reps = _PATHS[case]
+    cfg = McConfig(replications=reps, seed=len(case), horizon=_ESC[model])
     vals = sample(request.getfixturevalue(model), cfg, PathFunctional(name, params, **kw))
     assert math.fsum(vals).hex() == _PINS[case]
